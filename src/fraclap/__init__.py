@@ -6,6 +6,7 @@ nonlocal kernel, and measures how solutions, energies, and pointwise
 operator values approach their classical counterparts as s approaches 1.
 """
 
+from .assembly import ToeplitzOperator
 from .boundary import (
     StripSpec,
     build_w,
@@ -79,9 +80,7 @@ from .report import (
     fit_line,
 )
 from .solver import (
-    StiffnessForm,
     assemble_frac,
-    assemble_local,
     exact_solution_ball,
     frac_laplacian_pointwise,
     lift_and_solve,
@@ -111,11 +110,10 @@ __all__ = [
     "RateRow",
     "ShapeError",
     "SolveReport",
-    "StiffnessForm",
     "StripSpec",
     "SupportError",
+    "ToeplitzOperator",
     "assemble_frac",
-    "assemble_local",
     "build_w",
     "check_energy_consistency",
     "check_identity_l2",

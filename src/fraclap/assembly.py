@@ -4,6 +4,10 @@ Everything here exploits translation invariance: on a uniform grid the
 bilinear forms of this package have Toeplitz matrices, so a single kernel
 vector c[k] = form(hat_i, hat_{i+k}) describes the whole matrix.
 
+ToeplitzOperator holds such a kernel vector and is the only representation
+of these matrices: products go through the FFT and solves through the
+Levinson recursion, so no dense matrix is ever formed.
+
 The full interaction form has an exact closed-form kernel.  Writing the
 P1 hat-gradient autocorrelation through a double antiderivative of the
 radial kernel collapses each entry to a fourth difference:
@@ -26,15 +30,41 @@ analytically with the appropriate logarithmic branch at s = 1/2.
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, matmul_toeplitz, solve_toeplitz
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .grid import GridFunction
-from .kernels import FracParams, norm_const
+from .kernels import _LOG_BRANCH_TOL, FracParams, norm_const
 
-_LOG_BRANCH_TOL = 1e-9
+
+@dataclass(frozen=True)
+class ToeplitzOperator:
+    """Symmetric Toeplitz matrix given by its first column c.
+
+    Symmetry holds by construction.  matvec costs O(m log m) through the
+    FFT; solve runs the Levinson recursion in O(m**2) time and O(m) memory.
+    Vectors whose length differs from len(c) raise ValueError.
+    """
+
+    c: np.ndarray
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """T @ v."""
+        return matmul_toeplitz(self.c, v)
+
+    def quad_form(self, v: np.ndarray) -> float:
+        """v^T T v."""
+        return float(v @ self.matvec(v))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """The solution u of T u = b."""
+        try:
+            return solve_toeplitz(self.c, b)
+        except LinAlgError as exc:
+            raise NumericalError(f"Toeplitz solve failed: {exc}") from exc
 
 
 def stiffness_kernel(p: FracParams, h: float, kmax: int) -> np.ndarray:
@@ -67,14 +97,6 @@ def stiffness_kernel(p: FracParams, h: float, kmax: int) -> np.ndarray:
     d4 = at(k + 2) - 4 * at(k + 1) + 6 * at(k) - 4 * at(k - 1) + at(k - 2)
     pref = (1 - s) * ld(h) ** (1 - 2 * s) / (s * (2 - 2 * s) * (3 - 2 * s))
     return np.asarray(pref * d4, dtype=np.float64)
-
-
-def local_stiffness_tridiagonal(h: float, n_int: int) -> np.ndarray:
-    """Banded storage (upper form) of the local tridiagonal (-1/h, 2/h, -1/h)."""
-    ab = np.zeros((2, n_int))
-    ab[0, 1:] = -1.0 / h
-    ab[1, :] = 2.0 / h
-    return ab
 
 
 def _hat_correlation_coeffs(h: float) -> list:
@@ -152,30 +174,6 @@ def far_kernel(p: FracParams, h: float, kmax: int) -> np.ndarray:
     for k in range(kmin, kmax + 1):
         c2[k] -= 4.0 * hat_pair_far_integral(p, h, k)
     return c2
-
-
-def toeplitz_quadratic_form(kernel: np.ndarray, v: np.ndarray) -> float:
-    """v^T T v for the symmetric Toeplitz matrix T with first column `kernel`
-    (kernel must cover offsets up to len(v) - 1)."""
-    n = len(v)
-    if len(kernel) < n:
-        raise ValueError("kernel shorter than vector")
-    total = kernel[0] * float(v @ v)
-    for k in range(1, n):
-        ck = kernel[k]
-        if ck == 0.0:
-            continue
-        total += 2.0 * ck * float(v[:-k] @ v[k:])
-    return float(total)
-
-
-def toeplitz_matrix(kernel: np.ndarray, n: int) -> np.ndarray:
-    """Dense symmetric Toeplitz matrix from its first column."""
-    from scipy.linalg import toeplitz
-
-    if len(kernel) < n:
-        raise ValueError("kernel shorter than requested size")
-    return toeplitz(kernel[:n])
 
 
 def mass_quadratic_form(v: np.ndarray, h: float) -> float:

@@ -75,12 +75,12 @@ def dirichlet_frac(
     _require_compact_support(phi)
     v = phi.values[1:-1]
     h = phi.h
-    kmax = len(v)
+    kmax = len(v) - 1
     c_full = assembly.stiffness_kernel(p, h, kmax)
     c_far = assembly.far_kernel(p, h, kmax)
-    d1 = 0.5 * assembly.toeplitz_quadratic_form(c_full - c_far, v)
+    d1 = 0.5 * assembly.ToeplitzOperator(c_full - c_far).quad_form(v)
     if far_route == "analytic":
-        d2 = 0.5 * assembly.toeplitz_quadratic_form(c_far, v)
+        d2 = 0.5 * assembly.ToeplitzOperator(c_far).quad_form(v)
     else:
         C = norm_const(p)
         mass = assembly.mass_quadratic_form(v, h)

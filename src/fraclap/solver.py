@@ -6,20 +6,21 @@ The nonlocal bilinear form of zero-extended hat functions on a uniform grid
 is symmetric Toeplitz; entries come from the closed-form kernel in the
 assembly module and include the interaction with the zero extension over the
 whole line, so the assembled operator has no truncation or quadrature error.
+It is held as its kernel vector (assembly.ToeplitzOperator) and solved by the
+Levinson recursion; no dense matrix is formed.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Tuple, Union
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solveh_banded
+from scipy.linalg import LinAlgError, solveh_banded
 
-from .assembly import interior_indices, load_vector, stiffness_kernel, toeplitz_matrix
+from .assembly import ToeplitzOperator, interior_indices, load_vector, stiffness_kernel
 from .errors import ConfigError, DataError, NumericalError, ShapeError
 from .grid import Domain, GridFunction, make_grid
 from .kernels import FracParams, norm_const
@@ -30,29 +31,6 @@ from .kernels import FracParams, norm_const
 _NEAR_CUT = 1e-4
 
 
-@dataclass(frozen=True)
-class StiffnessForm:
-    """Symmetric Galerkin matrix over the interior nodes of Omega.
-
-    For coefficient vector v, the value v @ entries @ v is twice the
-    quadratic energy of the zero-extended P1 function, so the discrete
-    objective reads 0.5 * v @ entries @ v - b @ v.
-    """
-
-    n_int: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        e = np.asarray(self.entries, dtype=float)
-        if e.shape != (self.n_int, self.n_int):
-            raise ShapeError(
-                f"entries shape {e.shape} does not match n_int={self.n_int}"
-            )
-        if not np.array_equal(e, e.T):
-            raise ShapeError("stiffness entries must be symmetric")
-        object.__setattr__(self, "entries", e)
-
-
 def _grid_layout(dom: Domain, n: int) -> Tuple[GridFunction, np.ndarray]:
     grid = make_grid(dom, n)
     idx = interior_indices(grid)
@@ -61,11 +39,14 @@ def _grid_layout(dom: Domain, n: int) -> Tuple[GridFunction, np.ndarray]:
     return grid, idx
 
 
-def assemble_frac(dom: Domain, n: int, p: FracParams) -> StiffnessForm:
-    """Assemble the nonlocal stiffness matrix on the interior nodes.
+def assemble_frac(dom: Domain, n: int, p: FracParams) -> ToeplitzOperator:
+    """Assemble the nonlocal stiffness operator on the interior nodes.
 
-    Entries are closed-form (assembly.stiffness_kernel), symmetric Toeplitz,
-    and account for the zero extension beyond Omega exactly.
+    For coefficient vector v, op.quad_form(v) is twice the quadratic energy
+    of the zero-extended P1 function, so the discrete objective reads
+    0.5 * op.quad_form(v) - b @ v.  Entries are closed-form
+    (assembly.stiffness_kernel) and account for the zero extension beyond
+    Omega exactly.
     """
     if p.d != 1:
         raise ConfigError(f"assembly supports d=1 only, got d={p.d}")
@@ -76,18 +57,7 @@ def assemble_frac(dom: Domain, n: int, p: FracParams) -> StiffnessForm:
             RuntimeWarning,
         )
     grid, idx = _grid_layout(dom, n)
-    c = stiffness_kernel(p, grid.h, idx.size)
-    return StiffnessForm(n_int=idx.size, entries=toeplitz_matrix(c, idx.size))
-
-
-def assemble_local(dom: Domain, n: int) -> StiffnessForm:
-    """Gradient-energy counterpart: tridiagonal rows (-1/h, 2/h, -1/h)."""
-    grid, idx = _grid_layout(dom, n)
-    c = np.zeros(idx.size)
-    c[0] = 2.0 / grid.h
-    if idx.size > 1:
-        c[1] = -1.0 / grid.h
-    return StiffnessForm(n_int=idx.size, entries=toeplitz_matrix(c, idx.size))
+    return ToeplitzOperator(stiffness_kernel(p, grid.h, idx.size - 1))
 
 
 def solve_frac_dirichlet(dom: Domain, n: int, p: FracParams, f_s: GridFunction) -> GridFunction:
@@ -98,12 +68,7 @@ def solve_frac_dirichlet(dom: Domain, n: int, p: FracParams, f_s: GridFunction) 
     grid, idx = _grid_layout(dom, n)
     if f_s.domain != dom or f_s.n != n:
         raise ShapeError("f_s must live on the same grid as the requested solve")
-    form = assemble_frac(dom, n, p)
-    b = load_vector(f_s)[idx]
-    try:
-        u_int = cho_solve(cho_factor(form.entries), b)
-    except LinAlgError as exc:
-        raise NumericalError(f"stiffness factorization failed: {exc}") from exc
+    u_int = assemble_frac(dom, n, p).solve(load_vector(f_s)[idx])
     values = np.zeros(n)
     values[idx] = u_int
     return grid.with_values(values)

@@ -106,6 +106,21 @@ def w_beta1_oracle(phi: GridFunction, beta: float) -> float:
     return 2.0 * val
 
 
+def toeplitz_quadratic_form(kernel: np.ndarray, v: np.ndarray) -> float:
+    """v^T T v for the symmetric Toeplitz matrix T with first column `kernel`,
+    summed diagonal by diagonal (reference for ToeplitzOperator.quad_form)."""
+    n = len(v)
+    if len(kernel) < n:
+        raise ValueError("kernel shorter than vector")
+    total = kernel[0] * float(v @ v)
+    for k in range(1, n):
+        ck = kernel[k]
+        if ck == 0.0:
+            continue
+        total += 2.0 * ck * float(v[:-k] @ v[k:])
+    return float(total)
+
+
 def central_diff(f, x: float, delta: float) -> float:
     return (f(x + delta) - f(x - delta)) / (2.0 * delta)
 

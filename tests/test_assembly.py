@@ -4,26 +4,31 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
+from scipy.linalg import cho_factor, cho_solve, toeplitz
 
 from fraclap.assembly import (
+    ToeplitzOperator,
     autocorrelation,
     far_cross_quadrature,
     far_kernel,
     hat_pair_far_integral,
     interior_indices,
     load_vector,
-    local_stiffness_tridiagonal,
     mass_quadratic_form,
     stiffness_kernel,
-    toeplitz_matrix,
-    toeplitz_quadratic_form,
 )
 from fraclap.energies import dirichlet_local
-from fraclap.errors import ConfigError
+from fraclap.errors import ConfigError, NumericalError
 from fraclap.grid import Domain, l2_norm, make_grid, sample
 from fraclap.kernels import FracParams, eta
 from fraclap.profiles import random_bump
-from helpers import correlation_exact, dirichlet_frac_oracle, simpson_cells
+from fraclap.solver import assemble_frac, solve_local_dirichlet
+from helpers import (
+    correlation_exact,
+    dirichlet_frac_oracle,
+    simpson_cells,
+    toeplitz_quadratic_form,
+)
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
 
@@ -35,16 +40,16 @@ class TestStiffnessKernel:
         phi = random_bump(rng, DOM, 33)
         p = FracParams(s=s, eps=eps)
         v = phi.values[1:-1]
-        c = stiffness_kernel(p, phi.h, len(v))
-        got = toeplitz_quadratic_form(c, v)
+        c = stiffness_kernel(p, phi.h, len(v) - 1)
+        got = ToeplitzOperator(c).quad_form(v)
         assert got == pytest.approx(2.0 * dirichlet_frac_oracle(phi, p), rel=1e-4)
 
     def test_local_limit_recovers_gradient_energy(self):
         rng = np.random.default_rng(18)
         phi = random_bump(rng, DOM, 257)
         v = phi.values[1:-1]
-        c = stiffness_kernel(FracParams(s=0.99), phi.h, len(v))
-        got = toeplitz_quadratic_form(c, v)
+        c = stiffness_kernel(FracParams(s=0.99), phi.h, len(v) - 1)
+        got = ToeplitzOperator(c).quad_form(v)
         assert got == pytest.approx(2.0 * dirichlet_local(phi), rel=0.05)
 
     def test_dimension_guard(self):
@@ -53,25 +58,28 @@ class TestStiffnessKernel:
 
 
 class TestLocalStiffness:
+    # the banded local solve is checked against the dense tridiagonal
+    # (2/h, -1/h, 0, ...) stiffness built here
     def test_banded_pattern(self):
-        # upper banded storage: row 0 holds the superdiagonal shifted right,
-        # row 1 the main diagonal
-        h = 0.25
-        ab = local_stiffness_tridiagonal(h, 4)
-        assert ab.shape == (2, 4)
-        assert ab[0, 0] == 0.0
-        assert np.allclose(ab[0, 1:], -1.0 / h)
-        assert np.allclose(ab[1, :], 2.0 / h)
+        n = 65
+        rng = np.random.default_rng(19)
+        f = random_bump(rng, DOM, n)
+        u = solve_local_dirichlet(DOM, n, f)
+        idx = interior_indices(u)
+        h = u.h
+        kernel = np.zeros(idx.size)
+        kernel[0], kernel[1] = 2.0 / h, -1.0 / h
+        b = load_vector(f)[idx]
+        residual = toeplitz(kernel) @ u.values[idx] - b
+        assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(b))
 
     def test_solves_poisson(self):
-        from scipy.linalg import solveh_banded
-
-        n_int = 31
-        h = 2.0 / (n_int + 1)
-        ab = local_stiffness_tridiagonal(h, n_int)
-        x = -1.0 + h * np.arange(1, n_int + 1)
-        u = solveh_banded(ab, np.full(n_int, 2.0 * h))
-        assert np.allclose(u, 1.0 - x * x, atol=1e-12)
+        n = 65
+        u = solve_local_dirichlet(DOM, n, sample(DOM, n, lambda x: 2.0))
+        idx = interior_indices(u)
+        assert idx.size == 31 and u.h == 0.0625
+        x = u.nodes[idx]
+        assert np.allclose(u.values[idx], 1.0 - x * x, atol=1e-12)
 
 
 class TestFarPairs:
@@ -121,11 +129,11 @@ class TestFarKernel:
         phi = random_bump(rng, DOM, 65)
         v = phi.values[1:-1]
         p = FracParams(s=0.55, eps=0.1)
-        c_full = stiffness_kernel(p, phi.h, len(v))
-        c_far = far_kernel(p, phi.h, len(v))
-        near = toeplitz_quadratic_form(c_full - c_far, v)
-        far = toeplitz_quadratic_form(c_far, v)
-        assert near + far == pytest.approx(toeplitz_quadratic_form(c_full, v), rel=1e-12)
+        c_full = stiffness_kernel(p, phi.h, len(v) - 1)
+        c_far = far_kernel(p, phi.h, len(v) - 1)
+        near = ToeplitzOperator(c_full - c_far).quad_form(v)
+        far = ToeplitzOperator(c_far).quad_form(v)
+        assert near + far == pytest.approx(ToeplitzOperator(c_full).quad_form(v), rel=1e-12)
         assert near >= 0.0 and far >= 0.0
 
     def test_matches_independent_cross_quadrature(self):
@@ -134,8 +142,8 @@ class TestFarKernel:
         v = phi.values[1:-1]
         for s in (0.35, 0.75):
             p = FracParams(s=s)
-            c_far = far_kernel(p, phi.h, len(v))
-            got = 0.5 * toeplitz_quadratic_form(c_far, v)
+            c_far = far_kernel(p, phi.h, len(v) - 1)
+            got = 0.5 * ToeplitzOperator(c_far).quad_form(v)
             from fraclap.kernels import norm_const
 
             mass = mass_quadratic_form(v, phi.h)
@@ -143,20 +151,56 @@ class TestFarKernel:
             assert got == pytest.approx(want, rel=1e-6)
 
 
+def frac_operator(n: int, s: float) -> ToeplitzOperator:
+    return assemble_frac(DOM, n, FracParams(s=s))
+
+
 class TestToeplitz:
     def test_matrix_matches_quadratic_form(self):
         rng = np.random.default_rng(23)
         v = rng.standard_normal(12)
         kernel = rng.standard_normal(12)
-        m = toeplitz_matrix(kernel, 12)
-        assert np.array_equal(m, m.T)
-        assert float(v @ m @ v) == pytest.approx(
-            toeplitz_quadratic_form(kernel, v), rel=1e-13
-        )
+        op = ToeplitzOperator(kernel)
+        m = toeplitz(kernel)
+        assert np.allclose(op.matvec(v), m @ v, rtol=1e-12, atol=0.0)
+        assert op.quad_form(v) == pytest.approx(float(v @ m @ v), rel=1e-12)
+        assert op.quad_form(v) == pytest.approx(toeplitz_quadratic_form(kernel, v), rel=1e-12)
+
+    @pytest.mark.parametrize("s", [0.3, 0.99])
+    def test_stiffness_products_match_dense_reference(self, s):
+        rng = np.random.default_rng(24)
+        phi = random_bump(rng, DOM, 513)
+        v = phi.values[interior_indices(phi)]
+        op = frac_operator(513, s)
+        m = toeplitz(op.c)
+        want = m @ v
+        assert np.max(np.abs(op.matvec(v) - want)) <= 1e-12 * np.max(np.abs(want))
+        assert op.quad_form(v) == pytest.approx(float(v @ want), rel=1e-12)
+        assert op.quad_form(v) == pytest.approx(toeplitz_quadratic_form(op.c, v), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [65, 513, 2049])
+    @pytest.mark.parametrize("s", [0.3, 0.6, 0.9, 0.99])
+    def test_solve_matches_dense_cholesky(self, n, s):
+        op = frac_operator(n, s)
+        b = load_vector(sample(DOM, n, lambda x: 1.0 + 0.5 * math.sin(3.0 * x)))
+        b = b[interior_indices(make_grid(DOM, n))]
+        want = cho_solve(cho_factor(toeplitz(op.c)), b)
+        got = op.solve(b)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    def test_singular_kernel_raises_numerical_error(self):
+        # the leading 1x1 minor vanishes, so the Levinson recursion breaks down
+        with pytest.raises(NumericalError):
+            ToeplitzOperator(np.array([0.0, 1.0, 0.2])).solve(np.ones(3))
 
     def test_short_kernel_rejected(self):
+        op = ToeplitzOperator(np.zeros(3))
         with pytest.raises(ValueError):
-            toeplitz_matrix(np.zeros(3), 5)
+            op.matvec(np.zeros(5))
+        with pytest.raises(ValueError):
+            op.quad_form(np.zeros(5))
+        with pytest.raises(ValueError):
+            op.solve(np.ones(5))
         with pytest.raises(ValueError):
             toeplitz_quadratic_form(np.zeros(3), np.zeros(5))
 

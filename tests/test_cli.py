@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from fraclap import cli
+from fraclap import cli, solver
 from fraclap.errors import NumericalError
 from fraclap.report import CheckReport, CheckRow
 from helpers import strip_seconds
@@ -113,3 +114,20 @@ class TestRunnerOutcomes:
         cfg = kernel_cfg(tmp_path, tmp_path / "out")
         assert cli.main(["kernel-check", "--config", cfg]) == 1
         assert "factorization" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "rates"])
+    def test_singular_stiffness_returns_one(self, tmp_path, monkeypatch, capsys, command):
+        # a kernel with a vanishing leading minor breaks the Levinson recursion
+        def singular(p, h, kmax):
+            c = np.zeros(kmax + 1)
+            c[:3] = (0.0, 1.0, 0.2)
+            return c
+
+        monkeypatch.setattr(solver, "stiffness_kernel", singular)
+        cfg = write_cfg(
+            tmp_path,
+            f"experiment = {command}\ns_list = 0.5, 0.7\nn = 65\noutput_dir = {tmp_path / 'out'}\n",
+        )
+        assert cli.main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1

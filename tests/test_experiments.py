@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from fraclap.assembly import ToeplitzOperator
 from fraclap.config import parse_config
-from fraclap.errors import ConfigError
+from fraclap.errors import ConfigError, NumericalError
 from fraclap.experiments import (
     run_consistency,
     run_kernel_check,
@@ -97,6 +98,29 @@ class TestRates:
         plain = run_rates(cfg_from(tmp_path, base))
         shrink = run_rates(cfg_from(tmp_path, base + "pert_mode = shrinking\n"))
         assert shrink.rows[0].total_ws2_err != plain.rows[0].total_ws2_err
+
+    @pytest.mark.parametrize("s", [0.6, 0.99])
+    def test_optimality_check_catches_perturbed_solve(self, tmp_path, monkeypatch, s):
+        # solve with one kernel entry off by 1e-8 relative; the seminorm and
+        # the self-check still use the true operator
+        solve = ToeplitzOperator.solve
+
+        def perturbed(self, b):
+            c = self.c.copy()
+            c[1] *= 1.0 + 1e-8
+            return solve(ToeplitzOperator(c), b)
+
+        monkeypatch.setattr(ToeplitzOperator, "solve", perturbed)
+        cfg = cfg_from(tmp_path, f"experiment = rates\ns_list = {s}\nn = 257\n")
+        with pytest.raises(NumericalError, match="optimality identity"):
+            run_rates(cfg)
+
+    def test_optimality_check_passes_near_one_on_fine_mesh(self, tmp_path):
+        # the former relative-gap check failed here on roundoff alone
+        cfg = cfg_from(tmp_path, "experiment = rates\ns_list = 0.95, 0.99\nn = 4097\n")
+        rows = run_rates(cfg).rows
+        assert [r.s for r in rows] == [0.95, 0.99]
+        assert all(r.seminorm_err > 0.0 for r in rows)
 
 
 class TestConsistency:

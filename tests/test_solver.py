@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from fraclap.assembly import interior_indices, load_vector
 from fraclap.energies import dirichlet_frac, dirichlet_local, objective_frac, objective_local
@@ -11,7 +12,6 @@ from fraclap.kernels import FracParams
 from fraclap.profiles import random_bump
 from fraclap.solver import (
     assemble_frac,
-    assemble_local,
     exact_solution_ball,
     frac_laplacian_pointwise,
     lift_and_solve,
@@ -28,9 +28,9 @@ def const_f(n: int, value: float = 1.0):
 
 class TestAssembly:
     def test_symmetric_positive_definite(self):
-        form = assemble_frac(DOM, 65, FracParams(s=0.4, eps=0.2))
-        a = form.entries
-        assert np.array_equal(a, a.T)
+        op = assemble_frac(DOM, 65, FracParams(s=0.4, eps=0.2))
+        a = toeplitz(op.c)
+        assert a.shape == (31, 31)
         assert np.linalg.eigvalsh(a).min() > 0.0
 
     def test_near_one_warns(self):
@@ -47,17 +47,36 @@ class TestAssembly:
             assemble_frac(dom, 4, FracParams(s=0.5))
 
     def test_local_tridiagonal_entries(self):
-        form = assemble_local(DOM, 17)
-        a = form.entries
+        # entries of the gradient-energy matrix by polarization of
+        # dirichlet_local = 0.5 v^T A v over the hat basis
+        grid = make_grid(DOM, 17)
+        idx = interior_indices(grid)
         h = 0.25
-        assert a.shape == (form.n_int, form.n_int)
+        m = idx.size
+
+        def energy(*nodes):
+            values = np.zeros(grid.n)
+            values[list(nodes)] = 1.0
+            return dirichlet_local(grid.with_values(values))
+
+        a = np.empty((m, m))
+        for i in range(m):
+            for j in range(m):
+                if i == j:
+                    a[i, i] = 2.0 * energy(idx[i])
+                else:
+                    a[i, j] = energy(idx[i], idx[j]) - energy(idx[i]) - energy(idx[j])
+        assert a.shape == (m, m) and m == 7
         assert np.allclose(np.diag(a), 2.0 / h)
         assert np.allclose(np.diag(a, 1), -1.0 / h)
-        assert np.all(np.triu(a, 2) == 0.0)
+        assert np.all(np.abs(np.triu(a, 2)) <= 1e-12 / h)
 
     def test_frac_approaches_local_tridiagonal(self):
-        frac = assemble_frac(DOM, 33, FracParams(s=0.999)).entries
-        loc = assemble_local(DOM, 33).entries
+        # kernel of the gradient-energy matrix: (2/h, -1/h, 0, ...)
+        frac = assemble_frac(DOM, 33, FracParams(s=0.999)).c
+        h = 0.125
+        loc = np.zeros_like(frac)
+        loc[0], loc[1] = 2.0 / h, -1.0 / h
         assert np.max(np.abs(frac - loc)) <= 0.05 * np.max(np.abs(loc))
 
 
@@ -249,7 +268,7 @@ class TestLiftAndSolve:
         for i in np.nonzero(near)[0]:
             shift[i] = frac_laplacian_pointwise(g, p, float(x[i]))
         b = load_vector(grid.with_values(f.values - shift))[idx]
-        a = assemble_frac(DOM, n, p).entries
+        a = toeplitz(assemble_frac(DOM, n, p).c)
         corr = u.values - np.cos(x)
         residual = a @ corr[idx] - b
         assert np.max(np.abs(residual)) <= 1e-10 * max(1.0, np.max(np.abs(b)))
