@@ -65,14 +65,19 @@ def _check_pair(u_s: GridFunction, g: GridFunction) -> None:
         raise ShapeError("u_s and g must live on the same grid")
 
 
+def _blend(g: GridFunction, smoothed: GridFunction, r: float) -> GridFunction:
+    """Ramp from g outside Omega to the already smoothed solution at depth
+    >= r inside."""
+    StripSpec(r=r, rho=1.0).validate_for(smoothed.domain)
+    lam = np.clip(dist_to_complement(smoothed.domain, smoothed.nodes) / r, 0.0, 1.0)
+    return smoothed.with_values((1.0 - lam) * g.values + lam * smoothed.values)
+
+
 def build_w(u_s: GridFunction, g: GridFunction, p: FracParams, r: float) -> GridFunction:
     """Competitor equal to g outside Omega, to the smoothed u_s at depth
     >= r inside, with a linear ramp across the strip."""
     _check_pair(u_s, g)
-    StripSpec(r=r, rho=1.0).validate_for(u_s.domain)
-    lam = np.clip(dist_to_complement(u_s.domain, u_s.nodes) / r, 0.0, 1.0)
-    smoothed = mollify(u_s, p)
-    return u_s.with_values((1.0 - lam) * g.values + lam * smoothed.values)
+    return _blend(g, mollify(u_s, p), r)
 
 
 def check_strip_closeness(
@@ -89,8 +94,8 @@ def check_strip_closeness(
     hold_us and hold_g are Holder seminorms of exponent s for the two data
     functions (analytic if known, otherwise grid estimates)."""
     _check_pair(u_s, g)
-    w = build_w(u_s, g, p, r)
     smoothed = mollify(u_s, p)
+    w = _blend(g, smoothed, r)
     dist = dist_to_complement(u_s.domain, u_s.nodes)
     tol = 1e-9 * u_s.h
     strip = (dist > tol) & (dist <= r + tol)
@@ -112,8 +117,8 @@ def check_strip_l2(
     competitor, versus
     8 (hold_us^2 + hold_g^2) (r^(1+2s) + ((1-s)/(1-eps^(2-2s)))^2 r)."""
     _check_pair(u_s, g)
-    w = build_w(u_s, g, p, r)
     smoothed = mollify(u_s, p)
+    w = _blend(g, smoothed, r)
     lhs = l2_norm(smoothed - w, region="omega") ** 2
     near = (1.0 - p.s) * p.plateau_scale / 2.0
     rhs = 8.0 * (hold_us**2 + hold_g**2) * (r ** (1.0 + 2.0 * p.s) + near**2 * r)
@@ -130,6 +135,6 @@ def energy_gap(
     """Absolute difference of the local objective between the competitor and
     the smoothed solution."""
     _check_pair(u_s, g)
-    w = build_w(u_s, g, p, r)
     smoothed = mollify(u_s, p)
+    w = _blend(g, smoothed, r)
     return abs(objective_local(w, f) - objective_local(smoothed, f))

@@ -7,6 +7,13 @@ with P1 data the integrand is piecewise linear between kernel breakpoints, so
 every nodal value is a finite sum of closed-form kernel integrals; no sampled
 quadrature is involved, and the singular/plateau region near 0 is exact.
 
+Those sums are the same at every node, so each operator is one fixed
+stencil: the integral of the kernel against the P1 hat function at each grid
+offset.  Smoothing uses a symmetric stencil, the gradient (and its radial
+tail) an antisymmetric one.  A stencil depends only on (s, eps, h, radii);
+it is built once per key from vectorised kernel integrals, cached, and
+applied by one correlation with the edge-padded vector.
+
 Nodes whose unit ball leaves the box are evaluated with the constant
 extension; full_coverage_mask identifies the nodes free of that artifact, and
 the checks only assert over those.
@@ -14,6 +21,7 @@ the checks only assert over those.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional, Tuple
 
@@ -34,21 +42,21 @@ def full_coverage_mask(phi: GridFunction) -> np.ndarray:
     return (x - 1.0 >= phi.domain.box_lo - tol) & (x + 1.0 <= phi.domain.box_hi + tol)
 
 
-def _partition(h: float, t_lo: float, t_hi: float, eps: float):
-    """Breakpoints of [t_lo, t_hi] at cell multiples of h and at eps.
+def _partition(h: float, t_lo: float, t_hi: float, plateau: Optional[float] = None):
+    """Breakpoints of [t_lo, t_hi] at cell multiples of h and, if given, at
+    the plateau radius.
 
     Returns (a, b, j) arrays with [a_k, b_k] inside grid cell j_k.
     """
     if t_hi <= t_lo:
         empty = np.empty(0)
         return empty, empty, np.empty(0, dtype=int)
-    pts = [t_lo, t_hi]
     j0 = int(math.floor(t_lo / h + 1e-12)) + 1
     j1 = int(math.ceil(t_hi / h - 1e-12))
-    pts.extend(j * h for j in range(j0, j1))
-    if t_lo < eps < t_hi:
-        pts.append(eps)
-    pts = np.unique(np.asarray(pts, dtype=float))
+    pts = [[t_lo, t_hi], np.arange(j0, j1) * h]
+    if plateau is not None and t_lo < plateau < t_hi:
+        pts.append([plateau])
+    pts = np.unique(np.concatenate(pts))
     keep = np.concatenate([[True], np.diff(pts) > 1e-12 * h])
     pts = pts[keep]
     pts[0], pts[-1] = t_lo, t_hi
@@ -57,60 +65,75 @@ def _partition(h: float, t_lo: float, t_hi: float, eps: float):
     return a, b, j
 
 
+@functools.lru_cache(maxsize=64)
+def _stencil(p: FracParams, h: float, t_lo: float, t_hi: float, odd: bool) -> np.ndarray:
+    """One-sided weights w[o], o = 0..L, of the kernel against the P1 hat
+    function at grid offset o, over radii [t_lo, t_hi].
+
+    odd=False: psi(|t|); the centre weight covers both signs of t, so it is
+    doubled.  odd=True: plateau_scale * eta(t) * t, the antisymmetric
+    gradient stencil; offset 0 carries no weight there.  Each kernel piece
+    [a, b] in cell j is linear in t, so it splits onto offsets j and j+1.
+    The returned array is read-only (it is shared through the cache).
+    """
+    a, b, js = _partition(h, t_lo, t_hi, None if odd else p.eps)
+    if odd:
+        G0 = np.zeros_like(a)
+        G1 = np.zeros_like(a)
+        pos = a > 0.0
+        G0[pos], G1[pos] = eta_t_integrals(p, a[pos], b[pos])
+        # the piece from radius 0 has j = 0, where the antisymmetric
+        # difference vanishes and only the second moment of eta enters
+        b0 = b[~pos]
+        g = 1.0 - 2.0 * p.s
+        G1[~pos] = norm_const(p) * b0 * (1.0 + np.expm1(g * np.log(b0))) / (2.0 - 2.0 * p.s)
+        K0, K1 = p.plateau_scale * G0, p.plateau_scale * G1
+    else:
+        K0, K1 = psi_integrals(p, a, b)
+    upper = (K1 - js * h * K0) / h
+    w = np.zeros(int(js.max()) + 2 if js.size else 1)
+    np.add.at(w, js, K0 - upper)
+    np.add.at(w, js + 1, upper)
+    if odd:
+        w[0] = 0.0
+    else:
+        w[0] *= 2.0
+    w.flags.writeable = False
+    return w
+
+
+def _apply(phi: GridFunction, w: np.ndarray, odd: bool) -> np.ndarray:
+    """Correlate the edge-padded values of phi with the mirrored stencil.
+
+    The antisymmetric stencil acts on first differences through tail sums
+    of its weights, since v[i+o] - v[i-o] is the sum of the differences in
+    between; constants then map to exactly zero.
+    """
+    L = w.size - 1
+    if L == 0:
+        return np.zeros(phi.n)
+    v = phi.values
+    vpad = np.concatenate((np.full(L, v[0]), v, np.full(L, v[-1])))
+    if odd:
+        tail = np.cumsum(w[:0:-1])[::-1]
+        return np.correlate(np.diff(vpad), np.concatenate((tail[::-1], tail)), mode="valid")
+    return np.correlate(vpad, np.concatenate((w[:0:-1], w)), mode="valid")
+
+
 def mollify(phi: GridFunction, p: FracParams) -> GridFunction:
     """Average phi against the radial kernel over the unit ball around every
     node.  Exact for the P1 interpolant (closed-form kernel integrals per
     cell); only d = 1 is supported."""
     if p.d != 1:
         raise ConfigError(f"mollify supports d=1 only, got d={p.d}")
-    h = phi.h
-    n = phi.n
-    v = phi.values
-    a, b, js = _partition(h, 0.0, 1.0, p.eps)
-    K0, K1 = psi_integrals(p, a, b)
-    idx = np.arange(n)
-    out = np.zeros(n)
-    for k in range(len(a)):
-        j = int(js[k])
-        r0 = np.clip(idx + j, 0, n - 1)
-        r1 = np.clip(idx + j + 1, 0, n - 1)
-        l0 = np.clip(idx - j, 0, n - 1)
-        l1 = np.clip(idx - j - 1, 0, n - 1)
-        s0 = v[r0] + v[l0]
-        slope = (v[r1] + v[l1] - s0) / h
-        out += s0 * K0[k] + slope * (K1[k] - j * h * K0[k])
-    return phi.with_values(out)
+    return phi.with_values(_apply(phi, _stencil(p, phi.h, 0.0, 1.0, False), False))
 
 
 def _gradient_values(phi: GridFunction, p: FracParams, t_lo: float, t_hi: float) -> np.ndarray:
     """Quadrature of the antisymmetric difference against eta * t over radii
     [t_lo, t_hi], times the plateau normalization; exact for P1 data."""
-    h = phi.h
-    n = phi.n
-    v = phi.values
-    C = norm_const(p)
-    g = 1.0 - 2.0 * p.s
-    a, b, js = _partition(h, max(t_lo, 0.0), min(t_hi, 1.0), eps=-1.0)
-    idx = np.arange(n)
-    out = np.zeros(n)
-    for k in range(len(a)):
-        ak, bk = float(a[k]), float(b[k])
-        j = int(js[k])
-        r0 = np.clip(idx + j, 0, n - 1)
-        r1 = np.clip(idx + j + 1, 0, n - 1)
-        l0 = np.clip(idx - j, 0, n - 1)
-        l1 = np.clip(idx - j - 1, 0, n - 1)
-        d0 = v[r0] - v[l0]
-        slope = (v[r1] - v[l1] - d0) / h
-        if ak == 0.0:
-            # j = 0 there, so d0 = 0 identically and the difference is
-            # slope * t: only the second moment of eta enters
-            G1 = C * bk * (1.0 + math.expm1(g * math.log(bk))) / (2.0 - 2.0 * p.s)
-            out += slope * G1
-            continue
-        G0, G1 = eta_t_integrals(p, ak, bk)
-        out += (d0 - slope * j * h) * float(G0[0]) + slope * float(G1[0])
-    return p.plateau_scale * out
+    w = _stencil(p, phi.h, max(t_lo, 0.0), min(t_hi, 1.0), True)
+    return _apply(phi, w, True)
 
 
 def mollify_gradient(phi: GridFunction, p: FracParams) -> GridFunction:

@@ -9,11 +9,13 @@ genuinely different computations instead of an implementation with itself.
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from fraclap.grid import GridFunction
-from fraclap.kernels import FracParams, eta, norm_const
+from fraclap.kernels import FracParams, eta, eta_t_integrals, norm_const, psi_integrals
+from fraclap.mollifier import _partition
 
 
 def simpson_cells(f, pts) -> float:
@@ -121,8 +123,106 @@ def toeplitz_quadratic_form(kernel: np.ndarray, v: np.ndarray) -> float:
     return float(total)
 
 
+def mollify_loop(phi: GridFunction, p: FracParams) -> np.ndarray:
+    """Smoothed values summed kernel piece by kernel piece, each piece a
+    clipped gather of the nodes it touches (reference for mollify)."""
+    h, n, v = phi.h, phi.n, phi.values
+    a, b, js = _partition(h, 0.0, 1.0, p.eps)
+    K0, K1 = psi_integrals(p, a, b)
+    idx = np.arange(n)
+    out = np.zeros(n)
+    for k in range(len(a)):
+        j = int(js[k])
+        r0 = np.clip(idx + j, 0, n - 1)
+        r1 = np.clip(idx + j + 1, 0, n - 1)
+        l0 = np.clip(idx - j, 0, n - 1)
+        l1 = np.clip(idx - j - 1, 0, n - 1)
+        s0 = v[r0] + v[l0]
+        slope = (v[r1] + v[l1] - s0) / h
+        out += s0 * K0[k] + slope * (K1[k] - j * h * K0[k])
+    return out
+
+
+def gradient_loop(phi: GridFunction, p: FracParams, t_lo: float, t_hi: float) -> np.ndarray:
+    """Gradient quadrature over radii [t_lo, t_hi] summed piece by piece
+    (reference for mollify_gradient and the tail quadrature)."""
+    h, n, v = phi.h, phi.n, phi.values
+    C = norm_const(p)
+    g = 1.0 - 2.0 * p.s
+    a, b, js = _partition(h, max(t_lo, 0.0), min(t_hi, 1.0))
+    idx = np.arange(n)
+    out = np.zeros(n)
+    for k in range(len(a)):
+        ak, bk = float(a[k]), float(b[k])
+        j = int(js[k])
+        r0 = np.clip(idx + j, 0, n - 1)
+        r1 = np.clip(idx + j + 1, 0, n - 1)
+        l0 = np.clip(idx - j, 0, n - 1)
+        l1 = np.clip(idx - j - 1, 0, n - 1)
+        d0 = v[r0] - v[l0]
+        slope = (v[r1] - v[l1] - d0) / h
+        if ak == 0.0:
+            # j = 0, so d0 = 0 and only the second moment of eta enters
+            G1 = C * bk * (1.0 + math.expm1(g * math.log(bk))) / (2.0 - 2.0 * p.s)
+            out += slope * G1
+            continue
+        G0, G1 = eta_t_integrals(p, ak, bk)
+        out += (d0 - slope * j * h) * float(G0[0]) + slope * float(G1[0])
+    return p.plateau_scale * out
+
+
+def stencil_weight_oracle(p: FracParams, h: float, t_lo: float, t_hi: float, odd: bool, o: int) -> float:
+    """Weight of the smoothing stencil at offset o >= 0 by mpmath quadrature
+    of the kernel times the P1 hat function centred at o*h, over radii
+    [t_lo, t_hi]: psi(|t|) over both signs of t when odd is False,
+    plateau_scale * eta(t) * t when odd is True.  psi comes from the closed
+    form of its eta-tail integral evaluated at 30 digits (d = 1)."""
+    with mp.workdps(30):
+        s, eps, hh = mp.mpf(p.s), mp.mpf(p.eps), mp.mpf(h)
+        C = (1 - s) / 2
+        M = 2 / (1 - eps ** (2 - 2 * s))
+
+        def kernel(t):
+            if odd:
+                return M * C * t ** (-2 * s)
+            a = max(eps, t)
+            tail = -mp.log(a) if p.s == 0.5 else (1 - a ** (1 - 2 * s)) / (1 - 2 * s)
+            return M * C * tail
+
+        def hat(t):
+            # two one-sided branches, so the hat stays exact near its feet
+            return t / hh - (o - 1) if t <= o * hh else (o + 1) - t / hh
+
+        lo = max(mp.mpf(t_lo), (o - 1) * hh)
+        hi = min(mp.mpf(t_hi), (o + 1) * hh)
+        if hi <= lo:
+            return 0.0
+        pts = sorted({lo, hi} | {x for x in (o * hh, eps) if lo < x < hi})
+        val = mp.quad(lambda t: kernel(t) * hat(t), pts[1:]) if len(pts) > 2 else mp.mpf(0)
+        if pts[0] == 0:
+            # t = u**m turns the t**(1-2s) endpoint behaviour into a smooth one
+            m = 1 / (2 - 2 * s)
+            val += mp.quad(lambda u: kernel(u**m) * hat(u**m) * m * u ** (m - 1), [0, pts[1] ** (1 / m)])
+        else:
+            val += mp.quad(lambda t: kernel(t) * hat(t), pts[:2])
+        if o == 0 and not odd:
+            val *= 2
+        return float(val)
+
+
 def central_diff(f, x: float, delta: float) -> float:
     return (f(x + delta) - f(x - delta)) / (2.0 * delta)
+
+
+def holder_loop(phi: GridFunction, beta: float) -> float:
+    """Grid Hoelder quotient maximised lag by lag (reference for
+    holder_seminorm_grid, which must return the same float)."""
+    v = phi.values
+    best = 0.0
+    for k in range(1, phi.n):
+        diff = float(np.max(np.abs(v[k:] - v[:-k])))
+        best = max(best, diff / (k * phi.h) ** beta)
+    return best
 
 
 def holder_restricted(vals: np.ndarray, nodes: np.ndarray, mask: np.ndarray, beta: float) -> float:

@@ -17,7 +17,7 @@ from fraclap.errors import ConfigError, SupportError
 from fraclap.grid import Domain, make_grid, sample
 from fraclap.kernels import FracParams, norm_const
 from fraclap.profiles import random_bump
-from helpers import dirichlet_frac_oracle, simpson_cells, w_beta1_oracle
+from helpers import dirichlet_frac_oracle, holder_loop, simpson_cells, w_beta1_oracle
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
 
@@ -192,6 +192,17 @@ class TestHolderSeminorm:
         for beta in (0.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 holder_seminorm_grid(phi, beta)
+
+    @pytest.mark.parametrize("n", [3, 33, 129, 1025, 2049])
+    def test_matches_lag_loop_exactly(self, n):
+        # n >= 1025 splits the lags into several blocks; for the ramp and
+        # beta < 1 the maximum sits at the largest lag
+        rng = np.random.default_rng(n)
+        grid = make_grid(DOM, n)
+        for vals in (rng.standard_normal(n), grid.nodes):
+            phi = grid.with_values(vals)
+            for beta in (0.1, 0.5, 0.99, 1.0):
+                assert holder_seminorm_grid(phi, beta) == holder_loop(phi, beta)
 
 
 class TestWBeta1Seminorm:

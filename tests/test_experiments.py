@@ -13,6 +13,7 @@ from fraclap.experiments import (
     run_rates,
     run_solve,
 )
+from fraclap.mollifier import _stencil
 from helpers import strip_seconds
 
 
@@ -60,6 +61,26 @@ class TestMollifierCheck:
         rep = run_mollifier_check(other)
         assert rep.passed
         assert rep.to_csv() != run_mollifier_check(cfg).to_csv()
+
+
+    def test_report_values_pinned(self, tmp_path):
+        # values printed by the per-piece smoothing loop that the stencils
+        # replaced, at full precision
+        cfg = cfg_from(
+            tmp_path, "experiment = mollifier_check\ns_list = 0.5, 0.9\nn = 65\nseed = 11\n"
+        )
+        want = {
+            "closeness_l2": 0.029428290763465866,
+            "energy_consistency": 0.7284360809798301,
+            "energy_consistency_eps0": 0.7284360809798301,
+            "lipschitz_gradient": 0.47714121484933836,
+            "tail_bound": 0.3289668288864968,
+        }
+        _stencil.cache_clear()
+        rep = run_mollifier_check(cfg)
+        assert {r.name: r.value for r in rep.rows} == pytest.approx(want, rel=1e-12, abs=0.0)
+        # one smoothing, gradient and tail stencil per (s, eps)
+        assert _stencil.cache_info().misses == 2 * 3 * 3
 
 
 class TestRates:

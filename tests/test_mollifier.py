@@ -8,6 +8,8 @@ from fraclap.errors import ConfigError
 from fraclap.grid import Domain, l2_norm, sample
 from fraclap.kernels import FracParams, psi_moment
 from fraclap.mollifier import (
+    _gradient_values,
+    _stencil,
     check_energy_consistency,
     check_identity_l2,
     check_lipschitz,
@@ -17,7 +19,7 @@ from fraclap.mollifier import (
     mollify_gradient,
 )
 from fraclap.profiles import make_profile, random_bump
-from helpers import holder_restricted
+from helpers import gradient_loop, holder_restricted, mollify_loop, stencil_weight_oracle
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
 WIDE = Domain(-1.0, 1.0, -2.5, 2.5)
@@ -226,3 +228,77 @@ class TestGradient:
         g = sample(DOM, 65, lambda x: 2.0)
         out = mollify_gradient(g, FracParams(s=0.6, eps=0.1))
         assert np.allclose(out.values, 0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("s,eps", [(0.3, 0.0), (0.6, 0.1), (0.99, 0.5)])
+    def test_constant_gradient_is_exactly_zero(self, s, eps):
+        g = sample(DOM, 129, lambda x: -0.7)
+        p = FracParams(s=s, eps=eps)
+        assert np.all(mollify_gradient(g, p).values == 0.0)
+        assert np.all(_gradient_values(g, p, 0.6, 1.0) == 0.0)
+
+
+def sup_rel(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestStencil:
+    @pytest.mark.parametrize("n", [65, 129, 513, 4097])
+    def test_matches_piecewise_loop(self, n):
+        # rough values up to the box ends, so the edge clipping is exercised
+        rng = np.random.default_rng(n)
+        phi = sample(DOM, n, lambda x: 0.0).with_values(rng.standard_normal(n) + 0.5)
+        for s in (0.3, 0.5, 0.9, 0.99):
+            for eps in (0.0, 0.1, 0.5):
+                p = FracParams(s=s, eps=eps)
+                assert sup_rel(mollify(phi, p).values, mollify_loop(phi, p)) <= 1e-13
+                assert sup_rel(
+                    mollify_gradient(phi, p).values, gradient_loop(phi, p, eps, 1.0)
+                ) <= 1e-13
+                assert sup_rel(
+                    _gradient_values(phi, p, 0.6, 1.0), gradient_loop(phi, p, 0.6, 1.0)
+                ) <= 1e-13
+
+    @pytest.mark.parametrize("s", [0.5, 0.99])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_weights_match_mpmath(self, s, eps):
+        # roundoff model: splitting a kernel piece of cell j onto offsets j
+        # and j+1 cancels up to j <= 1/h, and the closed-form moments of eta
+        # lose a further 1/(2-2s) near s = 1; errors are measured against
+        # the l1 norm of the stencil, the operator's sup-norm gain
+        h = DOM.box_measure / 128
+        p = FracParams(s=s, eps=eps)
+        tol = 8.0 * np.finfo(float).eps / (h * (2.0 - 2.0 * s))
+        for t_lo, odd in ((0.0, False), (eps, True), (0.6, True)):
+            w = _stencil(p, h, t_lo, 1.0, odd)
+            offsets = range(1 if odd else 0, w.size)
+            ref = np.array([stencil_weight_oracle(p, h, t_lo, 1.0, odd, o) for o in offsets])
+            assert w.size == 33  # offsets 0 .. 1/h
+            assert np.max(np.abs(w[offsets.start :] - ref)) <= tol * np.sum(np.abs(ref))
+            if odd:
+                assert w[0] == 0.0
+
+    def test_cache_keys_do_not_mix(self):
+        _stencil.cache_clear()
+        p = FracParams(s=0.6, eps=0.1)
+        keys = [
+            (p, 1.0 / 32, 0.1, 1.0, True),
+            (FracParams(s=0.6, eps=0.2), 1.0 / 32, 0.2, 1.0, True),
+            (FracParams(s=0.6, eps=0.2), 1.0 / 32, 0.1, 1.0, True),
+            (p, 1.0 / 64, 0.1, 1.0, True),
+            (p, 1.0 / 32, 0.6, 1.0, True),
+            (p, 1.0 / 32, 0.0, 1.0, False),
+            (FracParams(s=0.6, eps=0.3), 1.0 / 32, 0.0, 1.0, False),
+        ]
+        built = [_stencil(*k) for k in keys]
+        again = [_stencil(*k) for k in reversed(keys)][::-1]
+        assert _stencil.cache_info().misses == len(keys)
+        for i, k in enumerate(keys):
+            assert again[i] is built[i]
+            assert np.array_equal(built[i], _stencil.__wrapped__(*k))
+            for j in range(i):
+                assert built[i].shape != built[j].shape or not np.array_equal(built[i], built[j])
+
+    def test_cached_stencil_is_read_only(self):
+        w = _stencil(FracParams(s=0.5), 1.0 / 16, 0.0, 1.0, False)
+        with pytest.raises(ValueError):
+            w[0] = 1.0
