@@ -5,8 +5,9 @@ bilinear forms of this package have Toeplitz matrices, so a single kernel
 vector c[k] = form(hat_i, hat_{i+k}) describes the whole matrix.
 
 ToeplitzOperator holds such a kernel vector and is the only representation
-of these matrices: products go through the FFT and solves through the
-Levinson recursion, so no dense matrix is ever formed.
+of these matrices: products go through numpy's FFT on a circulant embedding
+and solves through the Levinson recursion, so no dense matrix is ever
+formed.
 
 The full interaction form has an exact closed-form kernel.  Writing the
 P1 hat-gradient autocorrelation through a double antiderivative of the
@@ -33,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, matmul_toeplitz, solve_toeplitz
+from scipy.linalg import LinAlgError, solve_toeplitz
 
 from .errors import ConfigError, NumericalError
 from .grid import GridFunction
@@ -44,16 +45,25 @@ from .kernels import _LOG_BRANCH_TOL, FracParams, norm_const
 class ToeplitzOperator:
     """Symmetric Toeplitz matrix given by its first column c.
 
-    Symmetry holds by construction.  matvec costs O(m log m) through the
-    FFT; solve runs the Levinson recursion in O(m**2) time and O(m) memory.
-    Vectors whose length differs from len(c) raise ValueError.
+    Symmetry holds by construction.  matvec costs O(m log m): T is the
+    leading m x m block of the circulant of size 2m-1 with first column
+    (c[0], ..., c[m-1], c[m-1], ..., c[1]), which numpy's real FFT
+    diagonalises.  solve runs the Levinson recursion in O(m**2) time and
+    O(m) memory.  Vectors of any shape other than (len(c),) raise
+    ValueError.
     """
 
     c: np.ndarray
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """T @ v."""
-        return matmul_toeplitz(self.c, v)
+        """T @ v, through the circulant of size 2m-1 that embeds T."""
+        c = self.c
+        v = np.asarray(v)
+        if v.shape != c.shape:
+            raise ValueError(f"vector of shape {v.shape} does not match a Toeplitz matrix of order {len(c)}")
+        p = 2 * len(c) - 1
+        col = np.concatenate((c, c[:0:-1]))
+        return np.fft.irfft(np.fft.rfft(col) * np.fft.rfft(v, n=p), n=p)[: len(c)]
 
     def quad_form(self, v: np.ndarray) -> float:
         """v^T T v."""

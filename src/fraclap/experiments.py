@@ -12,7 +12,6 @@ import time
 from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .assembly import ToeplitzOperator, far_kernel, interior_indices, load_vector, stiffness_kernel
 from .boundary import energy_gap
@@ -155,6 +154,8 @@ _RATIO_S = (0.9, 0.99, 0.999)
 
 
 def _psi_moment_quadrature(p: FracParams, alpha: float) -> float:
+    from scipy.integrate import quad  # on use: its import costs start-up about 0.26 s
+
     pts = [p.eps] if p.eps > 0.0 else None
     val, _ = quad(
         lambda t: psi(p, t) * t ** (alpha + p.d - 1.0),
@@ -181,6 +182,8 @@ def _ratio_direct(s: float, d: int) -> float:
 def run_kernel_check(cfg: ExperimentConfig) -> CheckReport:
     """Closed-form kernel quantities against quadrature, the unit-mass and
     second-moment identities, and the normalization-ratio defect."""
+    from scipy.integrate import quad  # on use: its import costs start-up about 0.26 s
+
     del cfg  # the check grid is fixed; config only selects the experiment
     rows: List[CheckRow] = []
 

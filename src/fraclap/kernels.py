@@ -14,8 +14,9 @@ from a cutoff up to 1 and is flattened to a plateau below eps.  It is a
 probability density; psi_moment gives its radial moments in closed form.
 Closed-form antiderivatives of psi and of eta*t over subintervals
 (psi_integrals, eta_t_integrals) are the workhorses of the mollifier module;
-they are exact for piecewise-linear data and stable across s = 1/2 where the
-naive power-function formulas degenerate.
+they are exact for piecewise-linear data, stable across s = 1/2 where the
+naive power-function formulas degenerate, and free of the differences of
+powers that lose digits as s -> 1 and on short subintervals far from 0.
 """
 
 from __future__ import annotations
@@ -178,17 +179,57 @@ def psi_derivative(p: FracParams, t: float) -> float:
     return -p.plateau_scale * eta(p, t) * t
 
 
-def _expm1_over_g(t: np.ndarray, g: float) -> np.ndarray:
-    """(t**g - 1)/g elementwise for t > 0, continuous at g = 0 (-> log t)."""
-    lt = np.log(t)
-    u = g * lt
-    small = np.abs(u) < 1e-4
-    out = np.empty_like(lt)
-    # series for expm1(u)/u, three terms is full precision at |u| < 1e-4
-    us = u[small]
-    out[small] = lt[small] * (1.0 + us / 2.0 + us * us / 6.0)
-    ub = u[~small]
-    out[~small] = np.expm1(ub) / g
+def _expm1_ratio(z: np.ndarray) -> np.ndarray:
+    """expm1(z)/z elementwise, with the limit 1 at z = 0."""
+    out = np.ones_like(z)
+    nz = z != 0.0
+    out[nz] = np.expm1(z[nz]) / z[nz]
+    return out
+
+
+def _log_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log(b/a) for 0 < a <= b, as log1p((b - a)/a): accurate to a few ulps
+    for b/a near 1, where the log of the rounded quotient b/a would carry
+    the relative error eps / log(b/a)."""
+    return np.log1p((b - a) / a)
+
+
+def _power_integral(a: np.ndarray, b: np.ndarray, e: float) -> np.ndarray:
+    """Integral of t**(e-1) over [a, b], 0 < a <= b, as
+    a**e * expm1(e L)/e with L = log(b/a): no difference of powers, and the
+    logarithmic limit at e = 0."""
+    L = _log_ratio(a, b)
+    return a**e * L * _expm1_ratio(e * L)
+
+
+# below this log(b/a) the power excess is summed as its Taylor series,
+# whose 24 terms reach full precision for |g + j| < 3
+_EXCESS_SERIES_MAX = 0.5
+_EXCESS_SERIES_TERMS = 24
+
+
+def _power_excess(a: np.ndarray, b: np.ndarray, g: float, j: int) -> np.ndarray:
+    """Integral of t**(g-1) (t**j - a**j) over [a, b] for 0 <= a <= b, g > -j.
+
+    The integrand is nonnegative, and the form never subtracts two
+    integrals of its size: with t = a e**v and L = log(b/a) it is
+    a**(g+j) times the integral of e**(g v) expm1(j v) over [0, L], summed
+    as a power series in L for short intervals, where the two closed-form
+    terms would cancel by about 1/L."""
+    out = b ** (g + j) / (g + j)  # the a = 0 value
+    pos = a > 0.0
+    a, L = a[pos], _log_ratio(a[pos], b[pos])
+    q = np.empty_like(L)
+    short = L < _EXCESS_SERIES_MAX
+    Ls = L[short]
+    acc = np.zeros_like(Ls)
+    # sum over n >= 2 of ((g+j)**(n-1) - g**(n-1)) L**n / n!, by Horner
+    for n in range(_EXCESS_SERIES_TERMS + 1, 1, -1):
+        acc = acc * Ls + ((g + j) ** (n - 1) - g ** (n - 1)) / math.factorial(n)
+    q[short] = acc * Ls * Ls
+    Ll = L[~short]
+    q[~short] = np.expm1((g + j) * Ll) / (g + j) - Ll * _expm1_ratio(g * Ll)
+    out[pos] = a ** (g + j) * q
     return out
 
 
@@ -197,8 +238,9 @@ def psi_integrals(p: FracParams, a, b) -> Tuple[np.ndarray, np.ndarray]:
 
     a and b may be arrays; each pair must satisfy 0 <= a <= b.  Parts of
     [a, b] beyond radius 1 contribute zero, parts below eps use the plateau
-    value, and the power region uses closed-form antiderivatives written so
-    that they remain accurate through s = 1/2.  Only d = 1 is supported.
+    value, and the power region uses closed-form antiderivatives written
+    without cancellation, so they stay accurate through s = 1/2, as s -> 1
+    and on short subintervals far from 0.  Only d = 1 is supported.
     """
     if p.d != 1:
         raise ConfigError(f"psi_integrals supports d=1 only, got d={p.d}")
@@ -222,34 +264,29 @@ def psi_integrals(p: FracParams, a, b) -> Tuple[np.ndarray, np.ndarray]:
         if np.any(has):
             val = psi(p, p.eps)
             K0[has] += val * (pb[has] - pa[has])
-            K1[has] += val * (pb[has] ** 2 - pa[has] ** 2) / 2.0
+            K1[has] += val * (pb[has] - pa[has]) * (pb[has] + pa[has]) / 2.0
 
-    # power piece [max(a, eps), min(b, 1)]
+    # power piece [max(a, eps), min(b, 1)], where psi = M C F(t) with
+    # F(t) = (1 - t**g)/g, the integral of tau**(g-1) over [t, 1].  Swapping
+    # the order of integration splits each integral into two nonnegative
+    # parts: F(qb) times the polynomial integral, plus the power excess.
     qa = np.clip(a, p.eps, 1.0)
     qb = np.clip(b, p.eps, 1.0)
     has = qb > qa
     if np.any(has):
         qa = qa[has]
         qb = qb[has]
-
-        def tk_e(t: np.ndarray, k: int) -> np.ndarray:
-            # t**k * (t**g - 1)/g with the t = 0 limit 0
-            out = np.zeros_like(t)
-            pos = t > 0.0
-            out[pos] = t[pos] ** k * _expm1_over_g(t[pos], g)
-            return out
-
-        K0[has] += M * C / (2.0 - 2.0 * p.s) * ((qb - qa) - (tk_e(qb, 1) - tk_e(qa, 1)))
-        K1[has] += (
-            M * C / (3.0 - 2.0 * p.s) * ((qb**2 - qa**2) / 2.0 - (tk_e(qb, 2) - tk_e(qa, 2)))
-        )
+        F_b = _power_integral(qb, np.ones_like(qb), g)
+        K0[has] += M * C * ((qb - qa) * F_b + _power_excess(qa, qb, g, 1))
+        K1[has] += M * C * ((qb - qa) * (qb + qa) * F_b + _power_excess(qa, qb, g, 2)) / 2.0
     return K0, K1
 
 
 def eta_t_integrals(p: FracParams, a, b) -> Tuple[np.ndarray, np.ndarray]:
     """Exact (integral of eta*t, integral of eta*t**2) over [a, b] with
-    0 < a <= b.  Only d = 1 is supported; the first integral switches to its
-    logarithmic branch at s = 1/2."""
+    0 < a <= b.  Only d = 1 is supported; both are written as
+    a**e * expm1(e log(b/a))/e, so neither cancels as s -> 1 or on short
+    subintervals, and the first takes its logarithmic limit at s = 1/2."""
     if p.d != 1:
         raise ConfigError(f"eta_t_integrals supports d=1 only, got d={p.d}")
     a = np.atleast_1d(np.asarray(a, dtype=float))
@@ -259,11 +296,6 @@ def eta_t_integrals(p: FracParams, a, b) -> Tuple[np.ndarray, np.ndarray]:
     if np.any(a <= 0.0) or np.any(b < a):
         raise ValueError("need 0 < a <= b for every subinterval")
     C = norm_const(p)
-    g = 1.0 - 2.0 * p.s
-    # int eta t = C (b**g - a**g)/g, continuous at g = 0
-    G0 = C * (_expm1_over_g(b, g) - _expm1_over_g(a, g))
-    # int eta t^2 = C (b**(1+g) - a**(1+g))/(1+g), written around the linear part
-    tE_b = b * np.expm1(g * np.log(b))
-    tE_a = a * np.expm1(g * np.log(a))
-    G1 = C * ((b - a) + (tE_b - tE_a)) / (2.0 - 2.0 * p.s)
+    G0 = C * _power_integral(a, b, 1.0 - 2.0 * p.s)
+    G1 = C * _power_integral(a, b, 2.0 - 2.0 * p.s)
     return G0, G1

@@ -182,8 +182,8 @@ class SolveReport:
     def to_csv(self) -> str:
         lines = ["s,x,u"]
         for s, xs, us in self.blocks:
-            for xv, uv in zip(xs, us):
-                lines.append(",".join(_fmt(v) for v in (s, xv, uv)))
+            prefix = _fmt(s) + ","
+            lines.extend([prefix + "%.12g,%.12g" % xu for xu in zip(xs, us)])
         return "\n".join(lines) + "\n"
 
 

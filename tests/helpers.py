@@ -210,6 +210,49 @@ def stencil_weight_oracle(p: FracParams, h: float, t_lo: float, t_hi: float, odd
         return float(val)
 
 
+def cell_integrals_oracle(p: FracParams, a: float, b: float, odd: bool):
+    """psi_integrals (odd=False) or eta_t_integrals (odd=True) of one
+    subinterval [a, b] from their antiderivatives evaluated at 50 digits,
+    where the power differences cannot lose the digits that float64 would
+    (d = 1)."""
+    with mp.workdps(50):
+        s, eps, lo, hi = mp.mpf(p.s), mp.mpf(p.eps), mp.mpf(a), mp.mpf(b)
+        g = 1 - 2 * s
+        C = (1 - s) / 2
+
+        def power(t, k):
+            # antiderivative of t**(k-1+g) (the log at exponent zero)
+            e = k + g
+            return mp.log(t) if e == 0 else t**e / e
+
+        if odd:
+            return tuple(float(C * (power(hi, k) - power(lo, k))) for k in (0, 1))
+
+        def tail(t):
+            # psi / (M C) on the power region: (1 - t**g)/g, or -log t at g = 0
+            return -mp.log(t) if g == 0 else (1 - t**g) / g
+
+        def tail_antiderivative(t, k):
+            # of t**(k-1) * tail(t), zero at t = 0
+            if t == 0:
+                return mp.mpf(0)
+            if g == 0:
+                return t**k * (1 / mp.mpf(k) - mp.log(t)) / k
+            return (t**k / k - t ** (k + g) / (k + g)) / g
+
+        M = 2 / (1 - eps ** (2 - 2 * s))
+        out = []
+        for k in (1, 2):
+            # plateau part: psi(eps) t**(k-1) over [a, b] clipped to [0, eps]
+            pa, pb = min(lo, eps), min(hi, eps)
+            val = tail(eps) * (pb**k - pa**k) / k if pb > pa else mp.mpf(0)
+            qa, qb = min(max(lo, eps), 1), min(max(hi, eps), 1)
+            if qb > qa:
+                val += tail_antiderivative(qb, k) - tail_antiderivative(qa, k)
+            out.append(float(M * C * val))
+        return tuple(out)
+
+
 def central_diff(f, x: float, delta: float) -> float:
     return (f(x + delta) - f(x - delta)) / (2.0 * delta)
 

@@ -204,6 +204,25 @@ class TestToeplitz:
         with pytest.raises(ValueError):
             toeplitz_quadratic_form(np.zeros(3), np.zeros(5))
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_smallest_orders_match_dense(self, m):
+        rng = np.random.default_rng(31 + m)
+        kernel = rng.standard_normal(m)
+        v = rng.standard_normal(m)
+        want = toeplitz(kernel) @ v
+        got = ToeplitzOperator(kernel).matvec(v)
+        assert got.shape == (m,)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_vector_shorter_than_kernel_rejected(self):
+        op = ToeplitzOperator(np.ones(5))
+        with pytest.raises(ValueError):
+            op.matvec(np.zeros(3))
+        with pytest.raises(ValueError):
+            op.quad_form(np.zeros(3))
+        with pytest.raises(ValueError):
+            op.matvec(np.zeros((5, 1)))
+
 
 class TestMassForm:
     def test_matches_l2_norm(self):

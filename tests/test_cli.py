@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fraclap
 from fraclap import cli, solver
 from fraclap.errors import NumericalError
 from fraclap.report import CheckReport, CheckRow
@@ -131,3 +138,59 @@ class TestRunnerOutcomes:
         assert cli.main([command, "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+# scipy packages that start-up must not load (scipy.fft and scipy.integrate
+# cost about 0.12 s and 0.26 s there); scipy.linalg is the one it needs
+_HEAVY_SCIPY = ("scipy.integrate", "scipy.fft", "scipy.optimize", "scipy.special", "scipy.sparse")
+
+# Runs in a fresh interpreter: the test suite itself imports scipy.integrate.
+_FOOTPRINT_SCRIPT = """
+import json, sys
+out, runs = sys.argv[1], json.loads(sys.argv[2])
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("scipy."))
+import fraclap.cli
+stages = {"import": loaded()}
+for name, argv in runs:
+    stages[name + ".rc"] = fraclap.cli.main(argv)
+    stages[name] = loaded()
+json.dump(stages, open(out, "w"))
+"""
+
+
+def _loaded_after(tmp_path, runs):
+    """scipy modules in sys.modules after `import fraclap.cli` and after each
+    (name, argv) CLI run in order, plus each run's exit code."""
+    src = str(Path(fraclap.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [d for d in env.get("PYTHONPATH", "").split(os.pathsep) if d])
+    result = tmp_path / "modules.json"
+    script = [sys.executable, "-c", _FOOTPRINT_SCRIPT, str(result), json.dumps(runs)]
+    subprocess.run(script, env=env, cwd=tmp_path, check=True, timeout=300)
+    return json.loads(result.read_text(encoding="utf-8"))
+
+
+def _within(modules, packages):
+    return sorted(m for m in modules for pkg in packages if m == pkg or m.startswith(pkg + "."))
+
+
+class TestImportFootprint:
+    def test_startup_and_fast_subcommands_skip_heavy_scipy(self, tmp_path):
+        rates = write_cfg(tmp_path, f"experiment = rates\ns_list = 0.6, 0.8\nn = 65\noutput_dir = {tmp_path}\n")
+        moll = write_cfg(
+            tmp_path, f"experiment = mollifier_check\ns_list = 0.9\nn = 33\noutput_dir = {tmp_path}\n", "m.cfg"
+        )
+        runs = [["rates", ["rates", "--config", rates]], ["mollifier", ["mollifier-check", "--config", moll]]]
+        stages = _loaded_after(tmp_path, runs)
+        assert _within(stages["import"], _HEAVY_SCIPY) == []
+        assert "scipy.linalg" in stages["import"]
+        for name, _ in runs:
+            assert stages[name + ".rc"] == 0
+            assert _within(stages[name], ("scipy.fft", "scipy.integrate")) == []
+        assert (tmp_path / "rates.csv").exists() and (tmp_path / "mollifier_check.csv").exists()
+
+    def test_kernel_check_loads_quad_on_demand(self, tmp_path):
+        cfg = kernel_cfg(tmp_path, tmp_path / "out")
+        stages = _loaded_after(tmp_path, [["kernel", ["kernel-check", "--config", cfg]]])
+        assert stages["kernel.rc"] == 0
+        assert "scipy.integrate" in stages["kernel"]

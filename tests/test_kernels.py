@@ -19,7 +19,8 @@ from fraclap.kernels import (
     psi_moment,
     sphere_measure,
 )
-from helpers import central_diff
+from fraclap.mollifier import _partition
+from helpers import cell_integrals_oracle, central_diff
 
 S_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -268,6 +269,14 @@ class TestPsiDerivative:
             psi_derivative(FracParams(s=0.5, eps=0.3), 0.3)
 
 
+def _worst_rel_err(integrals, p: FracParams, a, b, odd: bool) -> float:
+    """Largest relative error of both integrals over the subintervals [a, b]
+    against cell_integrals_oracle."""
+    got = np.array(integrals(p, a, b))
+    want = np.array([cell_integrals_oracle(p, x, y, odd) for x, y in zip(a, b)]).T
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
 class TestCellIntegrals:
     @pytest.mark.parametrize("s,eps", [(0.3, 0.0), (0.5, 0.0), (0.5, 0.25), (0.9, 0.4), (0.5000000001, 0.0)])
     def test_psi_integrals_vs_quadrature(self, s, eps):
@@ -295,6 +304,24 @@ class TestCellIntegrals:
             want1, _ = quad(lambda t: eta(p, t) * t * t, lo, hi, epsabs=1e-13, epsrel=1e-11)
             assert g0[j] == pytest.approx(want0, rel=1e-9)
             assert g1[j] == pytest.approx(want1, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [129, 4097])
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.9, 0.99, 0.999])
+    def test_stencil_subintervals_vs_mpmath(self, s, n):
+        # every subinterval the smoothing and gradient stencils integrate over
+        # on a box of width 4 (gradient from radius eps and from the 0.6 tail
+        # radius; its piece from radius 0 is not an eta_t_integrals call),
+        # against antiderivatives at 50 digits.  Differences of powers would
+        # cancel by up to 1/(2-2s) and 1/h on these.
+        h = 4.0 / (n - 1)
+        for eps in (0.0, 0.1):
+            p = FracParams(s=s, eps=eps)
+            a, b, _ = _partition(h, 0.0, 1.0, eps or None)
+            assert _worst_rel_err(psi_integrals, p, a, b, False) <= 1e-13
+            for t_lo in (eps, 0.6):
+                a, b, _ = _partition(h, t_lo, 1.0)
+                pos = a > 0.0
+                assert _worst_rel_err(eta_t_integrals, p, a[pos], b[pos], True) <= 1e-13
 
     def test_bound_validation(self):
         p = FracParams(s=0.5)

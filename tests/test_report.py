@@ -125,6 +125,17 @@ class TestSolveReport:
         assert len(lines) == 4
         assert lines[3].split(",")[0] == "0.7"
 
+    def test_rows_are_each_value_at_twelve_digits(self):
+        rng = np.random.default_rng(5)
+        us = (rng.standard_normal(40) * 10.0 ** rng.integers(-30, 30, 40)).tolist()
+        us += [0.0, -0.0, 1e-300, -7.5e300, float("inf"), float("nan")]
+        xs = np.linspace(-1.0, 1.0, len(us)).tolist()
+        rep = SolveReport(blocks=((0.99, tuple(xs), tuple(us)), (1.0 / 3.0, tuple(xs[:3]), tuple(us[:3]))))
+        want = ["s,x,u"] + [
+            ",".join("%.12g" % v for v in (s, x, u)) for s, bx, bu in rep.blocks for x, u in zip(bx, bu)
+        ]
+        assert rep.to_csv() == "\n".join(want) + "\n"
+
 
 class TestEmitCsv:
     def test_writes_exact_bytes(self, tmp_path):
