@@ -12,6 +12,7 @@ import time
 from typing import Dict, List, Tuple
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy imports it lazily; load it with the package
 
 from .assembly import ToeplitzOperator, far_kernel, interior_indices, load_vector, stiffness_kernel
 from .boundary import energy_gap

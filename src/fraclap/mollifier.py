@@ -26,6 +26,7 @@ import math
 from typing import Optional, Tuple
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.unique imports it lazily; load it with the package
 
 from .errors import ConfigError
 from .grid import GridFunction, l2_norm

@@ -6,8 +6,9 @@ The nonlocal bilinear form of zero-extended hat functions on a uniform grid
 is symmetric Toeplitz; entries come from the closed-form kernel in the
 assembly module and include the interaction with the zero extension over the
 whole line, so the assembled operator has no truncation or quadrature error.
-It is held as its kernel vector (assembly.ToeplitzOperator) and solved by the
-Levinson recursion; no dense matrix is formed.
+It is held as its kernel vector (assembly.ToeplitzOperator) and solved by
+tau-preconditioned conjugate gradients; no dense matrix is formed.  The local
+problem is solved through the closed-form discrete Green's function.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ import warnings
 from typing import Callable, Tuple, Union
 
 import numpy as np
-from scipy.linalg import LinAlgError, solveh_banded
 
 from .assembly import ToeplitzOperator, interior_indices, load_vector, stiffness_kernel
-from .errors import ConfigError, DataError, NumericalError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .grid import Domain, GridFunction, make_grid
 from .kernels import FracParams, norm_const
 
@@ -75,22 +75,23 @@ def solve_frac_dirichlet(dom: Domain, n: int, p: FracParams, f_s: GridFunction) 
 
 def solve_local_dirichlet(dom: Domain, n: int, f: GridFunction) -> GridFunction:
     """Galerkin solution of the gradient-energy problem; nodally exact in 1d
-    for the continuous problem with the same data."""
+    for the continuous problem with the same data.
+
+    The stiffness tridiag(-1, 2, -1)/h on m interior nodes has the discrete
+    Green's function h min(i, j) (m + 1 - max(i, j)) / (m + 1), 1-based, so
+    u_i = h (m + 1 - i) sum_{j <= i} j b_j / (m + 1)
+          + h i sum_{j > i} (m + 1 - j) b_j / (m + 1)."""
     grid, idx = _grid_layout(dom, n)
     if f.domain != dom or f.n != n:
         raise ShapeError("f must live on the same grid as the requested solve")
-    h = grid.h
-    m = idx.size
-    ab = np.zeros((2, m))
-    ab[0, 1:] = -1.0 / h
-    ab[1, :] = 2.0 / h
     b = load_vector(f)[idx]
-    try:
-        u_int = solveh_banded(ab, b)
-    except LinAlgError as exc:
-        raise NumericalError(f"tridiagonal solve failed: {exc}") from exc
+    m = idx.size
+    i = np.arange(1, m + 1)
+    left = np.cumsum(i * b)
+    right = np.cumsum(((m + 1 - i) * b)[::-1])[::-1]
+    right = np.append(right[1:], 0.0)
     values = np.zeros(n)
-    values[idx] = u_int
+    values[idx] = grid.h * ((m + 1 - i) * left + i * right) / (m + 1)
     return grid.with_values(values)
 
 

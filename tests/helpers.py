@@ -12,6 +12,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.linalg import cho_factor, cho_solve, toeplitz
 
 from fraclap.grid import GridFunction
 from fraclap.kernels import FracParams, eta, eta_t_integrals, norm_const, psi_integrals
@@ -121,6 +122,21 @@ def toeplitz_quadratic_form(kernel: np.ndarray, v: np.ndarray) -> float:
             continue
         total += 2.0 * ck * float(v[:-k] @ v[k:])
     return float(total)
+
+
+def refined_dense_solve(kernel: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solution of toeplitz(kernel) u = b by dense Cholesky plus one step of
+    iterative refinement whose residual is a dense np.longdouble product
+    (reference for ToeplitzOperator.solve)."""
+    a = toeplitz(kernel)
+    factor = cho_factor(a)
+    u = cho_solve(factor, b)
+    u_ld = u.astype(np.longdouble)
+    residual = np.empty(b.size)
+    for i in range(0, b.size, 256):  # row blocks keep the longdouble copy small
+        rows = a[i : i + 256].astype(np.longdouble)
+        residual[i : i + 256] = (rows @ u_ld - b[i : i + 256]).astype(float)
+    return u - cho_solve(factor, residual)
 
 
 def mollify_loop(phi: GridFunction, p: FracParams) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import cho_factor, cho_solve, toeplitz
 
+from fraclap import assembly
 from fraclap.assembly import (
     ToeplitzOperator,
     autocorrelation,
@@ -26,6 +27,7 @@ from fraclap.solver import assemble_frac, solve_local_dirichlet
 from helpers import (
     correlation_exact,
     dirichlet_frac_oracle,
+    refined_dense_solve,
     simpson_cells,
     toeplitz_quadratic_form,
 )
@@ -58,7 +60,7 @@ class TestStiffnessKernel:
 
 
 class TestLocalStiffness:
-    # the banded local solve is checked against the dense tridiagonal
+    # the local solve is checked against the dense tridiagonal
     # (2/h, -1/h, 0, ...) stiffness built here
     def test_banded_pattern(self):
         n = 65
@@ -188,10 +190,72 @@ class TestToeplitz:
         got = op.solve(b)
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("n", [513, 2049, 4097])
+    @pytest.mark.parametrize("s", [0.3, 0.6, 0.9, 0.99, 0.999])
+    def test_solve_matches_refined_dense_solve(self, n, s):
+        op = frac_operator(n, s)
+        b = load_vector(sample(DOM, n, lambda x: 1.0 + 0.5 * math.sin(3.0 * x)))
+        b = b[interior_indices(make_grid(DOM, n))]
+        want = refined_dense_solve(op.c, b)
+        got = op.solve(b)
+        assert np.max(np.abs(got - want)) <= 5e-12 * np.max(np.abs(want))
+
+    def test_cg_steps_stay_few(self, monkeypatch):
+        steps = []
+        matvec = ToeplitzOperator.matvec
+
+        def counted(self, v):
+            steps[-1] += 1
+            return matvec(self, v)
+
+        monkeypatch.setattr(ToeplitzOperator, "matvec", counted)
+        for n in (33, 65, 513, 4097, 8193):
+            b = np.ones(interior_indices(make_grid(DOM, n)).size)
+            for s in (0.05, 0.3, 0.6, 0.9, 0.99, 0.999):
+                op = frac_operator(n, s)
+                steps.append(0)
+                op.solve(b)
+        assert 0 < min(steps) and max(steps) <= 15
+
     def test_singular_kernel_raises_numerical_error(self):
-        # the leading 1x1 minor vanishes, so the Levinson recursion breaks down
+        # a zero diagonal makes T and its tau preconditioner indefinite
         with pytest.raises(NumericalError):
             ToeplitzOperator(np.array([0.0, 1.0, 0.2])).solve(np.ones(3))
+
+    def test_indefinite_tridiagonal_kernel_raises_numerical_error(self):
+        # (1, -0.6, 0, ...) has eigenvalues 1 - 1.2 cos(pi j / 32) < 0 at j = 1
+        kernel = np.zeros(31)
+        kernel[:2] = (1.0, -0.6)
+        with pytest.raises(NumericalError, match="tau"):
+            ToeplitzOperator(kernel).solve(np.ones(31))
+
+    def test_indefinite_kernel_with_definite_preconditioner_raises(self):
+        # tau(T) is positive definite here, so CG itself meets p^T T p < 0
+        kernel = np.array([0.8, -0.1, -1.2])
+        assert np.linalg.eigvalsh(toeplitz(kernel)).min() < 0.0
+        with pytest.raises(NumericalError, match="curvature"):
+            ToeplitzOperator(kernel).solve(np.ones(3))
+
+    def test_step_cap_raises_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(assembly, "_CG_MAXITER", 2)
+        with pytest.raises(NumericalError, match="converge"):
+            frac_operator(513, 0.6).solve(np.ones(255))
+
+    def test_solve_rejects_wrongly_shaped_right_hand_side(self):
+        op = frac_operator(65, 0.6)
+        for shape in ((30,), (32,), (31, 1), (1, 31)):
+            with pytest.raises(ValueError):
+                op.solve(np.ones(shape))
+
+    def test_non_finite_right_hand_side_raises_numerical_error(self):
+        b = np.ones(31)
+        b[7] = np.nan
+        with pytest.raises(NumericalError):
+            frac_operator(65, 0.6).solve(b)
+
+    def test_zero_right_hand_side_gives_zero(self):
+        got = frac_operator(65, 0.6).solve(np.zeros(31))
+        assert np.all(got == 0.0)
 
     def test_short_kernel_rejected(self):
         op = ToeplitzOperator(np.zeros(3))

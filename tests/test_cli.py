@@ -124,7 +124,7 @@ class TestRunnerOutcomes:
 
     @pytest.mark.parametrize("command", ["solve", "rates"])
     def test_singular_stiffness_returns_one(self, tmp_path, monkeypatch, capsys, command):
-        # a kernel with a vanishing leading minor breaks the Levinson recursion
+        # a kernel with a vanishing diagonal is indefinite, and so is its tau preconditioner
         def singular(p, h, kmax):
             c = np.zeros(kmax + 1)
             c[:3] = (0.0, 1.0, 0.2)
@@ -140,15 +140,13 @@ class TestRunnerOutcomes:
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
-# scipy packages that start-up must not load (scipy.fft and scipy.integrate
-# cost about 0.12 s and 0.26 s there); scipy.linalg is the one it needs
-_HEAVY_SCIPY = ("scipy.integrate", "scipy.fft", "scipy.optimize", "scipy.special", "scipy.sparse")
-
+# start-up and every subcommand that needs no adaptive quadrature load no scipy
+# module at all (importing scipy.linalg costs about 0.34 s)
 # Runs in a fresh interpreter: the test suite itself imports scipy.integrate.
 _FOOTPRINT_SCRIPT = """
 import json, sys
 out, runs = sys.argv[1], json.loads(sys.argv[2])
-loaded = lambda: sorted(m for m in sys.modules if m.startswith("scipy."))
+loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 import fraclap.cli
 stages = {"import": loaded()}
 for name, argv in runs:
@@ -170,24 +168,27 @@ def _loaded_after(tmp_path, runs):
     return json.loads(result.read_text(encoding="utf-8"))
 
 
-def _within(modules, packages):
-    return sorted(m for m in modules for pkg in packages if m == pkg or m.startswith(pkg + "."))
-
-
 class TestImportFootprint:
     def test_startup_and_fast_subcommands_skip_heavy_scipy(self, tmp_path):
         rates = write_cfg(tmp_path, f"experiment = rates\ns_list = 0.6, 0.8\nn = 65\noutput_dir = {tmp_path}\n")
+        solve = write_cfg(
+            tmp_path, f"experiment = solve\ns_list = 0.5, 0.99\nn = 65\noutput_dir = {tmp_path}\n", "s.cfg"
+        )
         moll = write_cfg(
             tmp_path, f"experiment = mollifier_check\ns_list = 0.9\nn = 33\noutput_dir = {tmp_path}\n", "m.cfg"
         )
-        runs = [["rates", ["rates", "--config", rates]], ["mollifier", ["mollifier-check", "--config", moll]]]
+        runs = [
+            ["rates", ["rates", "--config", rates]],
+            ["solve", ["solve", "--config", solve]],
+            ["mollifier", ["mollifier-check", "--config", moll]],
+        ]
         stages = _loaded_after(tmp_path, runs)
-        assert _within(stages["import"], _HEAVY_SCIPY) == []
-        assert "scipy.linalg" in stages["import"]
+        assert stages["import"] == []
         for name, _ in runs:
             assert stages[name + ".rc"] == 0
-            assert _within(stages[name], ("scipy.fft", "scipy.integrate")) == []
-        assert (tmp_path / "rates.csv").exists() and (tmp_path / "mollifier_check.csv").exists()
+            assert stages[name] == []
+        for csv in ("rates.csv", "solve.csv", "mollifier_check.csv"):
+            assert (tmp_path / csv).exists()
 
     def test_kernel_check_loads_quad_on_demand(self, tmp_path):
         cfg = kernel_cfg(tmp_path, tmp_path / "out")

@@ -140,6 +140,12 @@ class TestLocalSolve:
         want = np.clip(1.0 - u.nodes**2, 0.0, None)
         assert np.allclose(u.values, want, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [65, 4097, 65537])
+    def test_parabola_nodal_exactness_on_fine_meshes(self, n):
+        u = solve_local_dirichlet(DOM, n, const_f(n, 2.0))
+        want = np.clip(1.0 - u.nodes**2, 0.0, None)
+        assert np.max(np.abs(u.values - want)) <= 1e-14
+
     def test_zero_load(self):
         u = solve_local_dirichlet(DOM, 65, const_f(65, 0.0))
         assert np.all(u.values == 0.0)
