@@ -10,23 +10,27 @@ a circulant embedding, and solves through conjugate gradients preconditioned
 by the DST-diagonalised tau matrix of the kernel, so no dense matrix is ever
 formed.
 
-The full interaction form has an exact closed-form kernel.  Writing the
-P1 hat-gradient autocorrelation through a double antiderivative of the
-radial kernel collapses each entry to a fourth difference:
+The full interaction form has an exact closed-form kernel.  The
+autocorrelation of a P1 hat is h times the centred cubic B-spline M4, so
+for hats that do not overlap (k >= 2)
 
-    c[k] = (1-s) h**(1-2s) / (s (2-2s)(3-2s)) * D4[V](k),
-    V(m) = m**2 * expm1((1-2s) ln m) / (1-2s),  V(0) = V(1) = 0,
+    c[k] = -2 (1-s) h**(1-2s) J(k),  J(k) = int_{-2}^{2} M4(t) (k+t)**(-1-2s) dt,
 
-where D4 is the centered fourth difference over integer offsets.  The
-expm1 form keeps the removable degeneracy at s = 1/2 finite, and the
-fourth difference is accumulated in extended precision because V grows
-like m**(3-2s) while c[k] decays like k**(-1-2s).  The formula includes
-every exterior tail exactly; nothing is truncated at the box.
+the Peano form of the fourth difference of |m|**(3-2s) (de Boor, A
+Practical Guide to Splines).  J is an average of a positive function, so
+nothing cancels: it is summed by Gauss-Legendre on each unit piece of M4
+up to k = 32 and as the operator series (sinh(D/2) / (D/2))**4 applied to
+k**(-1-2s) beyond, in float64 and with no branch at s = 1/2.  c[0] and c[1]
+are the fourth differences of V(m) = m**2 (m**(1-2s) - 1) / (1-2s) at 0
+and 1, which do not cancel either.  The formula includes every exterior
+tail exactly; nothing is truncated at the box.
 
 The far-field form (interactions at distance > 1 only) is also Toeplitz:
-its kernel combines the P1 mass overlap with the integral of the radial
-kernel against the hat cross-correlation, a piecewise cubic, integrated
-analytically with the appropriate logarithmic branch at s = 1/2.
+the P1 mass overlap minus the same average restricted to pairs at distance
+h (k + t) > 1.  That restriction is void before 1/h - 2, cuts J on the at
+most four offsets whose support straddles 1/h, and is the whole of J from
+1/h + 2 on, where the far kernel copies the full one: the near kernel
+full - far is banded, exactly 0 past 1/h + 2.
 """
 
 from __future__ import annotations
@@ -41,11 +45,17 @@ import numpy.fft  # noqa: F401  numpy imports it lazily; load it with the packag
 
 from .errors import ConfigError, NumericalError
 from .grid import GridFunction
-from .kernels import _LOG_BRANCH_TOL, FracParams, norm_const
+from .kernels import FracParams, norm_const
 
 # CG steps allowed per solve; the tau-preconditioned stiffness systems take
 # 4 to 11 for n from 33 to 65537 and s from 0.05 to 0.999
 _CG_MAXITER = 100
+
+# offsets past which the B-spline average J(k) is summed as the operator
+# series (sinh(D/2) / (D/2))**4 = 1 + D**2/6 + D**4/80 + ... applied to
+# k**(-1-2s); its first omitted term is at most 1.7e-16 relative from k = 33 on
+_SERIES_FROM = 32
+_SERIES = (1.0, 1.0 / 6.0, 1.0 / 80.0, 17.0 / 30240.0, 31.0 / 1814400.0, 1.0 / 2661120.0)
 
 
 def _dst1(x: np.ndarray) -> np.ndarray:
@@ -155,112 +165,92 @@ class ToeplitzOperator:
         return x
 
 
+def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1]: Newton's method
+    on the three-term recurrence of the Legendre polynomial P_n from the
+    guesses cos(pi (i - 1/4) / (n + 1/2)); six steps reach roundoff (checked
+    up to n = 64).  It makes no LAPACK call: the first one in a process
+    costs about 0.6 MB of resident memory."""
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(6):
+        p, q = x, np.ones(n)  # P_k and P_(k-1) at the nodes
+        for k in range(2, n + 1):
+            p, q = ((2 * k - 1) * x * p - (k - 1) * q) / k, p
+        dp = n * (q - x * p) / (1.0 - x * x)
+        x = x - p / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+_GL_X, _GL_W = _gauss_legendre(12)
+
+
+def _spline_average(s: float, k: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """J(k) restricted to t > lo: the integral of M4(t) (k + t)**(-1-2s)
+    over (lo, 2) for each offset k, with k + lo > 0, by Gauss-Legendre on
+    each unit piece of the centred cubic B-spline M4 clipped to [lo, 2]."""
+    j = np.arange(-2.0, 2.0)
+    a = np.maximum(j, lo[:, None])
+    half = 0.5 * np.maximum(j + 1.0 - a, 0.0)
+    t = a[..., None] + half[..., None] * (1.0 + _GL_X)
+    r = np.abs(t)
+    m4 = (np.maximum(2.0 - r, 0.0) ** 3 - 4.0 * np.maximum(1.0 - r, 0.0) ** 3) / 6.0
+    return np.sum(half[..., None] * _GL_W * m4 * (k[:, None, None] + t) ** (-1.0 - 2.0 * s), axis=(1, 2))
+
+
 def stiffness_kernel(p: FracParams, h: float, kmax: int) -> np.ndarray:
     """Toeplitz kernel of the full interaction form for hats with spacing h,
     offsets 0..kmax.  Exact closed form; d = 1 only."""
     if p.d != 1:
-        raise ConfigError(f"stiffness_kernel supports d=1 only, got d={p.d}")
+        raise ConfigError(f"Toeplitz kernels support d=1 only, got d={p.d}")
     if h <= 0.0:
         raise ConfigError(f"spacing must be positive, got h={h}")
-    ld = np.longdouble
-    s = ld(p.s)
-    g = ld(1.0) - 2 * s  # exponent offset 1-2s
-    m = np.arange(0, kmax + 3, dtype=ld)
-    V = np.zeros_like(m)
-    lnm = np.log(m[2:])
-    u = g * lnm
-    small = np.abs(u) < 1e-8
-    phi1 = np.empty_like(u)
-    phi1[small] = 1.0 + u[small] / 2.0 + u[small] ** 2 / 6.0
-    phi1[~small] = np.expm1(u[~small]) / u[~small]
-    V[2:] = m[2:] ** 2 * lnm * phi1
-    # V(1) = 0 exactly (ln 1 = 0); V(0) = 0 by continuity of m^2 * ...
-    # centered fourth difference with V even in m
-    Vext = np.concatenate([V[2:0:-1], V])  # V(-2), V(-1), V(0), ..., V(kmax+2)
+    if kmax < 0:
+        raise ValueError(f"largest offset must be >= 0, got kmax={kmax}")
+    s = p.s
+    scale = h ** (1.0 - 2.0 * s)
 
-    def at(i: np.ndarray) -> np.ndarray:
-        return Vext[i + 2]
+    def V(m: int) -> float:
+        # m**2 (m**(1-2s) - 1) / (1-2s), finite through s = 1/2
+        u = (1.0 - 2.0 * s) * math.log(m)
+        return m * m * math.log(m) * (math.expm1(u) / u if u else 1.0)
 
-    k = np.arange(0, kmax + 1)
-    d4 = at(k + 2) - 4 * at(k + 1) + 6 * at(k) - 4 * at(k - 1) + at(k - 2)
-    pref = (1 - s) * ld(h) ** (1 - 2 * s) / (s * (2 - 2 * s) * (3 - 2 * s))
-    return np.asarray(pref * d4, dtype=np.float64)
-
-
-def _hat_correlation_coeffs(h: float) -> list:
-    """Coefficient rows (tau-polynomials) of the hat cross-correlation
-    Lambda(tau) = integral of hat(x) hat(x + tau) dx on the four pieces
-    [-2h,-h], [-h,0], [0,h], [h,2h]; Lambda is even, piecewise cubic."""
-    pos_inner = (2.0 * h / 3.0, 0.0, -1.0 / h, 1.0 / (2.0 * h * h))  # [0, h]
-    pos_outer = (4.0 * h / 3.0, -2.0, 1.0 / h, -1.0 / (6.0 * h * h))  # [h, 2h]
-    # reflect tau -> -tau for the negative pieces
-    neg_inner = tuple(c * (-1.0) ** j for j, c in enumerate(pos_inner))
-    neg_outer = tuple(c * (-1.0) ** j for j, c in enumerate(pos_outer))
-    return [
-        (-2.0 * h, -1.0 * h, neg_outer),
-        (-1.0 * h, 0.0, neg_inner),
-        (0.0, 1.0 * h, pos_inner),
-        (1.0 * h, 2.0 * h, pos_outer),
-    ]
-
-
-def _kernel_poly_integral(p: FracParams, coeffs_u: np.ndarray, lo: float, hi: float) -> float:
-    """Integral of eta(u) * sum_m coeffs_u[m] u**m over [lo, hi], 0 < lo < hi."""
-    C = norm_const(p)
-    total = 0.0
-    for mdeg, cm in enumerate(coeffs_u):
-        if cm == 0.0:
-            continue
-        e = mdeg - 2.0 * p.s  # antiderivative exponent of u**(m-1-2s)
-        if abs(e) < _LOG_BRANCH_TOL:
-            term = math.log(hi / lo)
-        else:
-            term = (hi**e - lo**e) / e
-        total += cm * term
-    return C * total
-
-
-def hat_pair_far_integral(p: FracParams, h: float, k: int) -> float:
-    """Integral of eta(|x - y|) hat_0(x) hat_k(y) over pairs with |x-y| > 1.
-
-    Zero unless (k+2) h > 1.  Evaluated piecewise-analytically from the
-    cubic hat cross-correlation."""
-    if k < 0:
-        raise ValueError(f"offset must be >= 0, got {k}")
-    center = k * h
-    if center + 2.0 * h <= 1.0:
-        return 0.0
-    total = 0.0
-    for t0, t1, coeffs in _hat_correlation_coeffs(h):
-        lo = max(center + t0, 1.0)
-        hi = center + t1
-        if hi <= lo:
-            continue
-        # expand the tau-polynomial around u = tau + center into u-powers
-        cu = np.zeros(4)
-        for j, cj in enumerate(coeffs):
-            if cj == 0.0:
-                continue
-            for mdeg in range(j + 1):
-                cu[mdeg] += cj * math.comb(j, mdeg) * (-center) ** (j - mdeg)
-        total += _kernel_poly_integral(p, cu, lo, hi)
-    return total
+    c = np.empty(kmax + 1)
+    c[:2] = (scale / (2.0 * s * (3.0 - 2.0 * s)) * np.array([2.0 * V(2), V(3) - 4.0 * V(2)]))[: kmax + 1]
+    k = np.arange(2.0, kmax + 1)
+    J = np.empty(k.size)
+    quad = k <= _SERIES_FROM
+    # at k = 2 the piece (-2, -1) of M4, (2 + t)**3 / 6, reaches the origin;
+    # its integral is 1 / (6 (3 - 2s)) exactly
+    J[quad] = _spline_average(s, k[quad], np.where(k[quad] == 2.0, -1.0, -2.0))
+    J[:1] += 1.0 / (6.0 * (3.0 - 2.0 * s))
+    # the 2j-th derivative of k**(-1-2s) is (1+2s)(2+2s)...(2j+2s) k**(-1-2s-2j)
+    coef = []
+    rise = 1.0
+    for j, a in enumerate(_SERIES):
+        coef.append(a * rise)
+        rise *= (2 * j + 1 + 2.0 * s) * (2 * j + 2 + 2.0 * s)
+    big = k[~quad]
+    J[~quad] = big ** (-1.0 - 2.0 * s) * np.polyval(coef[::-1], big**-2.0)
+    c[2:] = -2.0 * (1.0 - s) * scale * J
+    return c
 
 
 def far_kernel(p: FracParams, h: float, kmax: int) -> np.ndarray:
     """Toeplitz kernel of the distance > 1 part of the interaction form:
     c2[k] = 4 ((C/s) mass[k] - far_pair[k]) with the P1 mass overlaps
-    (2h/3, h/6, 0, ...)."""
-    if p.d != 1:
-        raise ConfigError(f"far_kernel supports d=1 only, got d={p.d}")
-    C = norm_const(p)
-    c2 = np.zeros(kmax + 1)
-    c2[0] = 4.0 * (C / p.s) * (2.0 * h / 3.0)
-    if kmax >= 1:
-        c2[1] = 4.0 * (C / p.s) * (h / 6.0)
-    kmin = max(0, int(math.floor((1.0 - 2.0 * h) / h)))
-    for k in range(kmin, kmax + 1):
-        c2[k] -= 4.0 * hat_pair_far_integral(p, h, k)
+    (2h/3, h/6, 0, ...) and far_pair[k] = C h**(1-2s) J(k) restricted to
+    t > 1/h - k.  Where k - 2 >= 1/h this is the full kernel entry itself,
+    so the near kernel full - far is exactly 0 there."""
+    full = stiffness_kernel(p, h, kmax)
+    s = p.s
+    reach = 1.0 / h
+    k = np.arange(float(kmax + 1))
+    beyond = k - 2.0 >= reach
+    cut = ~beyond & (k + 2.0 > reach)
+    c2 = np.where(beyond, full, 0.0)
+    c2[cut] = -2.0 * (1.0 - s) * h ** (1.0 - 2.0 * s) * _spline_average(s, k[cut], reach - k[cut])
+    mass = 4.0 * (norm_const(p) / s) * np.array([2.0 * h / 3.0, h / 6.0])
+    c2[:2] += mass[: kmax + 1]
     return c2
 
 
@@ -340,7 +330,7 @@ def far_cross_quadrature(phi: GridFunction, p: FracParams, order: int = 10) -> f
     C = norm_const(p)
     h = phi.h
     zmax = phi.domain.box_measure
-    t, w = np.polynomial.legendre.leggauss(order)
+    t, w = _gauss_legendre(order)
     total = 0.0
     z0 = 1.0
     while z0 < zmax:

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import cho_factor, cho_solve, toeplitz
 
+from fraclap.assembly import far_kernel
 from fraclap.grid import GridFunction
 from fraclap.kernels import FracParams, eta, eta_t_integrals, norm_const, psi_integrals
 from fraclap.mollifier import _partition
@@ -107,6 +108,57 @@ def w_beta1_oracle(phi: GridFunction, beta: float) -> float:
             epsrel=1e-8,
         )
     return 2.0 * val
+
+
+def stiffness_kernel_oracle(s: float, h: float, k: int, dps: int = 80) -> float:
+    """Full kernel entry c[k] = (1-s) h**(1-2s) / (s (2-2s)(3-2s)) * D4[V](k),
+    the centred fourth difference of V(m) = (|m|**(3-2s) - m**2) / (1-2s)
+    (m**2 log|m| at s = 1/2), evaluated in mpmath at dps digits."""
+    with mp.workdps(dps):
+        s_ = mp.mpf(s)
+        g = 1 - 2 * s_
+
+        def v(m: int):
+            m = abs(m)
+            if m < 2:
+                return mp.mpf(0)
+            mm = mp.mpf(m)
+            return mm**2 * mp.log(mm) if g == 0 else (mm ** (3 - 2 * s_) - mm**2) / g
+
+        d4 = v(k + 2) - 4 * v(k + 1) + 6 * v(k) - 4 * v(k - 1) + v(k - 2)
+        return float((1 - s_) * mp.mpf(h) ** g / (s_ * (2 - 2 * s_) * (3 - 2 * s_)) * d4)
+
+
+def far_pair_oracle(s: float, h: float, k: int, dps: int = 30) -> float:
+    """Integral of eta(z) h M4((z - k h) / h) over z > 1, the far pair
+    integral of hat_0 and hat_k (their autocorrelation is h times the
+    centred cubic B-spline M4), by mpmath quadrature split at the knots."""
+    with mp.workdps(dps):
+        s_, hh = mp.mpf(s), mp.mpf(h)
+
+        def m4(t):
+            r = abs(t)
+            return (max(2 - r, 0) ** 3 - 4 * max(1 - r, 0) ** 3) / 6
+
+        knots = [(k + j) * hh for j in range(-2, 3)]
+        pts = sorted({max(z, mp.mpf(1)) for z in knots})
+        if pts[-1] <= 1:
+            return 0.0
+        integrand = lambda z: (1 - s_) / 2 * z ** (-1 - 2 * s_) * hh * m4((z - k * hh) / hh)
+        return float(mp.quad(integrand, pts))
+
+
+def far_kernel_oracle(s: float, h: float, k: int) -> float:
+    """far_kernel entry 4 ((C/s) mass[k] - far_pair[k]) from far_pair_oracle."""
+    mass = (2.0 * h / 3.0, h / 6.0)[k] if k < 2 else 0.0
+    return 4.0 * ((1.0 - s) / 2.0 / s * mass - far_pair_oracle(s, h, k))
+
+
+def far_pair_from_kernel(p: FracParams, h: float, k: int) -> float:
+    """The far pair integral of hat_0 and hat_k read back from far_kernel
+    as (C/s) mass[k] - c2[k] / 4."""
+    mass = (2.0 * h / 3.0, h / 6.0)[k] if k < 2 else 0.0
+    return norm_const(p) / p.s * mass - far_kernel(p, h, k)[k] / 4.0
 
 
 def toeplitz_quadratic_form(kernel: np.ndarray, v: np.ndarray) -> float:

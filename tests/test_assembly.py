@@ -12,7 +12,6 @@ from fraclap.assembly import (
     autocorrelation,
     far_cross_quadrature,
     far_kernel,
-    hat_pair_far_integral,
     interior_indices,
     load_vector,
     mass_quadratic_form,
@@ -27,8 +26,11 @@ from fraclap.solver import assemble_frac, solve_local_dirichlet
 from helpers import (
     correlation_exact,
     dirichlet_frac_oracle,
+    far_kernel_oracle,
+    far_pair_from_kernel,
     refined_dense_solve,
     simpson_cells,
+    stiffness_kernel_oracle,
     toeplitz_quadratic_form,
 )
 
@@ -58,6 +60,19 @@ class TestStiffnessKernel:
         with pytest.raises(ConfigError):
             stiffness_kernel(FracParams(s=0.5, d=2), 0.1, 5)
 
+    @pytest.mark.parametrize("s", [0.05, 0.3, 0.5, 0.5 - 1e-9, 0.5 + 1e-9, 0.9, 0.99, 0.999])
+    def test_matches_mpmath_closed_form(self, s):
+        # offsets on both sides of the switch from quadrature to series, up
+        # to the largest offset of n = 2**16 + 1.  Roundoff model: the
+        # rounded exponents -1-2s and 1-2s cost up to eps (ln k + |ln h|),
+        # about 4e-15 relative here
+        h = 1.0 / 256.0
+        ks = (0, 1, 2, 3, 4, 31, 32, 33, 64, 1024, 4096, 16384, 65535)
+        c = stiffness_kernel(FracParams(s=s), h, ks[-1])
+        for k in ks:
+            want = stiffness_kernel_oracle(s, h, k)
+            assert abs(c[k] - want) <= 1e-14 * abs(want), k
+
 
 class TestLocalStiffness:
     # the local solve is checked against the dense tridiagonal
@@ -84,12 +99,21 @@ class TestLocalStiffness:
         assert np.allclose(u.values[idx], 1.0 - x * x, atol=1e-12)
 
 
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [1, 2, 10, 12, 16, 64])
+    def test_matches_numpy_rule(self, n):
+        x, w = assembly._gauss_legendre(n)
+        want_x, want_w = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(x - want_x)) <= 1e-15
+        assert np.max(np.abs(w - want_w)) <= 1e-14
+
+
 class TestFarPairs:
     def test_zero_before_reach(self):
         h = 0.05
         p = FracParams(s=0.4)
         k = int((1.0 - 2.0 * h) / h) - 1
-        assert hat_pair_far_integral(p, h, k) == 0.0
+        assert far_pair_from_kernel(p, h, k) == 0.0
 
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
     def test_matches_direct_quadrature(self, s):
@@ -117,12 +141,13 @@ class TestFarPairs:
                     epsabs=1e-13,
                     epsrel=1e-10,
                 )
-            got = hat_pair_far_integral(p, h, k)
+            got = far_pair_from_kernel(p, h, k)
             assert got == pytest.approx(want, rel=1e-5, abs=1e-14)
 
     def test_negative_offset_rejected(self):
-        with pytest.raises(ValueError):
-            hat_pair_far_integral(FracParams(s=0.5), 0.1, -1)
+        for kernel in (stiffness_kernel, far_kernel):
+            with pytest.raises(ValueError):
+                kernel(FracParams(s=0.5), 0.1, -1)
 
 
 class TestFarKernel:
@@ -151,6 +176,29 @@ class TestFarKernel:
             mass = mass_quadratic_form(v, phi.h)
             want = 2.0 * (norm_const(p) / s) * mass - 2.0 * far_cross_quadrature(phi, p)
             assert got == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("n", [65, 257, 4097])
+    def test_matches_mpmath_pair_quadrature(self, n):
+        # the mass-only head, the offsets around the cut at 1/h and the tail
+        h = 4.0 / (n - 1)
+        kmax = n - 3
+        reach = int(1.0 / h)
+        ks = [0, 1, *range(reach - 3, reach + 4), kmax - 1, kmax]
+        for s in (0.3, 0.5, 0.9, 0.99):
+            c2 = far_kernel(FracParams(s=s), h, kmax)
+            for k in ks:
+                want = far_kernel_oracle(s, h, k)
+                assert abs(c2[k] - want) <= 1e-13 * abs(want), (s, k)
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.99])
+    def test_near_kernel_vanishes_past_reach(self, s):
+        # hats more than 1/h + 2 offsets apart have no pair closer than 1
+        h = 4.0 / 4096.0
+        p = FracParams(s=s)
+        near = stiffness_kernel(p, h, 4094) - far_kernel(p, h, 4094)
+        k = np.arange(near.size)
+        assert np.all(near[k > 1.0 / h + 2.0] == 0.0)
+        assert np.all(near[k < 1.0 / h - 2.0] != 0.0)
 
 
 def frac_operator(n: int, s: float) -> ToeplitzOperator:

@@ -110,6 +110,18 @@ class TestFracSolve:
         assert errs[0] > errs[1] > errs[2]
         assert errs[-1] < 1e-2
 
+    @pytest.mark.parametrize("s", [0.9, 0.99])
+    def test_converges_on_fine_meshes_near_the_local_limit(self, s):
+        # needs the kernel exact to the last offset: kernels that lose
+        # digits as n grows and s -> 1 make the error grow again here
+        p = FracParams(s=s)
+        errs = []
+        for n in (1025, 4097, 16385):
+            u = solve_frac_dirichlet(DOM, n, p, const_f(n))
+            ref = u.with_values(exact_solution_ball(p, u.nodes))
+            errs.append(linf_distance(u, ref, "box"))
+        assert errs[0] > errs[1] > errs[2]
+
     def test_nonnegative_for_nonnegative_load(self):
         rng = np.random.default_rng(62)
         f = random_bump(rng, DOM, 129)
