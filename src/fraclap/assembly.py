@@ -79,8 +79,8 @@ class ToeplitzOperator:
     operator.  solve runs conjugate gradients preconditioned by tau(T), the
     Toeplitz-plus-Hankel matrix diagonalised by the DST-I (Chan & Ng, SIAM
     Review 38, 1996), which holds the local part exactly: O(m log m) time
-    per step and O(m) memory.  Vectors of any shape other than (len(c),)
-    raise ValueError.
+    per step and O(m) memory.  matvec takes a stack (..., len(c)) row by row;
+    solve and quad_form take one vector (len(c),).  Other shapes raise ValueError.
     """
 
     c: np.ndarray
@@ -108,23 +108,24 @@ class ToeplitzOperator:
         col[: m - 2] -= self.c[2:]
         return _dst1(col) / np.sin(np.pi * np.arange(1, m + 1) / (m + 1))
 
-    def _check(self, v: np.ndarray) -> np.ndarray:
+    def _check(self, v: np.ndarray, stacked: bool = False) -> np.ndarray:
         v = np.asarray(v)
-        if v.shape != self.c.shape:
+        if (v.shape[-1:] if stacked else v.shape) != self.c.shape:
             raise ValueError(f"vector of shape {v.shape} does not match a Toeplitz matrix of order {len(self.c)}")
         return v
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """T @ v: the local part as the difference of zero-extended first
-        differences, the rest through the kept circulant transform."""
-        v = self._check(v)
+        """T @ v along the last axis: the local part as the difference of
+        zero-extended first differences, the rest through the kept transform."""
+        v = self._check(v, stacked=True)
         alpha, p, symbol = self._split
         d = np.diff(v, prepend=0.0, append=0.0)
-        return np.fft.irfft(symbol * np.fft.rfft(v, n=p), n=p)[: v.size] + alpha * (d[:-1] - d[1:])
+        out = np.fft.irfft(symbol * np.fft.rfft(v, n=p), n=p)[..., : v.shape[-1]]
+        return out + alpha * (d[..., :-1] - d[..., 1:])
 
     def quad_form(self, v: np.ndarray) -> float:
         """v^T T v."""
-        return float(v @ self.matvec(v))
+        return float(self._check(v) @ self.matvec(v))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """The solution u of T u = b, by tau-preconditioned CG from u = 0.
@@ -241,16 +242,20 @@ def far_kernel(p: FracParams, h: float, kmax: int) -> np.ndarray:
     (2h/3, h/6, 0, ...) and far_pair[k] = C h**(1-2s) J(k) restricted to
     t > 1/h - k.  Where k - 2 >= 1/h this is the full kernel entry itself,
     so the near kernel full - far is exactly 0 there."""
-    full = stiffness_kernel(p, h, kmax)
+    return _far_from_full(p, h, stiffness_kernel(p, h, kmax))
+
+
+def _far_from_full(p: FracParams, h: float, full: np.ndarray) -> np.ndarray:
+    """far_kernel from the already built full kernel of the same (p, h)."""
     s = p.s
     reach = 1.0 / h
-    k = np.arange(float(kmax + 1))
+    k = np.arange(float(full.size))
     beyond = k - 2.0 >= reach
     cut = ~beyond & (k + 2.0 > reach)
     c2 = np.where(beyond, full, 0.0)
     c2[cut] = -2.0 * (1.0 - s) * h ** (1.0 - 2.0 * s) * _spline_average(s, k[cut], reach - k[cut])
     mass = 4.0 * (norm_const(p) / s) * np.array([2.0 * h / 3.0, h / 6.0])
-    c2[:2] += mass[: kmax + 1]
+    c2[:2] += mass[: full.size]
     return c2
 
 

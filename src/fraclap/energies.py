@@ -77,7 +77,7 @@ def dirichlet_frac(
     h = phi.h
     kmax = len(v) - 1
     c_full = assembly.stiffness_kernel(p, h, kmax)
-    c_far = assembly.far_kernel(p, h, kmax)
+    c_far = assembly._far_from_full(p, h, c_full)
     d1 = 0.5 * assembly.ToeplitzOperator(c_full - c_far).quad_form(v)
     if far_route == "analytic":
         d2 = 0.5 * assembly.ToeplitzOperator(c_far).quad_form(v)
@@ -108,33 +108,27 @@ def objective_frac(phi: GridFunction, f_s: GridFunction, p: FracParams) -> float
     return dirichlet_frac(phi, p).total - load
 
 
-# lag-block size for holder_seminorm_grid: about this many pair differences
-# are held at once
-_HOLDER_BLOCK = 1 << 18
-
-
 def holder_seminorm_grid(phi: GridFunction, beta: float) -> float:
     """Grid Hoelder estimator: max over node pairs of |dv| / |dx|**beta.
 
     A lower bound for the seminorm of the interpolant; exact at beta = 1
     where the max is attained by adjacent nodes.
     """
+    return float(_holder_rows(phi.values, phi.h, beta))
+
+
+def _holder_rows(values: np.ndarray, h: float, beta: float) -> np.ndarray:
+    """holder_seminorm_grid of each row of values (..., n) on spacing h."""
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    v = phi.values
-    n = phi.n
-    # per-lag maxima of |v[i+k] - v[i]|, a block of lags at a time; the NaN
-    # tail marks pairs past the last node and is skipped by fmax
-    block = max(1, min(n - 1, _HOLDER_BLOCK // n))
-    padded = np.concatenate((v, np.full(block, np.nan)))
-    diffs = np.empty(n - 1)
-    for k0 in range(1, n, block):
-        k1 = min(k0 + block, n)
-        win = np.lib.stride_tricks.sliding_window_view(padded, k1)[: n - k0, k0:]
-        diffs[k0 - 1 : k1 - 1] = np.fmax.reduce(np.abs(win - v[: n - k0, None]), axis=0)
+    n = values.shape[-1]
+    # per-lag maxima of |v[i+k] - v[i]| over all rows at once: O(B n) memory
+    diffs = np.empty(values.shape[:-1] + (n - 1,))
+    for k in range(1, n):
+        diffs[..., k - 1] = np.max(np.abs(values[..., k:] - values[..., :-k]), axis=-1)
     # scalar powers, as the quotient has always been formed
-    scale = np.array([(k * phi.h) ** beta for k in range(1, n)])
-    return float(np.max(diffs / scale))
+    scale = np.array([(k * h) ** beta for k in range(1, n)])
+    return np.max(diffs / scale, axis=-1)
 
 
 def _abs_linear_integral(c0: float, c1: float, lo: float, hi: float) -> float:

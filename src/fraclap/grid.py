@@ -161,21 +161,25 @@ def product_integral(phi: GridFunction, psi: GridFunction, region: str = "box") 
     restricted to the region (cells clipped exactly)."""
     _check_region(region)
     phi._check_same_grid(psi)
-    lo, hi = _clip_bounds(phi.domain, region)
-    x = phi.nodes
-    h = phi.h
+    return float(_product_rows(phi, phi.values, psi.values, region))
+
+
+def _product_rows(grid: GridFunction, p: np.ndarray, q: np.ndarray, region: str) -> np.ndarray:
+    """product_integral of each pair of rows of p and q (..., n), values on
+    grid's nodes."""
+    lo, hi = _clip_bounds(grid.domain, region)
+    x = grid.nodes
+    h = grid.h
     a = np.maximum(x[:-1], lo)
     b = np.minimum(x[1:], hi)
     mask = b > a
-    if not np.any(mask):
-        return 0.0
     a = a[mask]
     b = b[mask]
     x0 = x[:-1][mask]
-    p0 = phi.values[:-1][mask]
-    p1 = phi.values[1:][mask]
-    q0 = psi.values[:-1][mask]
-    q1 = psi.values[1:][mask]
+    p0 = p[..., :-1][..., mask]
+    p1 = p[..., 1:][..., mask]
+    q0 = q[..., :-1][..., mask]
+    q1 = q[..., 1:][..., mask]
     mp = (p1 - p0) / h
     mq = (q1 - q0) / h
     ta = a - x0
@@ -185,7 +189,7 @@ def product_integral(phi: GridFunction, psi: GridFunction, region: str = "box") 
     d2 = (tb**2 - ta**2) / 2.0
     d3 = (tb**3 - ta**3) / 3.0
     cells = p0 * q0 * d1 + (p0 * mq + q0 * mp) * d2 + mp * mq * d3
-    return float(np.sum(cells))
+    return np.sum(cells, axis=-1)
 
 
 def l2_norm(phi: GridFunction, region: str = "box") -> float:

@@ -12,28 +12,34 @@ stencil: the integral of the kernel against the P1 hat function at each grid
 offset.  Smoothing uses a symmetric stencil, the gradient (and its radial
 tail) an antisymmetric one.  A stencil depends only on (s, eps, h, radii);
 it is built once per key from vectorised kernel integrals, cached, and
-applied by one correlation with the edge-padded vector.
+applied to a whole stack of edge-padded rows (..., n) at once, by one
+correlation through numpy's real FFT along the last axis.
 
 Nodes whose unit ball leaves the box are evaluated with the constant
 extension; full_coverage_mask identifies the nodes free of that artifact, and
-the checks only assert over those.
+the checks only assert over those.  Each inequality is one row function from
+stacked operator outputs to per-row (lhs, rhs); check_* are one-row calls.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
+import numpy.fft  # noqa: F401  numpy imports it lazily; load it with the package
 import numpy.ma  # noqa: F401  np.unique imports it lazily; load it with the package
 
+from .assembly import ToeplitzOperator, _far_from_full, stiffness_kernel
 from .errors import ConfigError
-from .grid import GridFunction, l2_norm
+from .grid import GridFunction, _product_rows
 from .kernels import FracParams, eta_t_integrals, norm_const, psi_integrals
-from .energies import dirichlet_frac, dirichlet_local, holder_seminorm_grid
+from .energies import _holder_rows, dirichlet_frac, holder_seminorm_grid
 
 _LIMIT_TOL = 1e-9
+
+_Rows = Tuple[np.ndarray, np.ndarray]  # per-row (lhs, rhs) of one inequality
 
 
 def full_coverage_mask(phi: GridFunction) -> np.ndarray:
@@ -103,8 +109,10 @@ def _stencil(p: FracParams, h: float, t_lo: float, t_hi: float, odd: bool) -> np
     return w
 
 
-def _apply(phi: GridFunction, w: np.ndarray, odd: bool) -> np.ndarray:
-    """Correlate the edge-padded values of phi with the mirrored stencil.
+def _apply(values: np.ndarray, w: np.ndarray, odd: bool) -> np.ndarray:
+    """Correlate each edge-padded row of values (..., n) with the mirrored
+    stencil by numpy's real FFT at a power of two p at least the padded
+    length, keeping the n outputs that circular wraparound cannot reach.
 
     The antisymmetric stencil acts on first differences through tail sums
     of its weights, since v[i+o] - v[i-o] is the sum of the differences in
@@ -112,13 +120,16 @@ def _apply(phi: GridFunction, w: np.ndarray, odd: bool) -> np.ndarray:
     """
     L = w.size - 1
     if L == 0:
-        return np.zeros(phi.n)
-    v = phi.values
-    vpad = np.concatenate((np.full(L, v[0]), v, np.full(L, v[-1])))
+        return np.zeros(values.shape)
+    x = np.pad(values, [(0, 0)] * (values.ndim - 1) + [(L, L)], mode="edge")
     if odd:
         tail = np.cumsum(w[:0:-1])[::-1]
-        return np.correlate(np.diff(vpad), np.concatenate((tail[::-1], tail)), mode="valid")
-    return np.correlate(vpad, np.concatenate((w[:0:-1], w)), mode="valid")
+        x, k = np.diff(x), np.concatenate((tail[::-1], tail))
+    else:
+        k = np.concatenate((w[:0:-1], w))
+    p = 1 << (x.shape[-1] - 1).bit_length()
+    full = np.fft.irfft(np.fft.rfft(x, p) * np.fft.rfft(k[::-1], p), p)
+    return full[..., k.size - 1 : x.shape[-1]]
 
 
 def mollify(phi: GridFunction, p: FracParams) -> GridFunction:
@@ -127,14 +138,13 @@ def mollify(phi: GridFunction, p: FracParams) -> GridFunction:
     cell); only d = 1 is supported."""
     if p.d != 1:
         raise ConfigError(f"mollify supports d=1 only, got d={p.d}")
-    return phi.with_values(_apply(phi, _stencil(p, phi.h, 0.0, 1.0, False), False))
+    return phi.with_values(_apply(phi.values, _stencil(p, phi.h, 0.0, 1.0, False), False))
 
 
-def _gradient_values(phi: GridFunction, p: FracParams, t_lo: float, t_hi: float) -> np.ndarray:
-    """Quadrature of the antisymmetric difference against eta * t over radii
-    [t_lo, t_hi], times the plateau normalization; exact for P1 data."""
-    w = _stencil(p, phi.h, max(t_lo, 0.0), min(t_hi, 1.0), True)
-    return _apply(phi, w, True)
+def _gradient_values(values: np.ndarray, h: float, p: FracParams, t_lo: float, t_hi: float) -> np.ndarray:
+    """Quadrature of the antisymmetric difference of each row (..., n) against
+    eta * t over radii [t_lo, t_hi] times plateau_scale; exact for P1 data."""
+    return _apply(values, _stencil(p, h, max(t_lo, 0.0), min(t_hi, 1.0), True), True)
 
 
 def mollify_gradient(phi: GridFunction, p: FracParams) -> GridFunction:
@@ -147,7 +157,41 @@ def mollify_gradient(phi: GridFunction, p: FracParams) -> GridFunction:
     """
     if p.d != 1:
         raise ConfigError(f"mollify_gradient supports d=1 only, got d={p.d}")
-    return phi.with_values(_gradient_values(phi, p, p.eps, 1.0))
+    return phi.with_values(_gradient_values(phi.values, phi.h, p, p.eps, 1.0))
+
+
+def _closeness_rows(grid: GridFunction, values: np.ndarray, smoothed: np.ndarray, p: FracParams, d1) -> _Rows:
+    """Squared L2(box) distance of each smoothed row to its row of values
+    versus the closeness bound plateau_scale**2 * (1-s) * d1."""
+    diff = smoothed - values
+    return _product_rows(grid, diff, diff, "box"), p.plateau_scale**2 * (1.0 - p.s) * d1
+
+
+def _consistency_rows(h: float, smoothed: np.ndarray, p: FracParams, d1) -> _Rows:
+    """Gradient energy (1/2) sum h (dv/h)**2 of each smoothed row versus its
+    near-part control d1 / (1 - eps**(2-2s))**2."""
+    dv = np.diff(smoothed)
+    return 0.5 * np.einsum("...i,...i->...", dv, dv) / h, d1 * (p.plateau_scale / 2.0) ** 2
+
+
+def _lipschitz_rows(grad: np.ndarray, mask: np.ndarray, p: FracParams, holder) -> _Rows:
+    """Max of each gradient row over the covered nodes in mask versus the
+    transfer bound 2 d holder / (1 - eps**(2-2s))."""
+    return np.max(np.abs(grad[..., mask]), axis=-1), p.d * p.plateau_scale * holder
+
+
+def _tail_rows(tail: np.ndarray, mask: np.ndarray, p: FracParams, rho: float, alpha: float, holder) -> _Rows:
+    """Max of each tail-gradient row (radii [rho, 1]) over the covered nodes
+    in mask versus the tail bound of check_tail_bound with seminorm holder."""
+    if not 0.0 < rho <= 1.0:
+        raise ValueError(f"rho must lie in (0, 1], got {rho}")
+    if rho <= p.eps:
+        raise ValueError(f"need rho > eps, got rho={rho}, eps={p.eps}")
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    e = alpha + 1.0 - 2.0 * p.s
+    factor = -math.log(rho) if abs(e) < _LIMIT_TOL else -math.expm1(e * math.log(rho)) / e
+    return np.max(np.abs(tail[..., mask]), axis=-1), p.d * p.plateau_scale * holder * (1.0 - p.s) * factor
 
 
 def check_identity_l2(
@@ -158,10 +202,8 @@ def check_identity_l2(
 
     near_energy short-circuits the d1 computation when the caller already
     has it (d1 does not depend on eps, so sweeps can reuse it)."""
-    lhs = l2_norm(mollify(phi, p) - phi, region="box") ** 2
     d1 = dirichlet_frac(phi, p).d1 if near_energy is None else near_energy
-    rhs = p.plateau_scale**2 * (1.0 - p.s) * d1
-    return lhs, rhs
+    return _closeness_rows(phi, phi.values, mollify(phi, p).values, p, d1)
 
 
 def check_energy_consistency(
@@ -169,10 +211,8 @@ def check_energy_consistency(
 ) -> Tuple[float, float]:
     """Gradient energy of the smoothed function versus its near-part control
     d1 / (1 - eps**(2-2s))**2; for eps = 0 the bound is d1 itself."""
-    lhs = dirichlet_local(mollify(phi, p))
     d1 = dirichlet_frac(phi, p).d1 if near_energy is None else near_energy
-    rhs = d1 * (p.plateau_scale / 2.0) ** 2
-    return lhs, rhs
+    return _consistency_rows(phi.h, mollify(phi, p).values, p, d1)
 
 
 def check_lipschitz(
@@ -188,10 +228,7 @@ def check_lipschitz(
     profile is known analytically (the grid value is only a lower bound).
     """
     est = holder_seminorm_grid(phi, s_holder) if holder_est is None else holder_est
-    grad = mollify_gradient(phi, p)
-    lhs = float(np.max(np.abs(grad.values[full_coverage_mask(phi)])))
-    rhs = p.d * p.plateau_scale * est
-    return lhs, rhs
+    return _lipschitz_rows(mollify_gradient(phi, p).values, full_coverage_mask(phi), p, est)
 
 
 def check_tail_bound(
@@ -205,16 +242,33 @@ def check_tail_bound(
     [rho, 1] versus the tail bound
     2 d [phi]_{C^{0,alpha}} (1-s) (1 - rho**(alpha+1-2s)) / ((alpha+1-2s)(1-eps**(2-2s))),
     with the logarithmic limit at alpha + 1 = 2s.  Requires rho > eps."""
-    if not 0.0 < rho <= 1.0:
-        raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    if rho <= p.eps:
-        raise ValueError(f"need rho > eps, got rho={rho}, eps={p.eps}")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    tail = _gradient_values(phi, p, rho, 1.0)
-    lhs = float(np.max(np.abs(tail[full_coverage_mask(phi)])))
     est = holder_seminorm_grid(phi, alpha) if holder_est is None else holder_est
-    e = alpha + 1.0 - 2.0 * p.s
-    factor = -math.log(rho) if abs(e) < _LIMIT_TOL else -math.expm1(e * math.log(rho)) / e
-    rhs = p.d * p.plateau_scale * est * (1.0 - p.s) * factor
-    return lhs, rhs
+    tail = _gradient_values(phi.values, phi.h, p, rho, 1.0)
+    return _tail_rows(tail, full_coverage_mask(phi), p, rho, alpha, est)
+
+
+def _bump_suite_rows(
+    grid: GridFunction, bumps: np.ndarray, s: float, eps_list: Tuple[float, ...], rho: float
+) -> Iterator[Tuple[str, np.ndarray, np.ndarray]]:
+    """(inequality, lhs, rhs), one entry per row of the (B, n) stack bumps on
+    grid, for each eps in eps_list at one s.  d1 and the Hoelder seminorms
+    are computed once; each stencil is applied once per eps."""
+    h, mask = grid.h, full_coverage_mask(grid)
+    p_near = FracParams(s=s, eps=0.0, d=1)
+    full = stiffness_kernel(p_near, h, grid.n - 3)  # offsets of the n - 2 nodes inside the box
+    inner = bumps[:, 1:-1]
+    near = ToeplitzOperator(full - _far_from_full(p_near, h, full))
+    d1 = 0.5 * np.einsum("ij,ij->i", inner, near.matvec(inner))
+    holder = _holder_rows(bumps, h, s)
+    for eps in eps_list:
+        p = FracParams(s=s, eps=eps, d=1)
+        smoothed = _apply(bumps, _stencil(p, h, 0.0, 1.0, False), False)
+        yield ("closeness_l2", *_closeness_rows(grid, bumps, smoothed, p, d1))
+        energy = _consistency_rows(h, smoothed, p, d1)
+        yield ("energy_consistency", *energy)
+        if eps == 0.0:
+            yield ("energy_consistency_eps0", *energy)
+        grad = _gradient_values(bumps, h, p, eps, 1.0)
+        yield ("lipschitz_gradient", *_lipschitz_rows(grad, mask, p, holder))
+        tail = _gradient_values(bumps, h, p, rho, 1.0)
+        yield ("tail_bound", *_tail_rows(tail, mask, p, rho, s, holder))

@@ -191,6 +191,20 @@ def refined_dense_solve(kernel: np.ndarray, b: np.ndarray) -> np.ndarray:
     return u - cho_solve(factor, residual)
 
 
+def correlate_apply(v: np.ndarray, w: np.ndarray, odd: bool) -> np.ndarray:
+    """One stencil applied to one vector by direct np.correlate of the
+    edge-padded values, the odd stencil on first differences through tail
+    sums of its weights (reference for mollifier._apply)."""
+    L = w.size - 1
+    if L == 0:
+        return np.zeros(v.size)
+    vpad = np.concatenate((np.full(L, v[0]), v, np.full(L, v[-1])))
+    if odd:
+        tail = np.cumsum(w[:0:-1])[::-1]
+        return np.correlate(np.diff(vpad), np.concatenate((tail[::-1], tail)), mode="valid")
+    return np.correlate(vpad, np.concatenate((w[:0:-1], w)), mode="valid")
+
+
 def mollify_loop(phi: GridFunction, p: FracParams) -> np.ndarray:
     """Smoothed values summed kernel piece by kernel piece, each piece a
     clipped gather of the nodes it touches (reference for mollify)."""

@@ -289,6 +289,18 @@ class TestToeplitz:
         with pytest.raises(NumericalError, match="converge"):
             frac_operator(513, 0.6).solve(np.ones(255))
 
+    def test_matvec_on_stack_matches_rows(self):
+        op = frac_operator(129, 0.7)
+        stack = np.random.default_rng(43).standard_normal((2, 3, op.c.size))
+        got = op.matvec(stack)
+        assert got.shape == stack.shape
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(got[idx], op.matvec(stack[idx]))
+        with pytest.raises(ValueError):
+            op.quad_form(stack[0])
+        with pytest.raises(ValueError):
+            op.solve(stack[0])
+
     def test_solve_rejects_wrongly_shaped_right_hand_side(self):
         op = frac_operator(65, 0.6)
         for shape in ((30,), (32,), (31, 1), (1, 31)):

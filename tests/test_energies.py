@@ -5,6 +5,7 @@ import pytest
 
 from fraclap import assembly
 from fraclap.energies import (
+    _holder_rows,
     dirichlet_frac,
     dirichlet_local,
     holder_seminorm_grid,
@@ -96,6 +97,25 @@ class TestDirichletFrac:
         v = phi.values[assembly.interior_indices(phi)]
         quad_form = float(v @ (a @ v))
         assert 2.0 * dirichlet_frac(phi, p).total == pytest.approx(quad_form, rel=1e-10)
+
+
+    def test_one_full_kernel_per_split(self, monkeypatch):
+        calls = []
+        full_kernel = assembly.stiffness_kernel
+
+        def counted(p, h, kmax):
+            calls.append(kmax)
+            return full_kernel(p, h, kmax)
+
+        monkeypatch.setattr(assembly, "stiffness_kernel", counted)
+        phi = random_bump(np.random.default_rng(61), DOM, 129)
+        for s in (0.3, 0.9):
+            p = FracParams(s=s)
+            split = dirichlet_frac(phi, p)
+            c_far = assembly.far_kernel(p, phi.h, 126)
+            assert split.d2 == 0.5 * assembly.ToeplitzOperator(c_far).quad_form(phi.values[1:-1])
+        # one per dirichlet_frac and one per far_kernel call above
+        assert calls == [126] * 4
 
 
 class TestEnergySplitBounds:
@@ -203,6 +223,19 @@ class TestHolderSeminorm:
             phi = grid.with_values(vals)
             for beta in (0.1, 0.5, 0.99, 1.0):
                 assert holder_seminorm_grid(phi, beta) == holder_loop(phi, beta)
+
+
+    @pytest.mark.parametrize("shape", [(4, 129), (2, 3, 33), (3, 4097)])
+    def test_stack_matches_lag_loop_row_by_row(self, shape):
+        # (3, 4097) holds 12,291 values, so the lags go in blocks of 21
+        rng = np.random.default_rng(shape[-1] + 7)
+        grid = make_grid(DOM, shape[-1])
+        stack = rng.standard_normal(shape)
+        for beta in (0.5, 1.0):
+            got = _holder_rows(stack, grid.h, beta)
+            assert got.shape == shape[:-1]
+            for idx in np.ndindex(shape[:-1]):
+                assert got[idx] == holder_loop(grid.with_values(stack[idx]), beta)
 
 
 class TestWBeta1Seminorm:

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from fraclap import mollifier
 from fraclap.assembly import ToeplitzOperator
 from fraclap.config import parse_config
 from fraclap.errors import ConfigError, NumericalError
 from fraclap.experiments import (
+    _MOLL_BUMPS,
     run_consistency,
     run_kernel_check,
     run_mollifier_check,
@@ -81,6 +83,26 @@ class TestMollifierCheck:
         assert {r.name: r.value for r in rep.rows} == pytest.approx(want, rel=1e-12, abs=0.0)
         # one smoothing, gradient and tail stencil per (s, eps)
         assert _stencil.cache_info().misses == 2 * 3 * 3
+
+
+    def test_one_stencil_application_per_operator(self, tmp_path, monkeypatch):
+        # the bumps are smoothed as one stack: one _apply per (s, eps,
+        # operator), 2 * 3 * 3, where a per-bump loop makes 2,400
+        shapes = []
+        apply = mollifier._apply
+
+        def counted(values, w, odd):
+            shapes.append(values.shape)
+            return apply(values, w, odd)
+
+        def per_bump_quad_form(self, v):
+            raise AssertionError("near energies must come from one stacked matvec")
+
+        monkeypatch.setattr(mollifier, "_apply", counted)
+        monkeypatch.setattr(ToeplitzOperator, "quad_form", per_bump_quad_form)
+        cfg = cfg_from(tmp_path, "experiment = mollifier_check\ns_list = 0.5, 0.9\nn = 65\n")
+        assert run_mollifier_check(cfg).passed
+        assert shapes == [(_MOLL_BUMPS, 65)] * 18
 
 
 class TestRates:

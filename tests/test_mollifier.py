@@ -5,9 +5,11 @@ import pytest
 
 from fraclap.energies import dirichlet_frac, holder_seminorm_grid
 from fraclap.errors import ConfigError
-from fraclap.grid import Domain, l2_norm, sample
+from fraclap.grid import Domain, l2_norm, make_grid, sample
 from fraclap.kernels import FracParams, psi_moment
 from fraclap.mollifier import (
+    _apply,
+    _bump_suite_rows,
     _gradient_values,
     _stencil,
     check_energy_consistency,
@@ -19,7 +21,13 @@ from fraclap.mollifier import (
     mollify_gradient,
 )
 from fraclap.profiles import make_profile, random_bump
-from helpers import gradient_loop, holder_restricted, mollify_loop, stencil_weight_oracle
+from helpers import (
+    correlate_apply,
+    gradient_loop,
+    holder_restricted,
+    mollify_loop,
+    stencil_weight_oracle,
+)
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
 WIDE = Domain(-1.0, 1.0, -2.5, 2.5)
@@ -234,7 +242,7 @@ class TestGradient:
         g = sample(DOM, 129, lambda x: -0.7)
         p = FracParams(s=s, eps=eps)
         assert np.all(mollify_gradient(g, p).values == 0.0)
-        assert np.all(_gradient_values(g, p, 0.6, 1.0) == 0.0)
+        assert np.all(_gradient_values(g.values, g.h, p, 0.6, 1.0) == 0.0)
 
 
 def sup_rel(got: np.ndarray, want: np.ndarray) -> float:
@@ -255,7 +263,7 @@ class TestStencil:
                     mollify_gradient(phi, p).values, gradient_loop(phi, p, eps, 1.0)
                 ) <= 1e-13
                 assert sup_rel(
-                    _gradient_values(phi, p, 0.6, 1.0), gradient_loop(phi, p, 0.6, 1.0)
+                    _gradient_values(phi.values, phi.h, p, 0.6, 1.0), gradient_loop(phi, p, 0.6, 1.0)
                 ) <= 1e-13
 
     @pytest.mark.parametrize("s", [0.5, 0.99])
@@ -302,3 +310,73 @@ class TestStencil:
         w = _stencil(FracParams(s=0.5), 1.0 / 16, 0.0, 1.0, False)
         with pytest.raises(ValueError):
             w[0] = 1.0
+
+
+class TestFFTApply:
+    @pytest.mark.parametrize("n", [33, 129, 4097, 16385])
+    def test_matches_direct_correlation(self, n):
+        # roundoff model of a correlation through an FFT of power-of-two
+        # length p: every output is off by at most about log2(p) eps_mach
+        # ||k||_1 max|x|, with k the mirrored stencil (the tail sums for the
+        # odd one) and x the padded values (their first differences for the
+        # odd one); the factor 16 covers the direct correlation's own
+        # rounding.  A shifted or wrapped-around output is off by O(1).
+        h = DOM.box_measure / (n - 1)
+        v = np.random.default_rng(n).standard_normal(n) + 0.5
+        for s in (0.5, 0.99):
+            for eps in (0.0, 0.1):
+                p = FracParams(s=s, eps=eps)
+                for t_lo, odd in ((0.0, False), (eps, True), (0.6, True)):
+                    w = _stencil(p, h, t_lo, 1.0, odd)
+                    if odd:
+                        k_l1 = 2.0 * np.sum(np.abs(np.cumsum(w[:0:-1])))
+                        x_max = np.max(np.abs(np.diff(v)))
+                    else:
+                        k_l1 = abs(w[0]) + 2.0 * np.sum(np.abs(w[1:]))
+                        x_max = np.max(np.abs(v))
+                    pow2 = 1 << (n + 2 * (w.size - 1) - 1).bit_length()
+                    tol = 16.0 * math.log2(pow2) * np.finfo(float).eps * k_l1 * x_max
+                    err = np.max(np.abs(_apply(v, w, odd) - correlate_apply(v, w, odd)))
+                    assert err <= tol
+
+    @pytest.mark.parametrize("n", [65, 4097])
+    def test_stack_rows_match_one_vector(self, n):
+        h = DOM.box_measure / (n - 1)
+        stack = np.random.default_rng(n + 1).standard_normal((2, 3, n))
+        p = FracParams(s=0.7, eps=0.1)
+        for t_lo, odd in ((0.0, False), (0.1, True), (0.6, True), (1.0, True)):
+            w = _stencil(p, h, t_lo, 1.0, odd)
+            got = _apply(stack, w, odd)
+            assert got.shape == stack.shape
+            for idx in np.ndindex(2, 3):
+                one = _apply(stack[idx], w, odd)
+                assert np.max(np.abs(got[idx] - one)) <= 1e-15 * np.max(np.abs(one))
+
+
+class TestBumpSuite:
+    @pytest.mark.parametrize("n", [65, 513])
+    @pytest.mark.parametrize("s", [0.5, 0.99])
+    def test_public_checks_return_their_row(self, n, s):
+        # each check_* on one bump reproduces that bump's row of the batched
+        # suite; d1 and the Hoelder seminorm are recomputed per bump here
+        phis = bumps(seed=n, n=n, count=10)
+        stack = np.stack([phi.values for phi in phis])
+        eps_list, rho = (0.0, 0.1, 0.5), 0.6
+        rows = list(_bump_suite_rows(make_grid(DOM, n), stack, s, eps_list, rho))
+        per_eps = ["closeness_l2", "energy_consistency", "lipschitz_gradient", "tail_bound"]
+        assert [r[0] for r in rows] == per_eps[:2] + ["energy_consistency_eps0"] + per_eps[2:] + per_eps * 2
+        eps_of = iter(eps_list)
+        for name, lhs, rhs in rows:
+            if name == "closeness_l2":
+                p = FracParams(s=s, eps=next(eps_of))
+            assert lhs.shape == rhs.shape == (10,)
+            for i, phi in enumerate(phis):
+                if name == "closeness_l2":
+                    one = check_identity_l2(phi, p)
+                elif name.startswith("energy_consistency"):
+                    one = check_energy_consistency(phi, p)
+                elif name == "lipschitz_gradient":
+                    one = check_lipschitz(phi, p, s)
+                else:
+                    one = check_tail_bound(phi, p, rho, s)
+                assert one == pytest.approx((lhs[i], rhs[i]), rel=1e-14, abs=0.0)
