@@ -14,7 +14,6 @@ from .boundary import (
     check_strip_l2,
     dist_to_complement,
     energy_gap,
-    strip_measure,
 )
 from .config import EXPERIMENTS, ExperimentConfig, parse_config, with_overrides
 from .energies import (
@@ -24,8 +23,6 @@ from .energies import (
     holder_seminorm_grid,
     objective_frac,
     objective_local,
-    seminorm_ws2,
-    w_beta1_seminorm_grid,
 )
 from .errors import ConfigError, DataError, NumericalError, ShapeError, SupportError
 from .experiments import (
@@ -38,7 +35,6 @@ from .experiments import (
 from .grid import (
     Domain,
     GridFunction,
-    QuadratureRule,
     l2_norm,
     linf_distance,
     make_grid,
@@ -52,8 +48,6 @@ from .kernels import (
     eta,
     norm_const,
     psi,
-    psi_bound_check,
-    psi_derivative,
     psi_moment,
     sphere_measure,
 )
@@ -83,7 +77,6 @@ from .solver import (
     assemble_frac,
     exact_solution_ball,
     frac_laplacian_pointwise,
-    lift_and_solve,
     solve_frac_dirichlet,
     solve_local_dirichlet,
 )
@@ -105,7 +98,6 @@ __all__ = [
     "GridFunction",
     "NumericalError",
     "Profile",
-    "QuadratureRule",
     "RateReport",
     "RateRow",
     "ShapeError",
@@ -136,7 +128,6 @@ __all__ = [
     "full_coverage_mask",
     "holder_seminorm_grid",
     "l2_norm",
-    "lift_and_solve",
     "linf_distance",
     "make_grid",
     "make_profile",
@@ -148,8 +139,6 @@ __all__ = [
     "parse_config",
     "product_integral",
     "psi",
-    "psi_bound_check",
-    "psi_derivative",
     "psi_moment",
     "random_bump",
     "run_consistency",
@@ -158,11 +147,8 @@ __all__ = [
     "run_rates",
     "run_solve",
     "sample",
-    "seminorm_ws2",
     "solve_frac_dirichlet",
     "solve_local_dirichlet",
     "sphere_measure",
-    "strip_measure",
-    "w_beta1_seminorm_grid",
     "with_overrides",
 ]

@@ -86,6 +86,11 @@ class ToeplitzOperator:
     c: np.ndarray
 
     @cached_property
+    def norm1(self) -> float:
+        """||T||_1 = |c[0]| + 2 sum_(k >= 1) |c[k]|."""
+        return abs(self.c[0]) + 2.0 * float(np.sum(np.abs(self.c[1:])))
+
+    @cached_property
     def _split(self) -> Tuple[float, int, np.ndarray]:
         """alpha = -c[1], and the size p and rfft of the circulant embedding
         of the rest c - alpha (2, -1, 0, ...)."""
@@ -141,8 +146,7 @@ class ToeplitzOperator:
         m = r.size
         # DST-I is its own inverse up to the factor (m + 1) / 2
         inv = 2.0 / ((m + 1) * lam)
-        c = self.c
-        tol = np.finfo(float).eps * (abs(c[0]) + 2.0 * float(np.sum(np.abs(c[1:]))))
+        tol = np.finfo(float).eps * self.norm1
         x = np.zeros(m)
         p = np.zeros(m)
         rz_old = math.inf  # makes the first direction z itself

@@ -53,13 +53,6 @@ def dist_to_complement(dom: Domain, x: Union[float, np.ndarray]) -> Union[float,
     return out
 
 
-def strip_measure(dom: Domain, r: float) -> float:
-    """Measure of the inner strip of width r; saturates at |Omega|."""
-    if not r > 0.0:
-        raise ConfigError(f"strip width r must be positive, got {r}")
-    return min(2.0 * r, dom.omega_measure)
-
-
 def _check_pair(u_s: GridFunction, g: GridFunction) -> None:
     if u_s.domain != g.domain or u_s.n != g.n:
         raise ShapeError("u_s and g must live on the same grid")

@@ -33,7 +33,6 @@ class ExperimentConfig:
     box_lo: float = -2.0
     box_hi: float = 2.0
     r_rule: str = "paper"
-    rho_rule: str = "paper"
     f_spec: str = "constant:1"
     f_s_spec: str = ""
     g_spec: str = "gaussian"
@@ -64,13 +63,6 @@ class ExperimentConfig:
         if self.r_rule == "paper":
             return (1.0 - s) ** (1.0 / s)
         return float(self.r_rule.split(":", 1)[1])
-
-    def rho_value(self, s: float) -> float:
-        if self.rho_rule == "paper":
-            return 1.0 - s
-        if self.rho_rule == "log":
-            return min(1.0, (1.0 - s) * abs(math.log((1.0 - s) / 2.0)))
-        return float(self.rho_rule.split(":", 1)[1])
 
     def pert_coeff(self, s: float) -> float:
         if self.pert_mode == "none":
@@ -177,21 +169,13 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"pert_mode must be none, shrinking, or fixed, got '{cfg.pert_mode}'"
         )
-    for rule, allowed in (("r_rule", ("paper",)), ("rho_rule", ("paper", "log"))):
-        value = getattr(cfg, rule)
-        if value in allowed:
-            continue
-        head, sep, tail = value.partition(":")
+    if cfg.r_rule != "paper":
+        head, sep, tail = cfg.r_rule.partition(":")
         if head != "fixed" or not sep:
-            raise ConfigError(
-                f"{rule} must be one of {', '.join(allowed)} or fixed:<value>, "
-                f"got '{value}'"
-            )
-        v = _parse_float(rule, tail)
-        if rule == "r_rule" and v <= 0.0:
+            raise ConfigError(f"r_rule must be one of paper or fixed:<value>, got '{cfg.r_rule}'")
+        v = _parse_float("r_rule", tail)
+        if v <= 0.0:
             raise ConfigError(f"r_rule fixed value must be positive, got {v}")
-        if rule == "rho_rule" and not 0.0 < v <= 1.0:
-            raise ConfigError(f"rho_rule fixed value must lie in (0, 1], got {v}")
     try:
         cfg.domain
     except ConfigError as exc:

@@ -1,5 +1,5 @@
-"""Local and nonlocal Dirichlet energies, objectives, and seminorm estimators
-for P1 grid functions.
+"""Local and nonlocal Dirichlet energies, objectives, and a Hoelder seminorm
+estimator for P1 grid functions.
 
 The nonlocal energy of a compactly supported P1 function is evaluated through
 the exact Toeplitz interaction form (see assembly); d1/d2 split it into the
@@ -10,7 +10,6 @@ two can be tested rather than assumed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,21 +22,15 @@ from .kernels import FracParams, norm_const
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Near part d1 (distance < 1), far part d2 (distance > 1), and load."""
+    """Near part d1 (distance < 1) and far part d2 (distance > 1)."""
 
     d1: float
     d2: float
-    load: float = 0.0
 
     @property
     def total(self) -> float:
         """Full interaction energy d1 + d2."""
         return self.d1 + self.d2
-
-    @property
-    def objective(self) -> float:
-        """Energy minus load."""
-        return self.d1 + self.d2 - self.load
 
 
 def dirichlet_local(phi: GridFunction) -> float:
@@ -89,12 +82,6 @@ def dirichlet_frac(
     return EnergyBreakdown(d1=d1, d2=d2)
 
 
-def seminorm_ws2(phi: GridFunction, p: FracParams) -> float:
-    """Normalized fractional seminorm of the zero-extended interpolant:
-    sqrt(2 * dirichlet_frac(phi).total)."""
-    return math.sqrt(max(0.0, 2.0 * dirichlet_frac(phi, p).total))
-
-
 def objective_local(phi: GridFunction, f: GridFunction) -> float:
     """Local objective: gradient energy minus the exact load over the
     interval."""
@@ -129,98 +116,3 @@ def _holder_rows(values: np.ndarray, h: float, beta: float) -> np.ndarray:
     # scalar powers, as the quotient has always been formed
     scale = np.array([(k * h) ** beta for k in range(1, n)])
     return np.max(diffs / scale, axis=-1)
-
-
-def _abs_linear_integral(c0: float, c1: float, lo: float, hi: float) -> float:
-    """Integral of |c0 + c1 u| over [lo, hi], exact."""
-
-    def anti(u: float) -> float:
-        val = c0 + c1 * u
-        return val * abs(val) / (2.0 * c1) if c1 != 0.0 else abs(c0) * u
-
-    if c1 == 0.0:
-        return abs(c0) * (hi - lo)
-    root = -c0 / c1
-    if lo < root < hi:
-        return abs(anti(root) - anti(lo)) + abs(anti(hi) - anti(root))
-    return abs(anti(hi) - anti(lo))
-
-
-def _adjacent_pair_integral(bk: float, bl: float, h: float, beta: float) -> float:
-    """Integral over (0,h)^2 in (u, w) of |bk u + bl w| / (u + w)**(1+beta).
-
-    Split along sigma = u + w: the sigma <= h part is exact by homogeneity;
-    the rest is smooth and integrated by Gauss after exact inner integrals.
-    """
-    if bk == 0.0 and bl == 0.0:
-        return 0.0
-    # sigma in (0, h]: inner integral is q * sigma^2 with a constant q
-    if bk * bl >= 0.0:
-        q = (abs(bk) + abs(bl)) / 2.0
-    else:
-        q = (bk * bk + bl * bl) / (2.0 * abs(bk - bl))
-    total = q * h ** (2.0 - beta) / (2.0 - beta)
-    # sigma in [h, 2h]: u ranges over (sigma - h, h)
-    t, w = np.polynomial.legendre.leggauss(16)
-    mid, half = 1.5 * h, 0.5 * h
-    for ti, wi in zip(t, w):
-        sigma = mid + half * ti
-        inner = _abs_linear_integral(bl * sigma, bk - bl, sigma - h, h)
-        total += wi * half * sigma ** (-1.0 - beta) * inner
-    return total
-
-
-def w_beta1_seminorm_grid(phi: GridFunction, beta: float) -> float:
-    """Grid estimator of the window-restricted first-order seminorm: the
-    double integral of |phi(x) - phi(y)| / |x-y|**(1+beta) over pairs in the
-    box at distance < 1.
-
-    Same-cell and adjacent-cell contributions are handled analytically to
-    integrate through the diagonal singularity; separated pairs use tensor
-    Gauss quadrature with the distance window clipped exactly.  Returns inf
-    at beta = 1 for any nonconstant function (the diagonal diverges).
-    """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    h = phi.h
-    v = phi.values
-    slopes = np.diff(v) / h
-    if beta == 1.0:
-        return math.inf if np.any(slopes != 0.0) else 0.0
-    if 2.0 * h >= 1.0:
-        raise ConfigError("grid too coarse: need 2h < 1 for the window split")
-    ncell = phi.n - 1
-    xl = phi.nodes[:-1]
-
-    total = float(np.sum(np.abs(slopes))) * 2.0 * h ** (2.0 - beta) / (
-        (1.0 - beta) * (2.0 - beta)
-    )
-    for j in range(ncell - 1):
-        total += 2.0 * _adjacent_pair_integral(slopes[j], slopes[j + 1], h, beta)
-
-    gl_t, gl_w = np.polynomial.legendre.leggauss(8)
-    max_lag = min(ncell - 1, int(math.ceil(1.0 / h)) + 1)
-    for lag in range(2, max_lag + 1):
-        if (lag - 1) * h >= 1.0:
-            break
-        npair = ncell - lag
-        if npair <= 0:
-            break
-        jx = np.arange(npair)
-        x0 = xl[jx]
-        # x Gauss nodes per pair: (npair, 8)
-        xg = x0[:, None] + h * (0.5 + 0.5 * gl_t)[None, :]
-        fx = v[jx][:, None] + slopes[jx][:, None] * (xg - x0[:, None])
-        ylo = xl[jx + lag][:, None] + np.zeros_like(xg)
-        yhi = np.minimum(ylo + h, xg + 1.0)
-        width = np.maximum(yhi - ylo, 0.0)
-        # y Gauss nodes per (pair, x-node): (npair, 8, 8)
-        yg = ylo[:, :, None] + width[:, :, None] * (0.5 + 0.5 * gl_t)[None, None, :]
-        fy = v[jx + lag][:, None, None] + slopes[jx + lag][:, None, None] * (
-            yg - xl[jx + lag][:, None, None]
-        )
-        integrand = np.abs(fx[:, :, None] - fy) * (yg - xg[:, :, None]) ** (-1.0 - beta)
-        wx = (0.5 * gl_w * h)[None, :, None]
-        wy = 0.5 * gl_w[None, None, :] * width[:, :, None]
-        total += 2.0 * float(np.sum(integrand * wx * wy))
-    return total

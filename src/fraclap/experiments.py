@@ -59,13 +59,11 @@ def _check_optimality_identity(
     matvec roundoff model 8 log2(2m) eps ||A||_1 ||u||_2 ||e||_2: accurate
     solves read below 1e-2 of it, and a solve with one kernel entry off by
     1e-8 relative exceeds it 1e5-fold."""
-    c = A.c
     e = v - u
     defect = float(e @ (A.matvec(u) - b))
-    norm_a = abs(c[0]) + 2.0 * float(np.sum(np.abs(c[1:])))
     bound = (
-        8.0 * math.log2(2 * c.size) * np.finfo(float).eps
-        * norm_a * float(np.linalg.norm(u)) * float(np.linalg.norm(e))
+        8.0 * math.log2(2 * A.c.size) * np.finfo(float).eps
+        * A.norm1 * float(np.linalg.norm(u)) * float(np.linalg.norm(e))
     )
     if not abs(defect) <= bound:
         raise NumericalError(

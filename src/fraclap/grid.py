@@ -206,46 +206,3 @@ def linf_distance(phi: GridFunction, psi: GridFunction, region: str = "box") -> 
     tol = 1e-9 * phi.h
     mask = (x >= lo - tol) & (x <= hi + tol)
     return float(np.max(np.abs(phi.values[mask] - psi.values[mask])))
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """1D quadrature nodes/weights on a reference task.
-
-    kind "gauss_legendre" integrates smooth integrands on [a, b].  kind
-    "gauss_jacobi" integrates integrands with an algebraic endpoint factor
-    (b - t)**exponent built into the weight; exponent must exceed -1.
-    """
-
-    kind: str
-    order: int
-    exponent: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("gauss_legendre", "gauss_jacobi"):
-            raise ConfigError(f"unknown quadrature kind {self.kind!r}")
-        if self.order < 1:
-            raise ConfigError(f"quadrature order must be >= 1, got {self.order}")
-        if self.kind == "gauss_jacobi" and not self.exponent > -1:
-            raise ConfigError(f"jacobi exponent must exceed -1, got {self.exponent}")
-
-    def nodes_weights(self, a: float, b: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Nodes strictly inside (a, b) and positive weights.
-
-        For gauss_jacobi the weights absorb the factor (b - t)**exponent, so
-        the caller integrates the remaining smooth part only.
-        """
-        if not b > a:
-            raise ConfigError(f"empty quadrature interval [{a}, {b}]")
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        if self.kind == "gauss_legendre":
-            t, w = np.polynomial.legendre.leggauss(self.order)
-            return mid + half * t, half * w
-        from scipy.special import roots_jacobi
-
-        # weight (1-t)^alpha on [-1,1]; map t -> mid + half*t so that
-        # (1-t)^alpha -> ((b - x)/half)^alpha
-        t, w = roots_jacobi(self.order, self.exponent, 0.0)
-        x = mid + half * t
-        return x, w * half ** (self.exponent + 1)

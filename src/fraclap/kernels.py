@@ -149,36 +149,6 @@ def psi_moment(p: FracParams, alpha: float) -> float:
     return base * ratio
 
 
-def psi_bound_check(p: FracParams, t: float) -> Tuple[float, float]:
-    """Pointwise envelope for psi at t in (0, 1): returns (psi(t), bound).
-
-    The bound is plateau_scale * t**(1+s) * eta(t) in dimension 1 and
-    plateau_scale * t**2 * eta(t) / (d + 2s - 2) for d >= 2.
-    """
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"bound check requires t in (0, 1), got t={t}")
-    lhs = psi(p, t)
-    if p.d == 1:
-        rhs = p.plateau_scale * t ** (1.0 + p.s) * eta(p, t)
-    else:
-        rhs = p.plateau_scale * t**2 * eta(p, t) / (p.d + 2.0 * p.s - 2.0)
-    return lhs, rhs
-
-
-def psi_derivative(p: FracParams, t: float) -> float:
-    """Radial derivative of psi: zero on the plateau and beyond radius 1,
-    -plateau_scale * eta(t) * t on (eps, 1).  The kink at t = eps has no
-    two-sided derivative and raises; at t = 1 the one-sided value 0 is
-    returned."""
-    if t <= 0.0:
-        raise ValueError(f"psi_derivative requires t > 0, got t={t}")
-    if t == p.eps:
-        raise ValueError(f"psi has a kink at t = eps = {t}; no derivative")
-    if t < p.eps or t >= 1.0:
-        return 0.0
-    return -p.plateau_scale * eta(p, t) * t
-
-
 def _expm1_ratio(z: np.ndarray) -> np.ndarray:
     """expm1(z)/z elementwise, with the limit 1 at z = 0."""
     out = np.ones_like(z)

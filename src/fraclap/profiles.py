@@ -229,7 +229,7 @@ def random_bump(rng: np.random.Generator, dom: Domain, n: int) -> GridFunction:
         c_max = 0.95 * half - width
         center = mid + rng.uniform(-c_max, c_max)
         amp = rng.uniform(0.5, 2.0) * (1.0 if rng.random() < 0.5 else -1.0)
-        return make_profile(f"bump:amplitude={amp},center={center},width={width}")
+        return _bump({"amplitude": amp, "center": center, "width": width})
 
     first = draw()
     if rng.random() < 0.3:

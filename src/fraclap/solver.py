@@ -183,32 +183,3 @@ def frac_laplacian_pointwise(
     tail_bound = 16.0 * C * sup_g * radius ** (-s2) / s2
     error_bar = 4.0 * C * (near_err + far_err) + tail_bound
     return value, error_bar
-
-
-def lift_and_solve(
-    dom: Domain,
-    n: int,
-    p: FracParams,
-    f_s: GridFunction,
-    g: Callable[[float], float],
-) -> GridFunction:
-    """Nonzero complement data by lifting: solve for the zero-data corrector
-    with right-hand side f_s minus the pointwise operator applied to g,
-    then add g back at the nodes.  The result equals g outside Omega."""
-    grid, idx = _grid_layout(dom, n)
-    if f_s.domain != dom or f_s.n != n:
-        raise ShapeError("f_s must live on the same grid as the requested solve")
-    x = grid.nodes
-    g_nodes = np.array([float(g(t)) for t in x])
-    if not np.all(np.isfinite(g_nodes)):
-        raise DataError("g returned a non-finite value at a grid node")
-    # the load integrates over Omega only, so the shifted right-hand side is
-    # needed at interior nodes plus their immediate neighbors
-    tol = 1e-9 * grid.h
-    near_omega = (x >= dom.omega_lo - grid.h - tol) & (x <= dom.omega_hi + grid.h + tol)
-    shift = np.zeros(n)
-    for i in np.nonzero(near_omega)[0]:
-        shift[i] = frac_laplacian_pointwise(g, p, float(x[i]))
-    f_tilde = grid.with_values(f_s.values - shift)
-    u_tilde = solve_frac_dirichlet(dom, n, p, f_tilde)
-    return grid.with_values(u_tilde.values + g_nodes)

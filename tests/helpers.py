@@ -80,36 +80,6 @@ def dirichlet_frac_oracle(phi: GridFunction, p: FracParams) -> float:
     return 2.0 * (body + tail)
 
 
-def w_beta1_oracle(phi: GridFunction, beta: float) -> float:
-    """Window-restricted first-order seminorm by z-quadrature of the shift
-    difference in L1 over the box overlap (fine trapezoid in x)."""
-    x = phi.nodes
-
-    def shifted_l1(z: float) -> float:
-        lo, hi = x[0], x[-1] - z
-        if hi <= lo:
-            return 0.0
-        grid = np.linspace(lo, hi, 4097)
-        vals = np.abs(phi.eval(grid + z) - phi.eval(grid))
-        return float(np.trapezoid(vals, grid))
-
-    pts = [k * phi.h for k in range(1, int(1.0 / phi.h) + 1) if k * phi.h < 1.0]
-    if len(pts) > 60:
-        pts = pts[:: len(pts) // 60 + 1]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(
-            lambda z: shifted_l1(z) * z ** (-1.0 - beta),
-            0.0,
-            1.0,
-            points=pts,
-            limit=400,
-            epsabs=1e-10,
-            epsrel=1e-8,
-        )
-    return 2.0 * val
-
-
 def stiffness_kernel_oracle(s: float, h: float, k: int, dps: int = 80) -> float:
     """Full kernel entry c[k] = (1-s) h**(1-2s) / (s (2-2s)(3-2s)) * D4[V](k),
     the centred fourth difference of V(m) = (|m|**(3-2s) - m**2) / (1-2s)

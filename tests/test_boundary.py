@@ -10,7 +10,6 @@ from fraclap.boundary import (
     check_strip_l2,
     dist_to_complement,
     energy_gap,
-    strip_measure,
 )
 from fraclap.energies import holder_seminorm_grid
 from fraclap.errors import ConfigError, ShapeError
@@ -55,19 +54,6 @@ class TestDistance:
     def test_vectorized(self):
         out = dist_to_complement(DOM, np.array([-2.0, -0.5, 0.25, 2.0]))
         assert np.allclose(out, [0.0, 0.5, 0.75, 0.0])
-
-
-class TestStripMeasure:
-    def test_values(self):
-        assert strip_measure(DOM, 0.1) == pytest.approx(0.2, rel=1e-14)
-        assert strip_measure(DOM, 0.4) == pytest.approx(0.8, rel=1e-14)
-
-    def test_saturation(self):
-        assert strip_measure(DOM, 5.0) == DOM.omega_measure
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            strip_measure(DOM, 0.0)
 
 
 class TestBuildW:

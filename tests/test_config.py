@@ -137,14 +137,9 @@ class TestRules:
             parse_config(write(tmp_path, MINIMAL + "r_rule = tiny\n"))
 
     def test_rho_rules(self, tmp_path):
-        cfg = parse_config(write(tmp_path, MINIMAL))
-        assert cfg.rho_value(0.7) == pytest.approx(0.3, rel=1e-14)
-        cfg = parse_config(write(tmp_path, MINIMAL + "rho_rule = log\n"))
-        assert 0.0 < cfg.rho_value(0.9) <= 1.0
-        cfg = parse_config(write(tmp_path, MINIMAL + "rho_rule = fixed:0.5\n"))
-        assert cfg.rho_value(0.3) == 0.5
-        with pytest.raises(ConfigError):
-            parse_config(write(tmp_path, MINIMAL + "rho_rule = fixed:1.5\n"))
+        # mollifier-check's tail radius is a constant, not a config key
+        with pytest.raises(ConfigError, match="unknown config keys: rho_rule"):
+            parse_config(write(tmp_path, MINIMAL + "rho_rule = log\n"))
 
     def test_pert_coefficients(self, tmp_path):
         cfg = parse_config(write(tmp_path, MINIMAL))

@@ -5,7 +5,6 @@ from fraclap.errors import ConfigError, DataError, ShapeError
 from fraclap.grid import (
     Domain,
     GridFunction,
-    QuadratureRule,
     l2_norm,
     linf_distance,
     make_grid,
@@ -208,35 +207,3 @@ class TestLinfDistance:
     def test_mismatch(self):
         with pytest.raises(ShapeError):
             linf_distance(make_grid(DOM, 9), make_grid(DOM, 11))
-
-
-class TestQuadratureRule:
-    def test_legendre_polynomial_exactness(self):
-        rule = QuadratureRule("gauss_legendre", 6)
-        x, w = rule.nodes_weights(-1.0, 3.0)
-        # degree 11 is exact for a 6-point rule
-        got = float(np.sum(w * x**11))
-        want = (3.0**12 - 1.0) / 12.0
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_jacobi_weight_absorbed(self):
-        rule = QuadratureRule("gauss_jacobi", 8, exponent=-0.5)
-        x, w = rule.nodes_weights(0.0, 1.0)
-        # integral of t (1-t)^(-1/2) dt = B(2, 1/2) = 4/3
-        assert float(np.sum(w * x)) == pytest.approx(4.0 / 3.0, rel=1e-12)
-
-    def test_nodes_inside_open_interval(self):
-        for kind, expo in (("gauss_legendre", 0.0), ("gauss_jacobi", -0.3)):
-            x, w = QuadratureRule(kind, 5, exponent=expo).nodes_weights(2.0, 3.0)
-            assert np.all((x > 2.0) & (x < 3.0))
-            assert np.all(w > 0.0)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            QuadratureRule("monte_carlo", 4)
-        with pytest.raises(ConfigError):
-            QuadratureRule("gauss_legendre", 0)
-        with pytest.raises(ConfigError):
-            QuadratureRule("gauss_jacobi", 4, exponent=-1.0)
-        with pytest.raises(ConfigError):
-            QuadratureRule("gauss_legendre", 4).nodes_weights(1.0, 1.0)

@@ -13,14 +13,12 @@ from fraclap.kernels import (
     eta_t_integrals,
     norm_const,
     psi,
-    psi_bound_check,
-    psi_derivative,
     psi_integrals,
     psi_moment,
     sphere_measure,
 )
 from fraclap.mollifier import _partition
-from helpers import cell_integrals_oracle, central_diff
+from helpers import cell_integrals_oracle
 
 S_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -220,53 +218,6 @@ class TestSecondMomentConstant:
                 )
                 got = sphere_measure(d) / d * norm_const(p) * radial
                 assert got == pytest.approx(0.5, abs=1e-8)
-
-
-class TestPsiBound:
-    def test_envelope_holds_d1(self):
-        for s in (0.3, 0.5, 0.9):
-            p = FracParams(s=s, d=1)
-            for t in np.linspace(0.01, 0.99, 50):
-                lhs, rhs = psi_bound_check(p, float(t))
-                assert lhs <= rhs * (1.0 + 1e-12)
-
-    def test_envelope_holds_d2(self):
-        p = FracParams(s=0.7, d=2, eps=0.1)
-        for t in np.linspace(0.01, 0.99, 50):
-            lhs, rhs = psi_bound_check(p, float(t))
-            assert lhs <= rhs * (1.0 + 1e-12)
-
-    def test_support_edge(self):
-        lhs, rhs = psi_bound_check(FracParams(s=0.5, d=1), 0.999)
-        assert lhs < 1e-3
-        assert rhs > 0.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            psi_bound_check(FracParams(s=0.5), 1.0)
-
-
-class TestPsiDerivative:
-    def test_plateau_and_tail_are_flat(self):
-        p = FracParams(s=0.6, eps=0.4)
-        assert psi_derivative(p, 0.2) == 0.0
-        assert psi_derivative(p, 1.3) == 0.0
-
-    def test_matches_finite_difference(self):
-        for s, eps, t in ((0.3, 0.0, 0.5), (0.5, 0.2, 0.7), (0.9, 0.0, 0.25)):
-            p = FracParams(s=s, eps=eps)
-            got = psi_derivative(p, t)
-            want = central_diff(lambda u: psi(p, u), t, 1e-6)
-            assert got == pytest.approx(want, rel=1e-6)
-
-    def test_nonpositive(self):
-        p = FracParams(s=0.4, eps=0.1)
-        for t in np.linspace(0.15, 0.95, 40):
-            assert psi_derivative(p, float(t)) <= 0.0
-
-    def test_kink_rejected(self):
-        with pytest.raises(ValueError):
-            psi_derivative(FracParams(s=0.5, eps=0.3), 0.3)
 
 
 def _worst_rel_err(integrals, p: FracParams, a, b, odd: bool) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
-from fraclap.assembly import interior_indices, load_vector
+from fraclap.assembly import interior_indices
 from fraclap.energies import dirichlet_frac, dirichlet_local, objective_frac, objective_local
 from fraclap.errors import ConfigError, DataError, ShapeError
 from fraclap.grid import Domain, linf_distance, make_grid, sample
@@ -14,7 +14,6 @@ from fraclap.solver import (
     assemble_frac,
     exact_solution_ball,
     frac_laplacian_pointwise,
-    lift_and_solve,
     solve_frac_dirichlet,
     solve_local_dirichlet,
 )
@@ -245,48 +244,3 @@ class TestPointwiseOperator:
     def test_dimension_guard(self):
         with pytest.raises(ConfigError):
             frac_laplacian_pointwise(lambda t: 0.0, FracParams(s=0.5, d=2), 0.0)
-
-
-class TestLiftAndSolve:
-    def test_zero_data_matches_plain_solve(self):
-        p = FracParams(s=0.6)
-        rng = np.random.default_rng(81)
-        f = random_bump(rng, DOM, 65)
-        direct = solve_frac_dirichlet(DOM, 65, p, f)
-        lifted = lift_and_solve(DOM, 65, p, f, lambda t: 0.0)
-        assert np.array_equal(direct.values, lifted.values)
-
-    def test_affine_data_is_reproduced(self):
-        # affine functions are annihilated pointwise, so with zero source the
-        # corrector vanishes identically and the output is the data itself
-        p = FracParams(s=0.7)
-        g = lambda t: 0.5 * t + 0.2
-        u = lift_and_solve(DOM, 65, p, const_f(65, 0.0), g)
-        assert np.allclose(u.values, 0.5 * u.nodes + 0.2, atol=1e-12)
-
-    def test_matches_data_outside_omega(self):
-        p = FracParams(s=0.6)
-        g = lambda t: math.cos(t)
-        u = lift_and_solve(DOM, 65, p, const_f(65), g)
-        outside = np.abs(u.nodes) >= 1.0 - 1e-12
-        assert np.allclose(u.values[outside], np.cos(u.nodes[outside]), atol=1e-14)
-
-    def test_corrector_satisfies_weak_form(self):
-        n = 65
-        p = FracParams(s=0.6)
-        g = lambda t: math.cos(t)
-        f = const_f(n)
-        u = lift_and_solve(DOM, n, p, f, g)
-        grid = make_grid(DOM, n)
-        idx = interior_indices(grid)
-        tol = 1e-9 * grid.h
-        x = grid.nodes
-        near = (x >= DOM.omega_lo - grid.h - tol) & (x <= DOM.omega_hi + grid.h + tol)
-        shift = np.zeros(n)
-        for i in np.nonzero(near)[0]:
-            shift[i] = frac_laplacian_pointwise(g, p, float(x[i]))
-        b = load_vector(grid.with_values(f.values - shift))[idx]
-        a = toeplitz(assemble_frac(DOM, n, p).c)
-        corr = u.values - np.cos(x)
-        residual = a @ corr[idx] - b
-        assert np.max(np.abs(residual)) <= 1e-10 * max(1.0, np.max(np.abs(b)))
