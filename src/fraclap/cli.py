@@ -81,11 +81,11 @@ def _run(args: argparse.Namespace) -> int:
         raise ConfigError(f"cannot create output directory '{out_dir}': {exc}") from exc
 
     report = _RUNNERS[args.command](cfg)
-    emit_csv(report, out_dir / f"{stem}.csv")
+    text = emit_csv(report, out_dir / f"{stem}.csv")
     if args.command in _WITH_SVG:
         emit_svg(report, out_dir / f"{stem}.svg")
     if args.verbose:
-        sys.stdout.write(report.to_csv())
+        sys.stdout.write(text)
     if args.command in _WITH_VERDICT and not report.passed:
         return 1
     return 0

@@ -271,10 +271,11 @@ def run_solve(cfg: ExperimentConfig) -> SolveReport:
     grid = make_grid(dom, n)
     fs_base = sample(dom, n, cfg.f_s_profile())
     pert_vals = sample(dom, n, cfg.pert()).values
+    xs = tuple(grid.nodes.tolist())  # one x column, shared by every block
     blocks: List[Tuple[float, Tuple[float, ...], Tuple[float, ...]]] = []
     for s in cfg.s_list:
         p = _params(cfg, s)
         f_s = grid.with_values(fs_base.values + cfg.pert_coeff(s) * pert_vals)
         u = solve_frac_dirichlet(dom, n, p, f_s)
-        blocks.append((s, tuple(float(x) for x in grid.nodes), tuple(float(v) for v in u.values)))
+        blocks.append((s, xs, tuple(u.values.tolist())))
     return SolveReport(blocks=tuple(blocks))

@@ -29,7 +29,6 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 import numpy.fft  # noqa: F401  numpy imports it lazily; load it with the package
-import numpy.ma  # noqa: F401  np.unique imports it lazily; load it with the package
 
 from .assembly import ToeplitzOperator, _far_from_full, stiffness_kernel
 from .errors import ConfigError
@@ -63,7 +62,7 @@ def _partition(h: float, t_lo: float, t_hi: float, plateau: Optional[float] = No
     pts = [[t_lo, t_hi], np.arange(j0, j1) * h]
     if plateau is not None and t_lo < plateau < t_hi:
         pts.append([plateau])
-    pts = np.unique(np.concatenate(pts))
+    pts = np.sort(np.concatenate(pts))  # the next line drops duplicates
     keep = np.concatenate([[True], np.diff(pts) > 1e-12 * h])
     pts = pts[keep]
     pts[0], pts[-1] = t_lo, t_hi

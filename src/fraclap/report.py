@@ -15,7 +15,7 @@ from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 
 
 def _fmt(v: float) -> str:
@@ -179,21 +179,41 @@ class SolveReport:
 
     blocks: Tuple[Tuple[float, Tuple[float, ...], Tuple[float, ...]], ...]
 
-    def to_csv(self) -> str:
-        lines = ["s,x,u"]
+    def __post_init__(self) -> None:
         for s, xs, us in self.blocks:
-            prefix = _fmt(s) + ","
-            lines.extend([prefix + "%.12g,%.12g" % xu for xu in zip(xs, us)])
-        return "\n".join(lines) + "\n"
+            if len(xs) != len(us):
+                raise ShapeError(
+                    f"solve block s={_fmt(s)} has {len(xs)} x values but {len(us)} u values"
+                )
+
+    def to_csv(self) -> str:
+        # Each block is one C-level % pass over a template whose rows are
+        # "<s>,<x>,%.12g"; %.12g output holds no "%", so the template carries
+        # only the u placeholders.  The x column is formatted once per xs
+        # object (run_solve shares one across all blocks), matched by
+        # identity: equal tuples can still print differently (0.0 == -0.0).
+        # The leading "" puts the prefix before the first row and leaves an
+        # empty block empty.
+        parts = ["s,x,u\n"]
+        col_xs, col_rows = None, [""]
+        for s, xs, us in self.blocks:
+            if xs is not col_xs:
+                col_xs = xs
+                col_rows = [""] + ("%.12g,%%.12g\n" * len(xs) % tuple(xs)).splitlines(True)
+            parts.append((_fmt(s) + ",").join(col_rows) % tuple(us))
+        return "".join(parts)
 
 
-def emit_csv(report, path: Union[str, Path]) -> None:
-    """Write the report's CSV form; byte-identical for identical reports."""
+def emit_csv(report, path: Union[str, Path]) -> str:
+    """Write the report's CSV form and return the text written;
+    byte-identical for identical reports."""
     target = Path(path)
+    text = report.to_csv()
     try:
-        target.write_text(report.to_csv(), encoding="utf-8", newline="\n")
+        target.write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {target}: {exc}") from exc
+    return text
 
 
 _W, _H = 640.0, 480.0

@@ -356,3 +356,14 @@ def strip_seconds(text: str) -> str:
             cells = ln.split(",")
             out.append(",".join(cells[:j] + cells[j + 1 :]))
     return "\n".join(out)
+
+
+def solve_csv_rows(blocks) -> str:
+    """The solve CSV built one "%.12g,%.12g" row at a time, the per-row
+    form that SolveReport.to_csv's block templates must reproduce byte for
+    byte."""
+    lines = ["s,x,u"]
+    for s, xs, us in blocks:
+        prefix = "%.12g" % s + ","
+        lines.extend([prefix + "%.12g,%.12g" % xu for xu in zip(xs, us)])
+    return "\n".join(lines) + "\n"

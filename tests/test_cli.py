@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fraclap
-from fraclap import cli, solver
+from fraclap import cli, report, solver
 from fraclap.errors import NumericalError
 from fraclap.report import CheckReport, CheckRow
 from helpers import strip_seconds
@@ -40,6 +40,24 @@ class TestSuccessPaths:
         assert cli.main(["kernel-check", "--config", cfg, "--verbose"]) == 0
         out = capsys.readouterr().out
         assert out == (tmp_path / "out" / "kernel_check.csv").read_text(encoding="utf-8")
+
+    def test_verbose_formats_the_report_once(self, tmp_path, capsysbinary, monkeypatch):
+        calls = []
+        to_csv = report.SolveReport.to_csv
+
+        def counted(self):
+            calls.append(1)
+            return to_csv(self)
+
+        monkeypatch.setattr(report.SolveReport, "to_csv", counted)
+        cfg = write_cfg(
+            tmp_path, f"experiment = solve\ns_list = 0.5, 0.9\nn = 33\noutput_dir = {tmp_path / 'out'}\n"
+        )
+        assert cli.main(["solve", "--config", cfg, "--verbose"]) == 0
+        assert len(calls) == 1
+        out = capsysbinary.readouterr().out
+        assert out.startswith(b"s,x,u\n")
+        assert out == (tmp_path / "out" / "solve.csv").read_bytes()
 
     def test_out_override(self, tmp_path):
         cfg = kernel_cfg(tmp_path, tmp_path / "ignored")
@@ -143,12 +161,13 @@ class TestRunnerOutcomes:
 # start-up and every subcommand that needs no adaptive quadrature load no scipy
 # module at all (importing scipy.linalg costs about 0.34 s), nor numpy.polynomial
 # (importing it and building one Gauss rule costs about 6 ms and 1.8 MB of peak
-# RSS; assembly builds its rules from the Legendre recurrence)
+# RSS; assembly builds its rules from the Legendre recurrence), nor numpy.ma
+# (np.unique and the set routines import it lazily; it costs about 1 MB of RSS)
 # Runs in a fresh interpreter: the test suite itself imports scipy.integrate.
 _FOOTPRINT_SCRIPT = """
 import json, sys
 out, runs = sys.argv[1], json.loads(sys.argv[2])
-heavy = ("scipy", "numpy.polynomial")
+heavy = ("scipy", "numpy.polynomial", "numpy.ma")
 loaded = lambda: sorted(m for m in sys.modules if m in heavy or m.startswith(tuple(h + "." for h in heavy)))
 import fraclap.cli
 stages = {"import": loaded()}
@@ -160,9 +179,9 @@ json.dump(stages, open(out, "w"))
 
 
 def _loaded_after(tmp_path, runs):
-    """scipy and numpy.polynomial modules in sys.modules after `import
-    fraclap.cli` and after each (name, argv) CLI run in order, plus each
-    run's exit code."""
+    """scipy, numpy.polynomial and numpy.ma modules in sys.modules after
+    `import fraclap.cli` and after each (name, argv) CLI run in order, plus
+    each run's exit code."""
     src = str(Path(fraclap.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src] + [d for d in env.get("PYTHONPATH", "").split(os.pathsep) if d])

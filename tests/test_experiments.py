@@ -16,7 +16,7 @@ from fraclap.experiments import (
     run_solve,
 )
 from fraclap.mollifier import _stencil
-from helpers import strip_seconds
+from helpers import solve_csv_rows, strip_seconds
 
 
 def cfg_from(tmp_path, text: str):
@@ -209,3 +209,10 @@ class TestSolve:
             u = np.asarray(us)
             assert np.all(u[np.abs(x) >= 1.0 - 1e-12] == 0.0)
             assert np.max(u) > 0.0
+
+    def test_csv_matches_row_oracle(self, tmp_path):
+        cfg = cfg_from(tmp_path, "experiment = solve\ns_list = 0.5, 0.7, 0.9, 0.99\nn = 1025\n")
+        rep = run_solve(cfg)
+        assert len(rep.blocks) == 4
+        assert all(type(v) is float for _, xs, us in rep.blocks for v in xs + us)
+        assert rep.to_csv() == solve_csv_rows(rep.blocks)

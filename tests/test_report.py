@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fraclap.errors import ConfigError
+from fraclap.errors import ConfigError, ShapeError
 from fraclap.report import (
     CheckReport,
     CheckRow,
@@ -15,6 +15,7 @@ from fraclap.report import (
     emit_svg,
     fit_line,
 )
+from helpers import solve_csv_rows
 
 
 def rate_row(s: float, err: float) -> RateRow:
@@ -135,6 +136,51 @@ class TestSolveReport:
             ",".join("%.12g" % v for v in (s, x, u)) for s, bx, bu in rep.blocks for x, u in zip(bx, bu)
         ]
         assert rep.to_csv() == "\n".join(want) + "\n"
+
+    @staticmethod
+    def _values(n_random: int, seed: int):
+        rng = np.random.default_rng(seed)
+        us = (rng.standard_normal(n_random) * 10.0 ** rng.integers(-30, 30, n_random)).tolist()
+        return tuple(us + [0.0, -0.0, 1e-300, -7.5e300, float("inf"), float("nan")])
+
+    def test_blocks_sharing_one_x_column_match_row_oracle(self):
+        us = self._values(40, 1)
+        xs = tuple(np.linspace(-1.0, 1.0, len(us)).tolist())
+        blocks = tuple((s, xs, us[::-1] if k % 2 else us) for k, s in enumerate((0.5, 0.7, 0.9, 0.99)))
+        assert SolveReport(blocks=blocks).to_csv() == solve_csv_rows(blocks)
+
+    def test_equal_but_distinct_x_columns_match_row_oracle(self):
+        us = self._values(20, 2)
+        xs = np.linspace(-1.0, 1.0, len(us)).tolist()
+        # equal tuples whose zeros differ in sign still print differently
+        zeros = ((0.0, 1.0), (-0.0, 1.0))
+        blocks = (
+            (0.5, tuple(xs), us),
+            (0.7, tuple(xs), us),
+            (0.8, zeros[0], (1.0, 2.0)),
+            (0.9, zeros[1], (1.0, 2.0)),
+        )
+        assert blocks[0][1] is not blocks[1][1] and zeros[0] == zeros[1]
+        assert SolveReport(blocks=blocks).to_csv() == solve_csv_rows(blocks)
+
+    def test_x_column_changing_between_grids_matches_row_oracle(self):
+        blocks = []
+        for k, (s, m) in enumerate(((0.5, 9), (0.6, 17), (0.7, 9), (0.8, 3))):
+            xs = tuple(np.linspace(-1.5, 1.5, m).tolist())
+            blocks.append((s, xs, self._values(m, 10 + k)[-m:]))
+        blocks = tuple(blocks)
+        assert SolveReport(blocks=blocks).to_csv() == solve_csv_rows(blocks)
+
+    def test_empty_block_matches_row_oracle(self):
+        blocks = ((0.5, (), ()), (0.7, (0.0, 1.0), (2.0, 3.0)), (0.9, (), ()))
+        assert SolveReport(blocks=blocks).to_csv() == solve_csv_rows(blocks)
+        assert SolveReport(blocks=((0.5, (), ()),)).to_csv() == "s,x,u\n"
+        assert SolveReport(blocks=()).to_csv() == "s,x,u\n"
+
+    def test_mismatched_block_lengths_rejected(self):
+        good = (0.5, (0.0, 1.0), (2.0, 3.0))
+        with pytest.raises(ShapeError, match=r"s=0\.7 has 2 x values but 1 u values"):
+            SolveReport(blocks=(good, (0.7, (0.0, 1.0), (2.0,))))
 
 
 class TestEmitCsv:
