@@ -44,7 +44,7 @@ import numpy as np
 import numpy.fft  # noqa: F401  numpy imports it lazily; load it with the package
 
 from .errors import ConfigError, NumericalError
-from .grid import GridFunction
+from .grid import GridFunction, _mass_rows
 from .kernels import FracParams, norm_const
 
 # CG steps allowed per solve; the tau-preconditioned stiffness systems take
@@ -280,30 +280,7 @@ def interior_indices(phi: GridFunction) -> np.ndarray:
 def load_vector(f: GridFunction) -> np.ndarray:
     """Exact integrals of f's interpolant against every hat, restricted to
     the interval; returns a full-length vector (one entry per node)."""
-    x = f.nodes
-    h = f.h
-    lo, hi = f.domain.omega_lo, f.domain.omega_hi
-    a = np.maximum(x[:-1], lo)
-    b = np.minimum(x[1:], hi)
-    mask = b > a
-    out = np.zeros(f.n)
-    if not np.any(mask):
-        return out
-    idx = np.where(mask)[0]
-    ta = (a[mask] - x[:-1][mask]) / h
-    tb = (b[mask] - x[:-1][mask]) / h
-    f0 = f.values[:-1][mask]
-    f1 = f.values[1:][mask]
-    df = f1 - f0
-    # on the reference cell t in [0,1]: f = f0 + df t, hats (1-t) and t
-    d1 = tb - ta
-    d2 = (tb**2 - ta**2) / 2.0
-    d3 = (tb**3 - ta**3) / 3.0
-    left = f0 * (d1 - d2) + df * (d2 - d3)
-    right = f0 * d2 + df * d3
-    np.add.at(out, idx, h * left)
-    np.add.at(out, idx + 1, h * right)
-    return out
+    return _mass_rows(f, f.values, "omega")
 
 
 def autocorrelation(phi: GridFunction, z: float) -> float:

@@ -177,9 +177,18 @@ def _validate(cfg: ExperimentConfig) -> None:
         if v <= 0.0:
             raise ConfigError(f"r_rule fixed value must be positive, got {v}")
     try:
-        cfg.domain
+        dom = cfg.domain
     except ConfigError as exc:
         raise ConfigError(f"bad domain bounds: {exc}") from exc
+    if cfg.experiment == "rates":
+        # the boundary strip of the energy gap must fit inside Omega
+        for s in cfg.s_list:
+            r = cfg.r_value(s)
+            if not r < dom.omega_measure / 2.0:
+                raise ConfigError(
+                    f"r_rule '{cfg.r_rule}' gives strip width r={r} at s={s}, "
+                    f"which must be below half of |Omega|={dom.omega_measure}"
+                )
     for builder in (cfg.f_profile, cfg.f_s_profile, cfg.g_profile, cfg.pert):
         builder()
 

@@ -106,13 +106,23 @@ def holder_seminorm_grid(phi: GridFunction, beta: float) -> float:
 
 def _holder_rows(values: np.ndarray, h: float, beta: float) -> np.ndarray:
     """holder_seminorm_grid of each row of values (..., n) on spacing h."""
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    return _holder_quotient(_lag_maxima(values), h, beta)
+
+
+def _lag_maxima(values: np.ndarray) -> np.ndarray:
+    """max_i |v[i+k] - v[i]| of each row of values (..., n) for every lag
+    k = 1..n-1, as (..., n-1); independent of the Hoelder exponent."""
     n = values.shape[-1]
-    # per-lag maxima of |v[i+k] - v[i]| over all rows at once: O(B n) memory
     diffs = np.empty(values.shape[:-1] + (n - 1,))
     for k in range(1, n):
         diffs[..., k - 1] = np.max(np.abs(values[..., k:] - values[..., :-k]), axis=-1)
+    return diffs
+
+
+def _holder_quotient(lags: np.ndarray, h: float, beta: float) -> np.ndarray:
+    """Max over k of lags[..., k-1] / (k h)**beta, from _lag_maxima."""
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"beta must lie in (0, 1], got {beta}")
     # scalar powers, as the quotient has always been formed
-    scale = np.array([(k * h) ** beta for k in range(1, n)])
-    return np.max(diffs / scale, axis=-1)
+    scale = np.array([(k * h) ** beta for k in range(1, lags.shape[-1] + 1)])
+    return np.max(lags / scale, axis=-1)

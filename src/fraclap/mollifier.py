@@ -34,7 +34,7 @@ from .assembly import ToeplitzOperator, _far_from_full, stiffness_kernel
 from .errors import ConfigError
 from .grid import GridFunction, _product_rows
 from .kernels import FracParams, eta_t_integrals, norm_const, psi_integrals
-from .energies import _holder_rows, dirichlet_frac, holder_seminorm_grid
+from .energies import _holder_quotient, dirichlet_frac, holder_seminorm_grid
 
 _LIMIT_TOL = 1e-9
 
@@ -247,18 +247,24 @@ def check_tail_bound(
 
 
 def _bump_suite_rows(
-    grid: GridFunction, bumps: np.ndarray, s: float, eps_list: Tuple[float, ...], rho: float
+    grid: GridFunction,
+    bumps: np.ndarray,
+    lags: np.ndarray,
+    s: float,
+    eps_list: Tuple[float, ...],
+    rho: float,
 ) -> Iterator[Tuple[str, np.ndarray, np.ndarray]]:
     """(inequality, lhs, rhs), one entry per row of the (B, n) stack bumps on
-    grid, for each eps in eps_list at one s.  d1 and the Hoelder seminorms
-    are computed once; each stencil is applied once per eps."""
+    grid, for each eps in eps_list at one s.  lags are the bumps'
+    energies._lag_maxima, which do not depend on s.  d1 and the Hoelder
+    seminorms are computed once; each stencil is applied once per eps."""
     h, mask = grid.h, full_coverage_mask(grid)
     p_near = FracParams(s=s, eps=0.0, d=1)
     full = stiffness_kernel(p_near, h, grid.n - 3)  # offsets of the n - 2 nodes inside the box
     inner = bumps[:, 1:-1]
     near = ToeplitzOperator(full - _far_from_full(p_near, h, full))
     d1 = 0.5 * np.einsum("ij,ij->i", inner, near.matvec(inner))
-    holder = _holder_rows(bumps, h, s)
+    holder = _holder_quotient(lags, h, s)
     for eps in eps_list:
         p = FracParams(s=s, eps=eps, d=1)
         smoothed = _apply(bumps, _stencil(p, h, 0.0, 1.0, False), False)

@@ -12,8 +12,8 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigError
-from .grid import Domain, GridFunction, sample
+from .errors import ConfigError, DataError
+from .grid import Domain, GridFunction, make_grid
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -114,30 +114,31 @@ def _cosine(params: Dict[str, float]) -> Profile:
     )
 
 
+def _bump_pieces(x: np.ndarray, c, w) -> Tuple[np.ndarray, np.ndarray]:
+    """Offset u = (x - c) / w zeroed outside |u| < 1, and the unit bump
+    exp(1 - 1 / (1 - u**2)) there (0 outside); c and w broadcast against x."""
+    u = (x - c) / w
+    inside = np.abs(u) < 1.0
+    us = np.where(inside, u, 0.0)
+    return us, np.where(inside, np.exp(1.0 - 1.0 / (1.0 - us * us)), 0.0)
+
+
 def _bump(params: Dict[str, float]) -> Profile:
     a, c, w = params["amplitude"], params["center"], params["width"]
     if w <= 0.0:
         raise ConfigError(f"bump width must be positive, got {w}")
 
-    def pieces(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        u = (x - c) / w
-        inside = np.abs(u) < 1.0
-        us = np.where(inside, u, 0.0)
-        core = np.where(inside, np.exp(1.0 - 1.0 / (1.0 - us * us)), 0.0)
-        return u, us, core
-
     def val(x: np.ndarray) -> np.ndarray:
-        _, _, core = pieces(x)
-        return a * core
+        return a * _bump_pieces(x, c, w)[1]
 
     def der(x: np.ndarray) -> np.ndarray:
-        _, us, core = pieces(x)
+        us, core = _bump_pieces(x, c, w)
         q = 1.0 - us * us
         q = np.where(q > 0.0, q, 1.0)
         return a * core * (-2.0 * us / (q * q)) / w
 
     def der2(x: np.ndarray) -> np.ndarray:
-        _, us, core = pieces(x)
+        us, core = _bump_pieces(x, c, w)
         q = 1.0 - us * us
         q = np.where(q > 0.0, q, 1.0)
         u2 = us * us
@@ -221,18 +222,41 @@ def _parse_number(raw: str, context: str) -> float:
 def random_bump(rng: np.random.Generator, dom: Domain, n: int) -> GridFunction:
     """Random smooth bump (sometimes a superposition of two) compactly
     supported inside Omega, sampled on the grid."""
+    return make_grid(dom, n).with_values(_random_bump_rows(rng, dom, n, 1)[0])
+
+
+def _random_bump_rows(rng: np.random.Generator, dom: Domain, n: int, count: int) -> np.ndarray:
+    """count random_bump draws as a (count, n) stack: the same values and
+    the same generator state as count random_bump calls in a row.
+
+    Each bump's parameters are drawn in turn (width, centre, amplitude,
+    sign, then whether a second bump is added and its parameters); all
+    cores are evaluated as one stack."""
     mid = 0.5 * (dom.omega_lo + dom.omega_hi)
     half = 0.5 * dom.omega_measure
 
-    def draw() -> Profile:
+    def draw() -> Tuple[float, float, float]:
         width = rng.uniform(0.2, 0.5) * half
         c_max = 0.95 * half - width
         center = mid + rng.uniform(-c_max, c_max)
         amp = rng.uniform(0.5, 2.0) * (1.0 if rng.random() < 0.5 else -1.0)
-        return _bump({"amplitude": amp, "center": center, "width": width})
+        return amp, center, width
 
-    first = draw()
-    if rng.random() < 0.3:
-        second = draw()
-        return sample(dom, n, lambda x: first(x) + 0.5 * second(x))
-    return sample(dom, n, first)
+    first, second, paired = [], [], []
+    for row in range(count):
+        first.append(draw())
+        if rng.random() < 0.3:
+            second.append(draw())
+            paired.append(row)
+    x = make_grid(dom, n).nodes
+    a, c, w = np.array(first + second).T[:, :, None]
+    cores = a * _bump_pieces(x, c, w)[1]
+    vals = cores[:count]
+    vals[paired] += 0.5 * cores[count:]
+    bad = np.argwhere(~np.isfinite(vals))
+    if bad.size:
+        row, node = bad[0]
+        raise DataError(
+            f"non-finite sample {vals[row, node]!r} in bump {row} at node {node} (x={x[node]})"
+        )
+    return vals

@@ -15,9 +15,10 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import cho_factor, cho_solve, toeplitz
 
 from fraclap.assembly import far_kernel
-from fraclap.grid import GridFunction
+from fraclap.grid import Domain, GridFunction, sample
 from fraclap.kernels import FracParams, eta, eta_t_integrals, norm_const, psi_integrals
 from fraclap.mollifier import _partition
+from fraclap.profiles import make_profile
 
 
 def simpson_cells(f, pts) -> float:
@@ -35,6 +36,70 @@ def product_integral_oracle(phi: GridFunction, psi: GridFunction, lo: float, hi:
     inner = phi.nodes[(phi.nodes > lo) & (phi.nodes < hi)]
     pts = np.concatenate(([lo], inner, [hi]))
     return simpson_cells(lambda x: phi.eval(x) * psi.eval(x), pts)
+
+
+def product_rows_all_cells(grid: GridFunction, p: np.ndarray, q: np.ndarray, region: str) -> np.ndarray:
+    """Integral over the region of the product of each pair of rows of p and
+    q (..., n): every cell clipped to the region and integrated as an exact
+    cubic in the offset from its left node, with the cell widths taken from
+    the node differences (reference for grid._product_rows)."""
+    dom = grid.domain
+    lo, hi = (dom.omega_lo, dom.omega_hi) if region == "omega" else (dom.box_lo, dom.box_hi)
+    x, h = grid.nodes, grid.h
+    a = np.maximum(x[:-1], lo)
+    b = np.minimum(x[1:], hi)
+    mask = b > a
+    ta, tb = a[mask] - x[:-1][mask], b[mask] - x[:-1][mask]
+    p0, p1 = p[..., :-1][..., mask], p[..., 1:][..., mask]
+    q0, q1 = q[..., :-1][..., mask], q[..., 1:][..., mask]
+    mp, mq = (p1 - p0) / h, (q1 - q0) / h
+    d1 = tb - ta
+    d2 = (tb**2 - ta**2) / 2.0
+    d3 = (tb**3 - ta**3) / 3.0
+    return np.sum(p0 * q0 * d1 + (p0 * mq + q0 * mp) * d2 + mp * mq * d3, axis=-1)
+
+
+def load_vector_all_cells(f: GridFunction) -> np.ndarray:
+    """Integral over the interval of f's interpolant against every hat, every
+    cell clipped to the interval on the reference cell and scattered onto
+    its two nodes (reference for assembly.load_vector)."""
+    x, h = f.nodes, f.h
+    a = np.maximum(x[:-1], f.domain.omega_lo)
+    b = np.minimum(x[1:], f.domain.omega_hi)
+    mask = b > a
+    idx = np.where(mask)[0]
+    ta, tb = (a[mask] - x[:-1][mask]) / h, (b[mask] - x[:-1][mask]) / h
+    f0 = f.values[:-1][mask]
+    df = f.values[1:][mask] - f0
+    d1 = tb - ta
+    d2 = (tb**2 - ta**2) / 2.0
+    d3 = (tb**3 - ta**3) / 3.0
+    out = np.zeros(f.n)
+    np.add.at(out, idx, h * (f0 * (d1 - d2) + df * (d2 - d3)))
+    np.add.at(out, idx + 1, h * (f0 * d2 + df * d3))
+    return out
+
+
+def random_bump_loop(rng: np.random.Generator, dom: Domain, n: int) -> GridFunction:
+    """One random bump drawn parameter by parameter (width, centre,
+    amplitude, sign, then whether a half-weight second bump is added),
+    each bump built as a catalog profile and sampled on the grid
+    (reference for profiles.random_bump and its stacked form)."""
+    mid = 0.5 * (dom.omega_lo + dom.omega_hi)
+    half = 0.5 * dom.omega_measure
+
+    def draw():
+        width = rng.uniform(0.2, 0.5) * half
+        c_max = 0.95 * half - width
+        center = mid + rng.uniform(-c_max, c_max)
+        amp = rng.uniform(0.5, 2.0) * (1.0 if rng.random() < 0.5 else -1.0)
+        return make_profile(f"bump:amplitude={amp!r},center={center!r},width={width!r}")
+
+    first = draw()
+    if rng.random() < 0.3:
+        second = draw()
+        return sample(dom, n, lambda x: first(x) + 0.5 * second(x))
+    return sample(dom, n, first)
 
 
 def correlation_exact(phi: GridFunction, z: float) -> float:

@@ -28,6 +28,7 @@ from helpers import (
     dirichlet_frac_oracle,
     far_kernel_oracle,
     far_pair_from_kernel,
+    load_vector_all_cells,
     refined_dense_solve,
     simpson_cells,
     stiffness_kernel_oracle,
@@ -387,6 +388,29 @@ class TestLoadVector:
 
             want = simpson_cells(lambda x: f.eval(x) * hat_i(x), pts)
             assert b[i] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "dom,n",
+        [
+            (DOM, 3),
+            (DOM, 4),
+            (DOM, 5),
+            (DOM, 33),
+            (DOM, 4097),
+            (Domain(-0.9, 0.93, -2.0, 2.0), 33),
+            (Domain(-0.3, 0.7, -1.5, 2.2), 4097),
+            (Domain(0.01, 0.11, -0.99, 1.11), 4),
+        ],
+    )
+    def test_matches_all_cells_formula(self, dom, n):
+        # whole cells take h where the all-cells formula takes the node
+        # differences, which carry roundoff growing with max|x| / h
+        f = sample(dom, n, lambda x: np.cos(2.0 * x) + 0.3 * x)
+        got = load_vector(f)
+        want = load_vector_all_cells(f)
+        scale = 8.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(f.nodes)) / f.h)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - want)) <= scale * f.h * np.max(np.abs(f.values))
 
     def test_constant_function(self):
         f = sample(DOM, 17, lambda x: 2.0)

@@ -104,6 +104,23 @@ class TestConfigFailures:
         assert cli.main(["rates", "--config", cfg]) == 2
         assert "foo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            "r_rule = fixed:1.5\n",
+            # the paper rule gives r = 0.4**(1/0.6) = 0.217 at s = 0.6
+            "omega_lo = -0.1\nomega_hi = 0.1\nbox_lo = -1.1\nbox_hi = 1.1\n",
+        ],
+    )
+    def test_rates_strip_wider_than_half_omega(self, tmp_path, capsys, extra):
+        # rejected at config time, before any solve or output directory
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, f"experiment = rates\ns_list = 0.6, 0.8\nn = 65\noutput_dir = {out}\n{extra}")
+        assert cli.main(["rates", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "r_rule" in err and "s=0.6" in err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["rates", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "error:" in capsys.readouterr().err

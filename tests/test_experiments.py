@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fraclap import mollifier
+from fraclap import energies, experiments, mollifier
 from fraclap.assembly import ToeplitzOperator
 from fraclap.config import parse_config
 from fraclap.errors import ConfigError, NumericalError
@@ -103,6 +103,22 @@ class TestMollifierCheck:
         cfg = cfg_from(tmp_path, "experiment = mollifier_check\ns_list = 0.5, 0.9\nn = 65\n")
         assert run_mollifier_check(cfg).passed
         assert shapes == [(_MOLL_BUMPS, 65)] * 18
+
+    def test_one_lag_scan_per_run(self, tmp_path, monkeypatch):
+        # the per-lag maxima of the bump stack do not depend on s, so a run
+        # over s = 0.5, 0.9 scans the lags once
+        shapes = []
+        scan = energies._lag_maxima
+
+        def counted(values):
+            shapes.append(values.shape)
+            return scan(values)
+
+        monkeypatch.setattr(energies, "_lag_maxima", counted)
+        monkeypatch.setattr(experiments, "_lag_maxima", counted)
+        cfg = cfg_from(tmp_path, "experiment = mollifier_check\ns_list = 0.5, 0.9\nn = 65\n")
+        assert run_mollifier_check(cfg).passed
+        assert shapes == [(_MOLL_BUMPS, 65)]
 
 
 class TestRates:

@@ -5,13 +5,15 @@ from fraclap.errors import ConfigError, DataError, ShapeError
 from fraclap.grid import (
     Domain,
     GridFunction,
+    _mass_rows,
+    _product_rows,
     l2_norm,
     linf_distance,
     make_grid,
     product_integral,
     sample,
 )
-from helpers import product_integral_oracle, simpson_cells
+from helpers import product_integral_oracle, product_rows_all_cells, simpson_cells
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
 
@@ -185,6 +187,72 @@ class TestProductIntegral:
         got = product_integral(a, a, region="omega")
         want = product_integral_oracle(a, a, -0.9, 0.9)
         assert got == pytest.approx(want, rel=1e-12)
+
+
+# boundary of Omega on nodes (DOM at n = 5, 33, 4097), off nodes (DOM at
+# n = 3, 4; the others), asymmetric, and inside a single cell (n = 4)
+MASS_CASES = [
+    (DOM, 3),
+    (DOM, 4),
+    (DOM, 5),
+    (DOM, 33),
+    (DOM, 4097),
+    (Domain(-0.9, 0.93, -2.0, 2.0), 33),
+    (Domain(-0.3, 0.7, -1.5, 2.2), 4097),
+    (Domain(0.01, 0.11, -0.99, 1.11), 4),
+]
+
+
+def roundoff_scale(grid: GridFunction) -> float:
+    """8 eps (1 + max|x| / h): the node positions carry roundoff relative
+    to the grid spacing that grows with max|x| / h."""
+    x = grid.nodes
+    return 8.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(x)) / grid.h)
+
+
+class TestMassRows:
+    @pytest.mark.parametrize("dom,n", MASS_CASES)
+    @pytest.mark.parametrize("region", ["omega", "box"])
+    def test_products_match_all_cells_formula(self, dom, n, region):
+        grid = make_grid(dom, n)
+        rng = np.random.default_rng(n)
+        p, q = rng.normal(size=(2, 3, 2, n))
+        got = _product_rows(grid, p, q, region)
+        want = product_rows_all_cells(grid, p, q, region)
+        assert got.shape == (3, 2)
+        bound = roundoff_scale(grid) * grid.h * np.sum(np.abs(p) * np.abs(q), axis=-1)
+        assert np.all(np.abs(got - want) <= bound)
+        one = _product_rows(grid, p[1, 0], q[1, 0], region)
+        assert np.ndim(one) == 0
+        assert abs(one - want[1, 0]) <= bound[1, 0]
+
+    @pytest.mark.parametrize("dom,n", MASS_CASES)
+    @pytest.mark.parametrize("region", ["omega", "box"])
+    def test_stacked_rows_equal_row_by_row(self, dom, n, region):
+        grid = make_grid(dom, n)
+        q = np.random.default_rng(n + 1).normal(size=(2, 3, n))
+        got = _mass_rows(grid, q, region)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(got[idx], _mass_rows(grid, q[idx], region))
+
+    @pytest.mark.parametrize("dom,n", MASS_CASES)
+    def test_region_support_and_total(self, dom, n):
+        # M 1 integrates each hat over the region: zero for hats that miss
+        # Omega, summing to |Omega|
+        grid = make_grid(dom, n)
+        x, h = grid.nodes, grid.h
+        m = _mass_rows(grid, np.ones(n), "omega")
+        miss = (x + h <= dom.omega_lo) | (x - h >= dom.omega_hi)
+        assert np.all(m[miss] == 0.0)
+        assert np.sum(m) == pytest.approx(dom.omega_measure, rel=1e-13)
+        assert np.sum(_mass_rows(grid, np.ones(n), "box")) == pytest.approx(dom.box_measure, rel=1e-14)
+
+    def test_single_cell_interval_vs_simpson(self):
+        dom = Domain(0.01, 0.11, -0.99, 1.11)
+        a = make_grid(dom, 4).with_values(random_values(4, seed=5))
+        b = make_grid(dom, 4).with_values(random_values(4, seed=6))
+        got = product_integral(a, b, region="omega")
+        assert got == pytest.approx(product_integral_oracle(a, b, 0.01, 0.11), rel=1e-12)
 
 
 class TestLinfDistance:

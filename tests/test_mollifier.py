@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fraclap.energies import dirichlet_frac, holder_seminorm_grid
+from fraclap.energies import _lag_maxima, dirichlet_frac, holder_seminorm_grid
 from fraclap.errors import ConfigError
 from fraclap.grid import Domain, l2_norm, make_grid, sample
 from fraclap.kernels import FracParams, psi_moment
@@ -362,7 +362,7 @@ class TestBumpSuite:
         phis = bumps(seed=n, n=n, count=10)
         stack = np.stack([phi.values for phi in phis])
         eps_list, rho = (0.0, 0.1, 0.5), 0.6
-        rows = list(_bump_suite_rows(make_grid(DOM, n), stack, s, eps_list, rho))
+        rows = list(_bump_suite_rows(make_grid(DOM, n), stack, _lag_maxima(stack), s, eps_list, rho))
         per_eps = ["closeness_l2", "energy_consistency", "lipschitz_gradient", "tail_bound"]
         assert [r[0] for r in rows] == per_eps[:2] + ["energy_consistency_eps0"] + per_eps[2:] + per_eps * 2
         eps_of = iter(eps_list)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from fraclap.errors import ConfigError
+from fraclap import profiles
+from fraclap.errors import ConfigError, DataError
 from fraclap.grid import Domain
-from fraclap.profiles import make_profile, profile_names, random_bump
-from helpers import central_diff
+from fraclap.profiles import _random_bump_rows, make_profile, profile_names, random_bump
+from helpers import central_diff, random_bump_loop
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
 
@@ -135,3 +136,30 @@ class TestRandomBump:
         draws = [random_bump(rng, DOM, 65).values for _ in range(10)]
         distinct = {tuple(d) for d in draws}
         assert len(distinct) == 10
+
+    @pytest.mark.parametrize("seed", [1, 2, 7, 11, 101])
+    @pytest.mark.parametrize("dom,n", [(DOM, 129), (Domain(-0.3, 0.7, -1.5, 2.2), 513)])
+    def test_stacked_rows_equal_one_row_calls(self, seed, dom, n):
+        # one row at a time and stacked both equal, bit for bit and in the
+        # generator state left behind, the draws made one profile at a time
+        rng = np.random.default_rng(seed)
+        want = np.stack([random_bump_loop(rng, dom, n).values for _ in range(100)])
+        for make in (
+            lambda other: np.stack([random_bump(other, dom, n).values for _ in range(100)]),
+            lambda other: _random_bump_rows(other, dom, n, 100),
+        ):
+            other = np.random.default_rng(seed)
+            assert np.array_equal(make(other), want)
+            assert other.bit_generator.state == rng.bit_generator.state
+
+    def test_stacked_rows_name_non_finite_row_and_node(self, monkeypatch):
+        pieces = profiles._bump_pieces
+
+        def poisoned(x, c, w):
+            us, core = pieces(x, c, w)
+            core[3, 7] = np.nan  # the first bump of row 3
+            return us, core
+
+        monkeypatch.setattr(profiles, "_bump_pieces", poisoned)
+        with pytest.raises(DataError, match="bump 3 at node 7"):
+            _random_bump_rows(np.random.default_rng(1), DOM, 65, 10)
