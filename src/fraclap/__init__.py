@@ -8,7 +8,6 @@ operator values approach their classical counterparts as s approaches 1.
 
 from .assembly import ToeplitzOperator
 from .boundary import (
-    StripSpec,
     build_w,
     check_strip_closeness,
     check_strip_l2,
@@ -64,11 +63,10 @@ from .profiles import Profile, make_profile, random_bump
 from .report import (
     CheckReport,
     CheckRow,
-    ConsistencyReport,
     ConsistencyRow,
-    RateReport,
     RateRow,
     SolveReport,
+    SweepReport,
     emit_csv,
     emit_svg,
     fit_line,
@@ -87,7 +85,6 @@ __all__ = [
     "CheckReport",
     "CheckRow",
     "ConfigError",
-    "ConsistencyReport",
     "ConsistencyRow",
     "DataError",
     "Domain",
@@ -98,12 +95,11 @@ __all__ = [
     "GridFunction",
     "NumericalError",
     "Profile",
-    "RateReport",
     "RateRow",
     "ShapeError",
     "SolveReport",
-    "StripSpec",
     "SupportError",
+    "SweepReport",
     "ToeplitzOperator",
     "assemble_frac",
     "build_w",

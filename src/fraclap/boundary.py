@@ -10,7 +10,6 @@ and measure the induced gap in the local objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
@@ -20,28 +19,6 @@ from .errors import ConfigError, ShapeError
 from .grid import Domain, GridFunction, l2_norm
 from .kernels import FracParams
 from .mollifier import mollify
-
-
-@dataclass(frozen=True)
-class StripSpec:
-    """Widths of the inner strip (r, inside Omega) and outer strip (rho,
-    outside Omega) used when reporting boundary experiments."""
-
-    r: float
-    rho: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.r) and self.r > 0.0):
-            raise ConfigError(f"strip width r must be positive, got {self.r}")
-        if not (math.isfinite(self.rho) and 0.0 < self.rho <= 1.0):
-            raise ConfigError(f"outer width rho must lie in (0, 1], got {self.rho}")
-
-    def validate_for(self, dom: Domain) -> None:
-        if self.r >= dom.omega_measure / 2.0:
-            raise ConfigError(
-                f"strip width r={self.r} must be below half of |Omega|="
-                f"{dom.omega_measure}"
-            )
 
 
 def dist_to_complement(dom: Domain, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
@@ -60,8 +37,10 @@ def _check_pair(u_s: GridFunction, g: GridFunction) -> None:
 
 def _blend(g: GridFunction, smoothed: GridFunction, r: float) -> GridFunction:
     """Ramp from g outside Omega to the already smoothed solution at depth
-    >= r inside."""
-    StripSpec(r=r, rho=1.0).validate_for(smoothed.domain)
+    >= r inside; the strip width r must lie in (0, |Omega|/2)."""
+    half = smoothed.domain.omega_measure / 2.0
+    if not (math.isfinite(r) and 0.0 < r < half):
+        raise ConfigError(f"strip width r={r} must lie in (0, |Omega|/2={half})")
     lam = np.clip(dist_to_complement(smoothed.domain, smoothed.nodes) / r, 0.0, 1.0)
     return smoothed.with_values((1.0 - lam) * g.values + lam * smoothed.values)
 

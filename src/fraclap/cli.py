@@ -20,7 +20,7 @@ from .experiments import (
     run_rates,
     run_solve,
 )
-from .report import emit_csv, emit_svg
+from .report import CheckReport, SweepReport, emit_csv, emit_svg
 
 _RUNNERS = {
     "kernel-check": run_kernel_check,
@@ -36,10 +36,6 @@ _HELP = {
     "consistency": "compare the pointwise operator with the negative second derivative",
     "rates": "measure the error decay of the local limit as s approaches 1",
 }
-# subcommands whose report carries fitted plot points
-_WITH_SVG = ("rates", "consistency")
-# subcommands whose report carries a pass/fail verdict
-_WITH_VERDICT = ("kernel-check", "mollifier-check")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,11 +78,11 @@ def _run(args: argparse.Namespace) -> int:
 
     report = _RUNNERS[args.command](cfg)
     text = emit_csv(report, out_dir / f"{stem}.csv")
-    if args.command in _WITH_SVG:
+    if isinstance(report, SweepReport):
         emit_svg(report, out_dir / f"{stem}.svg")
     if args.verbose:
         sys.stdout.write(text)
-    if args.command in _WITH_VERDICT and not report.passed:
+    if isinstance(report, CheckReport) and not report.passed:
         return 1
     return 0
 

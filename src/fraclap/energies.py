@@ -3,9 +3,7 @@ estimator for P1 grid functions.
 
 The nonlocal energy of a compactly supported P1 function is evaluated through
 the exact Toeplitz interaction form (see assembly); d1/d2 split it into the
-interactions at distance below / above 1.  The far part can alternatively be
-evaluated through an independent quadrature route so that consistency of the
-two can be tested rather than assumed.
+interactions at distance below / above 1.
 """
 
 from __future__ import annotations
@@ -15,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly
-from .errors import ConfigError, SupportError
+from .errors import SupportError
 from .grid import GridFunction, product_integral
-from .kernels import FracParams, norm_const
+from .kernels import FracParams
 
 
 @dataclass(frozen=True)
@@ -48,37 +46,17 @@ def _require_compact_support(phi: GridFunction) -> None:
         )
 
 
-def dirichlet_frac(
-    phi: GridFunction, p: FracParams, far_route: str = "analytic"
-) -> EnergyBreakdown:
+def dirichlet_frac(phi: GridFunction, p: FracParams) -> EnergyBreakdown:
     """Nonlocal interaction energy of the zero-extended interpolant, split
-    into near (distance < 1) and far (distance > 1) parts.
-
-    The near part always comes from the exact Toeplitz form.  far_route
-    "analytic" evaluates the far part from the closed-form far kernel;
-    "quadrature" uses the identity
-
-        d2 = (2 C / s) ||phi||_{L2}^2 - 2 * (far cross integral)
-
-    with the cross integral computed by independent numeric quadrature, so
-    the two routes can be compared in tests.
-    """
-    if far_route not in ("analytic", "quadrature"):
-        raise ConfigError(f"unknown far_route {far_route!r}")
+    into near (distance < 1) and far (distance > 1) parts, both exact
+    Toeplitz forms: the far part from the closed-form far kernel."""
     _require_compact_support(phi)
     v = phi.values[1:-1]
     h = phi.h
-    kmax = len(v) - 1
-    c_full = assembly.stiffness_kernel(p, h, kmax)
+    c_full = assembly.stiffness_kernel(p, h, len(v) - 1)
     c_far = assembly._far_from_full(p, h, c_full)
     d1 = 0.5 * assembly.ToeplitzOperator(c_full - c_far).quad_form(v)
-    if far_route == "analytic":
-        d2 = 0.5 * assembly.ToeplitzOperator(c_far).quad_form(v)
-    else:
-        C = norm_const(p)
-        mass = assembly.mass_quadratic_form(v, h)
-        cross = assembly.far_cross_quadrature(phi, p)
-        d2 = (2.0 * C / p.s) * mass - 2.0 * cross
+    d2 = 0.5 * assembly.ToeplitzOperator(c_far).quad_form(v)
     return EnergyBreakdown(d1=d1, d2=d2)
 
 

@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 import numpy.random  # noqa: F401  numpy imports it lazily; load it with the package
 
-from .assembly import ToeplitzOperator, interior_indices, load_vector
+from .assembly import ToeplitzOperator, interior_indices
 from .boundary import energy_gap
 from .config import ExperimentConfig
 from .energies import _lag_maxima
@@ -26,19 +26,17 @@ from .profiles import _random_bump_rows
 from .report import (
     CheckReport,
     CheckRow,
-    ConsistencyReport,
     ConsistencyRow,
-    RateReport,
     RateRow,
     SolveReport,
-    build_consistency_report,
-    build_rate_report,
+    SweepReport,
+    build_sweep_report,
     fit_line,
 )
 from .solver import (
-    assemble_frac,
     frac_laplacian_pointwise,
     solve_frac_dirichlet,
+    solve_frac_system,
     solve_local_dirichlet,
 )
 
@@ -72,7 +70,7 @@ def _check_optimality_identity(
         )
 
 
-def run_rates(cfg: ExperimentConfig) -> RateReport:
+def run_rates(cfg: ExperimentConfig) -> SweepReport:
     """Sweep s, solving the nonlocal and local problems on one mesh, and fit
     the decay of the error norm against 1-s.
 
@@ -81,13 +79,12 @@ def run_rates(cfg: ExperimentConfig) -> RateReport:
     per-point cross-check."""
     dom = cfg.domain
     n = cfg.n
-    grid = make_grid(dom, n)
+    grid = make_grid(dom, n)  # zero: also the exterior data g of energy_gap
     idx = interior_indices(grid)
     f_grid = sample(dom, n, cfg.f_profile())
     fs_base = sample(dom, n, cfg.f_s_profile())
     pert_vals = sample(dom, n, cfg.pert()).values
-    zero_g = make_grid(dom, n)
-    u_loc = solve_local_dirichlet(dom, n, f_grid)
+    u_loc = solve_local_dirichlet(f_grid)
     v_loc = u_loc.values[idx]
 
     rows: List[RateRow] = []
@@ -95,17 +92,13 @@ def run_rates(cfg: ExperimentConfig) -> RateReport:
         t0 = time.perf_counter()
         p = _params(cfg, s)
         f_s = grid.with_values(fs_base.values + cfg.pert_coeff(s) * pert_vals)
-        A = assemble_frac(dom, n, p)
-        b = load_vector(f_s)[idx]
-        u_int = A.solve(b)
-        u_s_vals = np.zeros(n)
-        u_s_vals[idx] = u_int
-        u_s = grid.with_values(u_s_vals)
+        u_s, A, b = solve_frac_system(f_s, p)
+        u_int = u_s.values[idx]
 
         semi2 = max(A.quad_form(v_loc - u_int), 0.0)
         err_l2 = l2_norm(u_loc - u_s, region="box")
         _check_optimality_identity(A, b, v_loc, u_int, s)
-        gap = energy_gap(u_s, zero_g, f_grid, p, cfg.r_value(s))
+        gap = energy_gap(u_s, grid, f_grid, p, cfg.r_value(s))
         rows.append(
             RateRow(
                 s=s,
@@ -116,10 +109,10 @@ def run_rates(cfg: ExperimentConfig) -> RateReport:
                 seconds=time.perf_counter() - t0,
             )
         )
-    return build_rate_report(rows, cfg.fit_min_s)
+    return build_sweep_report(rows, cfg.fit_min_s)
 
 
-def run_consistency(cfg: ExperimentConfig) -> ConsistencyReport:
+def run_consistency(cfg: ExperimentConfig) -> SweepReport:
     """Max deviation of the pointwise nonlocal operator from the negative
     second derivative over interior sample points, per s."""
     g = cfg.g_profile()
@@ -138,7 +131,7 @@ def run_consistency(cfg: ExperimentConfig) -> ConsistencyReport:
             val = frac_laplacian_pointwise(g, p, float(x))
             worst = max(worst, abs(val + float(g.second_derivative(float(x)))))
         rows.append(ConsistencyRow(s=s, max_abs_err=worst, seconds=time.perf_counter() - t0))
-    return build_consistency_report(rows, cfg.fit_min_s)
+    return build_sweep_report(rows, cfg.fit_min_s)
 
 
 _PSI_S = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -278,6 +271,6 @@ def run_solve(cfg: ExperimentConfig) -> SolveReport:
     for s in cfg.s_list:
         p = _params(cfg, s)
         f_s = grid.with_values(fs_base.values + cfg.pert_coeff(s) * pert_vals)
-        u = solve_frac_dirichlet(dom, n, p, f_s)
+        u = solve_frac_dirichlet(f_s, p)
         blocks.append((s, xs, tuple(u.values.tolist())))
     return SolveReport(blocks=tuple(blocks))

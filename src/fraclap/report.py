@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import ClassVar, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -62,50 +62,16 @@ class RateRow:
     energy_gap: float
     seconds: float
 
+    header: ClassVar[str] = "s,one_minus_s,err_ws2_sq,err_l2,energy_gap,seconds"
+    ylabel: ClassVar[str] = "error norm"
 
-@dataclass(frozen=True)
-class RateReport:
-    """Error-versus-s sweep with a log-log fit of the total error norm
-    against 1-s over the rows with s >= fit_min_s."""
+    @property
+    def fitted(self) -> float:
+        return self.total_ws2_err
 
-    rows: Tuple[RateRow, ...]
-    slope: float
-    r2: float
-    c_emp: float
-    fit_min_s: float
-
-    def plot_points(self) -> List[Tuple[float, float]]:
-        return [(1.0 - r.s, r.total_ws2_err) for r in self.rows]
-
-    def plot_labels(self) -> Tuple[str, str]:
-        return ("1-s", "error norm")
-
-    def to_csv(self) -> str:
-        lines = ["s,one_minus_s,err_ws2_sq,err_l2,energy_gap,seconds"]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        r.s,
-                        1.0 - r.s,
-                        r.total_ws2_err**2,
-                        r.l2_err,
-                        r.energy_gap,
-                        r.seconds,
-                    )
-                )
-            )
-        if self.rows:
-            lines.append(f"# slope={_fmt(self.slope)} r2={_fmt(self.r2)}")
-        return "\n".join(lines) + "\n"
-
-
-def build_rate_report(rows: Iterable[RateRow], fit_min_s: float) -> RateReport:
-    ordered = tuple(sorted(rows, key=lambda r: r.s))
-    fit_pts = [(1.0 - r.s, r.total_ws2_err) for r in ordered if r.s >= fit_min_s]
-    slope, r2, c_emp = _fit_loglog(fit_pts)
-    return RateReport(rows=ordered, slope=slope, r2=r2, c_emp=c_emp, fit_min_s=fit_min_s)
+    def csv_values(self) -> Tuple[float, ...]:
+        err_sq = self.total_ws2_err**2
+        return (self.s, 1.0 - self.s, err_sq, self.l2_err, self.energy_gap, self.seconds)
 
 
 @dataclass(frozen=True)
@@ -114,39 +80,43 @@ class ConsistencyRow:
     max_abs_err: float
     seconds: float
 
+    header: ClassVar[str] = "s,one_minus_s,max_abs_err,seconds"
+    ylabel: ClassVar[str] = "max pointwise error"
+
+    @property
+    def fitted(self) -> float:
+        return self.max_abs_err
+
+    def csv_values(self) -> Tuple[float, ...]:
+        return (self.s, 1.0 - self.s, self.max_abs_err, self.seconds)
+
+
+SweepRow = Union[RateRow, ConsistencyRow]
+
 
 @dataclass(frozen=True)
-class ConsistencyReport:
-    rows: Tuple[ConsistencyRow, ...]
+class SweepReport:
+    """Sweep over s, one row type per report, with a log-log fit of each
+    row's fitted value against 1-s over the rows with s >= fit_min_s."""
+
+    rows: Tuple[SweepRow, ...]
     slope: float
     r2: float
     c_emp: float
     fit_min_s: float
 
-    def plot_points(self) -> List[Tuple[float, float]]:
-        return [(1.0 - r.s, r.max_abs_err) for r in self.rows]
-
-    def plot_labels(self) -> Tuple[str, str]:
-        return ("1-s", "max pointwise error")
-
     def to_csv(self) -> str:
-        lines = ["s,one_minus_s,max_abs_err,seconds"]
-        for r in self.rows:
-            lines.append(",".join(_fmt(v) for v in (r.s, 1.0 - r.s, r.max_abs_err, r.seconds)))
-        if self.rows:
-            lines.append(f"# slope={_fmt(self.slope)} r2={_fmt(self.r2)}")
+        lines = [self.rows[0].header]
+        lines.extend(",".join(_fmt(v) for v in r.csv_values()) for r in self.rows)
+        lines.append(f"# slope={_fmt(self.slope)} r2={_fmt(self.r2)}")
         return "\n".join(lines) + "\n"
 
 
-def build_consistency_report(
-    rows: Iterable[ConsistencyRow], fit_min_s: float
-) -> ConsistencyReport:
+def build_sweep_report(rows: Iterable[SweepRow], fit_min_s: float) -> SweepReport:
     ordered = tuple(sorted(rows, key=lambda r: r.s))
-    fit_pts = [(1.0 - r.s, r.max_abs_err) for r in ordered if r.s >= fit_min_s]
+    fit_pts = [(1.0 - r.s, r.fitted) for r in ordered if r.s >= fit_min_s]
     slope, r2, c_emp = _fit_loglog(fit_pts)
-    return ConsistencyReport(
-        rows=ordered, slope=slope, r2=r2, c_emp=c_emp, fit_min_s=fit_min_s
-    )
+    return SweepReport(rows=ordered, slope=slope, r2=r2, c_emp=c_emp, fit_min_s=fit_min_s)
 
 
 @dataclass(frozen=True)
@@ -229,17 +199,16 @@ def _log_range(vals: Sequence[float]) -> Tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def emit_svg(report, path: Union[str, Path]) -> None:
+def emit_svg(report: SweepReport, path: Union[str, Path]) -> None:
     """Log-log scatter of the report's points with its fitted power law.
 
     Markers are circle elements (one per point), the fit is the single line
     element, axes and ticks are path elements; output bytes depend only on
     the report contents.
     """
-    if not hasattr(report, "plot_points"):
+    if not isinstance(report, SweepReport):
         raise ConfigError(f"report type {type(report).__name__} has no plottable points")
-    pts = [(px, py) for px, py in report.plot_points() if px > 0.0 and py > 0.0]
-    xlabel, ylabel = report.plot_labels()
+    pts = [(1.0 - r.s, r.fitted) for r in report.rows if r.s < 1.0 and r.fitted > 0.0]
 
     if pts:
         xr = _log_range([p[0] for p in pts])
@@ -282,17 +251,16 @@ def emit_svg(report, path: Union[str, Path]) -> None:
         )
     parts.append(
         f'<text x="{0.5 * (_LEFT + _RIGHT):.2f}" y="{_H - 12:.2f}" font-size="14" '
-        f'text-anchor="middle">{xlabel}</text>'
+        f'text-anchor="middle">1-s</text>'
     )
     parts.append(
         f'<text x="16" y="{0.5 * (_TOP + _BOT):.2f}" font-size="14" '
         f'text-anchor="middle" transform="rotate(-90 16 {0.5 * (_TOP + _BOT):.2f})">'
-        f"{ylabel}</text>"
+        f"{report.rows[0].ylabel}</text>"
     )
 
-    slope = getattr(report, "slope", None)
-    c_emp = getattr(report, "c_emp", None)
-    if slope is not None and c_emp is not None and c_emp > 0.0 and pts:
+    slope, c_emp = report.slope, report.c_emp
+    if c_emp > 0.0 and pts:
         # fitted model y = c * x**slope, drawn across the padded x range
         y0 = math.log10(c_emp) + slope * xr[0]
         y1 = math.log10(c_emp) + slope * xr[1]

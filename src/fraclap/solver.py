@@ -20,7 +20,7 @@ from typing import Callable, Tuple, Union
 import numpy as np
 
 from .assembly import ToeplitzOperator, interior_indices, load_vector, stiffness_kernel
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError
 from .grid import Domain, GridFunction, make_grid
 from .kernels import FracParams, norm_const
 
@@ -30,12 +30,23 @@ from .kernels import FracParams, norm_const
 _NEAR_CUT = 1e-4
 
 
-def _grid_layout(dom: Domain, n: int) -> Tuple[GridFunction, np.ndarray]:
-    grid = make_grid(dom, n)
+def _interior(grid: GridFunction) -> np.ndarray:
     idx = interior_indices(grid)
     if idx.size == 0:
         raise ConfigError("grid has no interior nodes inside Omega")
-    return grid, idx
+    return idx
+
+
+def _assemble(grid: GridFunction, p: FracParams) -> Tuple[ToeplitzOperator, np.ndarray]:
+    """The stiffness operator on grid's interior nodes, with their indices."""
+    idx = _interior(grid)
+    if p.s > 0.999:
+        warnings.warn(
+            f"s={p.s} is close to 1; the nonlocal matrix is nearly as "
+            "ill-conditioned as the local one at this mesh",
+            RuntimeWarning,
+        )
+    return ToeplitzOperator(stiffness_kernel(p, grid.h, idx.size - 1)), idx
 
 
 def assemble_frac(dom: Domain, n: int, p: FracParams) -> ToeplitzOperator:
@@ -47,52 +58,49 @@ def assemble_frac(dom: Domain, n: int, p: FracParams) -> ToeplitzOperator:
     (assembly.stiffness_kernel) and account for the zero extension beyond
     Omega exactly.
     """
-    if p.d != 1:
-        raise ConfigError(f"assembly supports d=1 only, got d={p.d}")
-    if p.s > 0.999:
-        warnings.warn(
-            f"s={p.s} is close to 1; the nonlocal matrix is nearly as "
-            "ill-conditioned as the local one at this mesh",
-            RuntimeWarning,
-        )
-    grid, idx = _grid_layout(dom, n)
-    return ToeplitzOperator(stiffness_kernel(p, grid.h, idx.size - 1))
+    return _assemble(make_grid(dom, n), p)[0]
 
 
-def solve_frac_dirichlet(dom: Domain, n: int, p: FracParams, f_s: GridFunction) -> GridFunction:
-    """Galerkin solution of the nonlocal problem with zero complement data.
+def solve_frac_system(
+    f_s: GridFunction, p: FracParams
+) -> Tuple[GridFunction, ToeplitzOperator, np.ndarray]:
+    """Galerkin solution of the nonlocal problem with zero complement data,
+    on f_s's grid.
 
-    The load is the exact integral of the P1 interpolant of f_s against each
-    hat over Omega.  Returns the zero-extended solution on the full grid."""
-    grid, idx = _grid_layout(dom, n)
-    if f_s.domain != dom or f_s.n != n:
-        raise ShapeError("f_s must live on the same grid as the requested solve")
-    u_int = assemble_frac(dom, n, p).solve(load_vector(f_s)[idx])
-    values = np.zeros(n)
-    values[idx] = u_int
-    return grid.with_values(values)
+    The load b is the exact integral of the P1 interpolant of f_s against
+    each interior hat over Omega.  Returns (u, op, b): the zero-extended
+    solution on the full grid, and the interior operator and load it
+    solves, so callers can measure errors in the same energy."""
+    op, idx = _assemble(f_s, p)
+    b = load_vector(f_s)[idx]
+    values = np.zeros(f_s.n)
+    values[idx] = op.solve(b)
+    return f_s.with_values(values), op, b
 
 
-def solve_local_dirichlet(dom: Domain, n: int, f: GridFunction) -> GridFunction:
-    """Galerkin solution of the gradient-energy problem; nodally exact in 1d
-    for the continuous problem with the same data.
+def solve_frac_dirichlet(f_s: GridFunction, p: FracParams) -> GridFunction:
+    """The zero-extended solution of solve_frac_system alone."""
+    return solve_frac_system(f_s, p)[0]
+
+
+def solve_local_dirichlet(f: GridFunction) -> GridFunction:
+    """Galerkin solution of the gradient-energy problem on f's grid; nodally
+    exact in 1d for the continuous problem with the same data.
 
     The stiffness tridiag(-1, 2, -1)/h on m interior nodes has the discrete
     Green's function h min(i, j) (m + 1 - max(i, j)) / (m + 1), 1-based, so
     u_i = h (m + 1 - i) sum_{j <= i} j b_j / (m + 1)
           + h i sum_{j > i} (m + 1 - j) b_j / (m + 1)."""
-    grid, idx = _grid_layout(dom, n)
-    if f.domain != dom or f.n != n:
-        raise ShapeError("f must live on the same grid as the requested solve")
+    idx = _interior(f)
     b = load_vector(f)[idx]
     m = idx.size
     i = np.arange(1, m + 1)
     left = np.cumsum(i * b)
     right = np.cumsum(((m + 1 - i) * b)[::-1])[::-1]
     right = np.append(right[1:], 0.0)
-    values = np.zeros(n)
-    values[idx] = grid.h * ((m + 1 - i) * left + i * right) / (m + 1)
-    return grid.with_values(values)
+    values = np.zeros(f.n)
+    values[idx] = f.h * ((m + 1 - i) * left + i * right) / (m + 1)
+    return f.with_values(values)
 
 
 def _ball_coeff(p: FracParams) -> float:

@@ -116,7 +116,7 @@ class TestAcceptance:
         trials = [random_bump(rng, DOM, n) for _ in range(20)]
 
         worst = 0.0
-        u_loc = solve_local_dirichlet(DOM, n, f)
+        u_loc = solve_local_dirichlet(f)
         base_loc = objective_local(u_loc, f)
         for phi in trials:
             gap = objective_local(phi, f) - base_loc
@@ -126,7 +126,7 @@ class TestAcceptance:
 
         for s in (0.35, 0.6):
             p = FracParams(s=s)
-            u_s = solve_frac_dirichlet(DOM, n, p, f)
+            u_s = solve_frac_dirichlet(f, p)
             base = objective_frac(u_s, f, p)
             for phi in trials:
                 gap = objective_frac(phi, f, p) - base
@@ -151,7 +151,7 @@ class TestAcceptance:
             errs = []
             for n in ladder:
                 f = sample(DOM, n, lambda x: 1.0)
-                u = solve_frac_dirichlet(DOM, n, p, f)
+                u = solve_frac_dirichlet(f, p)
                 ref = u.with_values(exact_solution_ball(p, u.nodes))
                 errs.append(linf_distance(u, ref, "box"))
             assert all(a > b for a, b in zip(errs, errs[1:])), (s, errs)
@@ -284,7 +284,7 @@ class TestAcceptance:
         worst_margin = 0.0
         for s in (0.5, 0.7, 0.9):
             p = FracParams(s=s)
-            u = solve_frac_dirichlet(DOM, n, p, f)
+            u = solve_frac_dirichlet(f, p)
             hold = holder_seminorm_grid(u, s)
             for r in (0.2, 0.1, 0.05):
                 for check in (check_strip_closeness, check_strip_l2):
@@ -295,7 +295,7 @@ class TestAcceptance:
         gaps = []
         for s in RATE_S:
             p = FracParams(s=s)
-            u = solve_frac_dirichlet(DOM, n, p, f)
+            u = solve_frac_dirichlet(f, p)
             r = (1.0 - s) ** (1.0 / s)
             gaps.append(energy_gap(u, g, f, p, r))
         slope, _, _ = fit_line(

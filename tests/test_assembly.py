@@ -82,7 +82,7 @@ class TestLocalStiffness:
         n = 65
         rng = np.random.default_rng(19)
         f = random_bump(rng, DOM, n)
-        u = solve_local_dirichlet(DOM, n, f)
+        u = solve_local_dirichlet(f)
         idx = interior_indices(u)
         h = u.h
         kernel = np.zeros(idx.size)
@@ -93,7 +93,7 @@ class TestLocalStiffness:
 
     def test_solves_poisson(self):
         n = 65
-        u = solve_local_dirichlet(DOM, n, sample(DOM, n, lambda x: 2.0))
+        u = solve_local_dirichlet(sample(DOM, n, lambda x: 2.0))
         idx = interior_indices(u)
         assert idx.size == 31 and u.h == 0.0625
         x = u.nodes[idx]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fraclap.boundary import (
-    StripSpec,
     build_w,
     check_strip_closeness,
     check_strip_l2,
@@ -28,20 +27,19 @@ def zero(n: int):
 
 def solved(n: int, s: float):
     f = sample(DOM, n, lambda x: 1.0)
-    return solve_frac_dirichlet(DOM, n, FracParams(s=s), f)
+    return solve_frac_dirichlet(f, FracParams(s=s))
 
 
-class TestStripSpec:
+class TestStripWidth:
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            StripSpec(r=0.0, rho=0.5)
-        with pytest.raises(ConfigError):
-            StripSpec(r=0.1, rho=0.0)
-        with pytest.raises(ConfigError):
-            StripSpec(r=0.1, rho=1.5)
-        with pytest.raises(ConfigError):
-            StripSpec(r=1.0, rho=0.5).validate_for(DOM)
-        StripSpec(r=0.3, rho=0.5).validate_for(DOM)
+        # r must be finite, positive and below half of |Omega| = 2
+        u, g, p = zero(17), zero(17), FracParams(s=0.5)
+        for r in (0.0, 1.0, math.nan):
+            with pytest.raises(ConfigError):
+                build_w(u, g, p, r)
+            with pytest.raises(ConfigError):
+                energy_gap(u, g, g, p, r)
+        build_w(u, g, p, 0.3)
 
 
 class TestDistance:
@@ -161,7 +159,7 @@ class TestEnergyGap:
         f = sample(DOM, n, lambda x: 1.0)
         gaps = []
         for s in (0.6, 0.8, 0.95):
-            u = solve_frac_dirichlet(DOM, n, FracParams(s=s), f)
+            u = solve_frac_dirichlet(f, FracParams(s=s))
             r = (1.0 - s) ** (1.0 / s)
             gaps.append(energy_gap(u, zero(n), f, FracParams(s=s), r))
         assert gaps[0] > gaps[1] > gaps[2] > 0.0

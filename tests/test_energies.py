@@ -12,7 +12,7 @@ from fraclap.energies import (
     objective_frac,
     objective_local,
 )
-from fraclap.errors import ConfigError, SupportError
+from fraclap.errors import SupportError
 from fraclap.grid import Domain, make_grid, sample
 from fraclap.kernels import FracParams, norm_const
 from fraclap.profiles import random_bump
@@ -68,20 +68,17 @@ class TestDirichletFrac:
         with pytest.raises(SupportError):
             dirichlet_frac(phi, FracParams(s=0.5))
 
-    def test_unknown_route(self):
-        phi = sample(DOM, 17, lambda x: 0.0)
-        with pytest.raises(ConfigError):
-            dirichlet_frac(phi, FracParams(s=0.5), far_route="exact")
-
     def test_far_routes_agree(self):
+        # the closed-form far part against the independent quadrature route
+        # d2 = (2 C / s) ||phi||_{L2}^2 - 2 * (far cross integral)
         rng = np.random.default_rng(5)
         phi = random_bump(rng, DOM, 65)
         for s in (0.3, 0.7):
             p = FracParams(s=s)
-            ana = dirichlet_frac(phi, p, far_route="analytic")
-            qua = dirichlet_frac(phi, p, far_route="quadrature")
-            assert ana.d1 == qua.d1
-            assert ana.d2 == pytest.approx(qua.d2, rel=1e-6)
+            mass = assembly.mass_quadratic_form(phi.values[1:-1], phi.h)
+            cross = assembly.far_cross_quadrature(phi, p)
+            qua_d2 = (2.0 * norm_const(p) / s) * mass - 2.0 * cross
+            assert dirichlet_frac(phi, p).d2 == pytest.approx(qua_d2, rel=1e-6)
 
     def test_matches_assembled_quadratic_form(self):
         from scipy.linalg import toeplitz

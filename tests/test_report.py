@@ -6,11 +6,9 @@ from fraclap.report import (
     CheckReport,
     CheckRow,
     ConsistencyRow,
-    RateReport,
     RateRow,
     SolveReport,
-    build_consistency_report,
-    build_rate_report,
+    build_sweep_report,
     emit_csv,
     emit_svg,
     fit_line,
@@ -27,6 +25,33 @@ def rate_row(s: float, err: float) -> RateRow:
         energy_gap=err / 5.0,
         seconds=0.01,
     )
+
+
+def consistency_row(s: float, err: float) -> ConsistencyRow:
+    return ConsistencyRow(s=s, max_abs_err=err, seconds=0.0)
+
+
+# (row factory, CSV header, value of the third CSV column for error err,
+# SVG y-axis label), one per sweep row type
+SWEEP_ROWS = pytest.mark.parametrize(
+    "make_row,header,third,ylabel",
+    [
+        pytest.param(
+            rate_row,
+            "s,one_minus_s,err_ws2_sq,err_l2,energy_gap,seconds",
+            lambda err: err**2,
+            "error norm",
+            id="RateRow",
+        ),
+        pytest.param(
+            consistency_row,
+            "s,one_minus_s,max_abs_err,seconds",
+            lambda err: err,
+            "max pointwise error",
+            id="ConsistencyRow",
+        ),
+    ],
+)
 
 
 class TestFitLine:
@@ -54,48 +79,40 @@ class TestFitLine:
             fit_line([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
-class TestRateReport:
-    def test_fit_recovers_power_law(self):
-        rows = [rate_row(s, 0.7 * (1.0 - s) ** 0.9) for s in (0.6, 0.7, 0.8, 0.9, 0.95)]
-        rep = build_rate_report(rows, fit_min_s=0.6)
-        assert rep.slope == pytest.approx(0.9, rel=1e-10)
-        assert rep.c_emp == pytest.approx(0.7, rel=1e-10)
+@SWEEP_ROWS
+class TestSweepReport:
+    @pytest.mark.parametrize(
+        "c,rate,s_list,fit_min_s",
+        [(0.7, 0.9, (0.6, 0.7, 0.8, 0.9, 0.95), 0.6), (2.0, 1.0, (0.6, 0.8, 0.95), 0.5)],
+        ids=["c0.7-slope0.9", "c2-slope1"],
+    )
+    def test_fit_recovers_power_law(self, make_row, header, third, ylabel, c, rate, s_list, fit_min_s):
+        rows = [make_row(s, c * (1.0 - s) ** rate) for s in s_list]
+        rep = build_sweep_report(rows, fit_min_s=fit_min_s)
+        assert rep.slope == pytest.approx(rate, rel=1e-10)
+        assert rep.c_emp == pytest.approx(c, rel=1e-10)
         assert rep.r2 == pytest.approx(1.0, abs=1e-12)
 
-    def test_rows_sorted_and_fit_window_respected(self):
+    def test_rows_sorted_and_fit_window_respected(self, make_row, header, third, ylabel):
         # rows below fit_min_s appear in the table but not in the fit
-        rows = [rate_row(0.9, 0.1), rate_row(0.5, 99.0), rate_row(0.7, 0.3)]
-        rep = build_rate_report(rows, fit_min_s=0.6)
+        rows = [make_row(0.9, 0.1), make_row(0.5, 99.0), make_row(0.7, 0.3)]
+        rep = build_sweep_report(rows, fit_min_s=0.6)
         assert [r.s for r in rep.rows] == [0.5, 0.7, 0.9]
-        window = build_rate_report(
-            [rate_row(0.9, 0.1), rate_row(0.7, 0.3)], fit_min_s=0.6
+        window = build_sweep_report(
+            [make_row(0.9, 0.1), make_row(0.7, 0.3)], fit_min_s=0.6
         )
         assert rep.slope == pytest.approx(window.slope, rel=1e-12)
 
-    def test_csv_schema(self):
-        rep = build_rate_report([rate_row(0.7, 0.3), rate_row(0.9, 0.1)], 0.6)
+    def test_csv_schema(self, make_row, header, third, ylabel):
+        rep = build_sweep_report([make_row(0.7, 0.3), make_row(0.9, 0.1)], 0.6)
         lines = rep.to_csv().splitlines()
-        assert lines[0] == "s,one_minus_s,err_ws2_sq,err_l2,energy_gap,seconds"
+        assert lines[0] == header
         assert len(lines) == 4
         assert lines[-1].startswith("# slope=")
         first = lines[1].split(",")
         assert float(first[0]) == 0.7
         assert float(first[1]) == pytest.approx(0.3)
-        assert float(first[2]) == pytest.approx(0.3**2)
-
-
-class TestConsistencyReport:
-    def test_build_and_csv(self):
-        rows = [
-            ConsistencyRow(s=s, max_abs_err=2.0 * (1.0 - s), seconds=0.0)
-            for s in (0.6, 0.8, 0.95)
-        ]
-        rep = build_consistency_report(rows, fit_min_s=0.5)
-        assert rep.slope == pytest.approx(1.0, rel=1e-10)
-        assert rep.c_emp == pytest.approx(2.0, rel=1e-10)
-        lines = rep.to_csv().splitlines()
-        assert lines[0] == "s,one_minus_s,max_abs_err,seconds"
-        assert lines[-1].startswith("# slope=")
+        assert float(first[2]) == pytest.approx(third(0.3))
 
 
 class TestCheckReport:
@@ -198,7 +215,7 @@ class TestEmitCsv:
 
 class TestEmitSvg:
     def test_element_counts(self, tmp_path):
-        rep = build_rate_report([rate_row(0.7, 0.3), rate_row(0.9, 0.1)], 0.6)
+        rep = build_sweep_report([rate_row(0.7, 0.3), rate_row(0.9, 0.1)], 0.6)
         out = tmp_path / "r.svg"
         emit_svg(rep, out)
         text = out.read_text(encoding="utf-8")
@@ -208,11 +225,21 @@ class TestEmitSvg:
         assert text.startswith("<svg ")
 
     def test_deterministic_bytes(self, tmp_path):
-        rep = build_rate_report([rate_row(0.7, 0.3), rate_row(0.9, 0.1)], 0.6)
+        rep = build_sweep_report([rate_row(0.7, 0.3), rate_row(0.9, 0.1)], 0.6)
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         emit_svg(rep, a)
         emit_svg(rep, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @SWEEP_ROWS
+    def test_y_axis_label(self, tmp_path, make_row, header, third, ylabel):
+        rep = build_sweep_report([make_row(0.7, 0.3), make_row(0.9, 0.1)], 0.6)
+        out = tmp_path / "r.svg"
+        emit_svg(rep, out)
+        labels = [ln for ln in out.read_text(encoding="utf-8").splitlines() if "rotate(-90" in ln]
+        assert len(labels) == 1
+        assert labels[0].startswith('<text x="16" ')
+        assert labels[0].endswith(f">{ylabel}</text>")
 
     def test_pointless_report_rejected(self, tmp_path):
         rep = CheckReport(rows=())
