@@ -7,20 +7,13 @@ operator values approach their classical counterparts as s approaches 1.
 """
 
 from .assembly import ToeplitzOperator
-from .boundary import (
-    build_w,
-    check_strip_closeness,
-    check_strip_l2,
-    dist_to_complement,
-    energy_gap,
-)
+from .boundary import energy_gap
 from .config import EXPERIMENTS, ExperimentConfig, parse_config, with_overrides
 from .energies import (
     EnergyBreakdown,
     dirichlet_frac,
     dirichlet_local,
     holder_seminorm_grid,
-    objective_frac,
     objective_local,
 )
 from .errors import ConfigError, DataError, NumericalError, ShapeError, SupportError
@@ -34,8 +27,8 @@ from .experiments import (
 from .grid import (
     Domain,
     GridFunction,
+    dist_to_complement,
     l2_norm,
-    linf_distance,
     make_grid,
     product_integral,
     sample,
@@ -50,15 +43,7 @@ from .kernels import (
     psi_moment,
     sphere_measure,
 )
-from .mollifier import (
-    check_energy_consistency,
-    check_identity_l2,
-    check_lipschitz,
-    check_tail_bound,
-    full_coverage_mask,
-    mollify,
-    mollify_gradient,
-)
+from .mollifier import full_coverage_mask, mollify, mollify_gradient
 from .profiles import Profile, make_profile, random_bump
 from .report import (
     CheckReport,
@@ -102,13 +87,6 @@ __all__ = [
     "SweepReport",
     "ToeplitzOperator",
     "assemble_frac",
-    "build_w",
-    "check_energy_consistency",
-    "check_identity_l2",
-    "check_lipschitz",
-    "check_strip_closeness",
-    "check_strip_l2",
-    "check_tail_bound",
     "classical_const",
     "const_ratio",
     "dirichlet_frac",
@@ -124,13 +102,11 @@ __all__ = [
     "full_coverage_mask",
     "holder_seminorm_grid",
     "l2_norm",
-    "linf_distance",
     "make_grid",
     "make_profile",
     "mollify",
     "mollify_gradient",
     "norm_const",
-    "objective_frac",
     "objective_local",
     "parse_config",
     "product_integral",

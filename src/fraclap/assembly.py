@@ -263,13 +263,6 @@ def _far_from_full(p: FracParams, h: float, full: np.ndarray) -> np.ndarray:
     return c2
 
 
-def mass_quadratic_form(v: np.ndarray, h: float) -> float:
-    """v^T M v with the P1 mass matrix (2h/3 diagonal, h/6 off-diagonal),
-    i.e. the exact squared L2 norm of the zero-extended P1 function."""
-    v = np.asarray(v, dtype=float)
-    return float((2.0 * h / 3.0) * (v @ v) + 2.0 * (h / 6.0) * (v[1:] @ v[:-1]))
-
-
 def interior_indices(phi: GridFunction) -> np.ndarray:
     """Indices of nodes strictly inside the interval (omega_lo, omega_hi)."""
     x = phi.nodes
@@ -282,50 +275,3 @@ def load_vector(f: GridFunction) -> np.ndarray:
     the interval; returns a full-length vector (one entry per node)."""
     return _mass_rows(f, f.values, "omega")
 
-
-def autocorrelation(phi: GridFunction, z: float) -> float:
-    """Exact integral of phi(x) phi(x+z) dx for the zero-extended interpolant
-    (requires zero boundary samples to be meaningful as a whole-line value)."""
-    if z < 0.0:
-        z = -z
-    nodes = phi.nodes
-    lo = phi.domain.box_lo
-    hi = phi.domain.box_hi - z
-    if hi <= lo:
-        return 0.0
-    cuts = np.union1d(nodes, nodes - z)
-    cuts = cuts[(cuts >= lo - 1e-15) & (cuts <= hi + 1e-15)]
-    cuts[0], cuts[-1] = lo, hi
-    a, b = cuts[:-1], cuts[1:]
-    keep = b > a
-    a, b = a[keep], b[keep]
-    # two-point Gauss is exact for the piecewise-quadratic product
-    r = 0.5 / math.sqrt(3.0)
-    mids = 0.5 * (a + b)
-    half = b - a
-    total = 0.0
-    for q in (mids - r * half, mids + r * half):
-        total += 0.5 * float(np.sum(half * phi.eval(q) * phi.eval(q + z)))
-    return total
-
-
-def far_cross_quadrature(phi: GridFunction, p: FracParams, order: int = 10) -> float:
-    """Integral of eta(|x-y|) phi(x) phi(y) over pairs with |x - y| > 1,
-    by per-cell Gauss quadrature in the separation variable against exact
-    autocorrelations.  Independent of the closed-form far kernel."""
-    C = norm_const(p)
-    h = phi.h
-    zmax = phi.domain.box_measure
-    t, w = _gauss_legendre(order)
-    total = 0.0
-    z0 = 1.0
-    while z0 < zmax:
-        z1 = min(zmax, (math.floor(z0 / h + 1e-12) + 1) * h)
-        if z1 <= z0:
-            z1 = min(zmax, z0 + h)
-        mid, half = 0.5 * (z0 + z1), 0.5 * (z1 - z0)
-        for ti, wi in zip(t, w):
-            z = mid + half * ti
-            total += wi * half * C * z ** (-1.0 - 2.0 * p.s) * autocorrelation(phi, z)
-        z0 = z1
-    return 2.0 * total

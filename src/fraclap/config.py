@@ -180,8 +180,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         dom = cfg.domain
     except ConfigError as exc:
         raise ConfigError(f"bad domain bounds: {exc}") from exc
-    if cfg.experiment == "rates":
-        # the boundary strip of the energy gap must fit inside Omega
+    if cfg.experiment in ("rates", "mollifier_check"):
+        # the boundary strip of the energy gap and the strip rows must fit
+        # inside Omega
         for s in cfg.s_list:
             r = cfg.r_value(s)
             if not r < dom.omega_measure / 2.0:

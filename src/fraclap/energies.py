@@ -66,25 +66,13 @@ def objective_local(phi: GridFunction, f: GridFunction) -> float:
     return dirichlet_local(phi) - product_integral(phi, f, region="omega")
 
 
-def objective_frac(phi: GridFunction, f_s: GridFunction, p: FracParams) -> float:
-    """Nonlocal objective: interaction energy minus the exact load over the
-    interval."""
-    load = product_integral(phi, f_s, region="omega")
-    return dirichlet_frac(phi, p).total - load
-
-
 def holder_seminorm_grid(phi: GridFunction, beta: float) -> float:
     """Grid Hoelder estimator: max over node pairs of |dv| / |dx|**beta.
 
     A lower bound for the seminorm of the interpolant; exact at beta = 1
     where the max is attained by adjacent nodes.
     """
-    return float(_holder_rows(phi.values, phi.h, beta))
-
-
-def _holder_rows(values: np.ndarray, h: float, beta: float) -> np.ndarray:
-    """holder_seminorm_grid of each row of values (..., n) on spacing h."""
-    return _holder_quotient(_lag_maxima(values), h, beta)
+    return float(_holder_quotient(_lag_maxima(phi.values), phi.h, beta))
 
 
 def _lag_maxima(values: np.ndarray) -> np.ndarray:

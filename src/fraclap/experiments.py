@@ -248,7 +248,7 @@ def run_mollifier_check(cfg: ExperimentConfig) -> CheckReport:
 
     worst: Dict[str, float] = {}  # rows in the order the suite yields them
     for s in cfg.s_list:
-        for name, lhs, rhs in _bump_suite_rows(grid, bumps, lags, s, _MOLL_EPS, _TAIL_RHO):
+        for name, lhs, rhs in _bump_suite_rows(grid, bumps, lags, s, _MOLL_EPS, _TAIL_RHO, cfg.r_value(s)):
             ratio = (lhs - _SLACK_ABS) / np.maximum(rhs, 1e-300)
             worst[name] = max(worst.get(name, 0.0), float(np.max(ratio)))
 
@@ -266,11 +266,10 @@ def run_solve(cfg: ExperimentConfig) -> SolveReport:
     grid = make_grid(dom, n)
     fs_base = sample(dom, n, cfg.f_s_profile())
     pert_vals = sample(dom, n, cfg.pert()).values
-    xs = tuple(grid.nodes.tolist())  # one x column, shared by every block
-    blocks: List[Tuple[float, Tuple[float, ...], Tuple[float, ...]]] = []
+    blocks: List[Tuple[float, Tuple[float, ...]]] = []
     for s in cfg.s_list:
         p = _params(cfg, s)
         f_s = grid.with_values(fs_base.values + cfg.pert_coeff(s) * pert_vals)
         u = solve_frac_dirichlet(f_s, p)
-        blocks.append((s, xs, tuple(u.values.tolist())))
-    return SolveReport(blocks=tuple(blocks))
+        blocks.append((s, tuple(u.values.tolist())))
+    return SolveReport(x=tuple(grid.nodes.tolist()), blocks=tuple(blocks))

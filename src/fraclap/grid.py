@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Tuple
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-
-_REGIONS = ("omega", "box")
 
 
 @dataclass(frozen=True)
@@ -145,21 +143,26 @@ def sample(domain: Domain, n: int, f: Callable) -> GridFunction:
     return phi.with_values(vals)
 
 
-def _check_region(region: str) -> None:
-    if region not in _REGIONS:
-        raise ConfigError(f"unknown region {region!r}, expected one of {_REGIONS}")
+def dist_to_complement(dom: Domain, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+    """Distance from x to the complement of Omega; zero outside."""
+    xx = np.asarray(x, dtype=float)
+    out = np.clip(np.minimum(xx - dom.omega_lo, dom.omega_hi - xx), 0.0, None)
+    if np.isscalar(x) or xx.ndim == 0:
+        return float(out)
+    return out
 
 
 def _clip_bounds(domain: Domain, region: str) -> Tuple[float, float]:
     if region == "omega":
         return domain.omega_lo, domain.omega_hi
-    return domain.box_lo, domain.box_hi
+    if region == "box":
+        return domain.box_lo, domain.box_hi
+    raise ConfigError(f"unknown region {region!r}, expected one of ('omega', 'box')")
 
 
 def product_integral(phi: GridFunction, psi: GridFunction, region: str = "box") -> float:
     """Exact integral of the product of two P1 functions on the same grid,
     restricted to the region (cells clipped exactly)."""
-    _check_region(region)
     phi._check_same_grid(psi)
     return float(_product_rows(phi, phi.values, psi.values, region))
 
@@ -213,13 +216,3 @@ def l2_norm(phi: GridFunction, region: str = "box") -> float:
     """Exact L2 norm of the interpolant over the region."""
     return math.sqrt(max(0.0, product_integral(phi, phi, region)))
 
-
-def linf_distance(phi: GridFunction, psi: GridFunction, region: str = "box") -> float:
-    """Max absolute nodal difference over the nodes lying in the region."""
-    _check_region(region)
-    phi._check_same_grid(psi)
-    lo, hi = _clip_bounds(phi.domain, region)
-    x = phi.nodes
-    tol = 1e-9 * phi.h
-    mask = (x >= lo - tol) & (x <= hi + tol)
-    return float(np.max(np.abs(phi.values[mask] - psi.values[mask])))

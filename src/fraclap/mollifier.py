@@ -18,7 +18,8 @@ correlation through numpy's real FFT along the last axis.
 Nodes whose unit ball leaves the box are evaluated with the constant
 extension; full_coverage_mask identifies the nodes free of that artifact, and
 the checks only assert over those.  Each inequality is one row function from
-stacked operator outputs to per-row (lhs, rhs); check_* are one-row calls.
+stacked operator outputs to per-row (lhs, rhs), and _bump_suite_rows runs
+them all on the stacked bumps of mollifier-check.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ import numpy.fft  # noqa: F401  numpy imports it lazily; load it with the packag
 
 from .assembly import ToeplitzOperator, _far_from_full, stiffness_kernel
 from .errors import ConfigError
-from .grid import GridFunction, _product_rows
+from .grid import GridFunction, _product_rows, dist_to_complement
 from .kernels import FracParams, eta_t_integrals, norm_const, psi_integrals
-from .energies import _holder_quotient, dirichlet_frac, holder_seminorm_grid
+from .energies import _holder_quotient
 
 _LIMIT_TOL = 1e-9
 
@@ -181,7 +182,9 @@ def _lipschitz_rows(grad: np.ndarray, mask: np.ndarray, p: FracParams, holder) -
 
 def _tail_rows(tail: np.ndarray, mask: np.ndarray, p: FracParams, rho: float, alpha: float, holder) -> _Rows:
     """Max of each tail-gradient row (radii [rho, 1]) over the covered nodes
-    in mask versus the tail bound of check_tail_bound with seminorm holder."""
+    in mask versus the tail bound
+    2 d holder (1-s) (1 - rho**(alpha+1-2s)) / ((alpha+1-2s)(1-eps**(2-2s))),
+    with the logarithmic limit at alpha + 1 = 2s.  Requires rho > eps."""
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
     if rho <= p.eps:
@@ -193,57 +196,21 @@ def _tail_rows(tail: np.ndarray, mask: np.ndarray, p: FracParams, rho: float, al
     return np.max(np.abs(tail[..., mask]), axis=-1), p.d * p.plateau_scale * holder * (1.0 - p.s) * factor
 
 
-def check_identity_l2(
-    phi: GridFunction, p: FracParams, near_energy: Optional[float] = None
-) -> Tuple[float, float]:
-    """Squared L2 distance between the smoothed function and the original
-    versus its closeness bound plateau_scale**2 * (1-s) * d1.
-
-    near_energy short-circuits the d1 computation when the caller already
-    has it (d1 does not depend on eps, so sweeps can reuse it)."""
-    d1 = dirichlet_frac(phi, p).d1 if near_energy is None else near_energy
-    return _closeness_rows(phi, phi.values, mollify(phi, p).values, p, d1)
-
-
-def check_energy_consistency(
-    phi: GridFunction, p: FracParams, near_energy: Optional[float] = None
-) -> Tuple[float, float]:
-    """Gradient energy of the smoothed function versus its near-part control
-    d1 / (1 - eps**(2-2s))**2; for eps = 0 the bound is d1 itself."""
-    d1 = dirichlet_frac(phi, p).d1 if near_energy is None else near_energy
-    return _consistency_rows(phi.h, mollify(phi, p).values, p, d1)
-
-
-def check_lipschitz(
-    phi: GridFunction,
-    p: FracParams,
-    s_holder: float,
-    holder_est: Optional[float] = None,
-) -> Tuple[float, float]:
-    """Max gradient of the smoothed function over fully covered nodes versus
-    the transfer bound 2 d [phi]_{C^{0,s_holder}} / (1 - eps**(2-2s)).
-
-    holder_est overrides the grid estimator when the true seminorm of the
-    profile is known analytically (the grid value is only a lower bound).
-    """
-    est = holder_seminorm_grid(phi, s_holder) if holder_est is None else holder_est
-    return _lipschitz_rows(mollify_gradient(phi, p).values, full_coverage_mask(phi), p, est)
-
-
-def check_tail_bound(
-    phi: GridFunction,
-    p: FracParams,
-    rho: float,
-    alpha: float,
-    holder_est: Optional[float] = None,
-) -> Tuple[float, float]:
-    """Max over covered nodes of the gradient quadrature restricted to radii
-    [rho, 1] versus the tail bound
-    2 d [phi]_{C^{0,alpha}} (1-s) (1 - rho**(alpha+1-2s)) / ((alpha+1-2s)(1-eps**(2-2s))),
-    with the logarithmic limit at alpha + 1 = 2s.  Requires rho > eps."""
-    est = holder_seminorm_grid(phi, alpha) if holder_est is None else holder_est
-    tail = _gradient_values(phi.values, phi.h, p, rho, 1.0)
-    return _tail_rows(tail, full_coverage_mask(phi), p, rho, alpha, est)
+def _strip_rows(grid: GridFunction, smoothed: np.ndarray, p: FracParams, r: float, holder) -> Tuple[_Rows, _Rows]:
+    """Distances of each smoothed row (..., n) to its boundary competitor w
+    for zero exterior data: w ramps linearly from 0 outside Omega to the
+    smoothed row at depth >= r, so the difference is (1 - lam) smoothed with
+    lam = clip(dist / r, 0, 1).  Returns its max over the strip 0 < dist <= r
+    versus 2 holder (r**s + (1-s)/(1-eps**(2-2s))), and its squared
+    L2(Omega) norm versus 8 holder**2 (r**(1+2s) + ((1-s)/(1-eps**(2-2s)))**2 r)."""
+    dist = dist_to_complement(grid.domain, grid.nodes)
+    tol = 1e-9 * grid.h
+    strip = (dist > tol) & (dist <= r + tol)
+    diff = (1.0 - np.clip(dist / r, 0.0, 1.0)) * smoothed
+    near = (1.0 - p.s) * p.plateau_scale / 2.0
+    sup = np.max(np.abs(diff[..., strip]), axis=-1, initial=0.0)
+    l2 = _product_rows(grid, diff, diff, "omega")
+    return (sup, 2.0 * holder * (r**p.s + near)), (l2, 8.0 * holder**2 * (r ** (1.0 + 2.0 * p.s) + near**2 * r))
 
 
 def _bump_suite_rows(
@@ -253,11 +220,13 @@ def _bump_suite_rows(
     s: float,
     eps_list: Tuple[float, ...],
     rho: float,
+    r: float,
 ) -> Iterator[Tuple[str, np.ndarray, np.ndarray]]:
     """(inequality, lhs, rhs), one entry per row of the (B, n) stack bumps on
-    grid, for each eps in eps_list at one s.  lags are the bumps'
-    energies._lag_maxima, which do not depend on s.  d1 and the Hoelder
-    seminorms are computed once; each stencil is applied once per eps."""
+    grid, for each eps in eps_list at one s; r is the boundary strip width.
+    lags are the bumps' energies._lag_maxima, which do not depend on s.  d1
+    and the Hoelder seminorms are computed once; each stencil is applied once
+    per eps, and the strip rows reuse the smoothed stack."""
     h, mask = grid.h, full_coverage_mask(grid)
     p_near = FracParams(s=s, eps=0.0, d=1)
     full = stiffness_kernel(p_near, h, grid.n - 3)  # offsets of the n - 2 nodes inside the box
@@ -277,3 +246,6 @@ def _bump_suite_rows(
         yield ("lipschitz_gradient", *_lipschitz_rows(grad, mask, p, holder))
         tail = _gradient_values(bumps, h, p, rho, 1.0)
         yield ("tail_bound", *_tail_rows(tail, mask, p, rho, s, holder))
+        closeness, l2 = _strip_rows(grid, smoothed, p, r, holder)
+        yield ("strip_closeness", *closeness)
+        yield ("strip_l2", *l2)

@@ -103,7 +103,6 @@ class SweepReport:
     slope: float
     r2: float
     c_emp: float
-    fit_min_s: float
 
     def to_csv(self) -> str:
         lines = [self.rows[0].header]
@@ -116,7 +115,7 @@ def build_sweep_report(rows: Iterable[SweepRow], fit_min_s: float) -> SweepRepor
     ordered = tuple(sorted(rows, key=lambda r: r.s))
     fit_pts = [(1.0 - r.s, r.fitted) for r in ordered if r.s >= fit_min_s]
     slope, r2, c_emp = _fit_loglog(fit_pts)
-    return SweepReport(rows=ordered, slope=slope, r2=r2, c_emp=c_emp, fit_min_s=fit_min_s)
+    return SweepReport(rows=ordered, slope=slope, r2=r2, c_emp=c_emp)
 
 
 @dataclass(frozen=True)
@@ -145,44 +144,42 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Nodal solution values, one block per s, in long (s, x, u) form."""
+    """Nodal solution values on one x column, one block (s, u) per s, in
+    long (s, x, u) form."""
 
-    blocks: Tuple[Tuple[float, Tuple[float, ...], Tuple[float, ...]], ...]
+    x: Tuple[float, ...]
+    blocks: Tuple[Tuple[float, Tuple[float, ...]], ...]
 
     def __post_init__(self) -> None:
-        for s, xs, us in self.blocks:
-            if len(xs) != len(us):
+        for s, u in self.blocks:
+            if len(u) != len(self.x):
                 raise ShapeError(
-                    f"solve block s={_fmt(s)} has {len(xs)} x values but {len(us)} u values"
+                    f"solve block s={_fmt(s)} has {len(self.x)} x values but {len(u)} u values"
                 )
 
     def to_csv(self) -> str:
         # Each block is one C-level % pass over a template whose rows are
         # "<s>,<x>,%.12g"; %.12g output holds no "%", so the template carries
-        # only the u placeholders.  The x column is formatted once per xs
-        # object (run_solve shares one across all blocks), matched by
-        # identity: equal tuples can still print differently (0.0 == -0.0).
+        # only the u placeholders, and the x column is formatted once.
         # The leading "" puts the prefix before the first row and leaves an
         # empty block empty.
-        parts = ["s,x,u\n"]
-        col_xs, col_rows = None, [""]
-        for s, xs, us in self.blocks:
-            if xs is not col_xs:
-                col_xs = xs
-                col_rows = [""] + ("%.12g,%%.12g\n" * len(xs) % tuple(xs)).splitlines(True)
-            parts.append((_fmt(s) + ",").join(col_rows) % tuple(us))
-        return "".join(parts)
+        rows = [""] + ("%.12g,%%.12g\n" * len(self.x) % tuple(self.x)).splitlines(True)
+        return "".join(["s,x,u\n"] + [(_fmt(s) + ",").join(rows) % tuple(u) for s, u in self.blocks])
+
+
+def _write(path: Union[str, Path], text: str) -> None:
+    target = Path(path)
+    try:
+        target.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {target}: {exc}") from exc
 
 
 def emit_csv(report, path: Union[str, Path]) -> str:
     """Write the report's CSV form and return the text written;
     byte-identical for identical reports."""
-    target = Path(path)
     text = report.to_csv()
-    try:
-        target.write_text(text, encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {target}: {exc}") from exc
+    _write(path, text)
     return text
 
 
@@ -278,8 +275,4 @@ def emit_svg(report: SweepReport, path: Union[str, Path]) -> None:
             f'r="4" fill="#1f77b4"/>'
         )
     parts.append("</svg>")
-    target = Path(path)
-    try:
-        target.write_text("\n".join(parts) + "\n", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {target}: {exc}") from exc
+    _write(path, "\n".join(parts) + "\n")

@@ -4,6 +4,9 @@ Everything here recomputes target quantities through routes independent of
 the implementation under test: direct adaptive quadrature, exact Simpson
 panels on refined breakpoints, finite differences.  Tests then compare two
 genuinely different computations instead of an implementation with itself.
+The end of the module holds code that only tests reach: the one-row forms of
+the mollifier-check rows, the strip competitor, and the far-field quadrature,
+distance and objective used as oracles.
 """
 
 import math
@@ -14,10 +17,23 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import cho_factor, cho_solve, toeplitz
 
-from fraclap.assembly import far_kernel
-from fraclap.grid import Domain, GridFunction, sample
+from fraclap.assembly import _gauss_legendre, far_kernel
+from fraclap.boundary import _blend, _check_pair
+from fraclap.energies import dirichlet_frac, holder_seminorm_grid
+from fraclap.grid import Domain, GridFunction, _clip_bounds, product_integral, sample
 from fraclap.kernels import FracParams, eta, eta_t_integrals, norm_const, psi_integrals
-from fraclap.mollifier import _partition
+from fraclap.mollifier import (
+    _closeness_rows,
+    _consistency_rows,
+    _gradient_values,
+    _lipschitz_rows,
+    _partition,
+    _strip_rows,
+    _tail_rows,
+    full_coverage_mask,
+    mollify,
+    mollify_gradient,
+)
 from fraclap.profiles import make_profile
 
 
@@ -423,12 +439,147 @@ def strip_seconds(text: str) -> str:
     return "\n".join(out)
 
 
-def solve_csv_rows(blocks) -> str:
+def solve_csv_rows(xs, blocks) -> str:
     """The solve CSV built one "%.12g,%.12g" row at a time, the per-row
     form that SolveReport.to_csv's block templates must reproduce byte for
     byte."""
     lines = ["s,x,u"]
-    for s, xs, us in blocks:
+    for s, us in blocks:
         prefix = "%.12g" % s + ","
         lines.extend([prefix + "%.12g,%.12g" % xu for xu in zip(xs, us)])
     return "\n".join(lines) + "\n"
+
+
+def linf_distance(phi: GridFunction, psi: GridFunction, region: str = "box") -> float:
+    """Max absolute nodal difference over the nodes lying in the region."""
+    phi._check_same_grid(psi)
+    lo, hi = _clip_bounds(phi.domain, region)
+    x = phi.nodes
+    tol = 1e-9 * phi.h
+    mask = (x >= lo - tol) & (x <= hi + tol)
+    return float(np.max(np.abs(phi.values[mask] - psi.values[mask])))
+
+
+def objective_frac(phi: GridFunction, f_s: GridFunction, p: FracParams) -> float:
+    """Nonlocal objective: interaction energy minus the exact load over the
+    interval."""
+    load = product_integral(phi, f_s, region="omega")
+    return dirichlet_frac(phi, p).total - load
+
+
+def mass_quadratic_form(v: np.ndarray, h: float) -> float:
+    """v^T M v with the P1 mass matrix (2h/3 diagonal, h/6 off-diagonal),
+    i.e. the exact squared L2 norm of the zero-extended P1 function."""
+    v = np.asarray(v, dtype=float)
+    return float((2.0 * h / 3.0) * (v @ v) + 2.0 * (h / 6.0) * (v[1:] @ v[:-1]))
+
+
+def autocorrelation(phi: GridFunction, z: float) -> float:
+    """Exact integral of phi(x) phi(x+z) dx for the zero-extended interpolant
+    (requires zero boundary samples to be meaningful as a whole-line value)."""
+    if z < 0.0:
+        z = -z
+    nodes = phi.nodes
+    lo = phi.domain.box_lo
+    hi = phi.domain.box_hi - z
+    if hi <= lo:
+        return 0.0
+    cuts = np.union1d(nodes, nodes - z)
+    cuts = cuts[(cuts >= lo - 1e-15) & (cuts <= hi + 1e-15)]
+    cuts[0], cuts[-1] = lo, hi
+    a, b = cuts[:-1], cuts[1:]
+    keep = b > a
+    a, b = a[keep], b[keep]
+    # two-point Gauss is exact for the piecewise-quadratic product
+    r = 0.5 / math.sqrt(3.0)
+    mids = 0.5 * (a + b)
+    half = b - a
+    total = 0.0
+    for q in (mids - r * half, mids + r * half):
+        total += 0.5 * float(np.sum(half * phi.eval(q) * phi.eval(q + z)))
+    return total
+
+
+def far_cross_quadrature(phi: GridFunction, p: FracParams, order: int = 10) -> float:
+    """Integral of eta(|x-y|) phi(x) phi(y) over pairs with |x - y| > 1,
+    by per-cell Gauss quadrature in the separation variable against exact
+    autocorrelations.  Independent of the closed-form far kernel."""
+    C = norm_const(p)
+    h = phi.h
+    zmax = phi.domain.box_measure
+    t, w = _gauss_legendre(order)
+    total = 0.0
+    z0 = 1.0
+    while z0 < zmax:
+        z1 = min(zmax, (math.floor(z0 / h + 1e-12) + 1) * h)
+        if z1 <= z0:
+            z1 = min(zmax, z0 + h)
+        mid, half = 0.5 * (z0 + z1), 0.5 * (z1 - z0)
+        for ti, wi in zip(t, w):
+            z = mid + half * ti
+            total += wi * half * C * z ** (-1.0 - 2.0 * p.s) * autocorrelation(phi, z)
+        z0 = z1
+    return 2.0 * total
+
+
+# One-row forms of the mollifier-check rows (mollifier._*_rows on a single
+# grid function), each returning its (lhs, rhs) pair.
+
+
+def check_identity_l2(phi: GridFunction, p: FracParams, near_energy=None):
+    """Squared L2 distance between the smoothed function and the original
+    versus plateau_scale**2 (1-s) d1; near_energy replaces the d1
+    computation (d1 does not depend on eps)."""
+    d1 = dirichlet_frac(phi, p).d1 if near_energy is None else near_energy
+    return _closeness_rows(phi, phi.values, mollify(phi, p).values, p, d1)
+
+
+def check_energy_consistency(phi: GridFunction, p: FracParams, near_energy=None):
+    """Gradient energy of the smoothed function versus its near-part control
+    d1 / (1 - eps**(2-2s))**2; for eps = 0 the bound is d1 itself."""
+    d1 = dirichlet_frac(phi, p).d1 if near_energy is None else near_energy
+    return _consistency_rows(phi.h, mollify(phi, p).values, p, d1)
+
+
+def check_lipschitz(phi: GridFunction, p: FracParams, s_holder: float, holder_est=None):
+    """Max gradient of the smoothed function over fully covered nodes versus
+    2 d [phi]_{C^{0,s_holder}} / (1 - eps**(2-2s)); holder_est replaces the
+    grid estimate (a lower bound) when the seminorm is known."""
+    est = holder_seminorm_grid(phi, s_holder) if holder_est is None else holder_est
+    return _lipschitz_rows(mollify_gradient(phi, p).values, full_coverage_mask(phi), p, est)
+
+
+def check_tail_bound(phi: GridFunction, p: FracParams, rho: float, alpha: float, holder_est=None):
+    """Max over covered nodes of the gradient quadrature over radii [rho, 1]
+    versus the tail bound of mollifier._tail_rows with [phi]_{C^{0,alpha}}."""
+    est = holder_seminorm_grid(phi, alpha) if holder_est is None else holder_est
+    tail = _gradient_values(phi.values, phi.h, p, rho, 1.0)
+    return _tail_rows(tail, full_coverage_mask(phi), p, rho, alpha, est)
+
+
+def build_w(u_s: GridFunction, g: GridFunction, p: FracParams, r: float) -> GridFunction:
+    """Competitor equal to g outside Omega, to the smoothed u_s at depth
+    >= r inside, with a linear ramp across the strip."""
+    _check_pair(u_s, g)
+    return _blend(g, mollify(u_s, p), r)
+
+
+def _strip_one(u_s: GridFunction, g: GridFunction, p: FracParams, r: float, hold_us: float, hold_g: float):
+    """Both mollifier._strip_rows pairs for one function; the rows model
+    zero exterior data, so g must vanish and hold_g be 0."""
+    _check_pair(u_s, g)
+    if np.any(g.values) or hold_g != 0.0:
+        raise ValueError("the strip rows take zero exterior data g and hold_g = 0")
+    return _strip_rows(u_s, mollify(u_s, p).values, p, r, hold_us)
+
+
+def check_strip_closeness(u_s, g, p, r, hold_us, hold_g):
+    """Sup distance between the smoothed solution and the competitor over the
+    inner strip versus 2 hold_us (r^s + (1-s)/(1-eps^(2-2s)))."""
+    return _strip_one(u_s, g, p, r, hold_us, hold_g)[0]
+
+
+def check_strip_l2(u_s, g, p, r, hold_us, hold_g):
+    """Squared L2(Omega) distance between the smoothed solution and the
+    competitor versus 8 hold_us^2 (r^(1+2s) + ((1-s)/(1-eps^(2-2s)))^2 r)."""
+    return _strip_one(u_s, g, p, r, hold_us, hold_g)[1]

@@ -9,12 +9,9 @@ from scipy.linalg import cho_factor, cho_solve, toeplitz
 from fraclap import assembly
 from fraclap.assembly import (
     ToeplitzOperator,
-    autocorrelation,
-    far_cross_quadrature,
     far_kernel,
     interior_indices,
     load_vector,
-    mass_quadratic_form,
     stiffness_kernel,
 )
 from fraclap.energies import dirichlet_local
@@ -24,11 +21,14 @@ from fraclap.kernels import FracParams, eta
 from fraclap.profiles import random_bump
 from fraclap.solver import assemble_frac, solve_local_dirichlet
 from helpers import (
+    autocorrelation,
     correlation_exact,
     dirichlet_frac_oracle,
+    far_cross_quadrature,
     far_kernel_oracle,
     far_pair_from_kernel,
     load_vector_all_cells,
+    mass_quadratic_form,
     refined_dense_solve,
     simpson_cells,
     stiffness_kernel_oracle,

@@ -3,20 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from fraclap.boundary import (
-    build_w,
-    check_strip_closeness,
-    check_strip_l2,
-    dist_to_complement,
-    energy_gap,
-)
+from fraclap.boundary import energy_gap
 from fraclap.energies import holder_seminorm_grid
 from fraclap.errors import ConfigError, ShapeError
-from fraclap.grid import Domain, sample
+from fraclap.grid import Domain, dist_to_complement, sample
 from fraclap.kernels import FracParams
 from fraclap.mollifier import mollify
 from fraclap.solver import solve_frac_dirichlet
-from helpers import fit_slope
+from helpers import build_w, check_strip_closeness, check_strip_l2, fit_slope
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
 

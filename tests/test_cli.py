@@ -113,13 +113,16 @@ class TestConfigFailures:
         ],
     )
     def test_rates_strip_wider_than_half_omega(self, tmp_path, capsys, extra):
-        # rejected at config time, before any solve or output directory
-        out = tmp_path / "out"
-        cfg = write_cfg(tmp_path, f"experiment = rates\ns_list = 0.6, 0.8\nn = 65\noutput_dir = {out}\n{extra}")
-        assert cli.main(["rates", "--config", cfg]) == 2
-        err = capsys.readouterr().err
-        assert "r_rule" in err and "s=0.6" in err
-        assert not out.exists()
+        # rejected at config time, before any solve or output directory; the
+        # strip rows of mollifier-check need the same strip
+        for command in ("rates", "mollifier-check"):
+            out = tmp_path / command
+            text = f"experiment = {command.replace('-', '_')}\ns_list = 0.6, 0.8\nn = 65\noutput_dir = {out}\n"
+            cfg = write_cfg(tmp_path, text + extra)
+            assert cli.main([command, "--config", cfg]) == 2
+            err = capsys.readouterr().err
+            assert "r_rule" in err and "s=0.6" in err
+            assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["rates", "--config", str(tmp_path / "nope.cfg")]) == 2

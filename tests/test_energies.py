@@ -5,18 +5,25 @@ import pytest
 
 from fraclap import assembly
 from fraclap.energies import (
-    _holder_rows,
+    _holder_quotient,
+    _lag_maxima,
     dirichlet_frac,
     dirichlet_local,
     holder_seminorm_grid,
-    objective_frac,
     objective_local,
 )
 from fraclap.errors import SupportError
 from fraclap.grid import Domain, make_grid, sample
 from fraclap.kernels import FracParams, norm_const
 from fraclap.profiles import random_bump
-from helpers import dirichlet_frac_oracle, holder_loop, simpson_cells
+from helpers import (
+    dirichlet_frac_oracle,
+    far_cross_quadrature,
+    holder_loop,
+    mass_quadratic_form,
+    objective_frac,
+    simpson_cells,
+)
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
 
@@ -75,8 +82,8 @@ class TestDirichletFrac:
         phi = random_bump(rng, DOM, 65)
         for s in (0.3, 0.7):
             p = FracParams(s=s)
-            mass = assembly.mass_quadratic_form(phi.values[1:-1], phi.h)
-            cross = assembly.far_cross_quadrature(phi, p)
+            mass = mass_quadratic_form(phi.values[1:-1], phi.h)
+            cross = far_cross_quadrature(phi, p)
             qua_d2 = (2.0 * norm_const(p) / s) * mass - 2.0 * cross
             assert dirichlet_frac(phi, p).d2 == pytest.approx(qua_d2, rel=1e-6)
 
@@ -220,7 +227,7 @@ class TestHolderSeminorm:
         grid = make_grid(DOM, shape[-1])
         stack = rng.standard_normal(shape)
         for beta in (0.5, 1.0):
-            got = _holder_rows(stack, grid.h, beta)
+            got = _holder_quotient(_lag_maxima(stack), grid.h, beta)
             assert got.shape == shape[:-1]
             for idx in np.ndindex(shape[:-1]):
                 assert got[idx] == holder_loop(grid.with_values(stack[idx]), beta)

@@ -54,6 +54,8 @@ class TestMollifierCheck:
         assert "energy_consistency_eps0" in names
         assert "lipschitz_gradient" in names
         assert "tail_bound" in names
+        assert "strip_closeness" in names
+        assert "strip_l2" in names
 
     def test_same_seed_identical_other_seed_still_passes(self, tmp_path):
         base = "experiment = mollifier_check\ns_list = 0.5\nn = 65\n"
@@ -67,7 +69,8 @@ class TestMollifierCheck:
 
     def test_report_values_pinned(self, tmp_path):
         # values printed by the per-piece smoothing loop that the stencils
-        # replaced, at full precision
+        # replaced, at full precision; the strip rows by the one-row
+        # competitor checks that the stacked strip rows replaced
         cfg = cfg_from(
             tmp_path, "experiment = mollifier_check\ns_list = 0.5, 0.9\nn = 65\nseed = 11\n"
         )
@@ -77,6 +80,8 @@ class TestMollifierCheck:
             "energy_consistency_eps0": 0.7284360809798301,
             "lipschitz_gradient": 0.47714121484933836,
             "tail_bound": 0.3289668288864968,
+            "strip_closeness": 0.0575442769035848,
+            "strip_l2": 0.0021601492036891065,
         }
         _stencil.cache_clear()
         rep = run_mollifier_check(cfg)
@@ -217,11 +222,11 @@ class TestSolve:
         cfg = cfg_from(tmp_path, "experiment = solve\ns_list = 0.5, 0.7\nn = 65\n")
         rep = run_solve(cfg)
         assert len(rep.blocks) == 2
-        for s, xs, us in rep.blocks:
+        for s, us in rep.blocks:
             assert s in (0.5, 0.7)
-            assert len(xs) == 65
+            assert len(rep.x) == 65
             assert len(us) == 65
-            x = np.asarray(xs)
+            x = np.asarray(rep.x)
             u = np.asarray(us)
             assert np.all(u[np.abs(x) >= 1.0 - 1e-12] == 0.0)
             assert np.max(u) > 0.0
@@ -230,5 +235,5 @@ class TestSolve:
         cfg = cfg_from(tmp_path, "experiment = solve\ns_list = 0.5, 0.7, 0.9, 0.99\nn = 1025\n")
         rep = run_solve(cfg)
         assert len(rep.blocks) == 4
-        assert all(type(v) is float for _, xs, us in rep.blocks for v in xs + us)
-        assert rep.to_csv() == solve_csv_rows(rep.blocks)
+        assert all(type(v) is float for _, us in rep.blocks for v in rep.x + us)
+        assert rep.to_csv() == solve_csv_rows(rep.x, rep.blocks)

@@ -8,12 +8,11 @@ from fraclap.grid import (
     _mass_rows,
     _product_rows,
     l2_norm,
-    linf_distance,
     make_grid,
     product_integral,
     sample,
 )
-from helpers import product_integral_oracle, product_rows_all_cells, simpson_cells
+from helpers import linf_distance, product_integral_oracle, product_rows_all_cells, simpson_cells
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
 

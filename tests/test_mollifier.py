@@ -3,25 +3,29 @@ import math
 import numpy as np
 import pytest
 
-from fraclap.energies import _lag_maxima, dirichlet_frac, holder_seminorm_grid
+from fraclap.energies import _holder_quotient, _lag_maxima, dirichlet_frac, holder_seminorm_grid
 from fraclap.errors import ConfigError
-from fraclap.grid import Domain, l2_norm, make_grid, sample
+from fraclap.grid import Domain, dist_to_complement, l2_norm, make_grid, sample
 from fraclap.kernels import FracParams, psi_moment
 from fraclap.mollifier import (
     _apply,
     _bump_suite_rows,
     _gradient_values,
     _stencil,
-    check_energy_consistency,
-    check_identity_l2,
-    check_lipschitz,
-    check_tail_bound,
+    _strip_rows,
     full_coverage_mask,
     mollify,
     mollify_gradient,
 )
 from fraclap.profiles import make_profile, random_bump
 from helpers import (
+    build_w,
+    check_energy_consistency,
+    check_identity_l2,
+    check_lipschitz,
+    check_strip_closeness,
+    check_strip_l2,
+    check_tail_bound,
     correlate_apply,
     gradient_loop,
     holder_restricted,
@@ -361,10 +365,12 @@ class TestBumpSuite:
         # suite; d1 and the Hoelder seminorm are recomputed per bump here
         phis = bumps(seed=n, n=n, count=10)
         stack = np.stack([phi.values for phi in phis])
-        eps_list, rho = (0.0, 0.1, 0.5), 0.6
-        rows = list(_bump_suite_rows(make_grid(DOM, n), stack, _lag_maxima(stack), s, eps_list, rho))
+        eps_list, rho, r = (0.0, 0.1, 0.5), 0.6, (1.0 - s) ** (1.0 / s)
+        zero = make_grid(DOM, n)
+        rows = list(_bump_suite_rows(zero, stack, _lag_maxima(stack), s, eps_list, rho, r))
         per_eps = ["closeness_l2", "energy_consistency", "lipschitz_gradient", "tail_bound"]
-        assert [r[0] for r in rows] == per_eps[:2] + ["energy_consistency_eps0"] + per_eps[2:] + per_eps * 2
+        per_eps += ["strip_closeness", "strip_l2"]
+        assert [row[0] for row in rows] == per_eps[:2] + ["energy_consistency_eps0"] + per_eps[2:] + per_eps * 2
         eps_of = iter(eps_list)
         for name, lhs, rhs in rows:
             if name == "closeness_l2":
@@ -377,6 +383,51 @@ class TestBumpSuite:
                     one = check_energy_consistency(phi, p)
                 elif name == "lipschitz_gradient":
                     one = check_lipschitz(phi, p, s)
-                else:
+                elif name == "tail_bound":
                     one = check_tail_bound(phi, p, rho, s)
+                else:
+                    check = check_strip_closeness if name == "strip_closeness" else check_strip_l2
+                    one = check(phi, zero, p, r, holder_seminorm_grid(phi, s), 0.0)
                 assert one == pytest.approx((lhs[i], rhs[i]), rel=1e-14, abs=0.0)
+
+
+class TestStripRows:
+    @pytest.mark.parametrize("n", [65, 129])
+    @pytest.mark.parametrize("s", [0.5, 0.9])
+    def test_stack_matches_one_row_competitor(self, n, s):
+        # the independent route: per bump, the competitor w built by
+        # boundary._blend from mollify, its sup distance to the smoothed
+        # bump over the strip 0 < dist <= r, and its L2(Omega) distance by
+        # l2_norm; the bounds are written out again from the paper
+        phis = bumps(seed=n + 1, n=n, count=10)
+        stack = np.stack([phi.values for phi in phis])
+        zero = make_grid(DOM, n)
+        holder = _holder_quotient(_lag_maxima(stack), zero.h, s)
+        dist = dist_to_complement(DOM, zero.nodes)
+        for r in ((1.0 - s) ** (1.0 / s), 0.3):
+            strip = (dist > 1e-9 * zero.h) & (dist <= r + 1e-9 * zero.h)
+            assert np.any(strip)
+            for eps in (0.0, 0.1, 0.5):
+                p = FracParams(s=s, eps=eps)
+                smoothed = _apply(stack, _stencil(p, zero.h, 0.0, 1.0, False), False)
+                (sup, sup_rhs), (l2, l2_rhs) = _strip_rows(zero, smoothed, p, r, holder)
+                near = (1.0 - s) / (1.0 - eps ** (2.0 - 2.0 * s))
+                for i, phi in enumerate(phis):
+                    sm = mollify(phi, p)
+                    w = build_w(phi, zero, p, r)
+                    hold = holder_seminorm_grid(phi, s)
+                    want = (
+                        float(np.max(np.abs(sm.values - w.values)[strip])),
+                        2.0 * hold * (r**s + near),
+                        l2_norm(sm - w, region="omega") ** 2,
+                        8.0 * hold**2 * (r ** (1.0 + 2.0 * s) + near**2 * r),
+                    )
+                    got = (sup[i], sup_rhs[i], l2[i], l2_rhs[i])
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_empty_strip_gives_zero_distance(self):
+        # a strip narrower than one cell holds no node
+        phis = bumps(seed=7, n=33, count=3)
+        grid = make_grid(DOM, 33)
+        (sup, _), _ = _strip_rows(grid, np.stack([phi.values for phi in phis]), FracParams(s=0.9), 0.5 * grid.h, 1.0)
+        assert np.array_equal(sup, np.zeros(3))

@@ -137,10 +137,10 @@ class TestCheckReport:
 
 class TestSolveReport:
     def test_long_form_csv(self):
-        rep = SolveReport(blocks=((0.5, (0.0, 0.5), (1.0, 2.0)), (0.7, (0.0,), (3.0,))))
+        rep = SolveReport(x=(0.0, 0.5), blocks=((0.5, (1.0, 2.0)), (0.7, (3.0, 4.0))))
         lines = rep.to_csv().splitlines()
         assert lines[0] == "s,x,u"
-        assert len(lines) == 4
+        assert len(lines) == 5
         assert lines[3].split(",")[0] == "0.7"
 
     def test_rows_are_each_value_at_twelve_digits(self):
@@ -148,9 +148,9 @@ class TestSolveReport:
         us = (rng.standard_normal(40) * 10.0 ** rng.integers(-30, 30, 40)).tolist()
         us += [0.0, -0.0, 1e-300, -7.5e300, float("inf"), float("nan")]
         xs = np.linspace(-1.0, 1.0, len(us)).tolist()
-        rep = SolveReport(blocks=((0.99, tuple(xs), tuple(us)), (1.0 / 3.0, tuple(xs[:3]), tuple(us[:3]))))
+        rep = SolveReport(x=tuple(xs), blocks=((0.99, tuple(us)), (1.0 / 3.0, tuple(us[::-1]))))
         want = ["s,x,u"] + [
-            ",".join("%.12g" % v for v in (s, x, u)) for s, bx, bu in rep.blocks for x, u in zip(bx, bu)
+            ",".join("%.12g" % v for v in (s, x, u)) for s, bu in rep.blocks for x, u in zip(rep.x, bu)
         ]
         assert rep.to_csv() == "\n".join(want) + "\n"
 
@@ -163,41 +163,27 @@ class TestSolveReport:
     def test_blocks_sharing_one_x_column_match_row_oracle(self):
         us = self._values(40, 1)
         xs = tuple(np.linspace(-1.0, 1.0, len(us)).tolist())
-        blocks = tuple((s, xs, us[::-1] if k % 2 else us) for k, s in enumerate((0.5, 0.7, 0.9, 0.99)))
-        assert SolveReport(blocks=blocks).to_csv() == solve_csv_rows(blocks)
+        blocks = tuple((s, us[::-1] if k % 2 else us) for k, s in enumerate((0.5, 0.7, 0.9, 0.99)))
+        assert SolveReport(x=xs, blocks=blocks).to_csv() == solve_csv_rows(xs, blocks)
 
     def test_equal_but_distinct_x_columns_match_row_oracle(self):
-        us = self._values(20, 2)
-        xs = np.linspace(-1.0, 1.0, len(us)).tolist()
         # equal tuples whose zeros differ in sign still print differently
         zeros = ((0.0, 1.0), (-0.0, 1.0))
-        blocks = (
-            (0.5, tuple(xs), us),
-            (0.7, tuple(xs), us),
-            (0.8, zeros[0], (1.0, 2.0)),
-            (0.9, zeros[1], (1.0, 2.0)),
-        )
-        assert blocks[0][1] is not blocks[1][1] and zeros[0] == zeros[1]
-        assert SolveReport(blocks=blocks).to_csv() == solve_csv_rows(blocks)
-
-    def test_x_column_changing_between_grids_matches_row_oracle(self):
-        blocks = []
-        for k, (s, m) in enumerate(((0.5, 9), (0.6, 17), (0.7, 9), (0.8, 3))):
-            xs = tuple(np.linspace(-1.5, 1.5, m).tolist())
-            blocks.append((s, xs, self._values(m, 10 + k)[-m:]))
-        blocks = tuple(blocks)
-        assert SolveReport(blocks=blocks).to_csv() == solve_csv_rows(blocks)
+        blocks = ((0.8, (1.0, 2.0)), (0.9, (1.0, 2.0)))
+        texts = [SolveReport(x=xs, blocks=blocks).to_csv() for xs in zeros]
+        assert zeros[0] == zeros[1] and texts[0] != texts[1]
+        assert texts == [solve_csv_rows(xs, blocks) for xs in zeros]
 
     def test_empty_block_matches_row_oracle(self):
-        blocks = ((0.5, (), ()), (0.7, (0.0, 1.0), (2.0, 3.0)), (0.9, (), ()))
-        assert SolveReport(blocks=blocks).to_csv() == solve_csv_rows(blocks)
-        assert SolveReport(blocks=((0.5, (), ()),)).to_csv() == "s,x,u\n"
-        assert SolveReport(blocks=()).to_csv() == "s,x,u\n"
+        blocks = ((0.5, ()), (0.7, ()), (0.9, ()))
+        assert SolveReport(x=(), blocks=blocks).to_csv() == solve_csv_rows((), blocks)
+        assert SolveReport(x=(), blocks=((0.5, ()),)).to_csv() == "s,x,u\n"
+        assert SolveReport(x=(0.0, 1.0), blocks=()).to_csv() == "s,x,u\n"
 
     def test_mismatched_block_lengths_rejected(self):
-        good = (0.5, (0.0, 1.0), (2.0, 3.0))
+        good = (0.5, (2.0, 3.0))
         with pytest.raises(ShapeError, match=r"s=0\.7 has 2 x values but 1 u values"):
-            SolveReport(blocks=(good, (0.7, (0.0, 1.0), (2.0,))))
+            SolveReport(x=(0.0, 1.0), blocks=(good, (0.7, (2.0,))))
 
 
 class TestEmitCsv:

@@ -5,9 +5,9 @@ import pytest
 from scipy.linalg import toeplitz
 
 from fraclap.assembly import interior_indices
-from fraclap.energies import dirichlet_frac, dirichlet_local, objective_frac, objective_local
+from fraclap.energies import dirichlet_frac, dirichlet_local, objective_local
 from fraclap.errors import ConfigError, DataError
-from fraclap.grid import Domain, linf_distance, make_grid, sample
+from fraclap.grid import Domain, make_grid, sample
 from fraclap.kernels import FracParams
 from fraclap.profiles import random_bump
 from fraclap.solver import (
@@ -17,6 +17,7 @@ from fraclap.solver import (
     solve_frac_dirichlet,
     solve_local_dirichlet,
 )
+from helpers import linf_distance, objective_frac
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
 
