@@ -13,7 +13,8 @@ offset.  Smoothing uses a symmetric stencil, the gradient (and its radial
 tail) an antisymmetric one.  A stencil depends only on (s, eps, h, radii);
 it is built once per key from vectorised kernel integrals, cached, and
 applied to a whole stack of edge-padded rows (..., n) at once, by one
-correlation through numpy's real FFT along the last axis.
+correlation through numpy's real FFT along the last axis; stencils of one
+reach and parity share the forward transform of a stack.
 
 Nodes whose unit ball leaves the box are evaluated with the constant
 extension; full_coverage_mask identifies the nodes free of that artifact, and
@@ -35,7 +36,6 @@ from .assembly import ToeplitzOperator, _far_from_full, stiffness_kernel
 from .errors import ConfigError
 from .grid import GridFunction, _product_rows, dist_to_complement
 from .kernels import FracParams, eta_t_integrals, norm_const, psi_integrals
-from .energies import _holder_quotient
 
 _LIMIT_TOL = 1e-9
 
@@ -109,10 +109,18 @@ def _stencil(p: FracParams, h: float, t_lo: float, t_hi: float, odd: bool) -> np
     return w
 
 
-def _apply(values: np.ndarray, w: np.ndarray, odd: bool) -> np.ndarray:
+def _spectrum(values: np.ndarray, L: int, odd: bool) -> np.ndarray:
+    """Data step of _apply: rfft at a power of two of the rows padded by L (differenced if odd)."""
+    x = np.pad(values, [(0, 0)] * (values.ndim - 1) + [(L, L)], mode="edge")
+    x = np.diff(x) if odd else x
+    return np.fft.rfft(x, 1 << (x.shape[-1] - 1).bit_length())
+
+
+def _apply(values: np.ndarray, w: np.ndarray, odd: bool, spectra: dict) -> np.ndarray:
     """Correlate each edge-padded row of values (..., n) with the mirrored
-    stencil by numpy's real FFT at a power of two p at least the padded
-    length, keeping the n outputs that circular wraparound cannot reach.
+    stencil by numpy's real FFT, keeping the n outputs that circular
+    wraparound cannot reach.  spectra maps (L, odd) to _spectrum(values, L,
+    odd), made on first use: stencils of one reach share one per stack.
 
     The antisymmetric stencil acts on first differences through tail sums
     of its weights, since v[i+o] - v[i-o] is the sum of the differences in
@@ -121,15 +129,16 @@ def _apply(values: np.ndarray, w: np.ndarray, odd: bool) -> np.ndarray:
     L = w.size - 1
     if L == 0:
         return np.zeros(values.shape)
-    x = np.pad(values, [(0, 0)] * (values.ndim - 1) + [(L, L)], mode="edge")
+    if (L, odd) not in spectra:
+        spectra[L, odd] = _spectrum(values, L, odd)
     if odd:
         tail = np.cumsum(w[:0:-1])[::-1]
-        x, k = np.diff(x), np.concatenate((tail[::-1], tail))
+        k = np.concatenate((tail[::-1], tail))
     else:
         k = np.concatenate((w[:0:-1], w))
-    p = 1 << (x.shape[-1] - 1).bit_length()
-    full = np.fft.irfft(np.fft.rfft(x, p) * np.fft.rfft(k[::-1], p), p)
-    return full[..., k.size - 1 : x.shape[-1]]
+    p = 2 * (spectra[L, odd].shape[-1] - 1)
+    full = np.fft.irfft(spectra[L, odd] * np.fft.rfft(k[::-1], p), p)
+    return full[..., k.size - 1 : k.size - 1 + values.shape[-1]]
 
 
 def mollify(phi: GridFunction, p: FracParams) -> GridFunction:
@@ -138,13 +147,7 @@ def mollify(phi: GridFunction, p: FracParams) -> GridFunction:
     cell); only d = 1 is supported."""
     if p.d != 1:
         raise ConfigError(f"mollify supports d=1 only, got d={p.d}")
-    return phi.with_values(_apply(phi.values, _stencil(p, phi.h, 0.0, 1.0, False), False))
-
-
-def _gradient_values(values: np.ndarray, h: float, p: FracParams, t_lo: float, t_hi: float) -> np.ndarray:
-    """Quadrature of the antisymmetric difference of each row (..., n) against
-    eta * t over radii [t_lo, t_hi] times plateau_scale; exact for P1 data."""
-    return _apply(values, _stencil(p, h, max(t_lo, 0.0), min(t_hi, 1.0), True), True)
+    return phi.with_values(_apply(phi.values, _stencil(p, phi.h, 0.0, 1.0, False), False, {}))
 
 
 def mollify_gradient(phi: GridFunction, p: FracParams) -> GridFunction:
@@ -157,7 +160,7 @@ def mollify_gradient(phi: GridFunction, p: FracParams) -> GridFunction:
     """
     if p.d != 1:
         raise ConfigError(f"mollify_gradient supports d=1 only, got d={p.d}")
-    return phi.with_values(_gradient_values(phi.values, phi.h, p, p.eps, 1.0))
+    return phi.with_values(_apply(phi.values, _stencil(p, phi.h, p.eps, 1.0, True), True, {}))
 
 
 def _closeness_rows(grid: GridFunction, values: np.ndarray, smoothed: np.ndarray, p: FracParams, d1) -> _Rows:
@@ -216,35 +219,35 @@ def _strip_rows(grid: GridFunction, smoothed: np.ndarray, p: FracParams, r: floa
 def _bump_suite_rows(
     grid: GridFunction,
     bumps: np.ndarray,
-    lags: np.ndarray,
+    spectra: dict,
+    holder: np.ndarray,
     s: float,
     eps_list: Tuple[float, ...],
     rho: float,
     r: float,
 ) -> Iterator[Tuple[str, np.ndarray, np.ndarray]]:
     """(inequality, lhs, rhs), one entry per row of the (B, n) stack bumps on
-    grid, for each eps in eps_list at one s; r is the boundary strip width.
-    lags are the bumps' energies._lag_maxima, which do not depend on s.  d1
-    and the Hoelder seminorms are computed once; each stencil is applied once
-    per eps, and the strip rows reuse the smoothed stack."""
+    grid, for each eps in eps_list at one s; r is the boundary strip width
+    and holder the bumps' Hoelder-s quotients; spectra is the bumps' _apply
+    dict.  d1 is computed once; each stencil is applied once per eps, and
+    the strip rows reuse the smoothed stack."""
     h, mask = grid.h, full_coverage_mask(grid)
     p_near = FracParams(s=s, eps=0.0, d=1)
     full = stiffness_kernel(p_near, h, grid.n - 3)  # offsets of the n - 2 nodes inside the box
     inner = bumps[:, 1:-1]
     near = ToeplitzOperator(full - _far_from_full(p_near, h, full))
     d1 = 0.5 * np.einsum("ij,ij->i", inner, near.matvec(inner))
-    holder = _holder_quotient(lags, h, s)
     for eps in eps_list:
         p = FracParams(s=s, eps=eps, d=1)
-        smoothed = _apply(bumps, _stencil(p, h, 0.0, 1.0, False), False)
+        smoothed = _apply(bumps, _stencil(p, h, 0.0, 1.0, False), False, spectra)
         yield ("closeness_l2", *_closeness_rows(grid, bumps, smoothed, p, d1))
         energy = _consistency_rows(h, smoothed, p, d1)
         yield ("energy_consistency", *energy)
         if eps == 0.0:
             yield ("energy_consistency_eps0", *energy)
-        grad = _gradient_values(bumps, h, p, eps, 1.0)
+        grad = _apply(bumps, _stencil(p, h, eps, 1.0, True), True, spectra)
         yield ("lipschitz_gradient", *_lipschitz_rows(grad, mask, p, holder))
-        tail = _gradient_values(bumps, h, p, rho, 1.0)
+        tail = _apply(bumps, _stencil(p, h, rho, 1.0, True), True, spectra)
         yield ("tail_bound", *_tail_rows(tail, mask, p, rho, s, holder))
         closeness, l2 = _strip_rows(grid, smoothed, p, r, holder)
         yield ("strip_closeness", *closeness)

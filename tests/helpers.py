@@ -25,9 +25,10 @@ from fraclap.kernels import FracParams, eta, eta_t_integrals, norm_const, psi_in
 from fraclap.mollifier import (
     _closeness_rows,
     _consistency_rows,
-    _gradient_values,
+    _apply,
     _lipschitz_rows,
     _partition,
+    _stencil,
     _strip_rows,
     _tail_rows,
     full_coverage_mask,
@@ -242,6 +243,12 @@ def refined_dense_solve(kernel: np.ndarray, b: np.ndarray) -> np.ndarray:
     return u - cho_solve(factor, residual)
 
 
+def gradient_values(values: np.ndarray, h: float, p: FracParams, t_lo: float, t_hi: float) -> np.ndarray:
+    """Quadrature of the antisymmetric difference of each row (..., n) against
+    eta * t over radii [t_lo, t_hi] times plateau_scale; exact for P1 data."""
+    return _apply(values, _stencil(p, h, max(t_lo, 0.0), min(t_hi, 1.0), True), True, {})
+
+
 def correlate_apply(v: np.ndarray, w: np.ndarray, odd: bool) -> np.ndarray:
     """One stencil applied to one vector by direct np.correlate of the
     edge-padded values, the odd stencil on first differences through tail
@@ -401,6 +408,27 @@ def holder_loop(phi: GridFunction, beta: float) -> float:
     return best
 
 
+def lag_maxima(values: np.ndarray) -> np.ndarray:
+    """max_i |v[i+k] - v[i]| of each row of values (..., n) for every lag
+    k = 1..n-1, as (..., n-1); independent of the Hoelder exponent."""
+    n = values.shape[-1]
+    diffs = np.empty(values.shape[:-1] + (n - 1,))
+    for k in range(1, n):
+        diffs[..., k - 1] = np.max(np.abs(values[..., k:] - values[..., :-k]), axis=-1)
+    return diffs
+
+
+def holder_quotient(lags: np.ndarray, h: float, beta: float) -> np.ndarray:
+    """Max over k of lags[..., k-1] / (k h)**beta, from lag_maxima: the full
+    lag scan (reference for energies._holder_quotients, which must return
+    the same floats)."""
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    # scalar powers, as the quotient has always been formed
+    scale = np.array([(k * h) ** beta for k in range(1, lags.shape[-1] + 1)])
+    return np.max(lags / scale, axis=-1)
+
+
 def holder_restricted(vals: np.ndarray, nodes: np.ndarray, mask: np.ndarray, beta: float) -> float:
     """Max Hoelder quotient over node pairs restricted to a boolean mask."""
     v = np.asarray(vals, dtype=float)[mask]
@@ -553,7 +581,7 @@ def check_tail_bound(phi: GridFunction, p: FracParams, rho: float, alpha: float,
     """Max over covered nodes of the gradient quadrature over radii [rho, 1]
     versus the tail bound of mollifier._tail_rows with [phi]_{C^{0,alpha}}."""
     est = holder_seminorm_grid(phi, alpha) if holder_est is None else holder_est
-    tail = _gradient_values(phi.values, phi.h, p, rho, 1.0)
+    tail = gradient_values(phi.values, phi.h, p, rho, 1.0)
     return _tail_rows(tail, full_coverage_mask(phi), p, rho, alpha, est)
 
 

@@ -5,8 +5,7 @@ import pytest
 
 from fraclap import assembly
 from fraclap.energies import (
-    _holder_quotient,
-    _lag_maxima,
+    _holder_quotients,
     dirichlet_frac,
     dirichlet_local,
     holder_seminorm_grid,
@@ -15,11 +14,13 @@ from fraclap.energies import (
 from fraclap.errors import SupportError
 from fraclap.grid import Domain, make_grid, sample
 from fraclap.kernels import FracParams, norm_const
-from fraclap.profiles import random_bump
+from fraclap.profiles import _random_bump_rows, random_bump
 from helpers import (
     dirichlet_frac_oracle,
     far_cross_quadrature,
     holder_loop,
+    holder_quotient,
+    lag_maxima,
     mass_quadratic_form,
     objective_frac,
     simpson_cells,
@@ -210,8 +211,8 @@ class TestHolderSeminorm:
 
     @pytest.mark.parametrize("n", [3, 33, 129, 1025, 2049])
     def test_matches_lag_loop_exactly(self, n):
-        # n >= 1025 splits the lags into several blocks; for the ramp and
-        # beta < 1 the maximum sits at the largest lag
+        # one row scans many lags per step; for the ramp and beta < 1 the
+        # maximum sits at the largest lag, so no lag is skipped
         rng = np.random.default_rng(n)
         grid = make_grid(DOM, n)
         for vals in (rng.standard_normal(n), grid.nodes):
@@ -222,13 +223,55 @@ class TestHolderSeminorm:
 
     @pytest.mark.parametrize("shape", [(4, 129), (2, 3, 33), (3, 4097)])
     def test_stack_matches_lag_loop_row_by_row(self, shape):
-        # (3, 4097) holds 12,291 values, so the lags go in blocks of 21
+        # (3, 4097) holds 12,291 values, so the lags go two per step
         rng = np.random.default_rng(shape[-1] + 7)
         grid = make_grid(DOM, shape[-1])
         stack = rng.standard_normal(shape)
-        for beta in (0.5, 1.0):
-            got = _holder_quotient(_lag_maxima(stack), grid.h, beta)
-            assert got.shape == shape[:-1]
+        got = _holder_quotients(stack, grid.h, (0.5, 1.0))
+        assert got.shape == (2,) + shape[:-1]
+        for j, beta in enumerate((0.5, 1.0)):
             for idx in np.ndindex(shape[:-1]):
-                assert got[idx] == holder_loop(grid.with_values(stack[idx]), beta)
+                assert got[j][idx] == holder_loop(grid.with_values(stack[idx]), beta)
+
+
+_BETAS = (1e-3, 0.5, 0.9, 1.0)
+
+
+def holder_stacks(n: int):
+    """Stacks that end the pruned scan at different lags: seeded bumps,
+    constant rows (osc = 0), a one-node spike, a monotone ramp (its maximum
+    is at the last lag for beta < 1, so nothing is pruned) and a mix."""
+    rng = np.random.default_rng(n + 3)
+    bumps = _random_bump_rows(rng, DOM, n, 20)
+    constant = np.array([np.full(n, 1.5), np.zeros(n), np.full(n, -2.0)])
+    spike = np.zeros((1, n))
+    spike[0, n // 2] = 1.0
+    ramp = np.linspace(-1.0, 2.0, n)[None]
+    mixed = np.concatenate((bumps[:4], constant[:1], spike, ramp, rng.standard_normal((2, n))))
+    return {"bumps": bumps, "constant": constant, "spike": spike, "ramp": ramp, "mixed": mixed}
+
+
+class TestHolderQuotients:
+    @pytest.mark.parametrize("n", [3, 65, 129, 513])
+    def test_pruned_scan_equals_full_scan(self, n):
+        # each exponent order: a stop decided by one exponent alone ends the
+        # scan before the largest lag that another one needs
+        grid = make_grid(DOM, n)
+        for name, stack in holder_stacks(n).items():
+            lags = lag_maxima(stack)
+            for betas in (_BETAS, _BETAS[::-1]):
+                got = _holder_quotients(stack, grid.h, betas)
+                want = np.array([holder_quotient(lags, grid.h, beta) for beta in betas])
+                assert np.array_equal(got, want), name
+            for row in stack[:2]:
+                got = _holder_quotients(row, grid.h, _BETAS)
+                assert got.shape == (len(_BETAS),)
+                for beta, quotient in zip(_BETAS, got):
+                    assert quotient == holder_loop(grid.with_values(row), beta), name
+
+    def test_exponent_validation(self):
+        stack = np.zeros((2, 9))
+        for betas in ((0.5, 0.0), (1.5,), (0.5, -0.2)):
+            with pytest.raises(ValueError):
+                _holder_quotients(stack, 0.5, betas)
 

@@ -15,7 +15,9 @@ from fraclap.experiments import (
     run_rates,
     run_solve,
 )
-from fraclap.mollifier import _stencil
+from fraclap.grid import make_grid
+from fraclap.kernels import FracParams
+from fraclap.mollifier import _stencil, mollify, mollify_gradient
 from helpers import solve_csv_rows, strip_seconds
 
 
@@ -91,39 +93,56 @@ class TestMollifierCheck:
 
 
     def test_one_stencil_application_per_operator(self, tmp_path, monkeypatch):
-        # the bumps are smoothed as one stack: one _apply per (s, eps,
-        # operator), 2 * 3 * 3, where a per-bump loop makes 2,400
-        shapes = []
-        apply = mollifier._apply
+        # the bumps are smoothed as one stack: one stencil step per (s, eps,
+        # operator), 2 * 3 * 3, where a per-bump loop makes 2,400.  Every
+        # stencil reaches 1/h = 16 offsets, so the padded stack (65 + 2 * 16
+        # values, its differences one fewer) is transformed once per parity
+        # and run, not once per stencil; one-function smoothing transforms
+        # its data once per call
+        steps, transforms = [], []
+        apply, rfft = mollifier._apply, np.fft.rfft
 
-        def counted(values, w, odd):
-            shapes.append(values.shape)
-            return apply(values, w, odd)
+        def counted_step(values, w, odd, spectra):
+            steps.append(values.shape)
+            return apply(values, w, odd, spectra)
+
+        def counted_rfft(a, *args, **kwargs):
+            transforms.append(np.shape(a))
+            return rfft(a, *args, **kwargs)
 
         def per_bump_quad_form(self, v):
             raise AssertionError("near energies must come from one stacked matvec")
 
-        monkeypatch.setattr(mollifier, "_apply", counted)
+        monkeypatch.setattr(mollifier, "_apply", counted_step)
+        monkeypatch.setattr(np.fft, "rfft", counted_rfft)
         monkeypatch.setattr(ToeplitzOperator, "quad_form", per_bump_quad_form)
         cfg = cfg_from(tmp_path, "experiment = mollifier_check\ns_list = 0.5, 0.9\nn = 65\n")
         assert run_mollifier_check(cfg).passed
-        assert shapes == [(_MOLL_BUMPS, 65)] * 18
+        assert steps == [(_MOLL_BUMPS, 65)] * 18
+        stacks = sorted(shape for shape in transforms if len(shape) == 2 and shape[-1] > 65)
+        assert stacks == [(_MOLL_BUMPS, 96), (_MOLL_BUMPS, 97)]
+
+        phi = make_grid(cfg.domain, 65).with_values(np.sin(np.linspace(0.0, 3.0, 65)))
+        transforms.clear()
+        mollify(phi, FracParams(s=0.5))
+        mollify_gradient(phi, FracParams(s=0.9, eps=0.1))
+        assert [shape for shape in transforms if shape[-1] > 65] == [(97,), (96,)]
 
     def test_one_lag_scan_per_run(self, tmp_path, monkeypatch):
-        # the per-lag maxima of the bump stack do not depend on s, so a run
-        # over s = 0.5, 0.9 scans the lags once
-        shapes = []
-        scan = energies._lag_maxima
+        # the lag maxima of the bump stack do not depend on s, so a run over
+        # s = 0.5, 0.9 scans the lags once for both exponents
+        calls = []
+        scan = energies._holder_quotients
 
-        def counted(values):
-            shapes.append(values.shape)
-            return scan(values)
+        def counted(values, h, betas):
+            calls.append((values.shape, tuple(betas)))
+            return scan(values, h, betas)
 
-        monkeypatch.setattr(energies, "_lag_maxima", counted)
-        monkeypatch.setattr(experiments, "_lag_maxima", counted)
+        monkeypatch.setattr(energies, "_holder_quotients", counted)
+        monkeypatch.setattr(experiments, "_holder_quotients", counted)
         cfg = cfg_from(tmp_path, "experiment = mollifier_check\ns_list = 0.5, 0.9\nn = 65\n")
         assert run_mollifier_check(cfg).passed
-        assert shapes == [(_MOLL_BUMPS, 65)]
+        assert calls == [((_MOLL_BUMPS, 65), (0.5, 0.9))]
 
 
 class TestRates:

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from fraclap.energies import _holder_quotient, _lag_maxima, dirichlet_frac, holder_seminorm_grid
+from fraclap.energies import dirichlet_frac, holder_seminorm_grid
 from fraclap.errors import ConfigError
 from fraclap.grid import Domain, dist_to_complement, l2_norm, make_grid, sample
 from fraclap.kernels import FracParams, psi_moment
 from fraclap.mollifier import (
     _apply,
     _bump_suite_rows,
-    _gradient_values,
     _stencil,
     _strip_rows,
     full_coverage_mask,
@@ -28,7 +27,10 @@ from helpers import (
     check_tail_bound,
     correlate_apply,
     gradient_loop,
+    gradient_values,
+    holder_quotient,
     holder_restricted,
+    lag_maxima,
     mollify_loop,
     stencil_weight_oracle,
 )
@@ -246,7 +248,7 @@ class TestGradient:
         g = sample(DOM, 129, lambda x: -0.7)
         p = FracParams(s=s, eps=eps)
         assert np.all(mollify_gradient(g, p).values == 0.0)
-        assert np.all(_gradient_values(g.values, g.h, p, 0.6, 1.0) == 0.0)
+        assert np.all(gradient_values(g.values, g.h, p, 0.6, 1.0) == 0.0)
 
 
 def sup_rel(got: np.ndarray, want: np.ndarray) -> float:
@@ -267,7 +269,7 @@ class TestStencil:
                     mollify_gradient(phi, p).values, gradient_loop(phi, p, eps, 1.0)
                 ) <= 1e-13
                 assert sup_rel(
-                    _gradient_values(phi.values, phi.h, p, 0.6, 1.0), gradient_loop(phi, p, 0.6, 1.0)
+                    gradient_values(phi.values, phi.h, p, 0.6, 1.0), gradient_loop(phi, p, 0.6, 1.0)
                 ) <= 1e-13
 
     @pytest.mark.parametrize("s", [0.5, 0.99])
@@ -340,7 +342,7 @@ class TestFFTApply:
                         x_max = np.max(np.abs(v))
                     pow2 = 1 << (n + 2 * (w.size - 1) - 1).bit_length()
                     tol = 16.0 * math.log2(pow2) * np.finfo(float).eps * k_l1 * x_max
-                    err = np.max(np.abs(_apply(v, w, odd) - correlate_apply(v, w, odd)))
+                    err = np.max(np.abs(_apply(v, w, odd, {}) - correlate_apply(v, w, odd)))
                     assert err <= tol
 
     @pytest.mark.parametrize("n", [65, 4097])
@@ -350,10 +352,10 @@ class TestFFTApply:
         p = FracParams(s=0.7, eps=0.1)
         for t_lo, odd in ((0.0, False), (0.1, True), (0.6, True), (1.0, True)):
             w = _stencil(p, h, t_lo, 1.0, odd)
-            got = _apply(stack, w, odd)
+            got = _apply(stack, w, odd, {})
             assert got.shape == stack.shape
             for idx in np.ndindex(2, 3):
-                one = _apply(stack[idx], w, odd)
+                one = _apply(stack[idx], w, odd, {})
                 assert np.max(np.abs(got[idx] - one)) <= 1e-15 * np.max(np.abs(one))
 
 
@@ -367,7 +369,8 @@ class TestBumpSuite:
         stack = np.stack([phi.values for phi in phis])
         eps_list, rho, r = (0.0, 0.1, 0.5), 0.6, (1.0 - s) ** (1.0 / s)
         zero = make_grid(DOM, n)
-        rows = list(_bump_suite_rows(zero, stack, _lag_maxima(stack), s, eps_list, rho, r))
+        holder = holder_quotient(lag_maxima(stack), zero.h, s)
+        rows = list(_bump_suite_rows(zero, stack, {}, holder, s, eps_list, rho, r))
         per_eps = ["closeness_l2", "energy_consistency", "lipschitz_gradient", "tail_bound"]
         per_eps += ["strip_closeness", "strip_l2"]
         assert [row[0] for row in rows] == per_eps[:2] + ["energy_consistency_eps0"] + per_eps[2:] + per_eps * 2
@@ -402,14 +405,14 @@ class TestStripRows:
         phis = bumps(seed=n + 1, n=n, count=10)
         stack = np.stack([phi.values for phi in phis])
         zero = make_grid(DOM, n)
-        holder = _holder_quotient(_lag_maxima(stack), zero.h, s)
+        holder = holder_quotient(lag_maxima(stack), zero.h, s)
         dist = dist_to_complement(DOM, zero.nodes)
         for r in ((1.0 - s) ** (1.0 / s), 0.3):
             strip = (dist > 1e-9 * zero.h) & (dist <= r + 1e-9 * zero.h)
             assert np.any(strip)
             for eps in (0.0, 0.1, 0.5):
                 p = FracParams(s=s, eps=eps)
-                smoothed = _apply(stack, _stencil(p, zero.h, 0.0, 1.0, False), False)
+                smoothed = _apply(stack, _stencil(p, zero.h, 0.0, 1.0, False), False, {})
                 (sup, sup_rhs), (l2, l2_rhs) = _strip_rows(zero, smoothed, p, r, holder)
                 near = (1.0 - s) / (1.0 - eps ** (2.0 - 2.0 * s))
                 for i, phi in enumerate(phis):
