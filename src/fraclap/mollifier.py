@@ -34,7 +34,7 @@ import numpy.fft  # noqa: F401  numpy imports it lazily; load it with the packag
 
 from .assembly import ToeplitzOperator, _far_from_full, stiffness_kernel
 from .errors import ConfigError
-from .grid import GridFunction, _product_rows, dist_to_complement
+from .grid import GridFunction, _product_rows
 from .kernels import FracParams, eta_t_integrals, norm_const, psi_integrals
 
 _LIMIT_TOL = 1e-9
@@ -203,13 +203,14 @@ def _strip_rows(grid: GridFunction, smoothed: np.ndarray, p: FracParams, r: floa
     """Distances of each smoothed row (..., n) to its boundary competitor w
     for zero exterior data: w ramps linearly from 0 outside Omega to the
     smoothed row at depth >= r, so the difference is (1 - lam) smoothed with
-    lam = clip(dist / r, 0, 1).  Returns its max over the strip 0 < dist <= r
+    lam = clip(dist / r, 0, 1).  Returns its max over the nodes of Omega's
+    closure at dist <= r (by continuity, its sup over the strip 0 < dist <= r)
     versus 2 holder (r**s + (1-s)/(1-eps**(2-2s))), and its squared
     L2(Omega) norm versus 8 holder**2 (r**(1+2s) + ((1-s)/(1-eps**(2-2s)))**2 r)."""
-    dist = dist_to_complement(grid.domain, grid.nodes)
-    tol = 1e-9 * grid.h
-    strip = (dist > tol) & (dist <= r + tol)
-    diff = (1.0 - np.clip(dist / r, 0.0, 1.0)) * smoothed
+    x, tol = grid.nodes, 1e-9 * grid.h
+    depth = np.minimum(x - grid.domain.omega_lo, grid.domain.omega_hi - x)  # dist, negative outside Omega
+    strip = (depth >= -tol) & (depth <= r + tol)
+    diff = (1.0 - np.clip(depth / r, 0.0, 1.0)) * smoothed
     near = (1.0 - p.s) * p.plateau_scale / 2.0
     sup = np.max(np.abs(diff[..., strip]), axis=-1, initial=0.0)
     l2 = _product_rows(grid, diff, diff, "omega")

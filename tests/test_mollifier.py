@@ -400,16 +400,19 @@ class TestStripRows:
     def test_stack_matches_one_row_competitor(self, n, s):
         # the independent route: per bump, the competitor w built by
         # boundary._blend from mollify, its sup distance to the smoothed
-        # bump over the strip 0 < dist <= r, and its L2(Omega) distance by
-        # l2_norm; the bounds are written out again from the paper
+        # bump over the nodes of Omega's closure at dist <= r, and its
+        # L2(Omega) distance by l2_norm; the bounds are written out again
+        # from the paper
         phis = bumps(seed=n + 1, n=n, count=10)
         stack = np.stack([phi.values for phi in phis])
         zero = make_grid(DOM, n)
         holder = holder_quotient(lag_maxima(stack), zero.h, s)
-        dist = dist_to_complement(DOM, zero.nodes)
+        x, tol = zero.nodes, 1e-9 * zero.h
+        closure = (x >= DOM.omega_lo - tol) & (x <= DOM.omega_hi + tol)
+        dist = dist_to_complement(DOM, x)
         for r in ((1.0 - s) ** (1.0 / s), 0.3):
-            strip = (dist > 1e-9 * zero.h) & (dist <= r + 1e-9 * zero.h)
-            assert np.any(strip)
+            strip = closure & (dist <= r + tol)
+            assert np.count_nonzero(strip & (dist > tol)) > 0
             for eps in (0.0, 0.1, 0.5):
                 p = FracParams(s=s, eps=eps)
                 smoothed = _apply(stack, _stencil(p, zero.h, 0.0, 1.0, False), False, {})
@@ -428,9 +431,16 @@ class TestStripRows:
                     got = (sup[i], sup_rhs[i], l2[i], l2_rhs[i])
                     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    def test_empty_strip_gives_zero_distance(self):
-        # a strip narrower than one cell holds no node
+    def test_narrow_strip_checks_boundary_nodes(self):
+        # a strip narrower than one cell holds no node inside Omega, but w
+        # meets the zero exterior data on the boundary of Omega, where the
+        # distance is the smoothed value itself
         phis = bumps(seed=7, n=33, count=3)
         grid = make_grid(DOM, 33)
-        (sup, _), _ = _strip_rows(grid, np.stack([phi.values for phi in phis]), FracParams(s=0.9), 0.5 * grid.h, 1.0)
-        assert np.array_equal(sup, np.zeros(3))
+        p = FracParams(s=0.9)
+        smoothed = np.stack([mollify(phi, p).values for phi in phis])
+        (sup, _), _ = _strip_rows(grid, smoothed, p, 0.5 * grid.h, 1.0)
+        edge = np.isin(grid.nodes, (DOM.omega_lo, DOM.omega_hi))
+        assert np.count_nonzero(edge) == 2
+        assert np.array_equal(sup, np.max(np.abs(smoothed[:, edge]), axis=-1))
+        assert np.all(sup > 0.0)
