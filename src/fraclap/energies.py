@@ -76,11 +76,10 @@ def holder_seminorm_grid(phi: GridFunction, beta: float) -> float:
 
 
 def _holder_quotients(values: np.ndarray, h: float, betas) -> np.ndarray:
-    """Max over lags k of max_i |v[i+k] - v[i]| / (k h)**beta for each beta
-    and row of values (..., n), as (len(betas), ...).  Lags go in increasing
-    k, several per step; a row stops once (max - min) / (k h)**beta, a bound
-    on every later quotient, is at most its best quotient for every beta, so
-    the result is the full scan's bit for bit."""
+    """Max over lags k of max_i |v[i+k] - v[i]| / (k h)**beta per beta and row
+    of values (..., n), as (len(betas), ...).  Lags go in increasing k, a few
+    per step; a row stops once (max - min) / (k h)**beta, which bounds every
+    later quotient, is at most its best for every beta: the full scan's bits."""
     if not all(0.0 < beta <= 1.0 for beta in betas):
         raise ValueError(f"beta must lie in (0, 1], got {betas}")
     n = values.shape[-1]

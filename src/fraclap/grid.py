@@ -13,6 +13,7 @@ function that vanishes at the box ends is therefore extended by zero.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Tuple, Union
@@ -56,6 +57,13 @@ class Domain:
         return self.box_hi - self.box_lo
 
 
+@functools.lru_cache(maxsize=8)  # one read-only node array per grid, shared by its functions
+def _nodes(lo: float, hi: float, n: int) -> np.ndarray:
+    x = np.linspace(lo, hi, n)
+    x.flags.writeable = False
+    return x
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """P1 function: values at n uniform nodes spanning the box.
@@ -82,7 +90,7 @@ class GridFunction:
 
     @property
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.domain.box_lo, self.domain.box_hi, self.n)
+        return _nodes(self.domain.box_lo, self.domain.box_hi, self.n)
 
     @property
     def h(self) -> float:

@@ -58,6 +58,15 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             g.values[0] = 1.0
 
+    def test_nodes_are_one_read_only_array_per_grid(self):
+        # every function on a grid shares its node array, so none may write it
+        g = make_grid(DOM, 33)
+        assert g.nodes is g.with_values(np.ones(33)).nodes
+        assert np.array_equal(g.nodes, np.linspace(DOM.box_lo, DOM.box_hi, 33))
+        assert make_grid(DOM, 65).nodes.shape == (65,)
+        with pytest.raises(ValueError):
+            g.nodes[0] = 1.0
+
 
 class TestEval:
     def test_constant(self):
