@@ -240,17 +240,13 @@ def stiffness_kernel(p: FracParams, h: float, kmax: int) -> np.ndarray:
     return c
 
 
-def far_kernel(p: FracParams, h: float, kmax: int) -> np.ndarray:
-    """Toeplitz kernel of the distance > 1 part of the interaction form:
+def far_kernel(p: FracParams, h: float, full: np.ndarray) -> np.ndarray:
+    """Toeplitz kernel of the distance > 1 part of the interaction form, from
+    the full kernel `full` = stiffness_kernel(p, h, kmax) of the same (p, h):
     c2[k] = 4 ((C/s) mass[k] - far_pair[k]) with the P1 mass overlaps
     (2h/3, h/6, 0, ...) and far_pair[k] = C h**(1-2s) J(k) restricted to
     t > 1/h - k.  Where k - 2 >= 1/h this is the full kernel entry itself,
     so the near kernel full - far is exactly 0 there."""
-    return _far_from_full(p, h, stiffness_kernel(p, h, kmax))
-
-
-def _far_from_full(p: FracParams, h: float, full: np.ndarray) -> np.ndarray:
-    """far_kernel from the already built full kernel of the same (p, h)."""
     s = p.s
     reach = 1.0 / h
     k = np.arange(float(full.size))
@@ -264,10 +260,14 @@ def _far_from_full(p: FracParams, h: float, full: np.ndarray) -> np.ndarray:
 
 
 def interior_indices(phi: GridFunction) -> np.ndarray:
-    """Indices of nodes strictly inside the interval (omega_lo, omega_hi)."""
+    """Indices of nodes strictly inside the interval (omega_lo, omega_hi);
+    ConfigError when there are none."""
     x = phi.nodes
     tol = 1e-9 * phi.h
-    return np.where((x > phi.domain.omega_lo + tol) & (x < phi.domain.omega_hi - tol))[0]
+    idx = np.where((x > phi.domain.omega_lo + tol) & (x < phi.domain.omega_hi - tol))[0]
+    if idx.size == 0:
+        raise ConfigError("grid has no interior nodes inside Omega")
+    return idx
 
 
 def load_vector(f: GridFunction) -> np.ndarray:

@@ -54,7 +54,7 @@ def dirichlet_frac(phi: GridFunction, p: FracParams) -> EnergyBreakdown:
     v = phi.values[1:-1]
     h = phi.h
     c_full = assembly.stiffness_kernel(p, h, len(v) - 1)
-    c_far = assembly._far_from_full(p, h, c_full)
+    c_far = assembly.far_kernel(p, h, c_full)
     d1 = 0.5 * assembly.ToeplitzOperator(c_full - c_far).quad_form(v)
     d2 = 0.5 * assembly.ToeplitzOperator(c_far).quad_form(v)
     return EnergyBreakdown(d1=d1, d2=d2)

@@ -2,13 +2,12 @@
 
 Each runner consumes a validated ExperimentConfig and returns a report
 object; writing CSV/SVG is the caller's concern.  Runners are deterministic
-for a fixed config and seed (timings excepted).
+for a fixed config and seed.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -17,7 +16,6 @@ import numpy.random  # noqa: F401  numpy imports it lazily; load it with the pac
 from .assembly import ToeplitzOperator, interior_indices
 from .boundary import energy_gap
 from .config import ExperimentConfig
-from .energies import _holder_quotients
 from .errors import ConfigError, NumericalError
 from .grid import l2_norm, make_grid, sample
 from .kernels import FracParams, const_ratio, norm_const, psi, psi_moment, sphere_measure
@@ -89,7 +87,6 @@ def run_rates(cfg: ExperimentConfig) -> SweepReport:
 
     rows: List[RateRow] = []
     for s in cfg.s_list:
-        t0 = time.perf_counter()
         p = _params(cfg, s)
         f_s = grid.with_values(fs_base.values + cfg.pert_coeff(s) * pert_vals)
         u_s, A, b = solve_frac_system(f_s, p)
@@ -100,14 +97,7 @@ def run_rates(cfg: ExperimentConfig) -> SweepReport:
         _check_optimality_identity(A, b, v_loc, u_int, s)
         gap = energy_gap(u_s, grid, f_grid, p, cfg.r_value(s))
         rows.append(
-            RateRow(
-                s=s,
-                seminorm_err=math.sqrt(semi2),
-                l2_err=err_l2,
-                total_ws2_err=math.sqrt(semi2 + err_l2**2),
-                energy_gap=gap,
-                seconds=time.perf_counter() - t0,
-            )
+            RateRow(s=s, l2_err=err_l2, total_ws2_err=math.sqrt(semi2 + err_l2**2), energy_gap=gap)
         )
     return build_sweep_report(rows, cfg.fit_min_s)
 
@@ -124,13 +114,12 @@ def run_consistency(cfg: ExperimentConfig) -> SweepReport:
     xs = np.linspace(dom.omega_lo, dom.omega_hi, 103)[1:-1]
     rows: List[ConsistencyRow] = []
     for s in cfg.s_list:
-        t0 = time.perf_counter()
         p = _params(cfg, s)
         worst = 0.0
         for x in xs:
             val = frac_laplacian_pointwise(g, p, float(x))
             worst = max(worst, abs(val + float(g.second_derivative(float(x)))))
-        rows.append(ConsistencyRow(s=s, max_abs_err=worst, seconds=time.perf_counter() - t0))
+        rows.append(ConsistencyRow(s=s, max_abs_err=worst))
     return build_sweep_report(rows, cfg.fit_min_s)
 
 
@@ -244,15 +233,12 @@ def run_mollifier_check(cfg: ExperimentConfig) -> CheckReport:
     rng = np.random.default_rng(cfg.seed)
     bumps = _random_bump_rows(rng, cfg.domain, cfg.n, _MOLL_BUMPS)
     grid = make_grid(cfg.domain, cfg.n)
-    holders = _holder_quotients(bumps, grid.h, cfg.s_list)  # one lag scan for every s
-    spectra: Dict[Tuple[int, bool], np.ndarray] = {}  # the bumps' transforms, shared by every s
+    strips = tuple((s, cfg.r_value(s)) for s in cfg.s_list)
 
     worst: Dict[str, float] = {}  # rows in the order the suite yields them
-    for s, holder in zip(cfg.s_list, holders):
-        rows = _bump_suite_rows(grid, bumps, spectra, holder, s, _MOLL_EPS, _TAIL_RHO, cfg.r_value(s))
-        for name, lhs, rhs in rows:
-            ratio = (lhs - _SLACK_ABS) / np.maximum(rhs, 1e-300)
-            worst[name] = max(worst.get(name, 0.0), float(np.max(ratio)))
+    for name, lhs, rhs in _bump_suite_rows(grid, bumps, strips, _MOLL_EPS, _TAIL_RHO):
+        ratio = (lhs - _SLACK_ABS) / np.maximum(rhs, 1e-300)
+        worst[name] = max(worst.get(name, 0.0), float(np.max(ratio)))
 
     bound = 1.0 + _SLACK_REL
     rows = tuple(

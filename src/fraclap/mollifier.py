@@ -11,28 +11,29 @@ Those sums are the same at every node, so each operator is one fixed
 stencil: the integral of the kernel against the P1 hat function at each grid
 offset.  Smoothing uses a symmetric stencil, the gradient (and its radial
 tail) an antisymmetric one.  A stencil depends only on (s, eps, h, radii);
-it is built once per key from vectorised kernel integrals, cached, and
-applied to a whole stack of edge-padded rows (..., n) at once, by one
-correlation through numpy's real FFT along the last axis; stencils of one
-reach and parity share the forward transform of a stack.
+it is built from vectorised kernel integrals where it is used and applied
+to a whole stack of edge-padded rows (..., n) at once, by one correlation
+through numpy's real FFT along the last axis; stencils of one reach and
+parity share the forward transform of a stack.
 
 Nodes whose unit ball leaves the box are evaluated with the constant
 extension; full_coverage_mask identifies the nodes free of that artifact, and
 the checks only assert over those.  Each inequality is one row function from
 stacked operator outputs to per-row (lhs, rhs), and _bump_suite_rows runs
-them all on the stacked bumps of mollifier-check.
+them all on the stacked bumps of mollifier-check, with one Hoelder scan
+and one transform of the stack per parity for the whole run.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.fft  # noqa: F401  numpy imports it lazily; load it with the package
 
-from .assembly import ToeplitzOperator, _far_from_full, stiffness_kernel
+from .assembly import ToeplitzOperator, far_kernel, stiffness_kernel
+from .energies import _holder_quotients
 from .errors import ConfigError
 from .grid import GridFunction, _product_rows
 from .kernels import FracParams, eta_t_integrals, norm_const, psi_integrals
@@ -72,7 +73,6 @@ def _partition(h: float, t_lo: float, t_hi: float, plateau: Optional[float] = No
     return a, b, j
 
 
-@functools.lru_cache(maxsize=64)
 def _stencil(p: FracParams, h: float, t_lo: float, t_hi: float, odd: bool) -> np.ndarray:
     """One-sided weights w[o], o = 0..L, of the kernel against the P1 hat
     function at grid offset o, over radii [t_lo, t_hi].
@@ -81,7 +81,6 @@ def _stencil(p: FracParams, h: float, t_lo: float, t_hi: float, odd: bool) -> np
     doubled.  odd=True: plateau_scale * eta(t) * t, the antisymmetric
     gradient stencil; offset 0 carries no weight there.  Each kernel piece
     [a, b] in cell j is linear in t, so it splits onto offsets j and j+1.
-    The returned array is read-only (it is shared through the cache).
     """
     a, b, js = _partition(h, t_lo, t_hi, None if odd else p.eps)
     if odd:
@@ -105,7 +104,6 @@ def _stencil(p: FracParams, h: float, t_lo: float, t_hi: float, odd: bool) -> np
         w[0] = 0.0
     else:
         w[0] *= 2.0
-    w.flags.writeable = False
     return w
 
 
@@ -204,39 +202,51 @@ def _strip_rows(grid: GridFunction, smoothed: np.ndarray, p: FracParams, r: floa
     for zero exterior data: w ramps linearly from 0 outside Omega to the
     smoothed row at depth >= r, so the difference is (1 - lam) smoothed with
     lam = clip(dist / r, 0, 1).  Returns its max over the nodes of Omega's
-    closure at dist <= r (by continuity, its sup over the strip 0 < dist <= r)
-    versus 2 holder (r**s + (1-s)/(1-eps**(2-2s))), and its squared
+    closure at dist <= r and over the two ends of Omega, where lam = 0 and
+    it is the interpolated smoothed row, versus
+    2 holder (r**s + (1-s)/(1-eps**(2-2s))); the difference is piecewise
+    quadratic, so it can peak between these samples.  Also its squared
     L2(Omega) norm versus 8 holder**2 (r**(1+2s) + ((1-s)/(1-eps**(2-2s)))**2 r)."""
-    x, tol = grid.nodes, 1e-9 * grid.h
-    depth = np.minimum(x - grid.domain.omega_lo, grid.domain.omega_hi - x)  # dist, negative outside Omega
+    x, tol, dom = grid.nodes, 1e-9 * grid.h, grid.domain
+    depth = np.minimum(x - dom.omega_lo, dom.omega_hi - x)  # dist, negative outside Omega
     strip = (depth >= -tol) & (depth <= r + tol)
     diff = (1.0 - np.clip(depth / r, 0.0, 1.0)) * smoothed
+    # cell [x_j, x_j+1] of each end, t = 0 when the end is a node
+    j = np.searchsorted(x, (dom.omega_lo, dom.omega_hi), "right") - 1
+    t = (np.array([dom.omega_lo, dom.omega_hi]) - x[j]) / grid.h
+    ends = (1.0 - t) * smoothed[..., j] + t * smoothed[..., j + 1]
     near = (1.0 - p.s) * p.plateau_scale / 2.0
-    sup = np.max(np.abs(diff[..., strip]), axis=-1, initial=0.0)
+    sup = np.max(np.abs(np.concatenate((diff[..., strip], ends), axis=-1)), axis=-1)
     l2 = _product_rows(grid, diff, diff, "omega")
     return (sup, 2.0 * holder * (r**p.s + near)), (l2, 8.0 * holder**2 * (r ** (1.0 + 2.0 * p.s) + near**2 * r))
 
 
 def _bump_suite_rows(
-    grid: GridFunction,
-    bumps: np.ndarray,
-    spectra: dict,
-    holder: np.ndarray,
-    s: float,
-    eps_list: Tuple[float, ...],
-    rho: float,
-    r: float,
+    grid: GridFunction, bumps: np.ndarray, strips: Sequence[Tuple[float, float]], eps_list: Tuple[float, ...], rho: float
 ) -> Iterator[Tuple[str, np.ndarray, np.ndarray]]:
     """(inequality, lhs, rhs), one entry per row of the (B, n) stack bumps on
-    grid, for each eps in eps_list at one s; r is the boundary strip width
-    and holder the bumps' Hoelder-s quotients; spectra is the bumps' _apply
-    dict.  d1 is computed once; each stencil is applied once per eps, and
-    the strip rows reuse the smoothed stack."""
+    grid, for each (s, r) in strips and eps in eps_list; r is the boundary
+    strip width at s.  One lag scan gives the bumps' Hoelder quotients for
+    every s, and the stack is transformed once per parity for every stencil;
+    each s runs in its own generator, so its arrays go before the next s."""
+    holders = _holder_quotients(bumps, grid.h, tuple(s for s, _ in strips))
+    spectra: dict = {}  # the bumps' _apply transforms, shared by every s
+    for (s, r), holder in zip(strips, holders):
+        yield from _rows_at_s(grid, bumps, spectra, holder, s, eps_list, rho, r)
+
+
+def _rows_at_s(
+    grid: GridFunction, bumps: np.ndarray, spectra: dict, holder: np.ndarray,
+    s: float, eps_list: Tuple[float, ...], rho: float, r: float,
+) -> Iterator[Tuple[str, np.ndarray, np.ndarray]]:
+    """_bump_suite_rows at one s, with the bumps' Hoelder-s quotients holder.
+    d1 is computed once; each stencil is applied once per eps, and the strip
+    rows reuse the smoothed stack."""
     h, mask = grid.h, full_coverage_mask(grid)
     p_near = FracParams(s=s, eps=0.0, d=1)
     full = stiffness_kernel(p_near, h, grid.n - 3)  # offsets of the n - 2 nodes inside the box
     inner = bumps[:, 1:-1]
-    near = ToeplitzOperator(full - _far_from_full(p_near, h, full))
+    near = ToeplitzOperator(full - far_kernel(p_near, h, full))
     d1 = 0.5 * np.einsum("ij,ij->i", inner, near.matvec(inner))
     for eps in eps_list:
         p = FracParams(s=s, eps=eps, d=1)

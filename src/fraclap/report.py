@@ -56,13 +56,11 @@ def _fit_loglog(pts: Sequence[Tuple[float, float]]) -> Tuple[float, float, float
 @dataclass(frozen=True)
 class RateRow:
     s: float
-    seminorm_err: float
     l2_err: float
     total_ws2_err: float
     energy_gap: float
-    seconds: float
 
-    header: ClassVar[str] = "s,one_minus_s,err_ws2_sq,err_l2,energy_gap,seconds"
+    header: ClassVar[str] = "s,one_minus_s,err_ws2_sq,err_l2,energy_gap"
     ylabel: ClassVar[str] = "error norm"
 
     @property
@@ -71,16 +69,15 @@ class RateRow:
 
     def csv_values(self) -> Tuple[float, ...]:
         err_sq = self.total_ws2_err**2
-        return (self.s, 1.0 - self.s, err_sq, self.l2_err, self.energy_gap, self.seconds)
+        return (self.s, 1.0 - self.s, err_sq, self.l2_err, self.energy_gap)
 
 
 @dataclass(frozen=True)
 class ConsistencyRow:
     s: float
     max_abs_err: float
-    seconds: float
 
-    header: ClassVar[str] = "s,one_minus_s,max_abs_err,seconds"
+    header: ClassVar[str] = "s,one_minus_s,max_abs_err"
     ylabel: ClassVar[str] = "max pointwise error"
 
     @property
@@ -88,7 +85,7 @@ class ConsistencyRow:
         return self.max_abs_err
 
     def csv_values(self) -> Tuple[float, ...]:
-        return (self.s, 1.0 - self.s, self.max_abs_err, self.seconds)
+        return (self.s, 1.0 - self.s, self.max_abs_err)
 
 
 SweepRow = Union[RateRow, ConsistencyRow]

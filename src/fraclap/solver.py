@@ -28,18 +28,13 @@ from .kernels import FracParams, norm_const
 # the symmetric second difference is replaced by its leading quadratic
 # profile, which avoids catastrophic cancellation at tiny offsets
 _NEAR_CUT = 1e-4
-
-
-def _interior(grid: GridFunction) -> np.ndarray:
-    idx = interior_indices(grid)
-    if idx.size == 0:
-        raise ConfigError("grid has no interior nodes inside Omega")
-    return idx
+# truncation radius of the pointwise operator's outer integral
+_RADIUS = 50.0
 
 
 def _assemble(grid: GridFunction, p: FracParams) -> Tuple[ToeplitzOperator, np.ndarray]:
     """The stiffness operator on grid's interior nodes, with their indices."""
-    idx = _interior(grid)
+    idx = interior_indices(grid)
     if p.s > 0.999:
         warnings.warn(
             f"s={p.s} is close to 1; the nonlocal matrix is nearly as "
@@ -91,7 +86,7 @@ def solve_local_dirichlet(f: GridFunction) -> GridFunction:
     Green's function h min(i, j) (m + 1 - max(i, j)) / (m + 1), 1-based, so
     u_i = h (m + 1 - i) sum_{j <= i} j b_j / (m + 1)
           + h i sum_{j > i} (m + 1 - j) b_j / (m + 1)."""
-    idx = _interior(f)
+    idx = interior_indices(f)
     b = load_vector(f)[idx]
     m = idx.size
     i = np.arange(1, m + 1)
@@ -134,7 +129,6 @@ def frac_laplacian_pointwise(
     g: Callable[[float], float],
     p: FracParams,
     x: float,
-    radius: float = 50.0,
     full_output: bool = False,
 ):
     """Pointwise nonlocal operator applied to a twice-differentiable g.
@@ -142,7 +136,7 @@ def frac_laplacian_pointwise(
     Splits the integral at the unit radius: the inner part uses the
     symmetric second difference 2 g(x) - g(x+z) - g(x-z), which is O(z^2)
     and kills affine functions exactly; the outer part is truncated at
-    `radius` and the analytic bound on the discarded tail is added to the
+    _RADIUS and the analytic bound on the discarded tail is added to the
     reported error bar.  With full_output=True returns (value, error_bar).
     """
     from scipy.integrate import quad  # on use: its import costs start-up about 0.26 s
@@ -150,7 +144,7 @@ def frac_laplacian_pointwise(
     if p.d != 1:
         raise ConfigError(f"pointwise operator supports d=1 only, got d={p.d}")
     gx = float(g(x))
-    probes = [gx, float(g(x + 1.0)), float(g(x - 1.0)), float(g(x + radius)), float(g(x - radius))]
+    probes = [gx, float(g(x + 1.0)), float(g(x - 1.0)), float(g(x + _RADIUS)), float(g(x - _RADIUS))]
     if not all(math.isfinite(v) for v in probes):
         raise DataError(f"g returned a non-finite value near x={x}")
 
@@ -178,7 +172,7 @@ def frac_laplacian_pointwise(
     far, far_err = quad(
         lambda z: second_diff(z) * z ** (-1.0 - s2),
         1.0,
-        radius,
+        _RADIUS,
         epsabs=1e-9,
         epsrel=1e-9,
         limit=400,
@@ -186,8 +180,8 @@ def frac_laplacian_pointwise(
     value = 4.0 * C * (near_sing + near + far)
     if not full_output:
         return value
-    samples = np.linspace(x - 2.0 * radius, x + 2.0 * radius, 257)
+    samples = np.linspace(x - 2.0 * _RADIUS, x + 2.0 * _RADIUS, 257)
     sup_g = float(np.max(np.abs([float(g(t)) for t in samples])))
-    tail_bound = 16.0 * C * sup_g * radius ** (-s2) / s2
+    tail_bound = 16.0 * C * sup_g * _RADIUS ** (-s2) / s2
     error_bar = 4.0 * C * (near_err + far_err) + tail_bound
     return value, error_bar

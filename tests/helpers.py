@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import cho_factor, cho_solve, toeplitz
 
-from fraclap.assembly import _gauss_legendre, far_kernel
+from fraclap.assembly import _gauss_legendre, far_kernel, stiffness_kernel
 from fraclap.boundary import _blend, _check_pair
 from fraclap.energies import dirichlet_frac, holder_seminorm_grid
 from fraclap.grid import Domain, GridFunction, _clip_bounds, product_integral, sample
@@ -210,7 +210,7 @@ def far_pair_from_kernel(p: FracParams, h: float, k: int) -> float:
     """The far pair integral of hat_0 and hat_k read back from far_kernel
     as (C/s) mass[k] - c2[k] / 4."""
     mass = (2.0 * h / 3.0, h / 6.0)[k] if k < 2 else 0.0
-    return norm_const(p) / p.s * mass - far_kernel(p, h, k)[k] / 4.0
+    return norm_const(p) / p.s * mass - far_kernel(p, h, stiffness_kernel(p, h, k))[k] / 4.0
 
 
 def toeplitz_quadratic_form(kernel: np.ndarray, v: np.ndarray) -> float:
@@ -445,26 +445,6 @@ def holder_restricted(vals: np.ndarray, nodes: np.ndarray, mask: np.ndarray, bet
 def fit_slope(xs, ys) -> float:
     """Plain least-squares slope, independent of the package's fitter."""
     return float(np.polyfit(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), 1)[0])
-
-
-def strip_seconds(text: str) -> str:
-    """Remove the seconds column from a CSV string (timings are the only
-    nondeterministic output)."""
-    lines = text.splitlines()
-    if not lines:
-        return text
-    header = lines[0].split(",")
-    if "seconds" not in header:
-        return text
-    j = header.index("seconds")
-    out = []
-    for ln in lines:
-        if ln.startswith("#"):
-            out.append(ln)
-        else:
-            cells = ln.split(",")
-            out.append(",".join(cells[:j] + cells[j + 1 :]))
-    return "\n".join(out)
 
 
 def solve_csv_rows(xs, blocks) -> str:

@@ -146,9 +146,9 @@ class TestFarPairs:
             assert got == pytest.approx(want, rel=1e-5, abs=1e-14)
 
     def test_negative_offset_rejected(self):
-        for kernel in (stiffness_kernel, far_kernel):
-            with pytest.raises(ValueError):
-                kernel(FracParams(s=0.5), 0.1, -1)
+        # far_kernel takes its offsets from a full kernel, which guards them
+        with pytest.raises(ValueError):
+            stiffness_kernel(FracParams(s=0.5), 0.1, -1)
 
 
 class TestFarKernel:
@@ -158,7 +158,7 @@ class TestFarKernel:
         v = phi.values[1:-1]
         p = FracParams(s=0.55, eps=0.1)
         c_full = stiffness_kernel(p, phi.h, len(v) - 1)
-        c_far = far_kernel(p, phi.h, len(v) - 1)
+        c_far = far_kernel(p, phi.h, c_full)
         near = ToeplitzOperator(c_full - c_far).quad_form(v)
         far = ToeplitzOperator(c_far).quad_form(v)
         assert near + far == pytest.approx(ToeplitzOperator(c_full).quad_form(v), rel=1e-12)
@@ -170,7 +170,7 @@ class TestFarKernel:
         v = phi.values[1:-1]
         for s in (0.35, 0.75):
             p = FracParams(s=s)
-            c_far = far_kernel(p, phi.h, len(v) - 1)
+            c_far = far_kernel(p, phi.h, stiffness_kernel(p, phi.h, len(v) - 1))
             got = 0.5 * ToeplitzOperator(c_far).quad_form(v)
             from fraclap.kernels import norm_const
 
@@ -186,7 +186,8 @@ class TestFarKernel:
         reach = int(1.0 / h)
         ks = [0, 1, *range(reach - 3, reach + 4), kmax - 1, kmax]
         for s in (0.3, 0.5, 0.9, 0.99):
-            c2 = far_kernel(FracParams(s=s), h, kmax)
+            p = FracParams(s=s)
+            c2 = far_kernel(p, h, stiffness_kernel(p, h, kmax))
             for k in ks:
                 want = far_kernel_oracle(s, h, k)
                 assert abs(c2[k] - want) <= 1e-13 * abs(want), (s, k)
@@ -196,7 +197,8 @@ class TestFarKernel:
         # hats more than 1/h + 2 offsets apart have no pair closer than 1
         h = 4.0 / 4096.0
         p = FracParams(s=s)
-        near = stiffness_kernel(p, h, 4094) - far_kernel(p, h, 4094)
+        full = stiffness_kernel(p, h, 4094)
+        near = full - far_kernel(p, h, full)
         k = np.arange(near.size)
         assert np.all(near[k > 1.0 / h + 2.0] == 0.0)
         assert np.all(near[k < 1.0 / h - 2.0] != 0.0)
@@ -368,6 +370,11 @@ class TestInteriorIndices:
         x = g.nodes[interior_indices(g)]
         assert np.all(np.abs(x) < 1.0)
         assert x.size == 3
+
+    def test_no_interior_node_rejected(self):
+        # nodes -0.7, 0, 0.7, 1.4 miss (0.3, 0.4)
+        with pytest.raises(ConfigError, match="no interior nodes"):
+            interior_indices(make_grid(Domain(0.3, 0.4, -0.7, 1.4), 4))
 
 
 class TestLoadVector:

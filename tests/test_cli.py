@@ -11,7 +11,8 @@ import fraclap
 from fraclap import cli, report, solver
 from fraclap.errors import NumericalError
 from fraclap.report import CheckReport, CheckRow
-from helpers import strip_seconds
+
+CONFIGS = Path(__file__).resolve().parent / "configs"  # one tiny config per subcommand
 
 
 def write_cfg(tmp_path, text: str, name="exp.cfg"):
@@ -76,10 +77,10 @@ class TestSuccessPaths:
         csv_path = tmp_path / "out" / "rates.csv"
         svg_path = tmp_path / "out" / "rates.svg"
         assert csv_path.exists() and svg_path.exists()
-        first_csv = strip_seconds(csv_path.read_text(encoding="utf-8"))
+        first_csv = csv_path.read_bytes()
         first_svg = svg_path.read_bytes()
         assert cli.main(["rates", "--config", cfg]) == 0
-        assert strip_seconds(csv_path.read_text(encoding="utf-8")) == first_csv
+        assert csv_path.read_bytes() == first_csv
         assert svg_path.read_bytes() == first_svg
 
     def test_solve_writes_solution_table(self, tmp_path):
@@ -91,6 +92,19 @@ class TestSuccessPaths:
         assert cli.main(["solve", "--config", cfg]) == 0
         text = (tmp_path / "out" / "solve.csv").read_text(encoding="utf-8")
         assert text.splitlines()[0] == "s,x,u"
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("command", sorted(cli._RUNNERS))
+    def test_two_runs_write_identical_bytes(self, tmp_path, command):
+        stem = command.replace("-", "_")
+        written = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert cli.main([command, "--config", str(CONFIGS / f"{stem}.cfg"), "--out", str(out)]) == 0
+            written.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert stem + ".csv" in written[0]
+        assert written[0] == written[1]
 
 
 class TestConfigFailures:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fraclap import energies, experiments, mollifier
+from fraclap import energies, mollifier
 from fraclap.assembly import ToeplitzOperator
 from fraclap.config import parse_config
 from fraclap.errors import ConfigError, NumericalError
@@ -17,8 +17,8 @@ from fraclap.experiments import (
 )
 from fraclap.grid import make_grid
 from fraclap.kernels import FracParams
-from fraclap.mollifier import _stencil, mollify, mollify_gradient
-from helpers import solve_csv_rows, strip_seconds
+from fraclap.mollifier import mollify, mollify_gradient
+from helpers import solve_csv_rows
 
 
 def cfg_from(tmp_path, text: str):
@@ -69,7 +69,7 @@ class TestMollifierCheck:
         assert rep.to_csv() != run_mollifier_check(cfg).to_csv()
 
 
-    def test_report_values_pinned(self, tmp_path):
+    def test_report_values_pinned(self, tmp_path, monkeypatch):
         # values printed by the per-piece smoothing loop that the stencils
         # replaced, at full precision; the strip rows by the one-row
         # competitor checks that the stacked strip rows replaced, and
@@ -87,11 +87,18 @@ class TestMollifierCheck:
             "strip_closeness": 0.06605615385769266,
             "strip_l2": 0.0021601492036891065,
         }
-        _stencil.cache_clear()
+        built = []
+        stencil = mollifier._stencil
+
+        def counted(*key):
+            built.append(key)
+            return stencil(*key)
+
+        monkeypatch.setattr(mollifier, "_stencil", counted)
         rep = run_mollifier_check(cfg)
         assert {r.name: r.value for r in rep.rows} == pytest.approx(want, rel=1e-12, abs=0.0)
         # one smoothing, gradient and tail stencil per (s, eps)
-        assert _stencil.cache_info().misses == 2 * 3 * 3
+        assert len(built) == len(set(built)) == 2 * 3 * 3
 
 
     def test_one_stencil_application_per_operator(self, tmp_path, monkeypatch):
@@ -141,7 +148,7 @@ class TestMollifierCheck:
             return scan(values, h, betas)
 
         monkeypatch.setattr(energies, "_holder_quotients", counted)
-        monkeypatch.setattr(experiments, "_holder_quotients", counted)
+        monkeypatch.setattr(mollifier, "_holder_quotients", counted)
         cfg = cfg_from(tmp_path, "experiment = mollifier_check\ns_list = 0.5, 0.9\nn = 65\n")
         assert run_mollifier_check(cfg).passed
         assert calls == [((_MOLL_BUMPS, 65), (0.5, 0.9))]
@@ -158,12 +165,8 @@ class TestRates:
         assert math.isfinite(rep.slope)
         assert rep.c_emp > 0.0
         for row in rep.rows:
-            assert row.total_ws2_err > 0.0
-            assert row.total_ws2_err**2 == pytest.approx(
-                row.seminorm_err**2 + row.l2_err**2, rel=1e-12
-            )
+            assert row.total_ws2_err > row.l2_err > 0.0
             assert row.energy_gap > 0.0
-            assert row.seconds >= 0.0
 
     def test_error_shrinks_toward_local_limit(self, tmp_path):
         cfg = cfg_from(
@@ -172,11 +175,9 @@ class TestRates:
         rows = run_rates(cfg).rows
         assert rows[0].total_ws2_err > rows[1].total_ws2_err > rows[2].total_ws2_err
 
-    def test_deterministic_up_to_timing(self, tmp_path):
+    def test_deterministic(self, tmp_path):
         cfg = cfg_from(tmp_path, "experiment = rates\ns_list = 0.6, 0.8\nn = 129\n")
-        a = strip_seconds(run_rates(cfg).to_csv())
-        b = strip_seconds(run_rates(cfg).to_csv())
-        assert a == b
+        assert run_rates(cfg).to_csv() == run_rates(cfg).to_csv()
 
     def test_perturbation_modes_change_rows(self, tmp_path):
         base = "experiment = rates\ns_list = 0.6, 0.8\nn = 129\n"
@@ -205,7 +206,7 @@ class TestRates:
         cfg = cfg_from(tmp_path, "experiment = rates\ns_list = 0.95, 0.99\nn = 4097\n")
         rows = run_rates(cfg).rows
         assert [r.s for r in rows] == [0.95, 0.99]
-        assert all(r.seminorm_err > 0.0 for r in rows)
+        assert all(r.total_ws2_err > r.l2_err for r in rows)  # a positive seminorm
 
 
 class TestConsistency:

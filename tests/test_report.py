@@ -17,18 +17,11 @@ from helpers import solve_csv_rows
 
 
 def rate_row(s: float, err: float) -> RateRow:
-    return RateRow(
-        s=s,
-        seminorm_err=err,
-        l2_err=err / 10.0,
-        total_ws2_err=err,
-        energy_gap=err / 5.0,
-        seconds=0.01,
-    )
+    return RateRow(s=s, l2_err=err / 10.0, total_ws2_err=err, energy_gap=err / 5.0)
 
 
 def consistency_row(s: float, err: float) -> ConsistencyRow:
-    return ConsistencyRow(s=s, max_abs_err=err, seconds=0.0)
+    return ConsistencyRow(s=s, max_abs_err=err)
 
 
 # (row factory, CSV header, value of the third CSV column for error err,
@@ -38,14 +31,14 @@ SWEEP_ROWS = pytest.mark.parametrize(
     [
         pytest.param(
             rate_row,
-            "s,one_minus_s,err_ws2_sq,err_l2,energy_gap,seconds",
+            "s,one_minus_s,err_ws2_sq,err_l2,energy_gap",
             lambda err: err**2,
             "error norm",
             id="RateRow",
         ),
         pytest.param(
             consistency_row,
-            "s,one_minus_s,max_abs_err,seconds",
+            "s,one_minus_s,max_abs_err",
             lambda err: err,
             "max pointwise error",
             id="ConsistencyRow",
