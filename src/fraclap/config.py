@@ -159,6 +159,8 @@ def _validate(cfg: ExperimentConfig) -> None:
                 )
     if cfg.n < 33:
         raise ConfigError(f"n must be at least 33, got {cfg.n}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     if not 0.0 <= cfg.eps < 1.0:
         raise ConfigError(f"eps must lie in [0, 1), got {cfg.eps}")
     if not cfg.output_dir:

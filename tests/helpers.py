@@ -37,6 +37,9 @@ from fraclap.mollifier import (
 )
 from fraclap.profiles import make_profile
 
+# np.trapezoid is numpy >= 2.0; pyproject allows numpy >= 1.24, which has np.trapz
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
 
 def simpson_cells(f, pts) -> float:
     """One Simpson panel per subinterval of pts; exact whenever f is a

@@ -35,7 +35,7 @@ from fraclap.solver import (
     solve_frac_dirichlet,
     solve_local_dirichlet,
 )
-from helpers import check_strip_closeness, check_strip_l2, linf_distance, objective_frac
+from helpers import check_strip_closeness, check_strip_l2, linf_distance, objective_frac, trapezoid
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
 RATE_S = (0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
@@ -204,7 +204,7 @@ class TestAcceptance:
         fixed = run_rates(fixed_cfg)
         bump = make_profile(PERT_BUMP)
         xs = np.linspace(-0.5, 0.5, 20001)
-        bump_l1 = float(np.trapezoid(np.abs(bump(xs)), xs))
+        bump_l1 = float(trapezoid(np.abs(bump(xs)), xs))
         floor = fixed.rows[-1].total_ws2_err ** 2
         c_sq = base_report.c_emp**2
         needed = c_sq * 0.1 * bump_l1 / 10.0

@@ -33,6 +33,7 @@ from helpers import (
     simpson_cells,
     stiffness_kernel_oracle,
     toeplitz_quadratic_form,
+    trapezoid,
 )
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
@@ -130,7 +131,7 @@ class TestFarPairs:
                     return 0.0
                 hat0 = np.clip(1.0 - np.abs(ts) / h, 0.0, None)
                 hatk = np.clip(1.0 - np.abs(ts - tau) / h, 0.0, None)
-                return float(np.trapezoid(hat0 * hatk, ts))
+                return float(trapezoid(hat0 * hatk, ts))
 
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", IntegrationWarning)

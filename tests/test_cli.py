@@ -138,6 +138,17 @@ class TestConfigFailures:
             assert "r_rule" in err and "s=0.6" in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("route", ["config", "flag"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, route):
+        out = tmp_path / "out"
+        text = f"experiment = mollifier_check\ns_list = 0.9\nn = 33\noutput_dir = {out}\n"
+        cfg = write_cfg(tmp_path, text + ("seed = -5\n" if route == "config" else ""))
+        flag = ["--seed", "-3"] if route == "flag" else []
+        assert cli.main(["mollifier-check", "--config", cfg] + flag) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["rates", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -196,13 +207,19 @@ class TestRunnerOutcomes:
 # module at all (importing scipy.linalg costs about 0.34 s), nor numpy.polynomial
 # (importing it and building one Gauss rule costs about 6 ms and 1.8 MB of peak
 # RSS; assembly builds its rules from the Legendre recurrence), nor numpy.ma
-# (np.unique and the set routines import it lazily; it costs about 1 MB of RSS)
+# (np.unique and the set routines import it lazily; it costs about 1 MB of RSS),
+# nor numpy.random (about 6 MB of RSS and 15 ms; the bump suite draws from
+# profiles._PCG64, which reproduces numpy.random.default_rng's stream)
 # Runs in a fresh interpreter: the test suite itself imports scipy.integrate.
+# What `import numpy` loads itself is not counted: numpy 1.x imports random,
+# polynomial and ma with the package, numpy >= 2.0 on first use.
 _FOOTPRINT_SCRIPT = """
 import json, sys
 out, runs = sys.argv[1], json.loads(sys.argv[2])
-heavy = ("scipy", "numpy.polynomial", "numpy.ma")
-loaded = lambda: sorted(m for m in sys.modules if m in heavy or m.startswith(tuple(h + "." for h in heavy)))
+heavy = ("scipy", "numpy.polynomial", "numpy.ma", "numpy.random")
+import numpy
+own = set(sys.modules)
+loaded = lambda: sorted(m for m in set(sys.modules) - own if m in heavy or m.startswith(tuple(h + "." for h in heavy)))
 import fraclap.cli
 stages = {"import": loaded()}
 for name, argv in runs:
@@ -213,9 +230,10 @@ json.dump(stages, open(out, "w"))
 
 
 def _loaded_after(tmp_path, runs):
-    """scipy, numpy.polynomial and numpy.ma modules in sys.modules after
-    `import fraclap.cli` and after each (name, argv) CLI run in order, plus
-    each run's exit code."""
+    """scipy, numpy.polynomial, numpy.ma and numpy.random modules that
+    `import numpy` did not load itself, in sys.modules after `import
+    fraclap.cli` and after each (name, argv) CLI run in order, plus each
+    run's exit code."""
     src = str(Path(fraclap.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src] + [d for d in env.get("PYTHONPATH", "").split(os.pathsep) if d])
@@ -226,7 +244,7 @@ def _loaded_after(tmp_path, runs):
 
 
 class TestImportFootprint:
-    def test_startup_and_fast_subcommands_skip_heavy_scipy(self, tmp_path):
+    def test_startup_and_fast_subcommands_skip_scipy_and_numpy_random(self, tmp_path):
         rates = write_cfg(tmp_path, f"experiment = rates\ns_list = 0.6, 0.8\nn = 65\noutput_dir = {tmp_path}\n")
         solve = write_cfg(
             tmp_path, f"experiment = solve\ns_list = 0.5, 0.99\nn = 65\noutput_dir = {tmp_path}\n", "s.cfg"

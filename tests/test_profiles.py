@@ -6,7 +6,7 @@ import pytest
 from fraclap import profiles
 from fraclap.errors import ConfigError, DataError
 from fraclap.grid import Domain
-from fraclap.profiles import _random_bump_rows, make_profile, profile_names, random_bump
+from fraclap.profiles import _PCG64, _random_bump_rows, make_profile, profile_names, random_bump
 from helpers import central_diff, random_bump_loop
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
@@ -163,3 +163,22 @@ class TestRandomBump:
         monkeypatch.setattr(profiles, "_bump_pieces", poisoned)
         with pytest.raises(DataError, match="bump 3 at node 7"):
             _random_bump_rows(np.random.default_rng(1), DOM, 65, 10)
+
+
+class TestPCG64:
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 3, 10**30])
+    def test_stream_equals_default_rng(self, seed):
+        # seeds of one to four 32-bit words and past the four-word pool;
+        # random() and uniform() interleaved as the bump draws interleave them
+        ours, theirs = _PCG64(seed), np.random.default_rng(seed)
+        for i in range(1000):
+            if i % 3 == 0:
+                assert ours.random() == theirs.random()
+            else:
+                lo, hi = -0.25 * (i % 7), 0.5 + i % 5
+                assert ours.uniform(lo, hi) == theirs.uniform(lo, hi)
+
+    @pytest.mark.parametrize("seed", range(21))
+    def test_bump_rows_equal_default_rng(self, seed):
+        want = _random_bump_rows(np.random.default_rng(seed), DOM, 129, 100)
+        assert np.array_equal(_random_bump_rows(_PCG64(seed), DOM, 129, 100), want)
