@@ -7,7 +7,6 @@ operator values approach their classical counterparts as s approaches 1.
 """
 
 from .assembly import ToeplitzOperator
-from .boundary import energy_gap
 from .config import EXPERIMENTS, ExperimentConfig, parse_config, with_overrides
 from .energies import (
     EnergyBreakdown,
@@ -43,7 +42,7 @@ from .kernels import (
     psi_moment,
     sphere_measure,
 )
-from .mollifier import full_coverage_mask, mollify, mollify_gradient
+from .mollifier import energy_gap, full_coverage_mask, mollify, mollify_gradient
 from .profiles import Profile, make_profile, random_bump
 from .report import (
     CheckReport,

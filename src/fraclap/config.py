@@ -34,7 +34,6 @@ class ExperimentConfig:
     box_hi: float = 2.0
     r_rule: str = "paper"
     f_spec: str = "constant:1"
-    f_s_spec: str = ""
     g_spec: str = "gaussian"
     pert_mode: str = "none"
     pert_profile: str = "bump:amplitude=1,center=0,width=0.5"
@@ -49,9 +48,6 @@ class ExperimentConfig:
 
     def f_profile(self) -> Profile:
         return make_profile(self.f_spec)
-
-    def f_s_profile(self) -> Profile:
-        return make_profile(self.f_s_spec or self.f_spec)
 
     def g_profile(self) -> Profile:
         return make_profile(self.g_spec)
@@ -167,6 +163,14 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("output_dir must not be empty")
     if not 0.0 < cfg.fit_min_s < 1.0:
         raise ConfigError(f"fit_min_s must lie in (0, 1), got {cfg.fit_min_s}")
+    if cfg.experiment in ("rates", "consistency"):
+        # the sweep report fits its decay through the s >= fit_min_s
+        fitted = {s for s in cfg.s_list if s >= cfg.fit_min_s}
+        if len(fitted) < 2:
+            raise ConfigError(
+                f"experiment '{cfg.experiment}' needs at least two distinct s >= "
+                f"fit_min_s={cfg.fit_min_s} for its fit, got {len(fitted)}"
+            )
     if cfg.pert_mode not in ("none", "shrinking", "fixed"):
         raise ConfigError(
             f"pert_mode must be none, shrinking, or fixed, got '{cfg.pert_mode}'"
@@ -192,7 +196,7 @@ def _validate(cfg: ExperimentConfig) -> None:
                     f"r_rule '{cfg.r_rule}' gives strip width r={r} at s={s}, "
                     f"which must be below half of |Omega|={dom.omega_measure}"
                 )
-    for builder in (cfg.f_profile, cfg.f_s_profile, cfg.g_profile, cfg.pert):
+    for builder in (cfg.f_profile, cfg.g_profile, cfg.pert):
         builder()
 
 

@@ -13,12 +13,11 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .assembly import ToeplitzOperator, interior_indices
-from .boundary import energy_gap
 from .config import ExperimentConfig
 from .errors import ConfigError, NumericalError
 from .grid import l2_norm, make_grid, sample
 from .kernels import FracParams, const_ratio, norm_const, psi, psi_moment, sphere_measure
-from .mollifier import _bump_suite_rows
+from .mollifier import _bump_suite_rows, energy_gap
 from .profiles import _PCG64, _random_bump_rows
 from .report import (
     CheckReport,
@@ -79,7 +78,6 @@ def run_rates(cfg: ExperimentConfig) -> SweepReport:
     grid = make_grid(dom, n)  # zero: also the exterior data g of energy_gap
     idx = interior_indices(grid)
     f_grid = sample(dom, n, cfg.f_profile())
-    fs_base = sample(dom, n, cfg.f_s_profile())
     pert_vals = sample(dom, n, cfg.pert()).values
     u_loc = solve_local_dirichlet(f_grid)
     v_loc = u_loc.values[idx]
@@ -87,7 +85,7 @@ def run_rates(cfg: ExperimentConfig) -> SweepReport:
     rows: List[RateRow] = []
     for s in cfg.s_list:
         p = _params(cfg, s)
-        f_s = grid.with_values(fs_base.values + cfg.pert_coeff(s) * pert_vals)
+        f_s = grid.with_values(f_grid.values + cfg.pert_coeff(s) * pert_vals)
         u_s, A, b = solve_frac_system(f_s, p)
         u_int = u_s.values[idx]
 
@@ -250,12 +248,12 @@ def run_solve(cfg: ExperimentConfig) -> SolveReport:
     dom = cfg.domain
     n = cfg.n
     grid = make_grid(dom, n)
-    fs_base = sample(dom, n, cfg.f_s_profile())
+    f_base = sample(dom, n, cfg.f_profile())
     pert_vals = sample(dom, n, cfg.pert()).values
     blocks: List[Tuple[float, Tuple[float, ...]]] = []
     for s in cfg.s_list:
         p = _params(cfg, s)
-        f_s = grid.with_values(fs_base.values + cfg.pert_coeff(s) * pert_vals)
+        f_s = grid.with_values(f_base.values + cfg.pert_coeff(s) * pert_vals)
         u = solve_frac_dirichlet(f_s, p)
         blocks.append((s, tuple(u.values.tolist())))
     return SolveReport(x=tuple(grid.nodes.tolist()), blocks=tuple(blocks))

@@ -22,6 +22,12 @@ the checks only assert over those.  Each inequality is one row function from
 stacked operator outputs to per-row (lhs, rhs), and _bump_suite_rows runs
 them all on the stacked bumps of mollifier-check, with one Hoelder scan
 and one transform of the stack per parity for the whole run.
+
+The boundary competitor w of the local problem lives here too: w equals the
+exterior data g outside Omega, the smoothed solution at depth >= r inside,
+and is linear in the depth in between (_ramp, _blend).  energy_gap is what
+w costs in the local objective, and the strip rows are its distances to the
+smoothed function.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import numpy as np
 import numpy.fft  # noqa: F401  numpy imports it lazily; load it with the package
 
 from .assembly import ToeplitzOperator, far_kernel, stiffness_kernel
-from .energies import _holder_quotients
+from .energies import _holder_quotients, objective_local
 from .errors import ConfigError
 from .grid import GridFunction, _product_rows
 from .kernels import FracParams, eta_t_integrals, norm_const, psi_integrals
@@ -197,20 +203,47 @@ def _tail_rows(tail: np.ndarray, mask: np.ndarray, p: FracParams, rho: float, al
     return np.max(np.abs(tail[..., mask]), axis=-1), p.d * p.plateau_scale * holder * (1.0 - p.s) * factor
 
 
+def _ramp(grid: GridFunction, r: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Signed depth of each node of grid in Omega (negative outside) and the
+    competitor's ramp lam = clip(depth / r, 0, 1); the strip width r must
+    lie in (0, |Omega|/2)."""
+    dom = grid.domain
+    half = dom.omega_measure / 2.0
+    if not (math.isfinite(r) and 0.0 < r < half):
+        raise ConfigError(f"strip width r={r} must lie in (0, |Omega|/2={half})")
+    depth = np.minimum(grid.nodes - dom.omega_lo, dom.omega_hi - grid.nodes)
+    return depth, np.clip(depth / r, 0.0, 1.0)
+
+
+def _blend(g: GridFunction, smoothed: GridFunction, r: float) -> GridFunction:
+    """The boundary competitor w: g outside Omega, the already smoothed
+    solution at depth >= r inside, and linear in the depth in between."""
+    _, lam = _ramp(smoothed, r)
+    return smoothed.with_values((1.0 - lam) * g.values + lam * smoothed.values)
+
+
+def energy_gap(u_s: GridFunction, g: GridFunction, f: GridFunction, p: FracParams, r: float) -> float:
+    """Absolute difference of the local objective between the competitor
+    for exterior data g and the smoothed solution u_s."""
+    u_s._check_same_grid(g)
+    smoothed = mollify(u_s, p)
+    w = _blend(g, smoothed, r)
+    return abs(objective_local(w, f) - objective_local(smoothed, f))
+
+
 def _strip_rows(grid: GridFunction, smoothed: np.ndarray, p: FracParams, r: float, holder) -> Tuple[_Rows, _Rows]:
     """Distances of each smoothed row (..., n) to its boundary competitor w
-    for zero exterior data: w ramps linearly from 0 outside Omega to the
-    smoothed row at depth >= r, so the difference is (1 - lam) smoothed with
-    lam = clip(dist / r, 0, 1).  Returns its max over the nodes of Omega's
-    closure at dist <= r and over the two ends of Omega, where lam = 0 and
-    it is the interpolated smoothed row, versus
-    2 holder (r**s + (1-s)/(1-eps**(2-2s))); the difference is piecewise
-    quadratic, so it can peak between these samples.  Also its squared
-    L2(Omega) norm versus 8 holder**2 (r**(1+2s) + ((1-s)/(1-eps**(2-2s)))**2 r)."""
+    for zero exterior data, so the difference is (1 - lam) smoothed with
+    _ramp's lam.  Returns its max over the nodes of Omega's closure at
+    depth <= r and over the two ends of Omega, where lam = 0 and it is the
+    interpolated smoothed row, versus 2 holder (r**s + (1-s)/(1-eps**(2-2s)));
+    the difference is piecewise quadratic, so it can peak between these
+    samples.  Also its squared L2(Omega) norm versus
+    8 holder**2 (r**(1+2s) + ((1-s)/(1-eps**(2-2s)))**2 r)."""
     x, tol, dom = grid.nodes, 1e-9 * grid.h, grid.domain
-    depth = np.minimum(x - dom.omega_lo, dom.omega_hi - x)  # dist, negative outside Omega
+    depth, lam = _ramp(grid, r)
     strip = (depth >= -tol) & (depth <= r + tol)
-    diff = (1.0 - np.clip(depth / r, 0.0, 1.0)) * smoothed
+    diff = (1.0 - lam) * smoothed
     # cell [x_j, x_j+1] of each end, t = 0 when the end is a node
     j = np.searchsorted(x, (dom.omega_lo, dom.omega_hi), "right") - 1
     t = (np.array([dom.omega_lo, dom.omega_hi]) - x[j]) / grid.h

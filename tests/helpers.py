@@ -18,11 +18,11 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import cho_factor, cho_solve, toeplitz
 
 from fraclap.assembly import _gauss_legendre, far_kernel, stiffness_kernel
-from fraclap.boundary import _blend, _check_pair
 from fraclap.energies import dirichlet_frac, holder_seminorm_grid
 from fraclap.grid import Domain, GridFunction, _clip_bounds, product_integral, sample
 from fraclap.kernels import FracParams, eta, eta_t_integrals, norm_const, psi_integrals
 from fraclap.mollifier import (
+    _blend,
     _closeness_rows,
     _consistency_rows,
     _apply,
@@ -571,14 +571,14 @@ def check_tail_bound(phi: GridFunction, p: FracParams, rho: float, alpha: float,
 def build_w(u_s: GridFunction, g: GridFunction, p: FracParams, r: float) -> GridFunction:
     """Competitor equal to g outside Omega, to the smoothed u_s at depth
     >= r inside, with a linear ramp across the strip."""
-    _check_pair(u_s, g)
+    u_s._check_same_grid(g)
     return _blend(g, mollify(u_s, p), r)
 
 
 def _strip_one(u_s: GridFunction, g: GridFunction, p: FracParams, r: float, hold_us: float, hold_g: float):
     """Both mollifier._strip_rows pairs for one function; the rows model
     zero exterior data, so g must vanish and hold_g be 0."""
-    _check_pair(u_s, g)
+    u_s._check_same_grid(g)
     if np.any(g.values) or hold_g != 0.0:
         raise ValueError("the strip rows take zero exterior data g and hold_g = 0")
     return _strip_rows(u_s, mollify(u_s, p).values, p, r, hold_us)

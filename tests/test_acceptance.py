@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from fraclap.boundary import energy_gap
 from fraclap.config import ExperimentConfig
 from fraclap.energies import (
     dirichlet_frac,
@@ -27,6 +26,7 @@ from fraclap.experiments import (
 )
 from fraclap.grid import Domain, sample
 from fraclap.kernels import FracParams, classical_const, const_ratio, norm_const
+from fraclap.mollifier import energy_gap
 from fraclap.profiles import make_profile, random_bump
 from fraclap.report import fit_line
 from fraclap.solver import (

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from fraclap.boundary import energy_gap
 from fraclap.energies import holder_seminorm_grid
 from fraclap.errors import ConfigError, ShapeError
 from fraclap.grid import Domain, dist_to_complement, sample
 from fraclap.kernels import FracParams
-from fraclap.mollifier import mollify
+from fraclap.mollifier import _ramp, _strip_rows, energy_gap, mollify
 from fraclap.solver import solve_frac_dirichlet
 from helpers import build_w, check_strip_closeness, check_strip_l2, fit_slope
 
@@ -26,14 +25,33 @@ def solved(n: int, s: float):
 
 class TestStripWidth:
     def test_validation(self):
-        # r must be finite, positive and below half of |Omega| = 2
+        # r must be finite, positive and below half of |Omega| = 2, for the
+        # competitor, its objective gap and the strip rows alike
         u, g, p = zero(17), zero(17), FracParams(s=0.5)
         for r in (0.0, 1.0, math.nan):
             with pytest.raises(ConfigError):
                 build_w(u, g, p, r)
             with pytest.raises(ConfigError):
                 energy_gap(u, g, g, p, r)
+            with pytest.raises(ConfigError, match="strip width"):
+                _strip_rows(u, np.zeros((2, 17)), p, r, 1.0)
         build_w(u, g, p, 0.3)
+
+
+class TestRamp:
+    @pytest.mark.parametrize("n", [33, 130])
+    def test_matches_distance_oracle(self, n):
+        # clipped at 0 the signed depth is dist_to_complement, negative
+        # exactly outside Omega, and lam is the clipped quotient dist / r
+        # bit for bit
+        grid = zero(n)
+        x = grid.nodes
+        dist = dist_to_complement(DOM, x)
+        for r in (0.5 * grid.h, 0.3, 0.999):
+            depth, lam = _ramp(grid, r)
+            assert np.array_equal(np.maximum(depth, 0.0), dist)
+            assert np.array_equal(depth < 0.0, (x < DOM.omega_lo) | (x > DOM.omega_hi))
+            assert np.array_equal(lam, np.clip(dist / r, 0.0, 1.0))
 
 
 class TestDistance:

@@ -138,6 +138,19 @@ class TestConfigFailures:
             assert "r_rule" in err and "s=0.6" in err
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, s_list",
+        [("rates", "0.5, 0.55"), ("rates", "0.8, 0.8"), ("consistency", "0.9")],
+    )
+    def test_sweep_without_two_fit_points(self, tmp_path, capsys, command, s_list):
+        # rejected at config time, before any solve or output directory
+        out = tmp_path / "out"
+        text = f"experiment = {command}\ns_list = {s_list}\nn = 129\noutput_dir = {out}\n"
+        assert cli.main([command, "--config", write_cfg(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert "two distinct s >= fit_min_s=0.6" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("route", ["config", "flag"])
     def test_negative_seed_rejected(self, tmp_path, capsys, route):
         out = tmp_path / "out"
@@ -196,7 +209,7 @@ class TestRunnerOutcomes:
         monkeypatch.setattr(solver, "stiffness_kernel", singular)
         cfg = write_cfg(
             tmp_path,
-            f"experiment = {command}\ns_list = 0.5, 0.7\nn = 65\noutput_dir = {tmp_path / 'out'}\n",
+            f"experiment = {command}\ns_list = 0.5, 0.7\nfit_min_s = 0.5\nn = 65\noutput_dir = {tmp_path / 'out'}\n",
         )
         assert cli.main([command, "--config", cfg]) == 1
         err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 import pytest
 
+from fraclap import cli
 from fraclap.config import EXPERIMENTS, parse_config, with_overrides
 from fraclap.errors import ConfigError
 
@@ -151,13 +152,13 @@ class TestRules:
         )
         assert cfg.pert_coeff(0.6) == 0.2
 
-    def test_f_s_spec_mirrors_f_spec(self, tmp_path):
-        cfg = parse_config(write(tmp_path, MINIMAL + "f_spec = gaussian:2\n"))
-        assert cfg.f_s_profile().params == cfg.f_profile().params
-        cfg = parse_config(
-            write(tmp_path, MINIMAL + "f_spec = gaussian:2\nf_s_spec = constant:1\n")
-        )
-        assert cfg.f_s_profile().name == "constant"
+    def test_f_s_spec_is_unknown(self, tmp_path, capsys):
+        # one source f_spec for both problems; an s-dependent source is pert_mode
+        out = tmp_path / "out"
+        cfg = write(tmp_path, MINIMAL + f"f_s_spec = constant:1\noutput_dir = {out}\n")
+        assert cli.main(["rates", "--config", str(cfg)]) == 2
+        assert "unknown config keys: f_s_spec" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOverrides:

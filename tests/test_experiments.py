@@ -5,7 +5,7 @@ import pytest
 
 from fraclap import energies, mollifier
 from fraclap.assembly import ToeplitzOperator
-from fraclap.config import parse_config
+from fraclap.config import ExperimentConfig, parse_config
 from fraclap.errors import ConfigError, NumericalError
 from fraclap.experiments import (
     _MOLL_BUMPS,
@@ -186,7 +186,7 @@ class TestRates:
         assert shrink.rows[0].total_ws2_err != plain.rows[0].total_ws2_err
 
     @pytest.mark.parametrize("s", [0.6, 0.99])
-    def test_optimality_check_catches_perturbed_solve(self, tmp_path, monkeypatch, s):
+    def test_optimality_check_catches_perturbed_solve(self, monkeypatch, s):
         # solve with one kernel entry off by 1e-8 relative; the seminorm and
         # the self-check still use the true operator
         solve = ToeplitzOperator.solve
@@ -197,7 +197,8 @@ class TestRates:
             return solve(ToeplitzOperator(c), b)
 
         monkeypatch.setattr(ToeplitzOperator, "solve", perturbed)
-        cfg = cfg_from(tmp_path, f"experiment = rates\ns_list = {s}\nn = 257\n")
+        # one s cannot be fitted, so config validation would refuse the file
+        cfg = ExperimentConfig(experiment="rates", s_list=(s,), n=257)
         with pytest.raises(NumericalError, match="optimality identity"):
             run_rates(cfg)
 
@@ -223,9 +224,9 @@ class TestConsistency:
     def test_data_without_second_derivative_rejected(self, tmp_path):
         cfg = cfg_from(
             tmp_path,
-            "experiment = consistency\ns_list = 0.5, 0.7\ng_spec = abspow\n",
+            "experiment = consistency\ns_list = 0.5, 0.7\nfit_min_s = 0.5\ng_spec = abspow\n",
         )
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="twice-differentiable"):
             run_consistency(cfg)
 
     def test_flat_data_has_no_fittable_decay(self, tmp_path):
@@ -233,9 +234,9 @@ class TestConsistency:
         # power-law fit has nothing to work with
         cfg = cfg_from(
             tmp_path,
-            "experiment = consistency\ns_list = 0.5, 0.7\ng_spec = constant\n",
+            "experiment = consistency\ns_list = 0.5, 0.7\nfit_min_s = 0.5\ng_spec = constant\n",
         )
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="positive points"):
             run_consistency(cfg)
 
 

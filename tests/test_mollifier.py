@@ -388,7 +388,7 @@ class TestStripRows:
     @pytest.mark.parametrize("s", [0.5, 0.9])
     def test_stack_matches_one_row_competitor(self, n, s):
         # the independent route: per bump, the competitor w built by
-        # boundary._blend from mollify, its sup distance to the smoothed
+        # mollifier._blend from mollify, its sup distance to the smoothed
         # bump over the nodes of Omega's closure at dist <= r, and its
         # L2(Omega) distance by l2_norm; the bounds are written out again
         # from the paper
