@@ -7,6 +7,7 @@ runtime error occurs, 2 on configuration problems.
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -77,11 +78,13 @@ def _run(args: argparse.Namespace) -> int:
         raise ConfigError(f"cannot create output directory '{out_dir}': {exc}") from exc
 
     report = _RUNNERS[args.command](cfg)
-    text = emit_csv(report, out_dir / f"{stem}.csv")
+    csv_path = out_dir / f"{stem}.csv"
+    emit_csv(report, csv_path)
     if isinstance(report, SweepReport):
         emit_svg(report, out_dir / f"{stem}.svg")
     if args.verbose:
-        sys.stdout.write(text)
+        with csv_path.open(encoding="utf-8", newline="") as fh:
+            shutil.copyfileobj(fh, sys.stdout)
     if isinstance(report, CheckReport) and not report.passed:
         return 1
     return 0

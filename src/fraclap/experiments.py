@@ -250,10 +250,10 @@ def run_solve(cfg: ExperimentConfig) -> SolveReport:
     grid = make_grid(dom, n)
     f_base = sample(dom, n, cfg.f_profile())
     pert_vals = sample(dom, n, cfg.pert()).values
-    blocks: List[Tuple[float, Tuple[float, ...]]] = []
+    blocks: List[Tuple[float, np.ndarray]] = []
     for s in cfg.s_list:
         p = _params(cfg, s)
         f_s = grid.with_values(f_base.values + cfg.pert_coeff(s) * pert_vals)
         u = solve_frac_dirichlet(f_s, p)
-        blocks.append((s, tuple(u.values.tolist())))
-    return SolveReport(x=tuple(grid.nodes.tolist()), blocks=tuple(blocks))
+        blocks.append((s, u.values))
+    return SolveReport(x=grid.nodes, blocks=tuple(blocks))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import ClassVar, Iterable, List, Sequence, Tuple, Union
+from typing import ClassVar, Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -107,6 +107,9 @@ class SweepReport:
         lines.append(f"# slope={_fmt(self.slope)} r2={_fmt(self.r2)}")
         return "\n".join(lines) + "\n"
 
+    def csv_chunks(self) -> Iterator[str]:
+        yield self.to_csv()
+
 
 def build_sweep_report(rows: Iterable[SweepRow], fit_min_s: float) -> SweepReport:
     ordered = tuple(sorted(rows, key=lambda r: r.s))
@@ -138,46 +141,82 @@ class CheckReport:
             lines.append(f"{r.name},{_fmt(r.value)},{_fmt(r.bound)},{flag}")
         return "\n".join(lines) + "\n"
 
+    def csv_chunks(self) -> Iterator[str]:
+        yield self.to_csv()
 
-@dataclass(frozen=True)
+
+# Rows per streamed solve CSV chunk: the writer's working set is a few
+# chunks, whatever the number of nodes and blocks.
+_CSV_ROWS = 4096
+
+
+def _frozen_column(values, what: str) -> np.ndarray:
+    col = np.asarray(values, dtype=float)
+    if col.ndim != 1:
+        raise ShapeError(f"{what} must be 1-d, got shape {col.shape}")
+    if col.flags.writeable:  # share read-only arrays; never freeze the caller's
+        col = col.copy()
+        col.flags.writeable = False
+    return col
+
+
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Nodal solution values on one x column, one block (s, u) per s, in
-    long (s, x, u) form."""
+    long (s, x, u) form. x and every u are read-only float64 arrays."""
 
-    x: Tuple[float, ...]
-    blocks: Tuple[Tuple[float, Tuple[float, ...]], ...]
+    x: np.ndarray
+    blocks: Tuple[Tuple[float, np.ndarray], ...]
 
     def __post_init__(self) -> None:
+        x = _frozen_column(self.x, "solve x column")
+        blocks = []
         for s, u in self.blocks:
-            if len(u) != len(self.x):
+            u = _frozen_column(u, f"solve block s={_fmt(s)}")
+            if u.size != x.size:
                 raise ShapeError(
-                    f"solve block s={_fmt(s)} has {len(self.x)} x values but {len(u)} u values"
+                    f"solve block s={_fmt(s)} has {x.size} x values but {u.size} u values"
                 )
+            blocks.append((s, u))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "blocks", tuple(blocks))
+
+    def csv_chunks(self) -> Iterator[str]:
+        """The CSV text in order: the header, then at most _CSV_ROWS rows
+        per chunk."""
+        yield "s,x,u\n"
+        # Each chunk's template holds its rows' "<x>,%.12g\n", formatted once
+        # for every block. %.12g output holds no "%" or newline, so a block
+        # puts "<s>," before each row of a template and fills its u
+        # placeholders in one C-level % pass.
+        starts = range(0, self.x.size, _CSV_ROWS)
+        templates = []
+        for lo in starts:
+            xs = tuple(self.x[lo : lo + _CSV_ROWS].tolist())
+            templates.append("%.12g,%%.12g\n" * len(xs) % xs)
+        for s, u in self.blocks:
+            prefix = _fmt(s) + ","
+            for lo, template in zip(starts, templates):
+                us = tuple(u[lo : lo + _CSV_ROWS].tolist())
+                yield (prefix + template.replace("\n", "\n" + prefix, len(us) - 1)) % us
 
     def to_csv(self) -> str:
-        # Each block is one C-level % pass over a template whose rows are
-        # "<s>,<x>,%.12g"; %.12g output holds no "%", so the template carries
-        # only the u placeholders, and the x column is formatted once.
-        # The leading "" puts the prefix before the first row and leaves an
-        # empty block empty.
-        rows = [""] + ("%.12g,%%.12g\n" * len(self.x) % tuple(self.x)).splitlines(True)
-        return "".join(["s,x,u\n"] + [(_fmt(s) + ",").join(rows) % tuple(u) for s, u in self.blocks])
+        return "".join(self.csv_chunks())
 
 
-def _write(path: Union[str, Path], text: str) -> None:
+def _write(path: Union[str, Path], chunks: Iterable[str]) -> None:
     target = Path(path)
     try:
-        target.write_text(text, encoding="utf-8", newline="\n")
+        with target.open("w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
     except OSError as exc:
         raise ConfigError(f"cannot write {target}: {exc}") from exc
 
 
-def emit_csv(report, path: Union[str, Path]) -> str:
-    """Write the report's CSV form and return the text written;
-    byte-identical for identical reports."""
-    text = report.to_csv()
-    _write(path, text)
-    return text
+def emit_csv(report, path: Union[str, Path]) -> None:
+    """Write the report's CSV form as its chunks come; byte-identical for
+    identical reports."""
+    _write(path, report.csv_chunks())
 
 
 _W, _H = 640.0, 480.0
@@ -272,4 +311,4 @@ def emit_svg(report: SweepReport, path: Union[str, Path]) -> None:
             f'r="4" fill="#1f77b4"/>'
         )
     parts.append("</svg>")
-    _write(path, "\n".join(parts) + "\n")
+    _write(path, ["\n".join(parts) + "\n"])

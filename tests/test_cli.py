@@ -44,13 +44,13 @@ class TestSuccessPaths:
 
     def test_verbose_formats_the_report_once(self, tmp_path, capsysbinary, monkeypatch):
         calls = []
-        to_csv = report.SolveReport.to_csv
+        csv_chunks = report.SolveReport.csv_chunks
 
         def counted(self):
             calls.append(1)
-            return to_csv(self)
+            return csv_chunks(self)
 
-        monkeypatch.setattr(report.SolveReport, "to_csv", counted)
+        monkeypatch.setattr(report.SolveReport, "csv_chunks", counted)
         cfg = write_cfg(
             tmp_path, f"experiment = solve\ns_list = 0.5, 0.9\nn = 33\noutput_dir = {tmp_path / 'out'}\n"
         )

@@ -258,5 +258,7 @@ class TestSolve:
         cfg = cfg_from(tmp_path, "experiment = solve\ns_list = 0.5, 0.7, 0.9, 0.99\nn = 1025\n")
         rep = run_solve(cfg)
         assert len(rep.blocks) == 4
-        assert all(type(v) is float for _, us in rep.blocks for v in rep.x + us)
+        columns = [rep.x] + [us for _, us in rep.blocks]
+        assert all(isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns)
+        assert not any(c.flags.writeable for c in columns)
         assert rep.to_csv() == solve_csv_rows(rep.x, rep.blocks)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from fraclap.report import (
     ConsistencyRow,
     RateRow,
     SolveReport,
+    _CSV_ROWS,
     build_sweep_report,
     emit_csv,
     emit_svg,
@@ -178,6 +181,34 @@ class TestSolveReport:
         with pytest.raises(ShapeError, match=r"s=0\.7 has 2 x values but 1 u values"):
             SolveReport(x=(0.0, 1.0), blocks=(good, (0.7, (2.0,))))
 
+    def test_columns_that_are_not_1d_rejected(self):
+        with pytest.raises(ShapeError, match=r"x column must be 1-d, got shape \(1, 2\)"):
+            SolveReport(x=((0.0, 1.0),), blocks=())
+        with pytest.raises(ShapeError, match=r"s=0\.5 must be 1-d, got shape \(2, 2\)"):
+            SolveReport(x=(0.0, 1.0), blocks=((0.5, ((1.0, 2.0), (3.0, 4.0))),))
+
+    def test_columns_are_read_only_copies_of_writable_input(self):
+        xs = np.array([0.0, 1.0])
+        us = np.array([2.0, 3.0])
+        rep = SolveReport(x=xs, blocks=((0.5, us),))
+        xs[0] = us[0] = 9.0
+        assert rep.x.tolist() == [0.0, 1.0] and rep.blocks[0][1].tolist() == [2.0, 3.0]
+        assert not rep.x.flags.writeable and not rep.blocks[0][1].flags.writeable
+
+    @pytest.mark.parametrize("n", [_CSV_ROWS - 1, _CSV_ROWS, _CSV_ROWS + 1, 2 * _CSV_ROWS + 1])
+    @pytest.mark.parametrize("as_array", [False, True], ids=["tuples", "arrays"])
+    def test_chunk_boundaries_match_row_oracle(self, tmp_path, n, as_array):
+        us = self._values(n - 6, n)
+        xs = tuple(np.linspace(-1.0, 1.0, n).tolist())
+        blocks = ((0.5, us), (0.9, us[::-1]))
+        want = solve_csv_rows(xs, blocks)
+        if as_array:
+            xs, blocks = np.array(xs), tuple((s, np.array(u)) for s, u in blocks)
+        rep = SolveReport(x=xs, blocks=blocks)
+        assert rep.to_csv() == want
+        emit_csv(rep, tmp_path / "solve.csv")
+        assert (tmp_path / "solve.csv").read_bytes() == want.encode("utf-8")
+
 
 class TestEmitCsv:
     def test_writes_exact_bytes(self, tmp_path):
@@ -190,6 +221,31 @@ class TestEmitCsv:
         rep = CheckReport(rows=())
         with pytest.raises(ConfigError, match="cannot write"):
             emit_csv(rep, tmp_path)
+
+    def test_unwritable_target_for_streamed_report(self, tmp_path):
+        rep = SolveReport(x=(0.0, 1.0), blocks=((0.5, (2.0, 3.0)),))
+        with pytest.raises(ConfigError, match="cannot write"):
+            emit_csv(rep, tmp_path)
+
+    @staticmethod
+    def _peak_bytes(report, path) -> int:
+        tracemalloc.start()
+        try:
+            emit_csv(report, path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_solve_writer_memory_does_not_grow_with_blocks(self, tmp_path):
+        n = 4 * _CSV_ROWS + 1
+        rng = np.random.default_rng(3)
+        xs = np.linspace(-1.0, 1.0, n)
+        peaks = []
+        for count in (2, 8):
+            blocks = tuple((0.5 + 0.05 * k, rng.standard_normal(n)) for k in range(count))
+            rep = SolveReport(x=xs, blocks=blocks)
+            peaks.append(self._peak_bytes(rep, tmp_path / f"solve{count}.csv"))
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestEmitSvg:
