@@ -189,6 +189,17 @@ def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
 _GL_X, _GL_W = _gauss_legendre(12)
 
 
+def _log_panels(a: float, edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Composite rule for integrals in dt over t = a + exp(v), v from
+    edges[0] to edges[-1]: the 12-point Gauss-Legendre rule on each panel
+    [edges[i], edges[i+1]] of v.  Returns nodes t and weights w with
+    sum(w * f(t)) ~ the integral of f; a power singularity (t - a)**beta,
+    beta > -1, becomes a decaying exponential in v."""
+    half = 0.5 * np.diff(edges)
+    e = np.exp(edges[:-1, None] + half[:, None] * (1.0 + _GL_X))
+    return (a + e).ravel(), (half[:, None] * _GL_W * e).ravel()
+
+
 def _spline_average(s: float, k: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """J(k) restricted to t > lo: the integral of M4(t) (k + t)**(-1-2s)
     over (lo, 2) for each offset k, with k + lo > 0, by Gauss-Legendre on

@@ -131,18 +131,24 @@ def make_grid(domain: Domain, n: int) -> GridFunction:
     return GridFunction(domain, n, np.zeros(n))
 
 
+def _call_on(f: Callable, x: np.ndarray) -> np.ndarray:
+    """f at every entry of the array x: one call on the whole array when f
+    returns an array of x's shape, else one scalar call per entry."""
+    try:
+        vals = np.asarray(f(x), dtype=float)
+        if vals.shape == x.shape:
+            return vals
+    except (TypeError, ValueError):
+        pass
+    return np.array([float(f(t)) for t in x.ravel()]).reshape(x.shape)
+
+
 def sample(domain: Domain, n: int, f: Callable) -> GridFunction:
     """Sample the callable f at the nodes.  Non-finite samples raise DataError
     naming the first offending node."""
     phi = make_grid(domain, n)
     x = phi.nodes
-    try:
-        vals = np.asarray(f(x), dtype=float)
-        ok = vals.shape == x.shape
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        vals = np.array([float(f(xi)) for xi in x])
+    vals = _call_on(f, x)
     bad = np.where(~np.isfinite(vals))[0]
     if bad.size:
         raise DataError(

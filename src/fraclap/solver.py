@@ -19,9 +19,9 @@ from typing import Callable, Tuple, Union
 
 import numpy as np
 
-from .assembly import ToeplitzOperator, interior_indices, load_vector, stiffness_kernel
+from .assembly import ToeplitzOperator, _log_panels, interior_indices, load_vector, stiffness_kernel
 from .errors import ConfigError, DataError
-from .grid import Domain, GridFunction, make_grid
+from .grid import Domain, GridFunction, _call_on, make_grid
 from .kernels import FracParams, norm_const
 
 # splitting radius for the singular part of the pointwise operator: below it
@@ -30,6 +30,10 @@ from .kernels import FracParams, norm_const
 _NEAR_CUT = 1e-4
 # truncation radius of the pointwise operator's outer integral
 _RADIUS = 50.0
+# panels of its log-z Gauss rule over (_NEAR_CUT, _RADIUS): at 64 the rule
+# is at the roundoff of the second difference for s from 0.25 to 0.995
+# (64 and 128 panels differ by at most 3.1e-11 for the Gaussian)
+_PANELS = 64
 
 
 def _assemble(grid: GridFunction, p: FracParams) -> Tuple[ToeplitzOperator, np.ndarray]:
@@ -128,60 +132,49 @@ def exact_solution_ball(p: FracParams, x: Union[float, np.ndarray]) -> Union[flo
 def frac_laplacian_pointwise(
     g: Callable[[float], float],
     p: FracParams,
-    x: float,
+    x: Union[float, np.ndarray],
     full_output: bool = False,
 ):
-    """Pointwise nonlocal operator applied to a twice-differentiable g.
+    """Pointwise nonlocal operator applied to a twice-differentiable g, at
+    one point x or at every point of an array x (one g call for all).
 
-    Splits the integral at the unit radius: the inner part uses the
-    symmetric second difference 2 g(x) - g(x+z) - g(x-z), which is O(z^2)
-    and kills affine functions exactly; the outer part is truncated at
-    _RADIUS and the analytic bound on the discarded tail is added to the
-    reported error bar.  With full_output=True returns (value, error_bar).
+    The integrand is the symmetric second difference 2 g(x) - g(x+z) -
+    g(x-z), which is O(z^2) and kills affine functions exactly, against
+    z**(-1-2s).  Below _NEAR_CUT its quadratic profile is frozen; from
+    there to _RADIUS it is summed by _PANELS uniform panels in log z of the
+    12-point Gauss rule; the tail beyond _RADIUS is dropped.  With
+    full_output=True returns (value, error_bar): the gap to the same rule
+    on half the panels plus the analytic bound on the dropped tail.  Any
+    non-finite sample of g raises DataError.
     """
-    from scipy.integrate import quad  # on use: its import costs start-up about 0.26 s
-
     if p.d != 1:
         raise ConfigError(f"pointwise operator supports d=1 only, got d={p.d}")
-    gx = float(g(x))
-    probes = [gx, float(g(x + 1.0)), float(g(x - 1.0)), float(g(x + _RADIUS)), float(g(x - _RADIUS))]
-    if not all(math.isfinite(v) for v in probes):
-        raise DataError(f"g returned a non-finite value near x={x}")
-
+    xx = np.asarray(x, dtype=float)
     s2 = 2.0 * p.s
     C = norm_const(p)
-
-    def second_diff(z: float) -> float:
-        return 2.0 * gx - float(g(x + z)) - float(g(x - z))
+    span = np.log([_NEAR_CUT, _RADIUS])
+    counts = (_PANELS, _PANELS // 2) if full_output else (_PANELS,)  # half the panels: error bar only
+    rules = [_log_panels(0.0, np.linspace(*span, k + 1)) for k in counts]
+    z = np.concatenate([[_NEAR_CUT]] + [t for t, _ in rules])
+    offsets = [[0.0], z, -z]
+    if full_output:
+        offsets.append(np.linspace(-2.0 * _RADIUS, 2.0 * _RADIUS, 257))
+    vals = _call_on(g, xx[..., None] + np.concatenate(offsets))
+    finite = np.all(np.isfinite(vals), axis=-1)
+    if not np.all(finite):
+        raise DataError(f"g returned a non-finite value near x={float(xx[~finite].flat[0])!r}")
+    m = z.size
+    second_diff = 2.0 * vals[..., :1] - vals[..., 1 : m + 1] - vals[..., m + 1 : 2 * m + 1]
 
     # 0 < z < _NEAR_CUT: freeze the quadratic profile of the second
     # difference at the cut; relative error O(cut^2) on this piece
-    q_cut = second_diff(_NEAR_CUT) / _NEAR_CUT**2
-    near_sing = q_cut * _NEAR_CUT ** (2.0 - s2) / (2.0 - s2)
-
-    # epsabs sits above the cancellation noise of the second difference
-    # (~1e-16 * |g| / z^2 at the cut), which a tighter target cannot beat
-    near, near_err = quad(
-        lambda z: second_diff(z) * z ** (-1.0 - s2),
-        _NEAR_CUT,
-        1.0,
-        epsabs=1e-9,
-        epsrel=1e-9,
-        limit=400,
+    near_sing = second_diff[..., 0] * _NEAR_CUT ** (-s2) / (2.0 - s2)
+    body = second_diff[..., 1:] * (np.concatenate([w for _, w in rules]) * z[1:] ** (-1.0 - s2))
+    value, coarse = (
+        4.0 * C * (near_sing + np.sum(part, axis=-1)) for part in np.split(body, [rules[0][0].size], axis=-1)
     )
-    far, far_err = quad(
-        lambda z: second_diff(z) * z ** (-1.0 - s2),
-        1.0,
-        _RADIUS,
-        epsabs=1e-9,
-        epsrel=1e-9,
-        limit=400,
-    )
-    value = 4.0 * C * (near_sing + near + far)
     if not full_output:
-        return value
-    samples = np.linspace(x - 2.0 * _RADIUS, x + 2.0 * _RADIUS, 257)
-    sup_g = float(np.max(np.abs([float(g(t)) for t in samples])))
-    tail_bound = 16.0 * C * sup_g * _RADIUS ** (-s2) / s2
-    error_bar = 4.0 * C * (near_err + far_err) + tail_bound
-    return value, error_bar
+        return float(value) if xx.ndim == 0 else value
+    sup_g = np.max(np.abs(vals[..., 2 * m + 1 :]), axis=-1)
+    error_bar = np.abs(value - coarse) + 16.0 * C * sup_g * _RADIUS ** (-s2) / s2
+    return (float(value), float(error_bar)) if xx.ndim == 0 else (value, error_bar)

@@ -135,6 +135,19 @@ def correlation_exact(phi: GridFunction, z: float) -> float:
     return simpson_cells(lambda t: phi.eval(t) * phi.eval(t + z), pts)
 
 
+def gaussian_truncated_oracle(s: float, x: float, radius: float = 50.0) -> float:
+    """The pointwise operator of g(x) = exp(-x^2) truncated at |z| = radius
+    (reference for solver.frac_laplacian_pointwise).  The full operator is
+    2 Gamma(2-s) / s * 1F1(s + 1/2; 1/2; -x^2), evaluated with mpmath at 30
+    digits; past the radius g(x +- z) < exp(-48**2) for |x| < 2, so the
+    dropped tail is 8 C g(x) radius**(-2s) / (2s) with C = (1-s)/2."""
+    with mp.workdps(30):
+        s_mp, x_mp = mp.mpf(s), mp.mpf(x)
+        full = 2 * mp.gamma(2 - s_mp) / s_mp * mp.hyp1f1(s_mp + mp.mpf(1) / 2, mp.mpf(1) / 2, -x_mp * x_mp)
+        tail = 8 * (1 - s_mp) / 2 * mp.exp(-x_mp * x_mp) * mp.mpf(radius) ** (-2 * s_mp) / (2 * s_mp)
+        return float(full - tail)
+
+
 def dirichlet_frac_oracle(phi: GridFunction, p: FracParams) -> float:
     """Interaction energy of the zero-extended interpolant by direct radial
     quadrature: int_R eta(|z|) Q(z) dz with Q(z) the exact squared L2 norm of

@@ -216,14 +216,15 @@ class TestRunnerOutcomes:
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
-# start-up and every subcommand that needs no adaptive quadrature load no scipy
-# module at all (importing scipy.linalg costs about 0.34 s), nor numpy.polynomial
-# (importing it and building one Gauss rule costs about 6 ms and 1.8 MB of peak
-# RSS; assembly builds its rules from the Legendre recurrence), nor numpy.ma
-# (np.unique and the set routines import it lazily; it costs about 1 MB of RSS),
-# nor numpy.random (about 6 MB of RSS and 15 ms; the bump suite draws from
-# profiles._PCG64, which reproduces numpy.random.default_rng's stream)
-# Runs in a fresh interpreter: the test suite itself imports scipy.integrate.
+# start-up and every subcommand load no scipy module at all (the package's
+# one quadrature is a Gauss rule built from the Legendre recurrence, and
+# importing scipy.linalg costs about 0.34 s), nor numpy.polynomial
+# (importing it and building one Gauss rule costs about 6 ms and 1.8 MB of
+# peak RSS), nor numpy.ma (np.unique and the set routines import it lazily;
+# it costs about 1 MB of RSS), nor numpy.random (about 6 MB of RSS and
+# 15 ms; the bump suite draws from profiles._PCG64, which reproduces
+# numpy.random.default_rng's stream)
+# Runs in a fresh interpreter: the test suite itself imports scipy.
 # What `import numpy` loads itself is not counted: numpy 1.x imports random,
 # polynomial and ma with the package, numpy >= 2.0 on first use.
 _FOOTPRINT_SCRIPT = """
@@ -265,21 +266,35 @@ class TestImportFootprint:
         moll = write_cfg(
             tmp_path, f"experiment = mollifier_check\ns_list = 0.9\nn = 33\noutput_dir = {tmp_path}\n", "m.cfg"
         )
+        kern = write_cfg(tmp_path, f"experiment = kernel_check\ns_list = 0.5\noutput_dir = {tmp_path}\n", "k.cfg")
+        cons = write_cfg(tmp_path, f"experiment = consistency\ns_list = 0.9, 0.95\noutput_dir = {tmp_path}\n", "c.cfg")
         runs = [
             ["rates", ["rates", "--config", rates]],
             ["solve", ["solve", "--config", solve]],
             ["mollifier", ["mollifier-check", "--config", moll]],
+            ["kernel", ["kernel-check", "--config", kern]],
+            ["consistency", ["consistency", "--config", cons]],
         ]
         stages = _loaded_after(tmp_path, runs)
         assert stages["import"] == []
         for name, _ in runs:
             assert stages[name + ".rc"] == 0
             assert stages[name] == []
-        for csv in ("rates.csv", "solve.csv", "mollifier_check.csv"):
+        for csv in ("rates.csv", "solve.csv", "mollifier_check.csv", "kernel_check.csv", "consistency.csv"):
             assert (tmp_path / csv).exists()
 
-    def test_kernel_check_loads_quad_on_demand(self, tmp_path):
-        cfg = kernel_cfg(tmp_path, tmp_path / "out")
-        stages = _loaded_after(tmp_path, [["kernel", ["kernel-check", "--config", cfg]]])
-        assert stages["kernel.rc"] == 0
-        assert "scipy.integrate" in stages["kernel"]
+    def test_every_subcommand_runs_with_scipy_blocked(self, tmp_path):
+        # a None entry in sys.modules makes any `import scipy...` raise ImportError
+        script = (
+            "import sys\nsys.modules['scipy'] = None\nimport fraclap.cli\n"
+            "sys.exit(fraclap.cli.main(sys.argv[1:]))"
+        )
+        src = str(Path(fraclap.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        for cfg in sorted(CONFIGS.glob("*.cfg")):
+            argv = [cfg.stem.replace("_", "-"), "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]
+            result = subprocess.run(
+                [sys.executable, "-c", script, *argv], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300
+            )
+            assert result.returncode == 0, (cfg.name, result.stderr)
+            assert (tmp_path / cfg.stem / f"{cfg.stem}.csv").exists()

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import toeplitz
 
 from fraclap.assembly import interior_indices
 from fraclap.energies import dirichlet_frac, dirichlet_local, objective_local
 from fraclap.errors import ConfigError, DataError
 from fraclap.grid import Domain, make_grid, sample
-from fraclap.kernels import FracParams
-from fraclap.profiles import random_bump
+from fraclap.kernels import FracParams, norm_const
+from fraclap.profiles import make_profile, random_bump
 from fraclap.solver import (
     assemble_frac,
     exact_solution_ball,
@@ -17,7 +18,7 @@ from fraclap.solver import (
     solve_frac_dirichlet,
     solve_local_dirichlet,
 )
-from helpers import linf_distance, objective_frac
+from helpers import gaussian_truncated_oracle, linf_distance, objective_frac
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
 
@@ -234,9 +235,56 @@ class TestPointwiseOperator:
         assert bar < 1e-2
         assert val == pytest.approx(frac_laplacian_pointwise(g, p, 0.0), rel=1e-14)
 
+    @pytest.mark.parametrize("s", [0.6, 0.9, 0.99, 0.995])
+    def test_consistency_points_match_gaussian_oracle(self, s):
+        # all 101 points of the consistency experiment in one call, against
+        # the closed form minus the dropped tail; 5e-8 is about twice the
+        # largest gap left by freezing the quadratic profile below the near
+        # cut (2.3e-8 at s = 0.995), which the quadrature cannot remove
+        xs = np.linspace(-1.0, 1.0, 103)[1:-1]
+        got = frac_laplacian_pointwise(make_profile("gaussian"), FracParams(s=s), xs)
+        want = np.array([gaussian_truncated_oracle(s, float(x)) for x in xs])
+        assert got.shape == xs.shape
+        assert np.max(np.abs(got - want)) <= 5e-8
+
+    def test_bump_value_within_its_error_bar(self):
+        # outside its support the bump's second difference is -g(x+z) on
+        # z in (0.088, 1.088); an adaptive rule over (1, 50) can return
+        # 0 without sampling that window's last piece
+        g = make_profile("bump:amplitude=8,center=0,width=0.5")
+        p = FracParams(s=0.9)
+        x = float(np.linspace(-1.0, 1.0, 103)[21])
+        crossings = sorted(abs(x - edge) for edge in (-0.5, 0.5))
+        body, _ = quad(
+            lambda z: (2.0 * g(x) - g(x + z) - g(x - z)) * z ** (-1.0 - 2.0 * p.s),
+            0.0,
+            50.0,
+            points=crossings,
+            epsabs=1e-13,
+            limit=400,
+        )
+        want = 4.0 * norm_const(p) * body
+        val, bar = frac_laplacian_pointwise(g, p, x, full_output=True)
+        assert abs(val - want) <= bar
+
+    def test_array_points_match_scalar_calls(self):
+        g = make_profile("gaussian")
+        p = FracParams(s=0.8)
+        xs = np.array([[-0.4, 0.1], [0.3, 0.9]])
+        vals, bars = frac_laplacian_pointwise(g, p, xs, full_output=True)
+        assert vals.shape == bars.shape == xs.shape
+        for x, val, bar in zip(xs.ravel(), vals.ravel(), bars.ravel()):
+            assert frac_laplacian_pointwise(g, p, float(x), full_output=True) == pytest.approx((val, bar), rel=1e-13)
+
     def test_nonfinite_data_rejected(self):
         with pytest.raises(DataError):
             frac_laplacian_pointwise(lambda t: float("nan"), FracParams(s=0.5), 0.0)
+
+    def test_nonfinite_sample_anywhere_rejected(self):
+        # finite at x, x +- 1 and x +- 50; infinite only near x + 3
+        g = lambda t: math.inf if 2.9 < t < 3.1 else math.exp(-t * t)
+        with pytest.raises(DataError, match="x=0.0"):
+            frac_laplacian_pointwise(g, FracParams(s=0.5), 0.0)
 
     def test_dimension_guard(self):
         with pytest.raises(ConfigError):
