@@ -123,8 +123,10 @@ def _spectrum(values: np.ndarray, L: int, odd: bool) -> np.ndarray:
 def _apply(values: np.ndarray, w: np.ndarray, odd: bool, spectra: dict) -> np.ndarray:
     """Correlate each edge-padded row of values (..., n) with the mirrored
     stencil by numpy's real FFT, keeping the n outputs that circular
-    wraparound cannot reach.  spectra maps (L, odd) to _spectrum(values, L,
-    odd), made on first use: stencils of one reach share one per stack.
+    wraparound cannot reach, as an array of their own so the transform
+    buffer (about 2n columns) goes at once.  spectra maps (L, odd) to
+    _spectrum(values, L, odd), made on first use: stencils of one reach
+    share one per stack.
 
     The antisymmetric stencil acts on first differences through tail sums
     of its weights, since v[i+o] - v[i-o] is the sum of the differences in
@@ -142,7 +144,7 @@ def _apply(values: np.ndarray, w: np.ndarray, odd: bool, spectra: dict) -> np.nd
         k = np.concatenate((w[:0:-1], w))
     p = 2 * (spectra[L, odd].shape[-1] - 1)
     full = np.fft.irfft(spectra[L, odd] * np.fft.rfft(k[::-1], p), p)
-    return full[..., k.size - 1 : k.size - 1 + values.shape[-1]]
+    return full[..., k.size - 1 : k.size - 1 + values.shape[-1]].copy()
 
 
 def mollify(phi: GridFunction, p: FracParams) -> GridFunction:
@@ -273,8 +275,9 @@ def _rows_at_s(
     s: float, eps_list: Tuple[float, ...], rho: float, r: float,
 ) -> Iterator[Tuple[str, np.ndarray, np.ndarray]]:
     """_bump_suite_rows at one s, with the bumps' Hoelder-s quotients holder.
-    d1 is computed once; each stencil is applied once per eps, and the strip
-    rows reuse the smoothed stack."""
+    d1 is computed once; each stencil is applied once per eps.  The strip
+    rows are taken before the gradient stencils run, so at most one
+    smoothed or gradient stack of this eps is alive at a time."""
     h, mask = grid.h, full_coverage_mask(grid)
     p_near = FracParams(s=s, eps=0.0, d=1)
     full = stiffness_kernel(p_near, h, grid.n - 3)  # offsets of the n - 2 nodes inside the box
@@ -289,10 +292,10 @@ def _rows_at_s(
         yield ("energy_consistency", *energy)
         if eps == 0.0:
             yield ("energy_consistency_eps0", *energy)
-        grad = _apply(bumps, _stencil(p, h, eps, 1.0, True), True, spectra)
-        yield ("lipschitz_gradient", *_lipschitz_rows(grad, mask, p, holder))
-        tail = _apply(bumps, _stencil(p, h, rho, 1.0, True), True, spectra)
-        yield ("tail_bound", *_tail_rows(tail, mask, p, rho, s, holder))
         closeness, l2 = _strip_rows(grid, smoothed, p, r, holder)
+        del smoothed  # each gradient stack below lives only until its rows are taken
+        w_grad, w_tail = _stencil(p, h, eps, 1.0, True), _stencil(p, h, rho, 1.0, True)
+        yield ("lipschitz_gradient", *_lipschitz_rows(_apply(bumps, w_grad, True, spectra), mask, p, holder))
+        yield ("tail_bound", *_tail_rows(_apply(bumps, w_tail, True, spectra), mask, p, rho, s, holder))
         yield ("strip_closeness", *closeness)
         yield ("strip_l2", *l2)
