@@ -34,6 +34,9 @@ _RADIUS = 50.0
 # is at the roundoff of the second difference for s from 0.25 to 0.995
 # (64 and 128 panels differ by at most 3.1e-11 for the Gaussian)
 _PANELS = 64
+# samples of g per block of points: each block's temporaries stay at 256 KB
+# or less, so the working set does not grow with the number of points
+_BLOCK_SAMPLES = 1 << 15
 
 
 def _assemble(grid: GridFunction, p: FracParams) -> Tuple[ToeplitzOperator, np.ndarray]:
@@ -145,7 +148,8 @@ def frac_laplacian_pointwise(
     12-point Gauss rule; the tail beyond _RADIUS is dropped.  With
     full_output=True returns (value, error_bar): the gap to the same rule
     on half the panels plus the analytic bound on the dropped tail.  Any
-    non-finite sample of g raises DataError.
+    non-finite sample of g raises DataError.  The points go in blocks of at
+    most _BLOCK_SAMPLES samples of g.
     """
     if p.d != 1:
         raise ConfigError(f"pointwise operator supports d=1 only, got d={p.d}")
@@ -159,22 +163,33 @@ def frac_laplacian_pointwise(
     offsets = [[0.0], z, -z]
     if full_output:
         offsets.append(np.linspace(-2.0 * _RADIUS, 2.0 * _RADIUS, 257))
-    vals = _call_on(g, xx[..., None] + np.concatenate(offsets))
-    finite = np.all(np.isfinite(vals), axis=-1)
-    if not np.all(finite):
-        raise DataError(f"g returned a non-finite value near x={float(xx[~finite].flat[0])!r}")
+    offsets = np.concatenate(offsets)
+    weights = np.concatenate([w for _, w in rules]) * z[1:] ** (-1.0 - s2)
     m = z.size
-    second_diff = 2.0 * vals[..., :1] - vals[..., 1 : m + 1] - vals[..., m + 1 : 2 * m + 1]
 
-    # 0 < z < _NEAR_CUT: freeze the quadratic profile of the second
-    # difference at the cut; relative error O(cut^2) on this piece
-    near_sing = second_diff[..., 0] * _NEAR_CUT ** (-s2) / (2.0 - s2)
-    body = second_diff[..., 1:] * (np.concatenate([w for _, w in rules]) * z[1:] ** (-1.0 - s2))
-    value, coarse = (
-        4.0 * C * (near_sing + np.sum(part, axis=-1)) for part in np.split(body, [rules[0][0].size], axis=-1)
-    )
-    if not full_output:
-        return float(value) if xx.ndim == 0 else value
-    sup_g = np.max(np.abs(vals[..., 2 * m + 1 :]), axis=-1)
-    error_bar = np.abs(value - coarse) + 16.0 * C * sup_g * _RADIUS ** (-s2) / s2
-    return (float(value), float(error_bar)) if xx.ndim == 0 else (value, error_bar)
+    def block(xb: np.ndarray):
+        vals = _call_on(g, xb[:, None] + offsets)
+        finite = np.all(np.isfinite(vals), axis=-1)
+        if not np.all(finite):
+            raise DataError(f"g returned a non-finite value near x={float(xb[~finite][0])!r}")
+        second_diff = 2.0 * vals[:, :1] - vals[:, 1 : m + 1] - vals[:, m + 1 : 2 * m + 1]
+
+        # 0 < z < _NEAR_CUT: freeze the quadratic profile of the second
+        # difference at the cut; relative error O(cut^2) on this piece
+        near_sing = second_diff[:, 0] * _NEAR_CUT ** (-s2) / (2.0 - s2)
+        body = second_diff[:, 1:] * weights
+        value, coarse = (
+            4.0 * C * (near_sing + np.sum(part, axis=-1)) for part in np.split(body, [rules[0][0].size], axis=-1)
+        )
+        if not full_output:
+            return (value,)
+        sup_g = np.max(np.abs(vals[:, 2 * m + 1 :]), axis=-1)
+        return value, np.abs(value - coarse) + 16.0 * C * sup_g * _RADIUS ** (-s2) / s2
+
+    flat = xx.reshape(-1)
+    step = max(1, _BLOCK_SAMPLES // offsets.size)
+    blocks = [block(flat[i : i + step]) for i in range(0, max(flat.size, 1), step)]
+    out = [np.concatenate(col).reshape(xx.shape) for col in zip(*blocks)]
+    if xx.ndim == 0:
+        out = [float(v) for v in out]
+    return tuple(out) if full_output else out[0]

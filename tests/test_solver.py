@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
 
+from fraclap import solver
 from fraclap.assembly import interior_indices
 from fraclap.energies import dirichlet_frac, dirichlet_local, objective_local
 from fraclap.errors import ConfigError, DataError
@@ -275,6 +276,27 @@ class TestPointwiseOperator:
         assert vals.shape == bars.shape == xs.shape
         for x, val, bar in zip(xs.ravel(), vals.ravel(), bars.ravel()):
             assert frac_laplacian_pointwise(g, p, float(x), full_output=True) == pytest.approx((val, bar), rel=1e-13)
+
+    @pytest.mark.parametrize("full_output", [False, True])
+    def test_point_blocks_bitwise_equal_one_block(self, monkeypatch, full_output):
+        # the consistency experiment's 101 points span several blocks; one
+        # block holding them all gives the same bits, and g sees no call
+        # larger than one block
+        g = make_profile("bump:amplitude=8,center=0,width=0.5")
+        p = FracParams(s=0.9)
+        xs = np.linspace(-1.0, 1.0, 103)[1:-1]
+        sizes = []
+
+        def counted(t):
+            sizes.append(np.size(t))
+            return g(t)
+
+        blocked = frac_laplacian_pointwise(counted, p, xs, full_output=full_output)
+        assert len(sizes) > 1
+        assert max(sizes) <= solver._BLOCK_SAMPLES
+        monkeypatch.setattr(solver, "_BLOCK_SAMPLES", 1 << 40)
+        whole = frac_laplacian_pointwise(g, p, xs, full_output=full_output)
+        assert np.array_equal(blocked, whole)
 
     def test_nonfinite_data_rejected(self):
         with pytest.raises(DataError):
