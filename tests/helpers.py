@@ -607,3 +607,46 @@ def check_strip_l2(u_s, g, p, r, hold_us, hold_g):
     """Squared L2(Omega) distance between the smoothed solution and the
     competitor versus 8 hold_us^2 (r^(1+2s) + ((1-s)/(1-eps^(2-2s)))^2 r)."""
     return _strip_one(u_s, g, p, r, hold_us, hold_g)[1]
+
+
+def strip_sup_loop(grid: GridFunction, values: np.ndarray, r: float) -> float:
+    """Exact max over Omega's closure at depth <= r of |(1 - lam) v| for one
+    smoothed row v (its P1 interpolant), lam = clip(depth / r, 0, 1), cell
+    by cell in a scalar loop (reference for mollifier._strip_rows' sup).  On
+    each cell's part of a side's strip both factors are linear, so the
+    product peaks at the piece's ends or midway between the factors' roots."""
+    dom, h = grid.domain, grid.h
+    x = grid.nodes
+    best = 0.0
+    # each side: (its strip, the root of 1 - lam there)
+    for (a, b), root_lam in (
+        ((dom.omega_lo, dom.omega_lo + r), dom.omega_lo + r),
+        ((dom.omega_hi - r, dom.omega_hi), dom.omega_hi - r),
+    ):
+        for j in range(grid.n - 1):
+            lo, hi = max(a, float(x[j])), min(b, float(x[j + 1]))
+            if lo > hi:
+                continue
+            v0, v1 = float(values[j]), float(values[j + 1])
+
+            def q(t: float) -> float:
+                depth = min(t - dom.omega_lo, dom.omega_hi - t)
+                return (1.0 - min(max(depth / r, 0.0), 1.0)) * (v0 + (v1 - v0) * (t - x[j]) / h)
+
+            pts = [lo, hi]
+            if v1 != v0:
+                vertex = 0.5 * (root_lam + float(x[j]) - v0 * h / (v1 - v0))
+                if lo < vertex < hi:
+                    pts.append(vertex)
+            best = max(best, max(abs(q(t)) for t in pts))
+    return best
+
+
+def strip_sup_sampled(grid: GridFunction, values: np.ndarray, r: float, points: int = 200_001) -> float:
+    """max of |(1 - lam) v| over `points` equispaced samples of Omega's
+    closure, v the P1 interpolant of the row values: a lower bound for
+    strip_sup_loop, exact at the nodes the samples hit."""
+    dom = grid.domain
+    t = np.linspace(dom.omega_lo, dom.omega_hi, points)
+    depth = np.minimum(t - dom.omega_lo, dom.omega_hi - t)
+    return float(np.max(np.abs((1.0 - np.clip(depth / r, 0.0, 1.0)) * np.interp(t, grid.nodes, values))))

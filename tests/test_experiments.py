@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,8 +74,11 @@ class TestMollifierCheck:
         # values printed by the per-piece smoothing loop that the stencils
         # replaced, at full precision; the strip rows by the one-row
         # competitor checks that the stacked strip rows replaced, and
-        # strip_closeness over the nodes of Omega's closure at dist <= r by
-        # a per-bump route (mollify, helpers.build_w, helpers.holder_loop)
+        # strip_closeness, the exact max over the strip including each
+        # cell's vertex, by a per-bump route (mollify,
+        # helpers.strip_sup_loop, helpers.holder_loop).  The vertices raise
+        # some bumps' lhs, but the worst ratio peaks at a node, so it equals
+        # the value read over the nodes alone
         cfg = cfg_from(
             tmp_path, "experiment = mollifier_check\ns_list = 0.5, 0.9\nn = 65\nseed = 11\n"
         )
@@ -152,6 +156,27 @@ class TestMollifierCheck:
         cfg = cfg_from(tmp_path, "experiment = mollifier_check\ns_list = 0.5, 0.9\nn = 65\n")
         assert run_mollifier_check(cfg).passed
         assert calls == [((_MOLL_BUMPS, 65), (0.5, 0.9))]
+
+    def test_working_set_at_n_513(self, tmp_path):
+        # unit: one (B, n) float64 stack, B * n * 8 bytes.  At n = 513 every
+        # transform has 1,024 points, about 2n, so a real transform buffer
+        # and a half spectrum are 2 units each.  Alive through the run: the
+        # bumps (1) and the stack's spectra, one per parity (2 + 2).  On top,
+        # the transform in flight holds its spectral product and its irfft
+        # output (2 + 2) and at most one more stack (1): the output rows
+        # being read, or the near-energy matvec's differences.  That is 10
+        # units plus O(B) rows; numpy < 2's irfft also pads its complex
+        # input to the output length first (4 more).  Keeping each eps's
+        # outputs until the next, as views of their irfft buffers, read 15.5
+        cfg = cfg_from(tmp_path, "experiment = mollifier_check\ns_list = 0.5, 0.9\nn = 513\n")
+        bound = 12.0 if int(np.__version__.split(".")[0]) >= 2 else 16.0
+        tracemalloc.start()
+        try:
+            assert run_mollifier_check(cfg).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * _MOLL_BUMPS * 513 * 8
 
 
 class TestRates:

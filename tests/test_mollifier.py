@@ -10,13 +10,14 @@ from fraclap.kernels import FracParams, psi_moment
 from fraclap.mollifier import (
     _apply,
     _bump_suite_rows,
+    _ramp,
     _stencil,
     _strip_rows,
     full_coverage_mask,
     mollify,
     mollify_gradient,
 )
-from fraclap.profiles import make_profile, random_bump
+from fraclap.profiles import _PCG64, _random_bump_rows, make_profile, random_bump
 from helpers import (
     build_w,
     check_energy_consistency,
@@ -33,6 +34,8 @@ from helpers import (
     lag_maxima,
     mollify_loop,
     stencil_weight_oracle,
+    strip_sup_loop,
+    strip_sup_sampled,
 )
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
@@ -344,6 +347,7 @@ class TestFFTApply:
             w = _stencil(p, h, t_lo, 1.0, odd)
             got = _apply(stack, w, odd, {})
             assert got.shape == stack.shape
+            assert got.base is None  # not a view that keeps the transform buffer alive
             for idx in np.ndindex(2, 3):
                 one = _apply(stack[idx], w, odd, {})
                 assert np.max(np.abs(got[idx] - one)) <= 1e-15 * np.max(np.abs(one))
@@ -387,11 +391,12 @@ class TestStripRows:
     @pytest.mark.parametrize("n", [65, 129])
     @pytest.mark.parametrize("s", [0.5, 0.9])
     def test_stack_matches_one_row_competitor(self, n, s):
-        # the independent route: per bump, the competitor w built by
-        # mollifier._blend from mollify, its sup distance to the smoothed
-        # bump over the nodes of Omega's closure at dist <= r, and its
-        # L2(Omega) distance by l2_norm; the bounds are written out again
-        # from the paper
+        # the independent route: per bump, the exact sup of the distance
+        # over the strip by helpers.strip_sup_loop on mollify's values, at
+        # least its max over the nodes of Omega's closure at dist <= r for
+        # the competitor w built by mollifier._blend, and the L2(Omega)
+        # distance of w by l2_norm; the bounds are written out again from
+        # the paper
         phis = bumps(seed=n + 1, n=n, count=10)
         stack = np.stack([phi.values for phi in phis])
         zero = make_grid(DOM, n)
@@ -412,13 +417,40 @@ class TestStripRows:
                     w = build_w(phi, zero, p, r)
                     hold = holder_seminorm_grid(phi, s)
                     want = (
-                        float(np.max(np.abs(sm.values - w.values)[strip])),
+                        strip_sup_loop(zero, sm.values, r),
                         2.0 * hold * (r**s + near),
                         l2_norm(sm - w, region="omega") ** 2,
                         8.0 * hold**2 * (r ** (1.0 + 2.0 * s) + near**2 * r),
                     )
                     got = (sup[i], sup_rhs[i], l2[i], l2_rhs[i])
                     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+                    assert sup[i] >= float(np.max(np.abs(sm.values - w.values)[strip]))
+
+    @pytest.mark.parametrize("n", [65, 129])
+    @pytest.mark.parametrize("s", [0.5, 0.9])
+    def test_sup_is_the_exact_in_cell_max(self, n, s):
+        # mollifier-check's seed-1 bumps: (1 - lam) times the smoothed P1
+        # row is quadratic on each strip piece, so its max over the nodes
+        # can sit up to 4.1% (n = 65) below the peak inside a cell.  The
+        # stacked sup equals the scalar vertex loop, which no 200,001-point
+        # sampling of Omega exceeds and which beats it by at most the
+        # sampling's miss at a vertex: |q''| (delta/2)**2 / 2 with
+        # |q''| <= 2 max|v'| / r and delta the sample spacing
+        grid = make_grid(DOM, n)
+        stack = _random_bump_rows(_PCG64(1), DOM, n, 100)
+        p = FracParams(s=s)
+        r = (1.0 - s) ** (1.0 / s)
+        smoothed = _apply(stack, _stencil(p, grid.h, 0.0, 1.0, False), False, {})
+        (sup, _), _ = _strip_rows(grid, smoothed, p, r, 1.0)
+        loop = np.array([strip_sup_loop(grid, row, r) for row in smoothed])
+        sampled = np.array([strip_sup_sampled(grid, row, r) for row in smoothed])
+        assert sup == pytest.approx(loop, rel=1e-14, abs=0.0)
+        assert np.all(sampled <= loop * (1.0 + 1e-15))
+        slope = np.max(np.abs(np.diff(smoothed, axis=-1)), axis=-1) / grid.h
+        assert np.all(loop - sampled <= slope / r * (2.0 / 200_000) ** 2 / 4.0)
+        depth, lam = _ramp(grid, r)
+        nodal = np.max(np.abs((1.0 - lam) * smoothed)[:, (depth >= 0.0) & (depth <= r)], axis=-1)
+        assert np.max(sup / nodal) > 1.01
 
     def test_narrow_strip_checks_boundary_nodes(self):
         # a strip narrower than one cell holds no node inside Omega, but w
