@@ -237,14 +237,12 @@ def _strip_rows(grid: GridFunction, smoothed: np.ndarray, p: FracParams, r: floa
     """Distances of each smoothed row (..., n) to its boundary competitor w
     for zero exterior data, so the difference is (1 - lam) smoothed with
     _ramp's lam and the P1 interpolant of the row.  Returns its exact max
-    over Omega's closure at depth <= r versus
-    2 holder (r**s + (1-s)/(1-eps**(2-2s))): the max over the strip's nodes,
-    the two ends of Omega (where lam = 0) and the vertex of each piece's
-    quadratic, the strip cut at the nodes.  Also its squared L2(Omega) norm
-    versus 8 holder**2 (r**(1+2s) + ((1-s)/(1-eps**(2-2s)))**2 r)."""
-    x, tol, dom = grid.nodes, 1e-9 * grid.h, grid.domain
-    depth, lam = _ramp(grid, r)
-    strip = (depth >= -tol) & (depth <= r + tol)
+    over Omega's closure at depth <= r, where it meets the zero data at the
+    ends of Omega, versus 2 holder (r**s + (1-s)/(1-eps**(2-2s))).  Also its
+    squared L2(Omega) norm versus
+    8 holder**2 (r**(1+2s) + ((1-s)/(1-eps**(2-2s)))**2 r)."""
+    x, dom = grid.nodes, grid.domain
+    _, lam = _ramp(grid, r)
     diff = (1.0 - lam) * smoothed
 
     def at(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -255,19 +253,18 @@ def _strip_rows(grid: GridFunction, smoothed: np.ndarray, p: FracParams, r: floa
         d = np.minimum(pts - dom.omega_lo, dom.omega_hi - pts)
         return 1.0 - np.clip(d / r, 0.0, 1.0), (1.0 - t) * smoothed[..., j] + t * smoothed[..., j + 1]
 
-    _, ends = at(np.array([dom.omega_lo, dom.omega_hi]))
     # each side's strip cut at the nodes inside it: on a piece [a, b] both
-    # factors are linear in t = (x - a) / (b - a), so the difference is
-    # q(t) = (m0 + dm t)(u0 + du t), extremal at t = -(m0 du + u0 dm) / (2 dm du)
+    # factors are linear in t = (x - a) / (b - a), so the difference
+    # q(t) = (m0 + dm t)(u0 + du t) peaks at t = 0, t = 1 or its vertex
     sides = ((dom.omega_lo, dom.omega_lo + r), (dom.omega_hi - r, dom.omega_hi))
     cuts = [np.concatenate(([a], x[(x > a) & (x < b)], [b])) for a, b in sides]
     (m0, u0), (m1, u1) = (at(np.concatenate([c[k] for c in cuts])) for k in (np.s_[:-1], np.s_[1:]))
     dm, du = m1 - m0, u1 - u0
     curv = 2.0 * dm * du
     t = np.clip(np.divide(-(m0 * du + u0 * dm), curv, out=np.zeros_like(curv), where=curv != 0.0), 0.0, 1.0)
-    peaks = (m0 + dm * t) * (u0 + du * t)
+    q = np.concatenate((m0 * u0, m1 * u1, (m0 + dm * t) * (u0 + du * t)), axis=-1)
+    sup = np.max(np.abs(q), axis=-1)
     near = (1.0 - p.s) * p.plateau_scale / 2.0
-    sup = np.max(np.abs(np.concatenate((diff[..., strip], ends, peaks), axis=-1)), axis=-1)
     l2 = _product_rows(grid, diff, diff, "omega")
     return (sup, 2.0 * holder * (r**p.s + near)), (l2, 8.0 * holder**2 * (r ** (1.0 + 2.0 * p.s) + near**2 * r))
 
