@@ -248,7 +248,7 @@ def _strip_rows(grid: GridFunction, smoothed: np.ndarray, p: FracParams, r: floa
     def at(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """1 - lam and the interpolated smoothed rows at the points pts of
         Omega's closure; t = 0 in cell [x_j, x_j+1] when a point is a node."""
-        j = np.minimum(np.searchsorted(x, pts, "right") - 1, x.size - 2)
+        j = np.searchsorted(x, pts, "right") - 1
         t = (pts - x[j]) / grid.h
         d = np.minimum(pts - dom.omega_lo, dom.omega_hi - pts)
         return 1.0 - np.clip(d / r, 0.0, 1.0), (1.0 - t) * smoothed[..., j] + t * smoothed[..., j + 1]

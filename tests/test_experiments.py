@@ -166,8 +166,7 @@ class TestMollifierCheck:
         # output (2 + 2) and at most one more stack (1): the output rows
         # being read, or the near-energy matvec's differences.  That is 10
         # units plus O(B) rows; numpy < 2's irfft also pads its complex
-        # input to the output length first (4 more).  Keeping each eps's
-        # outputs until the next, as views of their irfft buffers, read 15.5
+        # input to the output length first (4 more)
         cfg = cfg_from(tmp_path, "experiment = mollifier_check\ns_list = 0.5, 0.9\nn = 513\n")
         bound = 12.0 if int(np.__version__.split(".")[0]) >= 2 else 16.0
         tracemalloc.start()
