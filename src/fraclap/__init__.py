@@ -12,7 +12,6 @@ from .energies import (
     EnergyBreakdown,
     dirichlet_frac,
     dirichlet_local,
-    holder_seminorm_grid,
     objective_local,
 )
 from .errors import ConfigError, DataError, NumericalError, ShapeError, SupportError
@@ -42,8 +41,8 @@ from .kernels import (
     psi_moment,
     sphere_measure,
 )
-from .mollifier import energy_gap, full_coverage_mask, mollify, mollify_gradient
-from .profiles import Profile, make_profile, random_bump
+from .mollifier import energy_gap, full_coverage_mask, mollify
+from .profiles import Profile, make_profile
 from .report import (
     CheckReport,
     CheckRow,
@@ -99,19 +98,16 @@ __all__ = [
     "fit_line",
     "frac_laplacian_pointwise",
     "full_coverage_mask",
-    "holder_seminorm_grid",
     "l2_norm",
     "make_grid",
     "make_profile",
     "mollify",
-    "mollify_gradient",
     "norm_const",
     "objective_local",
     "parse_config",
     "product_integral",
     "psi",
     "psi_moment",
-    "random_bump",
     "run_consistency",
     "run_kernel_check",
     "run_mollifier_check",

@@ -11,17 +11,21 @@ Those sums are the same at every node, so each operator is one fixed
 stencil: the integral of the kernel against the P1 hat function at each grid
 offset.  Smoothing uses a symmetric stencil, the gradient (and its radial
 tail) an antisymmetric one.  A stencil depends only on (s, eps, h, radii);
-it is built from vectorised kernel integrals where it is used and applied
-to a whole stack of edge-padded rows (..., n) at once, by one correlation
-through numpy's real FFT along the last axis; stencils of one reach and
-parity share the forward transform of a stack.
+it is built from vectorised kernel integrals and applied to a whole stack
+of edge-padded rows (..., n) at once, by one correlation through numpy's
+real FFT along the last axis; stencils of one reach and parity share the
+forward transform of a stack.
 
 Nodes whose unit ball leaves the box are evaluated with the constant
 extension; full_coverage_mask identifies the nodes free of that artifact, and
 the checks only assert over those.  Each inequality is one row function from
-stacked operator outputs to per-row (lhs, rhs), and _bump_suite_rows runs
-them all on the stacked bumps of mollifier-check, with one Hoelder scan
-and one transform of the stack per parity for the whole run.
+stacked operator outputs to per-row (lhs, rhs).  _bump_suite_rows runs them
+all on the bumps of mollifier-check one chunk of rows at a time, each
+chunk's transform buffers at most _CHUNK_VALUES values, so its memory is
+O(n) operators plus one chunk, not O(B n).  What does not depend on the
+rows (stencils and their transforms, the near-energy operators, the strip
+geometry, the coverage mask) is built once per run; each chunk gets one
+Hoelder lag scan and one transform per parity.
 
 The boundary competitor w of the local problem lives here too: w equals the
 exterior data g outside Omega, the smoothed solution at depth >= r inside,
@@ -33,7 +37,7 @@ smoothed function.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.fft  # noqa: F401  numpy imports it lazily; load it with the package
@@ -45,6 +49,10 @@ from .grid import GridFunction, _product_rows
 from .kernels import FracParams, eta_t_integrals, norm_const, psi_integrals
 
 _LIMIT_TOL = 1e-9
+# Values per (rows, p) transform buffer of the bump suite: 2**14 float64,
+# 128 KiB, glibc's default mmap threshold, so a chunk's buffers are reused
+# from the heap instead of being mapped and faulted in again
+_CHUNK_VALUES = 1 << 14
 
 _Rows = Tuple[np.ndarray, np.ndarray]  # per-row (lhs, rhs) of one inequality
 
@@ -113,38 +121,60 @@ def _stencil(p: FracParams, h: float, t_lo: float, t_hi: float, odd: bool) -> np
     return w
 
 
+def _transform_length(n: int, L: int, odd: bool) -> int:
+    """Power of two >= the n + 2L edge-padded values of a row (their
+    n + 2L - 1 first differences if odd): _apply's transform length."""
+    return 1 << (n + 2 * L - odd - 1).bit_length()
+
+
 def _spectrum(values: np.ndarray, L: int, odd: bool) -> np.ndarray:
-    """Data step of _apply: rfft at a power of two of the rows padded by L (differenced if odd)."""
+    """Data step of _apply: rfft of the rows padded by L (differenced if odd)."""
     x = np.pad(values, [(0, 0)] * (values.ndim - 1) + [(L, L)], mode="edge")
     x = np.diff(x) if odd else x
-    return np.fft.rfft(x, 1 << (x.shape[-1] - 1).bit_length())
+    return np.fft.rfft(x, _transform_length(values.shape[-1], L, odd))
 
 
-def _apply(values: np.ndarray, w: np.ndarray, odd: bool, spectra: dict) -> np.ndarray:
-    """Correlate each edge-padded row of values (..., n) with the mirrored
-    stencil by numpy's real FFT, keeping the n outputs that circular
-    wraparound cannot reach, as an array of their own so the transform
-    buffer (about 2n columns) goes at once.  spectra maps (L, odd) to
-    _spectrum(values, L, odd), made on first use: stencils of one reach
-    share one per stack.
+class _Kernel(NamedTuple):
+    """A stencil's reach L and the rfft of its mirrored kernel at _apply's
+    transform length for rows of one length: the stencil step of _apply."""
 
-    The antisymmetric stencil acts on first differences through tail sums
-    of its weights, since v[i+o] - v[i-o] is the sum of the differences in
-    between; constants then map to exactly zero.
-    """
+    L: int
+    transfer: np.ndarray
+
+
+def _kernel(w: np.ndarray, odd: bool, n: int) -> _Kernel:
+    """_Kernel of the stencil w for rows of n values.  The antisymmetric
+    stencil acts on first differences through tail sums of its weights,
+    since v[i+o] - v[i-o] is the sum of the differences in between;
+    constants then map to exactly zero."""
     L = w.size - 1
-    if L == 0:
-        return np.zeros(values.shape)
-    if (L, odd) not in spectra:
-        spectra[L, odd] = _spectrum(values, L, odd)
+    if L == 0:  # no kernel piece: _apply maps every row to zeros
+        return _Kernel(0, np.zeros(0))
     if odd:
         tail = np.cumsum(w[:0:-1])[::-1]
         k = np.concatenate((tail[::-1], tail))
     else:
         k = np.concatenate((w[:0:-1], w))
-    p = 2 * (spectra[L, odd].shape[-1] - 1)
-    full = np.fft.irfft(spectra[L, odd] * np.fft.rfft(k[::-1], p), p)
-    return full[..., k.size - 1 : k.size - 1 + values.shape[-1]].copy()
+    return _Kernel(L, np.fft.rfft(k[::-1], _transform_length(n, L, odd)))
+
+
+def _apply(values: np.ndarray, w, odd: bool, spectra: dict) -> np.ndarray:
+    """Correlate each edge-padded row of values (..., n) with the mirrored
+    stencil by numpy's real FFT, keeping the n outputs that circular
+    wraparound cannot reach, as an array of their own so the transform
+    buffer (about 2n columns) goes at once.  w is a stencil from _stencil,
+    or its _kernel for rows of n values, built once for many stacks.
+    spectra maps (L, odd) to _spectrum(values, L, odd), made on first use:
+    stencils of one reach share one per stack."""
+    n = values.shape[-1]
+    L, transfer = w if isinstance(w, _Kernel) else _kernel(w, odd, n)
+    if L == 0:
+        return np.zeros(values.shape)
+    if (L, odd) not in spectra:
+        spectra[L, odd] = _spectrum(values, L, odd)
+    full = np.fft.irfft(spectra[L, odd] * transfer, _transform_length(n, L, odd))
+    start = 2 * L - odd  # the kernel's length less one: 2L + 1 weights, 2L tail sums
+    return full[..., start : start + n].copy()
 
 
 def mollify(phi: GridFunction, p: FracParams) -> GridFunction:
@@ -154,19 +184,6 @@ def mollify(phi: GridFunction, p: FracParams) -> GridFunction:
     if p.d != 1:
         raise ConfigError(f"mollify supports d=1 only, got d={p.d}")
     return phi.with_values(_apply(phi.values, _stencil(p, phi.h, 0.0, 1.0, False), False, {}))
-
-
-def mollify_gradient(phi: GridFunction, p: FracParams) -> GridFunction:
-    """Gradient of the smoothed function, as the nonsingular radial integral
-    of the antisymmetric difference over [eps, 1].
-
-    For eps = 0 the same formula is the principal-value realization: the
-    difference of P1 data vanishes linearly at radius 0, so the integrand
-    stays integrable and the closed-form cell integrals remain exact.
-    """
-    if p.d != 1:
-        raise ConfigError(f"mollify_gradient supports d=1 only, got d={p.d}")
-    return phi.with_values(_apply(phi.values, _stencil(p, phi.h, p.eps, 1.0, True), True, {}))
 
 
 def _closeness_rows(grid: GridFunction, values: np.ndarray, smoothed: np.ndarray, p: FracParams, d1) -> _Rows:
@@ -233,32 +250,41 @@ def energy_gap(u_s: GridFunction, g: GridFunction, f: GridFunction, p: FracParam
     return abs(objective_local(w, f) - objective_local(smoothed, f))
 
 
-def _strip_rows(grid: GridFunction, smoothed: np.ndarray, p: FracParams, r: float, holder) -> Tuple[_Rows, _Rows]:
+def _strip(grid: GridFunction, r: float):
+    """The row-independent part of _strip_rows for one (grid, r): 1 - lam
+    at the nodes, and at the lower and upper ends of every piece of each
+    side's strip cut at the nodes inside it, 1 - lam with the cells j and
+    offsets t that interpolate a row there (t = 0 in cell [x_j, x_j+1] when
+    an end is a node)."""
+    x, dom = grid.nodes, grid.domain
+    _, lam = _ramp(grid, r)
+    sides = ((dom.omega_lo, dom.omega_lo + r), (dom.omega_hi - r, dom.omega_hi))
+    cuts = [np.concatenate(([a], x[(x > a) & (x < b)], [b])) for a, b in sides]
+    ends = []
+    for piece_end in (np.s_[:-1], np.s_[1:]):
+        pts = np.concatenate([c[piece_end] for c in cuts])
+        j = np.searchsorted(x, pts, "right") - 1
+        d = np.minimum(pts - dom.omega_lo, dom.omega_hi - pts)
+        ends.append((1.0 - np.clip(d / r, 0.0, 1.0), j, (pts - x[j]) / grid.h))
+    return 1.0 - lam, ends
+
+
+def _strip_rows(
+    grid: GridFunction, smoothed: np.ndarray, p: FracParams, r: float, holder, strip=None
+) -> Tuple[_Rows, _Rows]:
     """Distances of each smoothed row (..., n) to its boundary competitor w
     for zero exterior data, so the difference is (1 - lam) smoothed with
     _ramp's lam and the P1 interpolant of the row.  Returns its exact max
     over Omega's closure at depth <= r, where it meets the zero data at the
     ends of Omega, versus 2 holder (r**s + (1-s)/(1-eps**(2-2s))).  Also its
     squared L2(Omega) norm versus
-    8 holder**2 (r**(1+2s) + ((1-s)/(1-eps**(2-2s)))**2 r)."""
-    x, dom = grid.nodes, grid.domain
-    _, lam = _ramp(grid, r)
-    diff = (1.0 - lam) * smoothed
-
-    def at(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """1 - lam and the interpolated smoothed rows at the points pts of
-        Omega's closure; t = 0 in cell [x_j, x_j+1] when a point is a node."""
-        j = np.searchsorted(x, pts, "right") - 1
-        t = (pts - x[j]) / grid.h
-        d = np.minimum(pts - dom.omega_lo, dom.omega_hi - pts)
-        return 1.0 - np.clip(d / r, 0.0, 1.0), (1.0 - t) * smoothed[..., j] + t * smoothed[..., j + 1]
-
-    # each side's strip cut at the nodes inside it: on a piece [a, b] both
-    # factors are linear in t = (x - a) / (b - a), so the difference
-    # q(t) = (m0 + dm t)(u0 + du t) peaks at t = 0, t = 1 or its vertex
-    sides = ((dom.omega_lo, dom.omega_lo + r), (dom.omega_hi - r, dom.omega_hi))
-    cuts = [np.concatenate(([a], x[(x > a) & (x < b)], [b])) for a, b in sides]
-    (m0, u0), (m1, u1) = (at(np.concatenate([c[k] for c in cuts])) for k in (np.s_[:-1], np.s_[1:]))
+    8 holder**2 (r**(1+2s) + ((1-s)/(1-eps**(2-2s)))**2 r).  strip is
+    _strip(grid, r), built here if not given."""
+    keep, ends = _strip(grid, r) if strip is None else strip
+    diff = keep * smoothed
+    # on a strip piece [a, b] both factors are linear in t = (x - a) / (b - a),
+    # so the difference q(t) = (m0 + dm t)(u0 + du t) peaks at t = 0, t = 1 or its vertex
+    (m0, u0), (m1, u1) = ((m, (1.0 - t) * smoothed[..., j] + t * smoothed[..., j + 1]) for m, j, t in ends)
     dm, du = m1 - m0, u1 - u0
     curv = 2.0 * dm * du
     t = np.clip(np.divide(-(m0 * du + u0 * dm), curv, out=np.zeros_like(curv), where=curv != 0.0), 0.0, 1.0)
@@ -269,46 +295,84 @@ def _strip_rows(grid: GridFunction, smoothed: np.ndarray, p: FracParams, r: floa
     return (sup, 2.0 * holder * (r**p.s + near)), (l2, 8.0 * holder**2 * (r ** (1.0 + 2.0 * p.s) + near**2 * r))
 
 
+def _chunk_rows(grid: GridFunction, count: int) -> List[int]:
+    """Row counts of the chunks that split count bump rows on grid evenly
+    for _bump_suite_rows: with p the transform length of a stencil of
+    radius 1, ceil(count p / _CHUNK_VALUES) chunks of ceil(count / chunks)
+    rows (the last one may be shorter), each at least one row."""
+    reach = int(_partition(grid.h, 0.0, 1.0)[2].max()) + 1
+    chunks = -(-count * _transform_length(grid.n, reach, False) // _CHUNK_VALUES)
+    rows = -(-count // chunks)
+    return [min(rows, count - start) for start in range(0, count, rows)]
+
+
+_SuiteRow = Tuple[str, np.ndarray, np.ndarray]
+
+
 def _bump_suite_rows(
-    grid: GridFunction, bumps: np.ndarray, strips: Sequence[Tuple[float, float]], eps_list: Tuple[float, ...], rho: float
-) -> Iterator[Tuple[str, np.ndarray, np.ndarray]]:
-    """(inequality, lhs, rhs), one entry per row of the (B, n) stack bumps on
-    grid, for each (s, r) in strips and eps in eps_list; r is the boundary
-    strip width at s.  One lag scan gives the bumps' Hoelder quotients for
-    every s, and the stack is transformed once per parity for every stencil;
-    each s runs in its own generator, so its arrays go before the next s."""
-    holders = _holder_quotients(bumps, grid.h, tuple(s for s, _ in strips))
-    spectra: dict = {}  # the bumps' _apply transforms, shared by every s
-    for (s, r), holder in zip(strips, holders):
-        yield from _rows_at_s(grid, bumps, spectra, holder, s, eps_list, rho, r)
+    grid: GridFunction,
+    chunks: Iterable[np.ndarray],
+    strips: Sequence[Tuple[float, float]],
+    eps_list: Tuple[float, ...],
+    rho: float,
+) -> Iterator[_SuiteRow]:
+    """(inequality, lhs, rhs), one entry per row of a (rows, n) stack of
+    bumps on grid, for each stack in chunks, each (s, r) in strips and eps
+    in eps_list; r is the boundary strip width at s.  Every chunk yields the
+    same inequalities in the same order, so a max over the rows of every
+    chunk is the max over all bumps.
+
+    The coverage mask and, per s, the work of _rows_at_s are built once per
+    run.  Each chunk is drawn only when the previous one is done; it gets
+    one lag scan for its Hoelder quotients at every s and one transform per
+    parity for every stencil, and each s runs in its own generator, so its
+    arrays go before the next s."""
+    mask = full_coverage_mask(grid)
+    at_s = [_rows_at_s(grid, mask, s, r, eps_list, rho) for s, r in strips]
+    betas = tuple(s for s, _ in strips)
+    for bumps in chunks:
+        spectra: dict = {}  # the chunk's _apply transforms, shared by every s
+        # every near energy before the chunk's transforms: no matvec buffer meets them
+        d1s = [0.5 * np.einsum("ij,ij->i", bumps[:, 1:-1], near.matvec(bumps[:, 1:-1])) for near, _ in at_s]
+        holders = _holder_quotients(bumps, grid.h, betas)
+        for (_, rows), holder, d1 in zip(at_s, holders, d1s):
+            yield from rows(bumps, spectra, holder, d1)
 
 
 def _rows_at_s(
-    grid: GridFunction, bumps: np.ndarray, spectra: dict, holder: np.ndarray,
-    s: float, eps_list: Tuple[float, ...], rho: float, r: float,
-) -> Iterator[Tuple[str, np.ndarray, np.ndarray]]:
-    """_bump_suite_rows at one s, with the bumps' Hoelder-s quotients holder.
-    d1 is computed once; each stencil is applied once per eps.  The strip
-    rows are taken before the gradient stencils run, so at most one
-    smoothed or gradient stack of this eps is alive at a time."""
-    h, mask = grid.h, full_coverage_mask(grid)
+    grid: GridFunction, mask: np.ndarray, s: float, r: float, eps_list: Tuple[float, ...], rho: float
+) -> Tuple[ToeplitzOperator, Callable[[np.ndarray, dict, np.ndarray, np.ndarray], Iterator[_SuiteRow]]]:
+    """_bump_suite_rows at one s: the near-energy operator, whose quadratic
+    form is twice each bump's d1, and a generator function of one chunk,
+    rows(bumps, spectra, holder, d1), with holder and d1 the chunk's
+    Hoelder-s quotients and near energies.  The operator, the strip
+    geometry and the three stencils per eps with their kernel transforms
+    are built here, once per run; per chunk, each stencil is applied once.
+    The strip rows are taken before the gradient stencils run, so at most
+    one smoothed or gradient stack of an eps is alive at a time."""
+    h, n = grid.h, grid.n
     p_near = FracParams(s=s, eps=0.0, d=1)
-    full = stiffness_kernel(p_near, h, grid.n - 3)  # offsets of the n - 2 nodes inside the box
-    inner = bumps[:, 1:-1]
-    near = ToeplitzOperator(full - far_kernel(p_near, h, full))
-    d1 = 0.5 * np.einsum("ij,ij->i", inner, near.matvec(inner))
+    full = stiffness_kernel(p_near, h, n - 3)  # offsets of the n - 2 nodes inside the box
+    strip = _strip(grid, r)
+    stencils = []
     for eps in eps_list:
         p = FracParams(s=s, eps=eps, d=1)
-        smoothed = _apply(bumps, _stencil(p, h, 0.0, 1.0, False), False, spectra)
-        yield ("closeness_l2", *_closeness_rows(grid, bumps, smoothed, p, d1))
-        energy = _consistency_rows(h, smoothed, p, d1)
-        yield ("energy_consistency", *energy)
-        if eps == 0.0:
-            yield ("energy_consistency_eps0", *energy)
-        closeness, l2 = _strip_rows(grid, smoothed, p, r, holder)
-        del smoothed  # each gradient stack below lives only until its rows are taken
-        w_grad, w_tail = _stencil(p, h, eps, 1.0, True), _stencil(p, h, rho, 1.0, True)
-        yield ("lipschitz_gradient", *_lipschitz_rows(_apply(bumps, w_grad, True, spectra), mask, p, holder))
-        yield ("tail_bound", *_tail_rows(_apply(bumps, w_tail, True, spectra), mask, p, rho, s, holder))
-        yield ("strip_closeness", *closeness)
-        yield ("strip_l2", *l2)
+        radii = ((0.0, False), (eps, True), (rho, True))  # smoothing, gradient, tail
+        stencils.append((p, *(_kernel(_stencil(p, h, t_lo, 1.0, odd), odd, n) for t_lo, odd in radii)))
+
+    def rows(bumps: np.ndarray, spectra: dict, holder: np.ndarray, d1: np.ndarray) -> Iterator[_SuiteRow]:
+        for p, smooth, grad, tail in stencils:
+            smoothed = _apply(bumps, smooth, False, spectra)
+            yield ("closeness_l2", *_closeness_rows(grid, bumps, smoothed, p, d1))
+            energy = _consistency_rows(h, smoothed, p, d1)
+            yield ("energy_consistency", *energy)
+            if p.eps == 0.0:
+                yield ("energy_consistency_eps0", *energy)
+            closeness, l2 = _strip_rows(grid, smoothed, p, r, holder, strip)
+            del smoothed  # each gradient stack below lives only until its rows are taken
+            yield ("lipschitz_gradient", *_lipschitz_rows(_apply(bumps, grad, True, spectra), mask, p, holder))
+            yield ("tail_bound", *_tail_rows(_apply(bumps, tail, True, spectra), mask, p, rho, s, holder))
+            yield ("strip_closeness", *closeness)
+            yield ("strip_l2", *l2)
+
+    return ToeplitzOperator(full - far_kernel(p_near, h, full)), rows

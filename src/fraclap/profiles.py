@@ -13,7 +13,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .grid import Domain, GridFunction, make_grid
+from .grid import Domain, make_grid
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -279,17 +279,12 @@ class _PCG64:
         return low + (high - low) * self.random()
 
 
-def random_bump(rng: np.random.Generator, dom: Domain, n: int) -> GridFunction:
-    """Random smooth bump (sometimes a superposition of two) compactly
-    supported inside Omega, sampled on the grid."""
-    return make_grid(dom, n).with_values(_random_bump_rows(rng, dom, n, 1)[0])
-
-
 def _random_bump_rows(rng: np.random.Generator, dom: Domain, n: int, count: int) -> np.ndarray:
-    """count random_bump draws as a (count, n) stack: the same values and
-    the same generator state as count random_bump calls in a row.  rng is
-    any object with random() and uniform(low, high), such as _PCG64 or a
-    numpy Generator.
+    """count random smooth bumps (some a superposition of two), compactly
+    supported inside Omega and sampled on the grid, as a (count, n) stack.
+    rng is any object with random() and uniform(low, high), such as _PCG64
+    or a numpy Generator.  The draws go row by row, so consecutive calls on
+    one rng give the rows and the final state of one call for all of them.
 
     Each bump's parameters are drawn in turn (width, centre, amplitude,
     sign, then whether a second bump is added and its parameters); all

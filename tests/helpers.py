@@ -18,8 +18,9 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import cho_factor, cho_solve, toeplitz
 
 from fraclap.assembly import _gauss_legendre, far_kernel, stiffness_kernel
-from fraclap.energies import dirichlet_frac, holder_seminorm_grid
-from fraclap.grid import Domain, GridFunction, _clip_bounds, product_integral, sample
+from fraclap.energies import _holder_quotients, dirichlet_frac
+from fraclap.errors import ConfigError
+from fraclap.grid import Domain, GridFunction, _clip_bounds, make_grid, product_integral, sample
 from fraclap.kernels import FracParams, eta, eta_t_integrals, norm_const, psi_integrals
 from fraclap.mollifier import (
     _blend,
@@ -33,9 +34,8 @@ from fraclap.mollifier import (
     _tail_rows,
     full_coverage_mask,
     mollify,
-    mollify_gradient,
 )
-from fraclap.profiles import make_profile
+from fraclap.profiles import _random_bump_rows, make_profile
 
 # np.trapezoid is numpy >= 2.0; pyproject allows numpy >= 1.24, which has np.trapz
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -98,6 +98,13 @@ def load_vector_all_cells(f: GridFunction) -> np.ndarray:
     np.add.at(out, idx, h * (f0 * (d1 - d2) + df * (d2 - d3)))
     np.add.at(out, idx + 1, h * (f0 * d2 + df * d3))
     return out
+
+
+def random_bump(rng: np.random.Generator, dom: Domain, n: int) -> GridFunction:
+    """One random smooth bump (sometimes a superposition of two) compactly
+    supported inside Omega, sampled on the grid: the first row of
+    profiles._random_bump_rows."""
+    return make_grid(dom, n).with_values(_random_bump_rows(rng, dom, n, 1)[0])
 
 
 def random_bump_loop(rng: np.random.Generator, dom: Domain, n: int) -> GridFunction:
@@ -299,6 +306,20 @@ def mollify_loop(phi: GridFunction, p: FracParams) -> np.ndarray:
     return out
 
 
+def mollify_gradient(phi: GridFunction, p: FracParams) -> GridFunction:
+    """Gradient of the smoothed function, as the nonsingular radial integral
+    of the antisymmetric difference over [eps, 1], by mollifier's stencil
+    and FFT application.
+
+    For eps = 0 the same formula is the principal-value realization: the
+    difference of P1 data vanishes linearly at radius 0, so the integrand
+    stays integrable and the closed-form cell integrals remain exact.
+    """
+    if p.d != 1:
+        raise ConfigError(f"mollify_gradient supports d=1 only, got d={p.d}")
+    return phi.with_values(_apply(phi.values, _stencil(p, phi.h, p.eps, 1.0, True), True, {}))
+
+
 def gradient_loop(phi: GridFunction, p: FracParams, t_lo: float, t_hi: float) -> np.ndarray:
     """Gradient quadrature over radii [t_lo, t_hi] summed piece by piece
     (reference for mollify_gradient and the tail quadrature)."""
@@ -411,6 +432,15 @@ def cell_integrals_oracle(p: FracParams, a: float, b: float, odd: bool):
 
 def central_diff(f, x: float, delta: float) -> float:
     return (f(x + delta) - f(x - delta)) / (2.0 * delta)
+
+
+def holder_seminorm_grid(phi: GridFunction, beta: float) -> float:
+    """Grid Hoelder estimator: max over node pairs of |dv| / |dx|**beta.
+
+    A lower bound for the seminorm of the interpolant; exact at beta = 1
+    where the max is attained by adjacent nodes.
+    """
+    return float(_holder_quotients(phi.values, phi.h, (beta,))[0])
 
 
 def holder_loop(phi: GridFunction, beta: float) -> float:

@@ -15,7 +15,6 @@ from fraclap.config import ExperimentConfig
 from fraclap.energies import (
     dirichlet_frac,
     dirichlet_local,
-    holder_seminorm_grid,
     objective_local,
 )
 from fraclap.experiments import (
@@ -27,7 +26,7 @@ from fraclap.experiments import (
 from fraclap.grid import Domain, sample
 from fraclap.kernels import FracParams, classical_const, const_ratio, norm_const
 from fraclap.mollifier import energy_gap
-from fraclap.profiles import make_profile, random_bump
+from fraclap.profiles import make_profile
 from fraclap.report import fit_line
 from fraclap.solver import (
     exact_solution_ball,
@@ -35,7 +34,15 @@ from fraclap.solver import (
     solve_frac_dirichlet,
     solve_local_dirichlet,
 )
-from helpers import check_strip_closeness, check_strip_l2, linf_distance, objective_frac, trapezoid
+from helpers import (
+    check_strip_closeness,
+    check_strip_l2,
+    holder_seminorm_grid,
+    linf_distance,
+    objective_frac,
+    random_bump,
+    trapezoid,
+)
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
 RATE_S = (0.6, 0.7, 0.8, 0.9, 0.95, 0.99)

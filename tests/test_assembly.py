@@ -18,7 +18,6 @@ from fraclap.energies import dirichlet_local
 from fraclap.errors import ConfigError, NumericalError
 from fraclap.grid import Domain, l2_norm, make_grid, sample
 from fraclap.kernels import FracParams, eta
-from fraclap.profiles import random_bump
 from fraclap.solver import assemble_frac, solve_local_dirichlet
 from helpers import (
     autocorrelation,
@@ -29,6 +28,7 @@ from helpers import (
     far_pair_from_kernel,
     load_vector_all_cells,
     mass_quadratic_form,
+    random_bump,
     refined_dense_solve,
     simpson_cells,
     stiffness_kernel_oracle,

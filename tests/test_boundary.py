@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from fraclap.energies import holder_seminorm_grid
 from fraclap.errors import ConfigError, ShapeError
 from fraclap.grid import Domain, dist_to_complement, sample
 from fraclap.kernels import FracParams
 from fraclap.mollifier import _ramp, _strip_rows, energy_gap, mollify
 from fraclap.solver import solve_frac_dirichlet
-from helpers import build_w, check_strip_closeness, check_strip_l2, fit_slope
+from helpers import build_w, check_strip_closeness, check_strip_l2, fit_slope, holder_seminorm_grid
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
 

@@ -8,21 +8,22 @@ from fraclap.energies import (
     _holder_quotients,
     dirichlet_frac,
     dirichlet_local,
-    holder_seminorm_grid,
     objective_local,
 )
 from fraclap.errors import SupportError
 from fraclap.grid import Domain, make_grid, sample
 from fraclap.kernels import FracParams, norm_const
-from fraclap.profiles import _random_bump_rows, random_bump
+from fraclap.profiles import _random_bump_rows, make_profile
 from helpers import (
     dirichlet_frac_oracle,
     far_cross_quadrature,
     holder_loop,
     holder_quotient,
+    holder_seminorm_grid,
     lag_maxima,
     mass_quadratic_form,
     objective_frac,
+    random_bump,
     simpson_cells,
 )
 
@@ -223,7 +224,7 @@ class TestHolderSeminorm:
 
     @pytest.mark.parametrize("shape", [(4, 129), (2, 3, 33), (3, 4097)])
     def test_stack_matches_lag_loop_row_by_row(self, shape):
-        # (3, 4097) holds 12,291 values, so the lags go two per step
+        # at (3, 4097) a batch holds four (row, lag) pairs of 4,097 differences
         rng = np.random.default_rng(shape[-1] + 7)
         grid = make_grid(DOM, shape[-1])
         stack = rng.standard_normal(shape)
@@ -237,25 +238,49 @@ class TestHolderSeminorm:
 _BETAS = (1e-3, 0.5, 0.9, 1.0)
 
 
+def two_bumps(n: int) -> np.ndarray:
+    """Rows of two bumps each, the second at half weight as in the random
+    draws: apart, and overlapping with opposite signs."""
+    x = make_grid(DOM, n).nodes
+    pairs = (
+        ("bump:amplitude=1.3,center=-0.45,width=0.4", "bump:amplitude=-1.8,center=0.5,width=0.35"),
+        ("bump:amplitude=-0.7,center=0.1,width=0.5", "bump:amplitude=1.9,center=-0.05,width=0.25"),
+    )
+    return np.array([make_profile(a)(x) + 0.5 * make_profile(b)(x) for a, b in pairs])
+
+
 def holder_stacks(n: int):
     """Stacks that end the pruned scan at different lags: seeded bumps,
-    constant rows (osc = 0), a one-node spike, a monotone ramp (its maximum
-    is at the last lag for beta < 1, so nothing is pruned) and a mix."""
+    rows of two bumps, constant rows (osc = 0), a one-node spike, a
+    monotone ramp (its maximum is at the last lag for beta < 1, so nothing
+    is pruned) and a mix.  At n = 16385 the full scan's Python loop over
+    every lag is slow, so only 2 seeded bumps and the two-bump rows run."""
     rng = np.random.default_rng(n + 3)
+    if n > 4097:
+        return {"bumps": _random_bump_rows(rng, DOM, n, 2), "two_bumps": two_bumps(n)}
     bumps = _random_bump_rows(rng, DOM, n, 20)
     constant = np.array([np.full(n, 1.5), np.zeros(n), np.full(n, -2.0)])
     spike = np.zeros((1, n))
     spike[0, n // 2] = 1.0
     ramp = np.linspace(-1.0, 2.0, n)[None]
     mixed = np.concatenate((bumps[:4], constant[:1], spike, ramp, rng.standard_normal((2, n))))
-    return {"bumps": bumps, "constant": constant, "spike": spike, "ramp": ramp, "mixed": mixed}
+    return {
+        "bumps": bumps,
+        "two_bumps": two_bumps(n),
+        "constant": constant,
+        "spike": spike,
+        "ramp": ramp,
+        "mixed": mixed,
+    }
 
 
 class TestHolderQuotients:
-    @pytest.mark.parametrize("n", [3, 65, 129, 513])
+    @pytest.mark.parametrize("n", [3, 65, 129, 513, 16385])
     def test_pruned_scan_equals_full_scan(self, n):
         # each exponent order: a stop decided by one exponent alone ends the
-        # scan before the largest lag that another one needs
+        # scan before the largest lag that another one needs; _BETAS holds
+        # mollifier-check's 0.5 and 0.9.  At n = 16385 the scan refines
+        # between every 16th lag at strides 8, 4, 2, 1 and skips most lags
         grid = make_grid(DOM, n)
         for name, stack in holder_stacks(n).items():
             lags = lag_maxima(stack)

@@ -18,8 +18,8 @@ from fraclap.experiments import (
 )
 from fraclap.grid import make_grid
 from fraclap.kernels import FracParams
-from fraclap.mollifier import mollify, mollify_gradient
-from helpers import solve_csv_rows
+from fraclap.mollifier import mollify
+from helpers import mollify_gradient, solve_csv_rows
 
 
 def cfg_from(tmp_path, text: str):
@@ -157,25 +157,62 @@ class TestMollifierCheck:
         assert run_mollifier_check(cfg).passed
         assert calls == [((_MOLL_BUMPS, 65), (0.5, 0.9))]
 
+    @pytest.mark.parametrize("n,rows", [(129, [50, 50]), (513, [15] * 6 + [10])])
+    def test_one_lag_scan_and_transform_per_parity_per_chunk(self, tmp_path, monkeypatch, n, rows):
+        # every stencil reaches L = 1/h = (n - 1) / 4 offsets, so a row pads
+        # to n + 2L values and transforms at the power of two p >= that:
+        # p = 256 at n = 129 and 1,024 at n = 513.  A chunk keeps rows * p
+        # within 2**14, so 100 bumps make ceil(100 p / 2**14) chunks of
+        # ceil(100 / chunks) rows.  Each chunk is scanned once for both s
+        # and transformed once per parity; each of the 18 stencil kernels
+        # is transformed once per run
+        scans, transforms = [], []
+        scan, rfft = energies._holder_quotients, np.fft.rfft
+
+        def counted_scan(values, h, betas):
+            scans.append((values.shape, tuple(betas)))
+            return scan(values, h, betas)
+
+        def counted_rfft(a, *args, **kwargs):
+            transforms.append(np.shape(a))
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(mollifier, "_holder_quotients", counted_scan)
+        monkeypatch.setattr(np.fft, "rfft", counted_rfft)
+        cfg = cfg_from(tmp_path, f"experiment = mollifier_check\ns_list = 0.5, 0.9\nn = {n}\n")
+        assert mollifier._chunk_rows(make_grid(cfg.domain, n), _MOLL_BUMPS) == rows
+        assert run_mollifier_check(cfg).passed
+        assert scans == [((r, n), (0.5, 0.9)) for r in rows]
+        L = (n - 1) // 4
+        stacks = [shape for shape in transforms if len(shape) == 2 and shape[-1] > n]
+        assert stacks == [shape for r in rows for shape in ((r, n + 2 * L), (r, n + 2 * L - 1))]
+        kernels = [shape for shape in transforms if shape in ((2 * L + 1,), (2 * L,))]
+        assert sorted(kernels) == [(2 * L,)] * 12 + [(2 * L + 1,)] * 6
+
     def test_working_set_at_n_513(self, tmp_path):
-        # unit: one (B, n) float64 stack, B * n * 8 bytes.  At n = 513 every
-        # transform has 1,024 points, about 2n, so a real transform buffer
-        # and a half spectrum are 2 units each.  Alive through the run: the
-        # bumps (1) and the stack's spectra, one per parity (2 + 2).  On top,
-        # the transform in flight holds its spectral product and its irfft
-        # output (2 + 2) and at most one more stack (1): the output rows
-        # being read, or the near-energy matvec's differences.  That is 10
-        # units plus O(B) rows; numpy < 2's irfft also pads its complex
-        # input to the output length first (4 more)
+        # unit: one chunk's transform buffer at most, 2**14 float64 values
+        # (128 KiB).  At n = 513 a chunk is 15 bumps and p = 1,024, so its
+        # (15, p) buffer and a half spectrum are 0.94 units each and a stack
+        # of 15 rows 0.47.  Alive through the run: the 18 stencil kernels,
+        # one half spectrum of p each (1.1), the near-energy operators and
+        # the Hoelder scale table (0.3).  Per chunk: the bumps (0.5) and
+        # their spectra, one per parity (1.9).  On top, the transform in
+        # flight holds its spectral product and irfft output (1.9) with at
+        # most one more stack, the output rows being read (0.5), and a row
+        # function's temporaries, a stack or two (1).  That is 7.2 units,
+        # whatever the number of bumps; numpy < 2's irfft also pads its
+        # complex input to the output length first (1.9 more).  The bound
+        # was 12 stacks of all 100 bumps, 37.6 units, while the suite ran
+        # on the whole stack at once
         cfg = cfg_from(tmp_path, "experiment = mollifier_check\ns_list = 0.5, 0.9\nn = 513\n")
-        bound = 12.0 if int(np.__version__.split(".")[0]) >= 2 else 16.0
+        bound = 8.0 if int(np.__version__.split(".")[0]) >= 2 else 10.0
         tracemalloc.start()
         try:
             assert run_mollifier_check(cfg).passed
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound * _MOLL_BUMPS * 513 * 8
+        assert peak <= bound * mollifier._CHUNK_VALUES * 8
 
 
 class TestRates:

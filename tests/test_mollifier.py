@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fraclap.energies import dirichlet_frac, holder_seminorm_grid
+from fraclap.energies import dirichlet_frac
 from fraclap.errors import ConfigError
 from fraclap.grid import Domain, dist_to_complement, l2_norm, make_grid, sample
 from fraclap.kernels import FracParams, psi_moment
@@ -15,9 +15,8 @@ from fraclap.mollifier import (
     _strip_rows,
     full_coverage_mask,
     mollify,
-    mollify_gradient,
 )
-from fraclap.profiles import _PCG64, _random_bump_rows, make_profile, random_bump
+from fraclap.profiles import _PCG64, _random_bump_rows, make_profile
 from helpers import (
     build_w,
     check_energy_consistency,
@@ -31,8 +30,11 @@ from helpers import (
     gradient_values,
     holder_quotient,
     holder_restricted,
+    holder_seminorm_grid,
     lag_maxima,
+    mollify_gradient,
     mollify_loop,
+    random_bump,
     stencil_weight_oracle,
     strip_sup_loop,
     strip_sup_sampled,
@@ -363,7 +365,7 @@ class TestBumpSuite:
         stack = np.stack([phi.values for phi in phis])
         eps_list, rho, r = (0.0, 0.1, 0.5), 0.6, (1.0 - s) ** (1.0 / s)
         zero = make_grid(DOM, n)
-        rows = list(_bump_suite_rows(zero, stack, ((s, r),), eps_list, rho))
+        rows = list(_bump_suite_rows(zero, [stack], ((s, r),), eps_list, rho))
         per_eps = ["closeness_l2", "energy_consistency", "lipschitz_gradient", "tail_bound"]
         per_eps += ["strip_closeness", "strip_l2"]
         assert [row[0] for row in rows] == per_eps[:2] + ["energy_consistency_eps0"] + per_eps[2:] + per_eps * 2

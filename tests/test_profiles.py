@@ -6,8 +6,8 @@ import pytest
 from fraclap import profiles
 from fraclap.errors import ConfigError, DataError
 from fraclap.grid import Domain
-from fraclap.profiles import _PCG64, _random_bump_rows, make_profile, profile_names, random_bump
-from helpers import central_diff, random_bump_loop
+from fraclap.profiles import _PCG64, _random_bump_rows, make_profile, profile_names
+from helpers import central_diff, random_bump, random_bump_loop
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
 
@@ -151,6 +151,20 @@ class TestRandomBump:
             other = np.random.default_rng(seed)
             assert np.array_equal(make(other), want)
             assert other.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [1, 2, 11])
+    @pytest.mark.parametrize("sizes", [(50, 50), (15,) * 6 + (10,), (2,) * 50, (1,) * 100, (3, 40, 1, 56)])
+    def test_consecutive_calls_equal_one_call(self, seed, sizes):
+        # mollifier-check draws its bumps one chunk of rows at a time on one
+        # generator: the rows, bit for bit, and the generator state left
+        # behind are those of one call for all of them
+        one = _PCG64(seed)
+        want = _random_bump_rows(one, DOM, 129, 100)
+        rng = _PCG64(seed)
+        got = np.concatenate([_random_bump_rows(rng, DOM, 129, rows) for rows in sizes])
+        assert np.array_equal(got, want)
+        assert (rng._state, rng._inc) == (one._state, one._inc)
+        assert [rng.random() for _ in range(5)] == [one.random() for _ in range(5)]
 
     def test_stacked_rows_name_non_finite_row_and_node(self, monkeypatch):
         pieces = profiles._bump_pieces

@@ -11,7 +11,7 @@ from fraclap.energies import dirichlet_frac, dirichlet_local, objective_local
 from fraclap.errors import ConfigError, DataError
 from fraclap.grid import Domain, make_grid, sample
 from fraclap.kernels import FracParams, norm_const
-from fraclap.profiles import make_profile, random_bump
+from fraclap.profiles import make_profile
 from fraclap.solver import (
     assemble_frac,
     exact_solution_ball,
@@ -19,7 +19,7 @@ from fraclap.solver import (
     solve_frac_dirichlet,
     solve_local_dirichlet,
 )
-from helpers import gaussian_truncated_oracle, linf_distance, objective_frac
+from helpers import gaussian_truncated_oracle, linf_distance, objective_frac, random_bump
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
 
