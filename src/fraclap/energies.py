@@ -164,12 +164,12 @@ def _holder_quotients(values: np.ndarray, h: float, betas) -> np.ndarray:
     # nearest scanned lags of an odd multiple of stride lie on its grid
     stride = step // 2
     while stride:
-        grid = np.arange(0, n, stride)
+        on_grid = np.arange(0, n, stride)
         known = ~np.isnan(d[:, ::stride])
-        rows, cols = np.nonzero(~known[:, 1::2] & (grid[1::2] < stop[:, None]))
-        lags = grid[2 * cols + 1]
-        a = np.maximum.accumulate(np.where(known, grid, 0), axis=-1)[rows, 2 * cols + 1]
-        b = np.minimum.accumulate(np.where(known, grid, n)[:, ::-1], axis=-1)[:, ::-1][rows, 2 * cols + 1]
+        rows, cols = np.nonzero(~known[:, 1::2] & (on_grid[1::2] < stop[:, None]))
+        lags = on_grid[2 * cols + 1]
+        a = np.maximum.accumulate(np.where(known, on_grid, 0), axis=-1)[rows, 2 * cols + 1]
+        b = np.minimum.accumulate(np.where(known, on_grid, n)[:, ::-1], axis=-1)[:, ::-1][rows, 2 * cols + 1]
         above = (b - lags <= step) & (2 * b - lags <= n)
         b, jb = np.where(above, b, 0), np.where(above, b - lags, 0)
         bound = np.minimum(d[rows, a] + d[rows, lags - a], np.where(above, d[rows, b] + d[rows, jb], np.inf))

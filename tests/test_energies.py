@@ -251,7 +251,9 @@ def two_bumps(n: int) -> np.ndarray:
 
 def holder_stacks(n: int):
     """Stacks that end the pruned scan at different lags: seeded bumps,
-    rows of two bumps, constant rows (osc = 0), a one-node spike, a
+    rows of two bumps, constant rows (osc = 0), a one-node spike, a few
+    spikes on a flat row (some of their pairs near the ends cannot be
+    extended by a later lag, where D(a) <= D(a + b) + D(b) fails), a
     monotone ramp (its maximum is at the last lag for beta < 1, so nothing
     is pruned) and a mix.  At n = 16385 the full scan's Python loop over
     every lag is slow, so only 2 seeded bumps and the two-bump rows run."""
@@ -262,6 +264,9 @@ def holder_stacks(n: int):
     constant = np.array([np.full(n, 1.5), np.zeros(n), np.full(n, -2.0)])
     spike = np.zeros((1, n))
     spike[0, n // 2] = 1.0
+    spikes, draw = np.full((40, n), 0.5), np.random.default_rng(n)
+    for row in spikes:
+        row[draw.integers(0, n, 4)] = draw.uniform(-1.0, 2.0, 4)
     ramp = np.linspace(-1.0, 2.0, n)[None]
     mixed = np.concatenate((bumps[:4], constant[:1], spike, ramp, rng.standard_normal((2, n))))
     return {
@@ -269,6 +274,7 @@ def holder_stacks(n: int):
         "two_bumps": two_bumps(n),
         "constant": constant,
         "spike": spike,
+        "spikes": spikes,
         "ramp": ramp,
         "mixed": mixed,
     }

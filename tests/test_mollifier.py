@@ -10,6 +10,7 @@ from fraclap.kernels import FracParams, psi_moment
 from fraclap.mollifier import (
     _apply,
     _bump_suite_rows,
+    _chunk_rows,
     _ramp,
     _stencil,
     _strip_rows,
@@ -387,6 +388,29 @@ class TestBumpSuite:
                     check = check_strip_closeness if name == "strip_closeness" else check_strip_l2
                     one = check(phi, zero, p, r, holder_seminorm_grid(phi, s), 0.0)
                 assert one == pytest.approx((lhs[i], rhs[i]), rel=1e-14, abs=0.0)
+
+
+    @pytest.mark.parametrize("n", [129, 513])
+    def test_chunks_give_the_rows_of_one_stack(self, n):
+        # mollifier-check's chunks (2 at n = 129, 7 at 513), each drawn on
+        # one generator as the suite asks for it, yield every row of the
+        # suite run on all 100 bumps at once, in the same order; only the
+        # FFTs see stacks of other heights, which may round differently
+        grid = make_grid(DOM, n)
+        sizes = _chunk_rows(grid, 100)
+        assert len(sizes) > 1 and sum(sizes) == 100
+        strips, eps_list = ((0.5, 0.25), (0.9, 0.1 ** (1.0 / 0.9))), (0.0, 0.1, 0.5)
+        rng = _PCG64(1)
+        chunks = (_random_bump_rows(rng, DOM, n, rows) for rows in sizes)
+        chunked = list(_bump_suite_rows(grid, chunks, strips, eps_list, 0.6))
+        one = list(_bump_suite_rows(grid, [_random_bump_rows(_PCG64(1), DOM, n, 100)], strips, eps_list, 0.6))
+        assert len(chunked) == len(one) * len(sizes)
+        for i, (name, lhs, rhs) in enumerate(one):
+            parts = chunked[i :: len(one)]
+            assert [part[0] for part in parts] == [name] * len(sizes)
+            for k, want in ((1, lhs), (2, rhs)):
+                got = np.concatenate([part[k] for part in parts])
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 class TestStripRows:
