@@ -49,9 +49,10 @@ from .grid import GridFunction, _product_rows
 from .kernels import FracParams, eta_t_integrals, norm_const, psi_integrals
 
 _LIMIT_TOL = 1e-9
-# Values per (rows, p) transform buffer of the bump suite: 2**14 float64,
-# 128 KiB, glibc's default mmap threshold, so a chunk's buffers are reused
-# from the heap instead of being mapped and faulted in again
+# Values per (rows, p) transform buffer of the bump suite, one row at
+# least: 2**14 float64, 128 KiB, glibc's default mmap threshold, so a
+# chunk's buffers are reused from the heap instead of being mapped and
+# faulted in again
 _CHUNK_VALUES = 1 << 14
 
 _Rows = Tuple[np.ndarray, np.ndarray]  # per-row (lhs, rhs) of one inequality

@@ -201,9 +201,7 @@ class TestMollifierCheck:
         # most one more stack, the output rows being read (0.5), and a row
         # function's temporaries, a stack or two (1).  That is 7.2 units,
         # whatever the number of bumps; numpy < 2's irfft also pads its
-        # complex input to the output length first (1.9 more).  The bound
-        # was 12 stacks of all 100 bumps, 37.6 units, while the suite ran
-        # on the whole stack at once
+        # complex input to the output length first (1.9 more)
         cfg = cfg_from(tmp_path, "experiment = mollifier_check\ns_list = 0.5, 0.9\nn = 513\n")
         bound = 8.0 if int(np.__version__.split(".")[0]) >= 2 else 10.0
         tracemalloc.start()
