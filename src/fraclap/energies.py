@@ -99,13 +99,7 @@ def _scan_lags(windows: np.ndarray, v: np.ndarray, d: np.ndarray, rows: np.ndarr
     """d[r, k] = max_i |v[r, i+k] - v[r, i]| for each pair (r, k) of rows
     and lags; windows[r, k] is row r from i = k on, NaN past its end, which
     fmax skips."""
-    n = v.shape[-1]
-    per = _LAG_VALUES // n
-    if per < 2:  # one pair per batch: slicing its n - k differences skips both gathers (20% at n = 8193)
-        for r, k in zip(rows.tolist(), lags.tolist()):
-            diffs = v[r, k:] - v[r, : n - k]
-            d[r, k] = np.max(np.abs(diffs, out=diffs))
-        return
+    per = max(1, _LAG_VALUES // v.shape[-1])
     for a in range(0, rows.size, per):
         r, k = rows[a : a + per], lags[a : a + per]
         diffs = windows[r, k]

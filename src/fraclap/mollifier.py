@@ -159,16 +159,15 @@ def _kernel(w: np.ndarray, odd: bool, n: int) -> _Kernel:
     return _Kernel(L, np.fft.rfft(k[::-1], _transform_length(n, L, odd)))
 
 
-def _apply(values: np.ndarray, w, odd: bool, spectra: dict) -> np.ndarray:
+def _apply(values: np.ndarray, kernel: _Kernel, odd: bool, spectra: dict) -> np.ndarray:
     """Correlate each edge-padded row of values (..., n) with the mirrored
-    stencil by numpy's real FFT, keeping the n outputs that circular
-    wraparound cannot reach, as an array of their own so the transform
-    buffer (about 2n columns) goes at once.  w is a stencil from _stencil,
-    or its _kernel for rows of n values, built once for many stacks.
-    spectra maps (L, odd) to _spectrum(values, L, odd), made on first use:
-    stencils of one reach share one per stack."""
+    stencil of kernel, its _kernel for rows of n values, by numpy's real
+    FFT, keeping the n outputs that circular wraparound cannot reach, as an
+    array of their own so the transform buffer (about 2n columns) goes at
+    once.  spectra maps (L, odd) to _spectrum(values, L, odd), made on
+    first use: stencils of one reach share one per stack."""
     n = values.shape[-1]
-    L, transfer = w if isinstance(w, _Kernel) else _kernel(w, odd, n)
+    L, transfer = kernel
     if L == 0:
         return np.zeros(values.shape)
     if (L, odd) not in spectra:
@@ -184,7 +183,7 @@ def mollify(phi: GridFunction, p: FracParams) -> GridFunction:
     cell); only d = 1 is supported."""
     if p.d != 1:
         raise ConfigError(f"mollify supports d=1 only, got d={p.d}")
-    return phi.with_values(_apply(phi.values, _stencil(p, phi.h, 0.0, 1.0, False), False, {}))
+    return phi.with_values(_apply(phi.values, _kernel(_stencil(p, phi.h, 0.0, 1.0, False), False, phi.n), False, {}))
 
 
 def _closeness_rows(grid: GridFunction, values: np.ndarray, smoothed: np.ndarray, p: FracParams, d1) -> _Rows:
@@ -271,7 +270,7 @@ def _strip(grid: GridFunction, r: float):
 
 
 def _strip_rows(
-    grid: GridFunction, smoothed: np.ndarray, p: FracParams, r: float, holder, strip=None
+    grid: GridFunction, smoothed: np.ndarray, p: FracParams, r: float, holder, strip
 ) -> Tuple[_Rows, _Rows]:
     """Distances of each smoothed row (..., n) to its boundary competitor w
     for zero exterior data, so the difference is (1 - lam) smoothed with
@@ -280,8 +279,8 @@ def _strip_rows(
     ends of Omega, versus 2 holder (r**s + (1-s)/(1-eps**(2-2s))).  Also its
     squared L2(Omega) norm versus
     8 holder**2 (r**(1+2s) + ((1-s)/(1-eps**(2-2s)))**2 r).  strip is
-    _strip(grid, r), built here if not given."""
-    keep, ends = _strip(grid, r) if strip is None else strip
+    _strip(grid, r)."""
+    keep, ends = strip
     diff = keep * smoothed
     # on a strip piece [a, b] both factors are linear in t = (x - a) / (b - a),
     # so the difference q(t) = (m0 + dm t)(u0 + du t) peaks at t = 0, t = 1 or its vertex

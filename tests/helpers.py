@@ -27,9 +27,11 @@ from fraclap.mollifier import (
     _closeness_rows,
     _consistency_rows,
     _apply,
+    _kernel,
     _lipschitz_rows,
     _partition,
     _stencil,
+    _strip,
     _strip_rows,
     _tail_rows,
     full_coverage_mask,
@@ -269,7 +271,8 @@ def refined_dense_solve(kernel: np.ndarray, b: np.ndarray) -> np.ndarray:
 def gradient_values(values: np.ndarray, h: float, p: FracParams, t_lo: float, t_hi: float) -> np.ndarray:
     """Quadrature of the antisymmetric difference of each row (..., n) against
     eta * t over radii [t_lo, t_hi] times plateau_scale; exact for P1 data."""
-    return _apply(values, _stencil(p, h, max(t_lo, 0.0), min(t_hi, 1.0), True), True, {})
+    w = _stencil(p, h, max(t_lo, 0.0), min(t_hi, 1.0), True)
+    return _apply(values, _kernel(w, True, values.shape[-1]), True, {})
 
 
 def correlate_apply(v: np.ndarray, w: np.ndarray, odd: bool) -> np.ndarray:
@@ -317,7 +320,7 @@ def mollify_gradient(phi: GridFunction, p: FracParams) -> GridFunction:
     """
     if p.d != 1:
         raise ConfigError(f"mollify_gradient supports d=1 only, got d={p.d}")
-    return phi.with_values(_apply(phi.values, _stencil(p, phi.h, p.eps, 1.0, True), True, {}))
+    return phi.with_values(_apply(phi.values, _kernel(_stencil(p, phi.h, p.eps, 1.0, True), True, phi.n), True, {}))
 
 
 def gradient_loop(phi: GridFunction, p: FracParams, t_lo: float, t_hi: float) -> np.ndarray:
@@ -624,7 +627,7 @@ def _strip_one(u_s: GridFunction, g: GridFunction, p: FracParams, r: float, hold
     u_s._check_same_grid(g)
     if np.any(g.values) or hold_g != 0.0:
         raise ValueError("the strip rows take zero exterior data g and hold_g = 0")
-    return _strip_rows(u_s, mollify(u_s, p).values, p, r, hold_us)
+    return _strip_rows(u_s, mollify(u_s, p).values, p, r, hold_us, _strip(u_s, r))
 
 
 def check_strip_closeness(u_s, g, p, r, hold_us, hold_g):

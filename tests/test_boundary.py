@@ -6,7 +6,7 @@ import pytest
 from fraclap.errors import ConfigError, ShapeError
 from fraclap.grid import Domain, dist_to_complement, sample
 from fraclap.kernels import FracParams
-from fraclap.mollifier import _ramp, _strip_rows, energy_gap, mollify
+from fraclap.mollifier import _ramp, _strip, _strip_rows, energy_gap, mollify
 from fraclap.solver import solve_frac_dirichlet
 from helpers import build_w, check_strip_closeness, check_strip_l2, fit_slope, holder_seminorm_grid
 
@@ -33,7 +33,7 @@ class TestStripWidth:
             with pytest.raises(ConfigError):
                 energy_gap(u, g, g, p, r)
             with pytest.raises(ConfigError, match="strip width"):
-                _strip_rows(u, np.zeros((2, 17)), p, r, 1.0)
+                _strip_rows(u, np.zeros((2, 17)), p, r, 1.0, _strip(u, r))
         build_w(u, g, p, 0.3)
 
 

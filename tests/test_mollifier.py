@@ -11,8 +11,10 @@ from fraclap.mollifier import (
     _apply,
     _bump_suite_rows,
     _chunk_rows,
+    _kernel,
     _ramp,
     _stencil,
+    _strip,
     _strip_rows,
     full_coverage_mask,
     mollify,
@@ -338,7 +340,7 @@ class TestFFTApply:
                         x_max = np.max(np.abs(v))
                     pow2 = 1 << (n + 2 * (w.size - 1) - 1).bit_length()
                     tol = 16.0 * math.log2(pow2) * np.finfo(float).eps * k_l1 * x_max
-                    err = np.max(np.abs(_apply(v, w, odd, {}) - correlate_apply(v, w, odd)))
+                    err = np.max(np.abs(_apply(v, _kernel(w, odd, n), odd, {}) - correlate_apply(v, w, odd)))
                     assert err <= tol
 
     @pytest.mark.parametrize("n", [65, 4097])
@@ -347,7 +349,7 @@ class TestFFTApply:
         stack = np.random.default_rng(n + 1).standard_normal((2, 3, n))
         p = FracParams(s=0.7, eps=0.1)
         for t_lo, odd in ((0.0, False), (0.1, True), (0.6, True), (1.0, True)):
-            w = _stencil(p, h, t_lo, 1.0, odd)
+            w = _kernel(_stencil(p, h, t_lo, 1.0, odd), odd, n)
             got = _apply(stack, w, odd, {})
             assert got.shape == stack.shape
             assert got.base is None  # not a view that keeps the transform buffer alive
@@ -435,8 +437,8 @@ class TestStripRows:
             assert np.count_nonzero(strip & (dist > tol)) > 0
             for eps in (0.0, 0.1, 0.5):
                 p = FracParams(s=s, eps=eps)
-                smoothed = _apply(stack, _stencil(p, zero.h, 0.0, 1.0, False), False, {})
-                (sup, sup_rhs), (l2, l2_rhs) = _strip_rows(zero, smoothed, p, r, holder)
+                smoothed = _apply(stack, _kernel(_stencil(p, zero.h, 0.0, 1.0, False), False, n), False, {})
+                (sup, sup_rhs), (l2, l2_rhs) = _strip_rows(zero, smoothed, p, r, holder, _strip(zero, r))
                 near = (1.0 - s) / (1.0 - eps ** (2.0 - 2.0 * s))
                 for i, phi in enumerate(phis):
                     sm = mollify(phi, p)
@@ -466,8 +468,8 @@ class TestStripRows:
         stack = _random_bump_rows(_PCG64(1), DOM, n, 100)
         p = FracParams(s=s)
         r = (1.0 - s) ** (1.0 / s)
-        smoothed = _apply(stack, _stencil(p, grid.h, 0.0, 1.0, False), False, {})
-        (sup, _), _ = _strip_rows(grid, smoothed, p, r, 1.0)
+        smoothed = _apply(stack, _kernel(_stencil(p, grid.h, 0.0, 1.0, False), False, n), False, {})
+        (sup, _), _ = _strip_rows(grid, smoothed, p, r, 1.0, _strip(grid, r))
         loop = np.array([strip_sup_loop(grid, row, r) for row in smoothed])
         sampled = np.array([strip_sup_sampled(grid, row, r) for row in smoothed])
         assert sup == pytest.approx(loop, rel=1e-14, abs=0.0)
@@ -486,7 +488,7 @@ class TestStripRows:
         grid = make_grid(DOM, 33)
         p = FracParams(s=0.9)
         smoothed = np.stack([mollify(phi, p).values for phi in phis])
-        (sup, _), _ = _strip_rows(grid, smoothed, p, 0.5 * grid.h, 1.0)
+        (sup, _), _ = _strip_rows(grid, smoothed, p, 0.5 * grid.h, 1.0, _strip(grid, 0.5 * grid.h))
         edge = np.isin(grid.nodes, (DOM.omega_lo, DOM.omega_hi))
         assert np.count_nonzero(edge) == 2
         assert np.array_equal(sup, np.max(np.abs(smoothed[:, edge]), axis=-1))
@@ -506,7 +508,7 @@ class TestStripRows:
         assert not np.any((dist > 0.0) & (dist <= r))
         assert not np.any(np.isin(grid.nodes, (DOM.omega_lo, DOM.omega_hi)))
         smoothed = [mollify(phi, p) for phi in phis]
-        (sup, _), _ = _strip_rows(grid, np.stack([sm.values for sm in smoothed]), p, r, 1.0)
+        (sup, _), _ = _strip_rows(grid, np.stack([sm.values for sm in smoothed]), p, r, 1.0, _strip(grid, r))
         want = [max(abs(sm.eval(DOM.omega_lo)), abs(sm.eval(DOM.omega_hi))) for sm in smoothed]
         assert sup == pytest.approx(want, rel=1e-14, abs=0.0)
         assert np.all(sup > 0.0)
