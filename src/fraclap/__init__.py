@@ -8,13 +8,8 @@ operator values approach their classical counterparts as s approaches 1.
 
 from .assembly import ToeplitzOperator
 from .config import EXPERIMENTS, ExperimentConfig, parse_config, with_overrides
-from .energies import (
-    EnergyBreakdown,
-    dirichlet_frac,
-    dirichlet_local,
-    objective_local,
-)
-from .errors import ConfigError, DataError, NumericalError, ShapeError, SupportError
+from .energies import dirichlet_local, objective_local
+from .errors import ConfigError, DataError, NumericalError, ShapeError
 from .experiments import (
     run_consistency,
     run_kernel_check,
@@ -22,20 +17,11 @@ from .experiments import (
     run_rates,
     run_solve,
 )
-from .grid import (
-    Domain,
-    GridFunction,
-    dist_to_complement,
-    l2_norm,
-    make_grid,
-    product_integral,
-    sample,
-)
+from .grid import Domain, GridFunction, l2_norm, make_grid, product_integral, sample
 from .kernels import (
     FracParams,
     classical_const,
     const_ratio,
-    eta,
     norm_const,
     psi,
     psi_moment,
@@ -55,7 +41,6 @@ from .report import (
     fit_line,
 )
 from .solver import (
-    assemble_frac,
     exact_solution_ball,
     frac_laplacian_pointwise,
     solve_frac_dirichlet,
@@ -72,7 +57,6 @@ __all__ = [
     "DataError",
     "Domain",
     "EXPERIMENTS",
-    "EnergyBreakdown",
     "ExperimentConfig",
     "FracParams",
     "GridFunction",
@@ -81,19 +65,14 @@ __all__ = [
     "RateRow",
     "ShapeError",
     "SolveReport",
-    "SupportError",
     "SweepReport",
     "ToeplitzOperator",
-    "assemble_frac",
     "classical_const",
     "const_ratio",
-    "dirichlet_frac",
     "dirichlet_local",
-    "dist_to_complement",
     "emit_csv",
     "emit_svg",
     "energy_gap",
-    "eta",
     "exact_solution_ball",
     "fit_line",
     "frac_laplacian_pointwise",

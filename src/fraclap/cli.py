@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .config import parse_config, with_overrides
-from .errors import ConfigError, DataError, NumericalError, ShapeError, SupportError
+from .errors import ConfigError, DataError, NumericalError, ShapeError
 from .experiments import (
     run_consistency,
     run_kernel_check,
@@ -97,7 +97,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, ShapeError, SupportError, NumericalError) as exc:
+    except (DataError, ShapeError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -92,7 +92,7 @@ def _parse_int(key: str, raw: str) -> int:
 def _read_pairs(path: Union[str, Path]) -> Dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     pairs: Dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -1,37 +1,15 @@
-"""Local and nonlocal Dirichlet energies, objectives, and the Hoelder
-quotients of stacks of P1 grid functions by a pruned lag scan.
-
-The nonlocal energy of a compactly supported P1 function is evaluated through
-the exact Toeplitz interaction form (see assembly); d1/d2 split it into the
-interactions at distance below / above 1.
-"""
+"""The local Dirichlet energy and objective, and the Hoelder quotients of
+stacks of P1 grid functions by a pruned lag scan."""
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from . import assembly
-from .errors import SupportError
 from .grid import GridFunction, product_integral
-from .kernels import FracParams
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Near part d1 (distance < 1) and far part d2 (distance > 1)."""
-
-    d1: float
-    d2: float
-
-    @property
-    def total(self) -> float:
-        """Full interaction energy d1 + d2."""
-        return self.d1 + self.d2
 
 
 def dirichlet_local(phi: GridFunction) -> float:
@@ -39,28 +17,6 @@ def dirichlet_local(phi: GridFunction) -> float:
     (1/2) sum over cells of h (dv/h)^2."""
     dv = np.diff(phi.values)
     return 0.5 * float(dv @ dv) / phi.h
-
-
-def _require_compact_support(phi: GridFunction) -> None:
-    if phi.values[0] != 0.0 or phi.values[-1] != 0.0:
-        raise SupportError(
-            "nonzero box boundary samples: the whole-line energy of the "
-            "constant extension would be infinite"
-        )
-
-
-def dirichlet_frac(phi: GridFunction, p: FracParams) -> EnergyBreakdown:
-    """Nonlocal interaction energy of the zero-extended interpolant, split
-    into near (distance < 1) and far (distance > 1) parts, both exact
-    Toeplitz forms: the far part from the closed-form far kernel."""
-    _require_compact_support(phi)
-    v = phi.values[1:-1]
-    h = phi.h
-    c_full = assembly.stiffness_kernel(p, h, len(v) - 1)
-    c_far = assembly.far_kernel(p, h, c_full)
-    d1 = 0.5 * assembly.ToeplitzOperator(c_full - c_far).quad_form(v)
-    d2 = 0.5 * assembly.ToeplitzOperator(c_far).quad_form(v)
-    return EnergyBreakdown(d1=d1, d2=d2)
 
 
 def objective_local(phi: GridFunction, f: GridFunction) -> float:

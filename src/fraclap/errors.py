@@ -18,9 +18,5 @@ class ShapeError(ValueError):
     """Mismatched discretizations: two grid functions on different grids."""
 
 
-class SupportError(ValueError):
-    """A function required to vanish on or outside the domain boundary does not."""
-
-
 class NumericalError(RuntimeError):
     """A linear solve or factorization failed (singular or indefinite system)."""

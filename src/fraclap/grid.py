@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Tuple, Union
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -96,13 +96,6 @@ class GridFunction:
     def h(self) -> float:
         return (self.domain.box_hi - self.domain.box_lo) / (self.n - 1)
 
-    def eval(self, x) -> np.ndarray | float:
-        """Evaluate the interpolant at x (scalar or array), with constant
-        extension outside the box."""
-        x = np.asarray(x, dtype=float)
-        out = np.interp(x, self.nodes, self.values)
-        return float(out) if out.ndim == 0 else out
-
     def with_values(self, values) -> "GridFunction":
         return GridFunction(self.domain, self.n, np.asarray(values, dtype=float))
 
@@ -155,15 +148,6 @@ def sample(domain: Domain, n: int, f: Callable) -> GridFunction:
             f"non-finite sample {vals[bad[0]]!r} at node {bad[0]} (x={x[bad[0]]})"
         )
     return phi.with_values(vals)
-
-
-def dist_to_complement(dom: Domain, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-    """Distance from x to the complement of Omega; zero outside."""
-    xx = np.asarray(x, dtype=float)
-    out = np.clip(np.minimum(xx - dom.omega_lo, dom.omega_hi - xx), 0.0, None)
-    if np.isscalar(x) or xx.ndim == 0:
-        return float(out)
-    return out
 
 
 def _clip_bounds(domain: Domain, region: str) -> Tuple[float, float]:

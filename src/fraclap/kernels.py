@@ -96,13 +96,6 @@ def const_ratio(p: FracParams) -> float:
     return math.exp(lg) / s
 
 
-def eta(p: FracParams, t: float) -> float:
-    """Interaction kernel C * t**(-d-2s); requires t > 0."""
-    if t <= 0.0:
-        raise ValueError(f"eta requires t > 0, got t={t}")
-    return norm_const(p) * t ** (-(p.d + 2.0 * p.s))
-
-
 def _inner_tail(p: FracParams, a: float) -> float:
     """Integral of eta(tau)*tau over (a, 1), for a in [0, 1]."""
     C = norm_const(p)

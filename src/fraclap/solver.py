@@ -21,7 +21,7 @@ import numpy as np
 
 from .assembly import ToeplitzOperator, _log_panels, interior_indices, load_vector, stiffness_kernel
 from .errors import ConfigError, DataError
-from .grid import Domain, GridFunction, _call_on, make_grid
+from .grid import GridFunction, _call_on
 from .kernels import FracParams, norm_const
 
 # splitting radius for the singular part of the pointwise operator: below it
@@ -49,18 +49,6 @@ def _assemble(grid: GridFunction, p: FracParams) -> Tuple[ToeplitzOperator, np.n
             RuntimeWarning,
         )
     return ToeplitzOperator(stiffness_kernel(p, grid.h, idx.size - 1)), idx
-
-
-def assemble_frac(dom: Domain, n: int, p: FracParams) -> ToeplitzOperator:
-    """Assemble the nonlocal stiffness operator on the interior nodes.
-
-    For coefficient vector v, op.quad_form(v) is twice the quadratic energy
-    of the zero-extended P1 function, so the discrete objective reads
-    0.5 * op.quad_form(v) - b @ v.  Entries are closed-form
-    (assembly.stiffness_kernel) and account for the zero extension beyond
-    Omega exactly.
-    """
-    return _assemble(make_grid(dom, n), p)[0]
 
 
 def solve_frac_system(

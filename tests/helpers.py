@@ -4,24 +4,28 @@ Everything here recomputes target quantities through routes independent of
 the implementation under test: direct adaptive quadrature, exact Simpson
 panels on refined breakpoints, finite differences.  Tests then compare two
 genuinely different computations instead of an implementation with itself.
-The end of the module holds code that only tests reach: the one-row forms of
-the mollifier-check rows, the strip competitor, and the far-field quadrature,
-distance and objective used as oracles.
+The end of the module holds code that only tests reach: the library
+functions no CLI path uses (point evaluation, the distance to the complement,
+the kernel eta, the assembled operator and the near/far energy split), the
+one-row forms of the mollifier-check rows, the strip competitor, and the
+far-field quadrature, distance and objective used as oracles.
 """
 
 import math
 import warnings
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import cho_factor, cho_solve, toeplitz
 
+from fraclap import assembly
 from fraclap.assembly import _gauss_legendre, far_kernel, stiffness_kernel
-from fraclap.energies import _holder_quotients, dirichlet_frac
+from fraclap.energies import _holder_quotients
 from fraclap.errors import ConfigError
 from fraclap.grid import Domain, GridFunction, _clip_bounds, make_grid, product_integral, sample
-from fraclap.kernels import FracParams, eta, eta_t_integrals, norm_const, psi_integrals
+from fraclap.kernels import FracParams, eta_t_integrals, norm_const, psi_integrals
 from fraclap.mollifier import (
     _blend,
     _closeness_rows,
@@ -38,6 +42,7 @@ from fraclap.mollifier import (
     mollify,
 )
 from fraclap.profiles import _random_bump_rows, make_profile
+from fraclap.solver import _assemble
 
 # np.trapezoid is numpy >= 2.0; pyproject allows numpy >= 1.24, which has np.trapz
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -57,7 +62,7 @@ def product_integral_oracle(phi: GridFunction, psi: GridFunction, lo: float, hi:
     """Integral of phi*psi over [lo, hi] by exact Simpson panels."""
     inner = phi.nodes[(phi.nodes > lo) & (phi.nodes < hi)]
     pts = np.concatenate(([lo], inner, [hi]))
-    return simpson_cells(lambda x: phi.eval(x) * psi.eval(x), pts)
+    return simpson_cells(lambda x: grid_eval(phi, x) * grid_eval(psi, x), pts)
 
 
 def product_rows_all_cells(grid: GridFunction, p: np.ndarray, q: np.ndarray, region: str) -> np.ndarray:
@@ -141,7 +146,7 @@ def correlation_exact(phi: GridFunction, z: float) -> float:
         return 0.0
     pts = np.union1d(np.union1d(x, x - z), [lo, hi])
     pts = pts[(pts >= lo) & (pts <= hi)]
-    return simpson_cells(lambda t: phi.eval(t) * phi.eval(t + z), pts)
+    return simpson_cells(lambda t: grid_eval(phi, t) * grid_eval(phi, t + z), pts)
 
 
 def gaussian_truncated_oracle(s: float, x: float, radius: float = 50.0) -> float:
@@ -155,6 +160,48 @@ def gaussian_truncated_oracle(s: float, x: float, radius: float = 50.0) -> float
         full = 2 * mp.gamma(2 - s_mp) / s_mp * mp.hyp1f1(s_mp + mp.mpf(1) / 2, mp.mpf(1) / 2, -x_mp * x_mp)
         tail = 8 * (1 - s_mp) / 2 * mp.exp(-x_mp * x_mp) * mp.mpf(radius) ** (-2 * s_mp) / (2 * s_mp)
         return float(full - tail)
+
+
+def zero_data_err_ws2_sq(s: float) -> float:
+    """The continuum value of rates' err_ws2_sq for f = 1 on Omega = (-1, 1)
+    with zero exterior data: the squared W^{s,2} distance between
+    u_s = c (1 - x^2)_+^s, c = s / (2 Gamma(1+s) Gamma(2-s)), and the local
+    solution (1 - x^2) / 2, evaluated with mpmath at 30 digits.
+
+    The operator is kappa times the standard Fourier form |xi|^(2s), with
+    kappa = sqrt(pi) / (c 4^s Gamma(1+s) Gamma(s+1/2)) since it maps u_s to 1
+    (Getoor, Trans. AMS 101 (1961); Dyda, FCAA 15 (2012)).  From
+    F[(1-x^2)_+^a](xi) = sqrt(pi) Gamma(a+1) (2/|xi|)^(a+1/2) J_(a+1/2)(|xi|)
+    and Plancherel the seminorm is (kappa/pi) [A^2 W(mu, mu, 1)
+    - 2 A B W(mu, 3/2, 2-s) + B^2 W(3/2, 3/2, 3-2s)], mu = s + 1/2,
+    A = c sqrt(pi) Gamma(s+1) 2^mu, B = sqrt(pi) 2^(3/2) / 2, where
+    W(mu, nu, lam) = int_0^inf J_mu J_nu t^(-lam) dt is the
+    Weber-Schafheitlin quotient (Gradshteyn-Ryzhik 6.574.2).  The squared
+    L2 part is c^2 B(1/2, 2s+1) - c B(1/2, s+2) + B(1/2, 3) / 4."""
+
+    def w(mu, nu, lam):
+        return mp.gamma(lam) * mp.gamma((mu + nu - lam + 1) / 2) / (
+            2**lam
+            * mp.gamma((-mu + nu + lam + 1) / 2)
+            * mp.gamma((mu + nu + lam + 1) / 2)
+            * mp.gamma((mu - nu + lam + 1) / 2)
+        )
+
+    with mp.workdps(30):
+        s = mp.mpf(s)
+        half, three_halves = mp.mpf(1) / 2, mp.mpf(3) / 2
+        c = s / (2 * mp.gamma(1 + s) * mp.gamma(2 - s))
+        kappa = mp.sqrt(mp.pi) / (c * 4**s * mp.gamma(1 + s) * mp.gamma(s + half))
+        mu = s + half
+        a = c * mp.sqrt(mp.pi) * mp.gamma(s + 1) * 2**mu
+        b = mp.sqrt(mp.pi) * 2**three_halves / 2
+        semi = kappa / mp.pi * (
+            a**2 * w(mu, mu, 1)
+            - 2 * a * b * w(mu, three_halves, 2 - s)
+            + b**2 * w(three_halves, three_halves, 3 - 2 * s)
+        )
+        l2 = c**2 * mp.beta(half, 2 * s + 1) - c * mp.beta(half, s + 2) + mp.beta(half, 3) / 4
+        return float(semi + l2)
 
 
 def dirichlet_frac_oracle(phi: GridFunction, p: FracParams) -> float:
@@ -507,6 +554,77 @@ def solve_csv_rows(xs, blocks) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Library functions that no CLI path reaches, kept as oracles and as the
+# subjects of their own tests.
+
+
+def grid_eval(phi: GridFunction, x) -> np.ndarray | float:
+    """The interpolant of phi at x (scalar or array), with constant
+    extension outside the box."""
+    out = np.interp(np.asarray(x, dtype=float), phi.nodes, phi.values)
+    return float(out) if out.ndim == 0 else out
+
+
+def dist_to_complement(dom: Domain, x):
+    """Distance from x to the complement of Omega; zero outside."""
+    xx = np.asarray(x, dtype=float)
+    out = np.clip(np.minimum(xx - dom.omega_lo, dom.omega_hi - xx), 0.0, None)
+    if np.isscalar(x) or xx.ndim == 0:
+        return float(out)
+    return out
+
+
+def eta(p: FracParams, t: float) -> float:
+    """Interaction kernel C * t**(-d-2s); requires t > 0."""
+    if t <= 0.0:
+        raise ValueError(f"eta requires t > 0, got t={t}")
+    return norm_const(p) * t ** (-(p.d + 2.0 * p.s))
+
+
+def assemble_frac(dom: Domain, n: int, p: FracParams) -> assembly.ToeplitzOperator:
+    """The nonlocal stiffness operator on the interior nodes of n nodes
+    over dom's box: op.quad_form(v) is twice the energy of the zero-extended
+    P1 function with interior coefficients v."""
+    return _assemble(make_grid(dom, n), p)[0]
+
+
+class SupportError(ValueError):
+    """A function required to vanish at the box ends does not."""
+
+
+@dataclass(frozen=True)
+class EnergyBreakdown:
+    """Near part d1 (distance < 1) and far part d2 (distance > 1)."""
+
+    d1: float
+    d2: float
+
+    @property
+    def total(self) -> float:
+        """Full interaction energy d1 + d2."""
+        return self.d1 + self.d2
+
+
+def dirichlet_frac(phi: GridFunction, p: FracParams) -> EnergyBreakdown:
+    """Nonlocal interaction energy of the zero-extended interpolant, split
+    into near (distance < 1) and far (distance > 1) parts, both exact
+    Toeplitz forms: the far part from the closed-form far kernel.  The full
+    kernel comes from assembly.stiffness_kernel looked up on the module, so
+    a test can count its calls."""
+    if phi.values[0] != 0.0 or phi.values[-1] != 0.0:
+        raise SupportError(
+            "nonzero box boundary samples: the whole-line energy of the "
+            "constant extension would be infinite"
+        )
+    v = phi.values[1:-1]
+    h = phi.h
+    c_full = assembly.stiffness_kernel(p, h, len(v) - 1)
+    c_far = far_kernel(p, h, c_full)
+    d1 = 0.5 * assembly.ToeplitzOperator(c_full - c_far).quad_form(v)
+    d2 = 0.5 * assembly.ToeplitzOperator(c_far).quad_form(v)
+    return EnergyBreakdown(d1=d1, d2=d2)
+
+
 def linf_distance(phi: GridFunction, psi: GridFunction, region: str = "box") -> float:
     """Max absolute nodal difference over the nodes lying in the region."""
     phi._check_same_grid(psi)
@@ -553,7 +671,7 @@ def autocorrelation(phi: GridFunction, z: float) -> float:
     half = b - a
     total = 0.0
     for q in (mids - r * half, mids + r * half):
-        total += 0.5 * float(np.sum(half * phi.eval(q) * phi.eval(q + z)))
+        total += 0.5 * float(np.sum(half * grid_eval(phi, q) * grid_eval(phi, q + z)))
     return total
 
 

@@ -12,11 +12,7 @@ import numpy as np
 import pytest
 
 from fraclap.config import ExperimentConfig
-from fraclap.energies import (
-    dirichlet_frac,
-    dirichlet_local,
-    objective_local,
-)
+from fraclap.energies import dirichlet_local, objective_local
 from fraclap.experiments import (
     run_consistency,
     run_kernel_check,
@@ -37,6 +33,7 @@ from fraclap.solver import (
 from helpers import (
     check_strip_closeness,
     check_strip_l2,
+    dirichlet_frac,
     holder_seminorm_grid,
     linf_distance,
     objective_frac,

@@ -17,15 +17,18 @@ from fraclap.assembly import (
 from fraclap.energies import dirichlet_local
 from fraclap.errors import ConfigError, NumericalError
 from fraclap.grid import Domain, l2_norm, make_grid, sample
-from fraclap.kernels import FracParams, eta
-from fraclap.solver import assemble_frac, solve_local_dirichlet
+from fraclap.kernels import FracParams
+from fraclap.solver import solve_local_dirichlet
 from helpers import (
+    assemble_frac,
     autocorrelation,
     correlation_exact,
     dirichlet_frac_oracle,
+    eta,
     far_cross_quadrature,
     far_kernel_oracle,
     far_pair_from_kernel,
+    grid_eval,
     load_vector_all_cells,
     mass_quadratic_form,
     random_bump,
@@ -394,7 +397,7 @@ class TestLoadVector:
             def hat_i(x):
                 return np.clip(1.0 - np.abs(np.asarray(x) - xi) / f.h, 0.0, None)
 
-            want = simpson_cells(lambda x: f.eval(x) * hat_i(x), pts)
+            want = simpson_cells(lambda x: grid_eval(f, x) * hat_i(x), pts)
             assert b[i] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize(

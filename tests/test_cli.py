@@ -166,6 +166,16 @@ class TestConfigFailures:
         assert cli.main(["rates", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(f"experiment = solve\ns_list = 0.6\noutput_dir = {out}\n# caf\xe9\n".encode("latin-1"))
+        assert cli.main(["solve", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file") and "utf-8" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_missing_config_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["kernel-check"])

@@ -6,17 +6,19 @@ import pytest
 from fraclap import assembly
 from fraclap.energies import (
     _holder_quotients,
-    dirichlet_frac,
     dirichlet_local,
     objective_local,
 )
-from fraclap.errors import SupportError
 from fraclap.grid import Domain, make_grid, sample
 from fraclap.kernels import FracParams, norm_const
 from fraclap.profiles import _random_bump_rows, make_profile
 from helpers import (
+    SupportError,
+    assemble_frac,
+    dirichlet_frac,
     dirichlet_frac_oracle,
     far_cross_quadrature,
+    grid_eval,
     holder_loop,
     holder_quotient,
     holder_seminorm_grid,
@@ -91,8 +93,6 @@ class TestDirichletFrac:
 
     def test_matches_assembled_quadratic_form(self):
         from scipy.linalg import toeplitz
-
-        from fraclap.solver import assemble_frac
 
         rng = np.random.default_rng(8)
         phi = random_bump(rng, DOM, 65)
@@ -185,7 +185,7 @@ class TestObjectives:
         phi = random_bump(rng, DOM, 129)
         f = sample(DOM, 129, lambda x: x * x - 0.3)
         xs = np.linspace(DOM.omega_lo, DOM.omega_hi, 4097)
-        load = simpson_cells(lambda x: phi.eval(x) * f.eval(x), xs)
+        load = simpson_cells(lambda x: grid_eval(phi, x) * grid_eval(f, x), xs)
         got = objective_local(phi, f)
         assert got == pytest.approx(dirichlet_local(phi) - load, rel=1e-10)
 

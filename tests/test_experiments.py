@@ -19,7 +19,7 @@ from fraclap.experiments import (
 from fraclap.grid import make_grid
 from fraclap.kernels import FracParams
 from fraclap.mollifier import mollify
-from helpers import mollify_gradient, solve_csv_rows
+from helpers import mollify_gradient, solve_csv_rows, zero_data_err_ws2_sq
 
 
 def cfg_from(tmp_path, text: str):
@@ -267,6 +267,22 @@ class TestRates:
         rows = run_rates(cfg).rows
         assert [r.s for r in rows] == [0.95, 0.99]
         assert all(r.total_ws2_err > r.l2_err for r in rows)  # a positive seminorm
+
+    def test_zero_data_approaches_continuum_oracle(self, tmp_path):
+        # f = 1 with zero exterior data; the relative gap to the continuum
+        # err_ws2_sq is O(h): measured 1.0 h, 2.49 h and 2.55 h at s = 0.6,
+        # 0.9 and 0.99 (h = 4 / (n - 1)), falling 3.98-4.00 fold per
+        # quadrupling of n
+        s_list = (0.6, 0.9, 0.99)
+        want = np.array([zero_data_err_ws2_sq(s) for s in s_list])
+        gaps = []
+        for n in (1025, 4097, 16385):
+            text = f"experiment = rates\ns_list = {', '.join(map(str, s_list))}\nn = {n}\n"
+            got = np.array([r.total_ws2_err**2 for r in run_rates(cfg_from(tmp_path, text)).rows])
+            gaps.append(np.abs(got - want) / want)
+            assert np.all(gaps[-1] <= 3.0 * 4.0 / (n - 1))
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert np.all(fine * 3.5 <= coarse)
 
 
 class TestConsistency:

@@ -9,7 +9,6 @@ from fraclap.kernels import (
     FracParams,
     classical_const,
     const_ratio,
-    eta,
     eta_t_integrals,
     norm_const,
     psi,
@@ -18,7 +17,7 @@ from fraclap.kernels import (
     sphere_measure,
 )
 from fraclap.mollifier import _partition
-from helpers import cell_integrals_oracle
+from helpers import cell_integrals_oracle, eta
 
 S_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fraclap.energies import dirichlet_frac
 from fraclap.errors import ConfigError
-from fraclap.grid import Domain, dist_to_complement, l2_norm, make_grid, sample
+from fraclap.grid import Domain, l2_norm, make_grid, sample
 from fraclap.kernels import FracParams, psi_moment
 from fraclap.mollifier import (
     _apply,
@@ -29,8 +28,11 @@ from helpers import (
     check_strip_l2,
     check_tail_bound,
     correlate_apply,
+    dirichlet_frac,
+    dist_to_complement,
     gradient_loop,
     gradient_values,
+    grid_eval,
     holder_quotient,
     holder_restricted,
     holder_seminorm_grid,
@@ -509,6 +511,6 @@ class TestStripRows:
         assert not np.any(np.isin(grid.nodes, (DOM.omega_lo, DOM.omega_hi)))
         smoothed = [mollify(phi, p) for phi in phis]
         (sup, _), _ = _strip_rows(grid, np.stack([sm.values for sm in smoothed]), p, r, 1.0, _strip(grid, r))
-        want = [max(abs(sm.eval(DOM.omega_lo)), abs(sm.eval(DOM.omega_hi))) for sm in smoothed]
+        want = [max(abs(grid_eval(sm, DOM.omega_lo)), abs(grid_eval(sm, DOM.omega_hi))) for sm in smoothed]
         assert sup == pytest.approx(want, rel=1e-14, abs=0.0)
         assert np.all(sup > 0.0)

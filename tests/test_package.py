@@ -1,4 +1,10 @@
+import ast
+from pathlib import Path
+
 import fraclap
+
+# perfbench's closed-form oracle for the solve workload; no CLI path calls it
+ORACLES = {"exact_solution_ball"}
 
 
 class TestPublicApi:
@@ -14,3 +20,18 @@ class TestPublicApi:
         exec("from fraclap import *", namespace)
         namespace.pop("__builtins__")
         assert sorted(namespace) == sorted(fraclap.__all__)
+
+    def test_every_name_is_used_by_the_package(self):
+        # a public name that only tests reach belongs in tests/helpers.py;
+        # an import alone is not a use
+        used = set()
+        for path in Path(fraclap.__file__).parent.glob("*.py"):
+            if path.name == "__init__.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+        assert ORACLES <= set(fraclap.__all__)
+        assert sorted(set(fraclap.__all__) - used - ORACLES) == []

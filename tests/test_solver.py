@@ -7,19 +7,25 @@ from scipy.linalg import toeplitz
 
 from fraclap import solver
 from fraclap.assembly import interior_indices
-from fraclap.energies import dirichlet_frac, dirichlet_local, objective_local
+from fraclap.energies import dirichlet_local, objective_local
 from fraclap.errors import ConfigError, DataError
 from fraclap.grid import Domain, make_grid, sample
 from fraclap.kernels import FracParams, norm_const
 from fraclap.profiles import make_profile
 from fraclap.solver import (
-    assemble_frac,
     exact_solution_ball,
     frac_laplacian_pointwise,
     solve_frac_dirichlet,
     solve_local_dirichlet,
 )
-from helpers import gaussian_truncated_oracle, linf_distance, objective_frac, random_bump
+from helpers import (
+    assemble_frac,
+    dirichlet_frac,
+    gaussian_truncated_oracle,
+    linf_distance,
+    objective_frac,
+    random_bump,
+)
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
 
