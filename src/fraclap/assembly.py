@@ -152,7 +152,7 @@ class ToeplitzOperator:
         rz_old = math.inf  # makes the first direction z itself
         steps = 0
         # written as "not <=" so that a NaN residual keeps iterating and fails
-        while not np.linalg.norm(r) <= tol * np.linalg.norm(x):
+        while not math.sqrt(r @ r) <= tol * math.sqrt(x @ x):
             if steps == _CG_MAXITER:
                 raise NumericalError(f"Toeplitz solve failed: CG did not converge in {_CG_MAXITER} steps")
             steps += 1

@@ -8,14 +8,14 @@ for a fixed config and seed.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
 from .assembly import ToeplitzOperator, _log_panels, interior_indices
 from .config import ExperimentConfig
 from .errors import ConfigError, NumericalError
-from .grid import l2_norm, make_grid, sample
+from .grid import GridFunction, l2_norm, make_grid, sample
 from .kernels import FracParams, classical_const, const_ratio, norm_const, psi, psi_moment, sphere_measure
 from .mollifier import _bump_suite_rows, _chunk_rows, energy_gap
 from .profiles import _PCG64, _random_bump_rows
@@ -41,6 +41,16 @@ def _params(cfg: ExperimentConfig, s: float) -> FracParams:
     return FracParams(s=s, eps=cfg.eps, d=1)
 
 
+def _sources(cfg: ExperimentConfig, f: GridFunction) -> Iterator[Tuple[float, GridFunction]]:
+    """(s, the nonlocal source at s) for each s of cfg: f plus pert_coeff(s)
+    times the perturbation sampled on f's grid, or f itself when pert_mode
+    is none, whose coefficient is always 0."""
+    if cfg.pert_mode == "none":
+        return ((s, f) for s in cfg.s_list)
+    pert_vals = sample(f.domain, f.n, cfg.pert()).values
+    return ((s, f.with_values(f.values + cfg.pert_coeff(s) * pert_vals)) for s in cfg.s_list)
+
+
 def _check_optimality_identity(
     A: ToeplitzOperator, b: np.ndarray, v: np.ndarray, u: np.ndarray, s: float
 ) -> None:
@@ -58,7 +68,7 @@ def _check_optimality_identity(
     defect = float(e @ (A.matvec(u) - b))
     bound = (
         8.0 * math.log2(2 * A.c.size) * np.finfo(float).eps
-        * A.norm1 * float(np.linalg.norm(u)) * float(np.linalg.norm(e))
+        * A.norm1 * math.sqrt(u @ u) * math.sqrt(e @ e)
     )
     if not abs(defect) <= bound:
         raise NumericalError(
@@ -78,14 +88,12 @@ def run_rates(cfg: ExperimentConfig) -> SweepReport:
     grid = make_grid(dom, n)  # zero: also the exterior data g of energy_gap
     idx = interior_indices(grid)
     f_grid = sample(dom, n, cfg.f_profile())
-    pert_vals = sample(dom, n, cfg.pert()).values
     u_loc = solve_local_dirichlet(f_grid)
     v_loc = u_loc.values[idx]
 
     rows: List[RateRow] = []
-    for s in cfg.s_list:
+    for s, f_s in _sources(cfg, f_grid):
         p = _params(cfg, s)
-        f_s = grid.with_values(f_grid.values + cfg.pert_coeff(s) * pert_vals)
         u_s, A, b = solve_frac_system(f_s, p)
         u_int = u_s.values[idx]
 
@@ -237,12 +245,9 @@ def run_solve(cfg: ExperimentConfig) -> SolveReport:
     dom = cfg.domain
     n = cfg.n
     grid = make_grid(dom, n)
-    f_base = sample(dom, n, cfg.f_profile())
-    pert_vals = sample(dom, n, cfg.pert()).values
     blocks: List[Tuple[float, np.ndarray]] = []
-    for s in cfg.s_list:
+    for s, f_s in _sources(cfg, sample(dom, n, cfg.f_profile())):
         p = _params(cfg, s)
-        f_s = grid.with_values(f_base.values + cfg.pert_coeff(s) * pert_vals)
         u = solve_frac_dirichlet(f_s, p)
         blocks.append((s, u.values))
     return SolveReport(x=grid.nodes, blocks=tuple(blocks))

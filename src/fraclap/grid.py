@@ -168,7 +168,7 @@ def product_integral(phi: GridFunction, psi: GridFunction, region: str = "box") 
 def _product_rows(grid: GridFunction, p: np.ndarray, q: np.ndarray, region: str) -> np.ndarray:
     """product_integral of each pair of rows of p and q (..., n), values on
     grid's nodes."""
-    return np.einsum("...i,...i->...", p, _mass_rows(grid, q, region))
+    return np.sum(p * _mass_rows(grid, q, region), axis=-1)
 
 
 def _mass_rows(grid: GridFunction, q: np.ndarray, region: str) -> np.ndarray:

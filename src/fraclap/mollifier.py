@@ -76,11 +76,13 @@ def _partition(h: float, t_lo: float, t_hi: float, plateau: Optional[float] = No
         return empty, empty, np.empty(0, dtype=int)
     j0 = int(math.floor(t_lo / h + 1e-12)) + 1
     j1 = int(math.ceil(t_hi / h - 1e-12))
-    pts = [[t_lo, t_hi], np.arange(j0, j1) * h]
+    # ascending, since t_lo < j0 h and (j1 - 1) h < t_hi up to ties within
+    # 1e-12 h, which the duplicate test drops as it would after a sort
+    pts = np.concatenate(([t_lo], np.arange(j0, j1) * h, [t_hi]))
     if plateau is not None and t_lo < plateau < t_hi:
-        pts.append([plateau])
-    pts = np.sort(np.concatenate(pts))  # the next line drops duplicates
-    keep = np.concatenate([[True], np.diff(pts) > 1e-12 * h])
+        k = int(np.searchsorted(pts, plateau))
+        pts = np.concatenate((pts[:k], [plateau], pts[k:]))
+    keep = np.concatenate([[True], np.diff(pts) > 1e-12 * h])  # drops duplicates
     pts = pts[keep]
     pts[0], pts[-1] = t_lo, t_hi
     a, b = pts[:-1], pts[1:]
@@ -129,10 +131,15 @@ def _transform_length(n: int, L: int, odd: bool) -> int:
 
 
 def _spectrum(values: np.ndarray, L: int, odd: bool) -> np.ndarray:
-    """Data step of _apply: rfft of the rows padded by L (differenced if odd)."""
-    x = np.pad(values, [(0, 0)] * (values.ndim - 1) + [(L, L)], mode="edge")
+    """Data step of _apply: rfft of the rows padded by L copies of their end
+    values (differenced if odd)."""
+    n = values.shape[-1]
+    x = np.empty(values.shape[:-1] + (n + 2 * L,))
+    x[..., :L] = values[..., :1]
+    x[..., L : L + n] = values
+    x[..., L + n :] = values[..., -1:]
     x = np.diff(x) if odd else x
-    return np.fft.rfft(x, _transform_length(values.shape[-1], L, odd))
+    return np.fft.rfft(x, _transform_length(n, L, odd))
 
 
 class _Kernel(NamedTuple):
@@ -197,7 +204,7 @@ def _consistency_rows(h: float, smoothed: np.ndarray, p: FracParams, d1) -> _Row
     """Gradient energy (1/2) sum h (dv/h)**2 of each smoothed row versus its
     near-part control d1 / (1 - eps**(2-2s))**2."""
     dv = np.diff(smoothed)
-    return 0.5 * np.einsum("...i,...i->...", dv, dv) / h, d1 * (p.plateau_scale / 2.0) ** 2
+    return 0.5 * np.sum(dv * dv, axis=-1) / h, d1 * (p.plateau_scale / 2.0) ** 2
 
 
 def _lipschitz_rows(grad: np.ndarray, mask: np.ndarray, p: FracParams, holder) -> _Rows:
@@ -333,7 +340,7 @@ def _bump_suite_rows(
     for bumps in chunks:
         spectra: dict = {}  # the chunk's _apply transforms, shared by every s
         # every near energy before the chunk's transforms: no matvec buffer meets them
-        d1s = [0.5 * np.einsum("ij,ij->i", bumps[:, 1:-1], near.matvec(bumps[:, 1:-1])) for near, _ in at_s]
+        d1s = [0.5 * np.sum(bumps[:, 1:-1] * near.matvec(bumps[:, 1:-1]), axis=-1) for near, _ in at_s]
         holders = _holder_quotients(bumps, grid.h, betas)
         for (_, rows), holder, d1 in zip(at_s, holders, d1s):
             yield from rows(bumps, spectra, holder, d1)

@@ -293,6 +293,21 @@ class TestImportFootprint:
         for csv in ("rates.csv", "solve.csv", "mollifier_check.csv", "kernel_check.csv", "consistency.csv"):
             assert (tmp_path / csv).exists()
 
+    @pytest.mark.parametrize("cfg", sorted(CONFIGS.glob("*.cfg")), ids=lambda cfg: cfg.stem)
+    def test_every_subcommand_runs_without_generic_numpy_front_ends(self, tmp_path, monkeypatch, cfg):
+        # np.sort, np.pad, np.einsum and np.linalg.norm page in up to
+        # 384 KB of numpy code each on first use (README, performance
+        # notes) for work that searchsorted, slicing, products and sums,
+        # and `@` do directly
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a CLI path called a generic numpy front end")
+
+        for module, name in ((np, "sort"), (np, "pad"), (np, "einsum"), (np.linalg, "norm")):
+            monkeypatch.setattr(module, name, forbidden)
+        argv = [cfg.stem.replace("_", "-"), "--config", str(cfg), "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert (tmp_path / f"{cfg.stem}.csv").exists()
+
     def test_every_subcommand_runs_with_scipy_blocked(self, tmp_path):
         # a None entry in sys.modules makes any `import scipy...` raise ImportError
         script = (

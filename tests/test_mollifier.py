@@ -11,6 +11,7 @@ from fraclap.mollifier import (
     _bump_suite_rows,
     _chunk_rows,
     _kernel,
+    _partition,
     _ramp,
     _stencil,
     _strip,
@@ -263,6 +264,72 @@ class TestGradient:
 
 def sup_rel(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def partition_by_sort(h, t_lo, t_hi, plateau=None):
+    """_partition's breakpoints by sorting every candidate: the construction
+    it replaced, kept as its oracle."""
+    if t_hi <= t_lo:
+        empty = np.empty(0)
+        return empty, empty, np.empty(0, dtype=int)
+    j0 = int(math.floor(t_lo / h + 1e-12)) + 1
+    j1 = int(math.ceil(t_hi / h - 1e-12))
+    pts = [[t_lo, t_hi], np.arange(j0, j1) * h]
+    if plateau is not None and t_lo < plateau < t_hi:
+        pts.append([plateau])
+    pts = np.sort(np.concatenate(pts))
+    keep = np.concatenate([[True], np.diff(pts) > 1e-12 * h])
+    pts = pts[keep]
+    pts[0], pts[-1] = t_lo, t_hi
+    a, b = pts[:-1], pts[1:]
+    return a, b, np.floor(0.5 * (a + b) / h).astype(int)
+
+
+class TestPartition:
+    @staticmethod
+    def assert_bitwise(h, t_lo, t_hi, plateau):
+        got = _partition(h, t_lo, t_hi, plateau)
+        want = partition_by_sort(h, t_lo, t_hi, plateau)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes(), (h, t_lo, t_hi, plateau)
+
+    def test_random_intervals_and_plateaus(self):
+        rng = np.random.default_rng(23)
+        for _ in range(2000):
+            h = 4.0 / (int(rng.integers(32, 65537)))
+            t_lo, t_hi = np.sort(rng.uniform(0.0, 1.0, 2)) if rng.random() < 0.5 else (0.0, rng.uniform(0.0, 1.0))
+            plateau = rng.uniform(-0.1, 1.1) if rng.random() < 0.8 else None
+            self.assert_bitwise(h, float(t_lo), float(t_hi), plateau)
+
+    @pytest.mark.parametrize("n", [33, 129, 4097, 65537])
+    def test_near_cell_multiples(self, n):
+        # a plateau, t_lo or t_hi exactly on a cell multiple k h or within
+        # 1e-12 h of one, on either side, where the duplicate test decides
+        # which of two near-equal breakpoints survives
+        h = 4.0 / (n - 1)
+        offsets = [0.0, 1e-12 * h, 0.5e-12 * h, 2e-12 * h, math.ulp(h)]
+        for k in (1, 2, (n - 1) // 8, (n - 1) // 4 - 1):
+            for d in offsets + [-o for o in offsets]:
+                x = k * h + d
+                for plateau in (None, x, 0.1, 0.5):
+                    self.assert_bitwise(h, x, 1.0, plateau)
+                    self.assert_bitwise(h, 0.0, x, plateau)
+                    self.assert_bitwise(h, 0.6, 1.0, x)
+                    self.assert_bitwise(h, 0.0, 1.0, x)
+                    self.assert_bitwise(h, x, x + 1e-13 * h, plateau)
+
+    def test_empty_and_degenerate(self):
+        h = 1.0 / 32
+        for t_lo, t_hi in ((0.5, 0.5), (0.6, 0.5), (1.0, 0.0)):
+            a, b, j = _partition(h, t_lo, t_hi, 0.55)
+            assert a.size == b.size == j.size == 0
+            self.assert_bitwise(h, t_lo, t_hi, 0.55)
+        for plateau in (None, 0.0, 1.0, -0.5, 2.0):  # absent or not strictly inside
+            self.assert_bitwise(h, 0.0, 1.0, plateau)
+        a, b, j = _partition(h, 0.0, 1.0, 0.1)
+        assert a[0] == 0.0 and b[-1] == 1.0 and 0.1 in b
+        assert np.all(b > a) and np.array_equal(a[1:], b[:-1])
 
 
 class TestStencil:
