@@ -36,7 +36,6 @@ full - far is banded, exactly 0 past 1/h + 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Tuple
 
@@ -68,7 +67,6 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     return -0.5 * np.fft.rfft(z).imag[1 : m + 1]
 
 
-@dataclass(frozen=True)
 class ToeplitzOperator:
     """Symmetric Toeplitz matrix given by its first column c.
 
@@ -81,9 +79,11 @@ class ToeplitzOperator:
     Review 38, 1996), which holds the local part exactly: O(m log m) time
     per step and O(m) memory.  matvec takes a stack (..., len(c)) row by row;
     solve and quad_form take one vector (len(c),).  Other shapes raise ValueError.
+    Operators compare and hash by identity.
     """
 
-    c: np.ndarray
+    def __init__(self, c: np.ndarray) -> None:
+        self.c = c
 
     @cached_property
     def norm1(self) -> float:

@@ -6,9 +6,8 @@ loudly instead of silently running defaults.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Dict, Tuple, Union
+from typing import Dict, Iterable, NamedTuple, Tuple, Union
 
 from .errors import ConfigError
 from .grid import Domain
@@ -22,8 +21,7 @@ _SOLVING = ("rates", "solve", "consistency")
 _S_BAND = (0.25, 0.995)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     experiment: str
     s_list: Tuple[float, ...]
     n: int = 513
@@ -68,8 +66,13 @@ class ExperimentConfig:
         return self.pert_scale
 
 
-_FIELD_NAMES = tuple(f.name for f in fields(ExperimentConfig))
 _REQUIRED = ("experiment", "s_list")
+
+
+def _check_known(keys: Iterable[str]) -> None:
+    unknown = sorted(set(keys) - set(ExperimentConfig._fields))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -112,9 +115,7 @@ def _read_pairs(path: Union[str, Path]) -> Dict[str, str]:
 def parse_config(path: Union[str, Path]) -> ExperimentConfig:
     """Read, type, and validate a config file; defaults fill missing keys."""
     pairs = _read_pairs(path)
-    unknown = sorted(set(pairs) - set(_FIELD_NAMES))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    _check_known(pairs)
     missing = [k for k in _REQUIRED if k not in pairs]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
@@ -201,7 +202,9 @@ def _validate(cfg: ExperimentConfig) -> None:
 
 
 def with_overrides(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    """Functional update used by the CLI for --out and --seed."""
-    out = replace(cfg, **kwargs)
+    """Functional update used by the CLI for --out and --seed; unknown keys
+    raise ConfigError."""
+    _check_known(kwargs)
+    out = cfg._replace(**kwargs)
     _validate(out)
     return out

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
 import numpy as np
@@ -23,30 +22,37 @@ import numpy as np
 from .errors import ConfigError, DataError, ShapeError
 
 
-@dataclass(frozen=True)
 class Domain:
-    """Open interval (omega_lo, omega_hi) inside the box [box_lo, box_hi]."""
+    """Open interval (omega_lo, omega_hi) inside the box [box_lo, box_hi].
+    Domains with equal endpoints compare and hash equal."""
 
-    omega_lo: float
-    omega_hi: float
-    box_lo: float
-    box_hi: float
+    __slots__ = ("omega_lo", "omega_hi", "box_lo", "box_hi")
 
-    def __post_init__(self) -> None:
-        vals = (self.omega_lo, self.omega_hi, self.box_lo, self.box_hi)
+    def __init__(self, omega_lo: float, omega_hi: float, box_lo: float, box_hi: float) -> None:
+        vals = (omega_lo, omega_hi, box_lo, box_hi)
         if not all(math.isfinite(v) for v in vals):
             raise ConfigError(f"domain endpoints must be finite, got {vals}")
-        if not self.omega_lo < self.omega_hi:
-            raise ConfigError(
-                f"empty interval: omega_lo={self.omega_lo} >= omega_hi={self.omega_hi}"
-            )
+        if not omega_lo < omega_hi:
+            raise ConfigError(f"empty interval: omega_lo={omega_lo} >= omega_hi={omega_hi}")
         # margin >= 1 on both sides, up to a rounding allowance
-        tol = 1e-12 * max(1.0, abs(self.omega_lo), abs(self.omega_hi))
-        if self.box_lo > self.omega_lo - 1 + tol or self.box_hi < self.omega_hi + 1 - tol:
+        tol = 1e-12 * max(1.0, abs(omega_lo), abs(omega_hi))
+        if box_lo > omega_lo - 1 + tol or box_hi < omega_hi + 1 - tol:
             raise ConfigError(
                 "box must extend at least 1 beyond the interval on each side: "
-                f"interval ({self.omega_lo}, {self.omega_hi}), box [{self.box_lo}, {self.box_hi}]"
+                f"interval ({omega_lo}, {omega_hi}), box [{box_lo}, {box_hi}]"
             )
+        self.omega_lo, self.omega_hi, self.box_lo, self.box_hi = vals
+
+    def _ends(self) -> Tuple[float, float, float, float]:
+        return (self.omega_lo, self.omega_hi, self.box_lo, self.box_hi)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Domain):
+            return NotImplemented
+        return self._ends() == other._ends()
+
+    def __hash__(self) -> int:
+        return hash(self._ends())
 
     @property
     def omega_measure(self) -> float:
@@ -64,29 +70,27 @@ def _nodes(lo: float, hi: float, n: int) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
 class GridFunction:
     """P1 function: values at n uniform nodes spanning the box.
 
     Outside the box the function takes its boundary node value (constant
     extension).  Instances are immutable; arithmetic returns new instances.
+    They compare and hash by identity.
     """
 
-    domain: Domain
-    n: int
-    values: np.ndarray = field(repr=False)
+    __slots__ = ("domain", "n", "values")
 
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ConfigError(f"need at least 3 nodes, got n={self.n}")
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.n,):
-            raise ShapeError(f"values shape {vals.shape} != ({self.n},)")
+    def __init__(self, domain: Domain, n: int, values: np.ndarray) -> None:
+        if n < 3:
+            raise ConfigError(f"need at least 3 nodes, got n={n}")
+        vals = np.asarray(values, dtype=float)
+        if vals.shape != (n,):
+            raise ShapeError(f"values shape {vals.shape} != ({n},)")
         if not np.all(np.isfinite(vals)):
             raise DataError("grid function values must be finite")
         vals = vals.copy()
         vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        self.domain, self.n, self.values = domain, n, vals
 
     @property
     def nodes(self) -> np.ndarray:

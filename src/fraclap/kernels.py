@@ -22,7 +22,6 @@ powers that lose digits as s -> 1 and on short subintervals far from 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -33,22 +32,20 @@ from .errors import ConfigError
 _LOG_BRANCH_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class FracParams:
     """Differentiability order s in (0,1), plateau cutoff eps in [0,1),
     dimension d >= 1."""
 
-    s: float
-    eps: float = 0.0
-    d: int = 1
+    __slots__ = ("s", "eps", "d")
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.d, int) and self.d >= 1):
-            raise ConfigError(f"dimension must be an integer >= 1, got {self.d}")
-        if not 0.0 < self.s < 1.0:
-            raise ConfigError(f"s must lie in (0, 1), got {self.s}")
-        if not 0.0 <= self.eps < 1.0:
-            raise ConfigError(f"eps must lie in [0, 1), got {self.eps}")
+    def __init__(self, s: float, eps: float = 0.0, d: int = 1) -> None:
+        if not (isinstance(d, int) and d >= 1):
+            raise ConfigError(f"dimension must be an integer >= 1, got {d}")
+        if not 0.0 < s < 1.0:
+            raise ConfigError(f"s must lie in (0, 1), got {s}")
+        if not 0.0 <= eps < 1.0:
+            raise ConfigError(f"eps must lie in [0, 1), got {eps}")
+        self.s, self.eps, self.d = s, eps, d
 
     @property
     def plateau_scale(self) -> float:

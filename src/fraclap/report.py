@@ -9,9 +9,8 @@ coordinates for plots, with no timestamps or environment-dependent content.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import ClassVar, Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,15 +52,14 @@ def _fit_loglog(pts: Sequence[Tuple[float, float]]) -> Tuple[float, float, float
     return slope, r2, math.exp(intercept)
 
 
-@dataclass(frozen=True)
-class RateRow:
+class RateRow(NamedTuple):
     s: float
     l2_err: float
     total_ws2_err: float
     energy_gap: float
 
-    header: ClassVar[str] = "s,one_minus_s,err_ws2_sq,err_l2,energy_gap"
-    ylabel: ClassVar[str] = "error norm"
+    header = "s,one_minus_s,err_ws2_sq,err_l2,energy_gap"
+    ylabel = "error norm"
 
     @property
     def fitted(self) -> float:
@@ -72,13 +70,12 @@ class RateRow:
         return (self.s, 1.0 - self.s, err_sq, self.l2_err, self.energy_gap)
 
 
-@dataclass(frozen=True)
-class ConsistencyRow:
+class ConsistencyRow(NamedTuple):
     s: float
     max_abs_err: float
 
-    header: ClassVar[str] = "s,one_minus_s,max_abs_err"
-    ylabel: ClassVar[str] = "max pointwise error"
+    header = "s,one_minus_s,max_abs_err"
+    ylabel = "max pointwise error"
 
     @property
     def fitted(self) -> float:
@@ -91,8 +88,7 @@ class ConsistencyRow:
 SweepRow = Union[RateRow, ConsistencyRow]
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Sweep over s, one row type per report, with a log-log fit of each
     row's fitted value against 1-s over the rows with s >= fit_min_s."""
 
@@ -118,16 +114,14 @@ def build_sweep_report(rows: Iterable[SweepRow], fit_min_s: float) -> SweepRepor
     return SweepReport(rows=ordered, slope=slope, r2=r2, c_emp=c_emp)
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     name: str
     value: float
     bound: float
     passed: bool
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     rows: Tuple[CheckRow, ...]
 
     @property
@@ -160,26 +154,23 @@ def _frozen_column(values, what: str) -> np.ndarray:
     return col
 
 
-@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Nodal solution values on one x column, one block (s, u) per s, in
     long (s, x, u) form. x and every u are read-only float64 arrays."""
 
-    x: np.ndarray
-    blocks: Tuple[Tuple[float, np.ndarray], ...]
+    __slots__ = ("x", "blocks")
 
-    def __post_init__(self) -> None:
-        x = _frozen_column(self.x, "solve x column")
-        blocks = []
-        for s, u in self.blocks:
+    def __init__(self, x: np.ndarray, blocks: Tuple[Tuple[float, np.ndarray], ...]) -> None:
+        x = _frozen_column(x, "solve x column")
+        frozen = []
+        for s, u in blocks:
             u = _frozen_column(u, f"solve block s={_fmt(s)}")
             if u.size != x.size:
                 raise ShapeError(
                     f"solve block s={_fmt(s)} has {x.size} x values but {u.size} u values"
                 )
-            blocks.append((s, u))
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "blocks", tuple(blocks))
+            frozen.append((s, u))
+        self.x, self.blocks = x, tuple(frozen)
 
     def csv_chunks(self) -> Iterator[str]:
         """The CSV text in order: the header, then at most _CSV_ROWS rows

@@ -308,6 +308,12 @@ class TestToeplitz:
         with pytest.raises(ValueError):
             op.solve(stack[0])
 
+    def test_compares_and_hashes_by_identity(self):
+        op = frac_operator(33, 0.7)
+        twin = ToeplitzOperator(op.c)
+        assert op == op and op != twin
+        assert hash(op) != hash(twin) and len({op, twin, op}) == 2
+
     def test_solve_rejects_wrongly_shaped_right_hand_side(self):
         op = frac_operator(65, 0.6)
         for shape in ((30,), (32,), (31, 1), (1, 31)):

@@ -267,6 +267,25 @@ def _loaded_after(tmp_path, runs):
     return json.loads(result.read_text(encoding="utf-8"))
 
 
+def _run_every_config_without(tmp_path, module: str) -> None:
+    """Every tests/configs config in a fresh CLI process that cannot import
+    the module: a None entry in sys.modules makes `import module...` raise
+    ImportError."""
+    script = (
+        f"import sys\nsys.modules[{module!r}] = None\nimport fraclap.cli\n"
+        "sys.exit(fraclap.cli.main(sys.argv[1:]))"
+    )
+    src = str(Path(fraclap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for cfg in sorted(CONFIGS.glob("*.cfg")):
+        argv = [cfg.stem.replace("_", "-"), "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]
+        result = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300
+        )
+        assert result.returncode == 0, (cfg.name, result.stderr)
+        assert (tmp_path / cfg.stem / f"{cfg.stem}.csv").exists()
+
+
 class TestImportFootprint:
     def test_startup_and_fast_subcommands_skip_scipy_and_numpy_random(self, tmp_path):
         rates = write_cfg(tmp_path, f"experiment = rates\ns_list = 0.6, 0.8\nn = 65\noutput_dir = {tmp_path}\n")
@@ -309,17 +328,9 @@ class TestImportFootprint:
         assert (tmp_path / f"{cfg.stem}.csv").exists()
 
     def test_every_subcommand_runs_with_scipy_blocked(self, tmp_path):
-        # a None entry in sys.modules makes any `import scipy...` raise ImportError
-        script = (
-            "import sys\nsys.modules['scipy'] = None\nimport fraclap.cli\n"
-            "sys.exit(fraclap.cli.main(sys.argv[1:]))"
-        )
-        src = str(Path(fraclap.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        for cfg in sorted(CONFIGS.glob("*.cfg")):
-            argv = [cfg.stem.replace("_", "-"), "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]
-            result = subprocess.run(
-                [sys.executable, "-c", script, *argv], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300
-            )
-            assert result.returncode == 0, (cfg.name, result.stderr)
-            assert (tmp_path / cfg.stem / f"{cfg.stem}.csv").exists()
+        _run_every_config_without(tmp_path, "scipy")
+
+    def test_every_subcommand_runs_with_dataclasses_blocked(self, tmp_path):
+        # generating the methods of @dataclass classes took most of the
+        # package's import time (README, performance notes)
+        _run_every_config_without(tmp_path, "dataclasses")

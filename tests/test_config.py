@@ -172,3 +172,5 @@ class TestOverrides:
             with_overrides(cfg, output_dir="")
         with pytest.raises(ConfigError):
             with_overrides(cfg, n=5)
+        with pytest.raises(ConfigError, match="unknown config keys: bogus, nn$"):
+            with_overrides(cfg, nn=1025, bogus=1)

@@ -41,6 +41,14 @@ class TestDomain:
         with pytest.raises(ConfigError):
             Domain(-1.0, 1.0, -np.inf, 2.0)
 
+    def test_equal_endpoints_compare_and_hash_equal(self):
+        # grid functions built from separately constructed domains share a grid
+        assert Domain(-1.0, 1.0, -2.0, 2.0) == DOM
+        assert hash(Domain(-1.0, 1.0, -2.0, 2.0)) == hash(DOM)
+        assert Domain(-1.0, 1.0, -2.0, 2.5) != DOM
+        a = make_grid(Domain(-1.0, 1.0, -2.0, 2.0), 5)
+        assert np.array_equal((a + make_grid(DOM, 5)).values, np.zeros(5))
+
 
 class TestMakeGrid:
     def test_uniform_nodes_and_zero_values(self):
@@ -155,6 +163,12 @@ class TestArithmetic:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             GridFunction(DOM, 5, np.zeros(4))
+
+    def test_compares_and_hashes_by_identity(self):
+        a = make_grid(DOM, 5).with_values(np.arange(5.0))
+        b = a.with_values(a.values)
+        assert a == a and a != b
+        assert hash(a) != hash(b) and len({a, b, a}) == 2
 
 
 class TestL2Norm:
