@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-All of these derive from ValueError so that callers who do not care about
-the distinction can catch one base class.  The CLI maps ConfigError to
-exit code 2 and everything else to exit code 1.
+The three input errors derive from ValueError, so a caller who does not
+care about the distinction can catch that one base class; NumericalError
+derives from RuntimeError.  The CLI maps ConfigError to exit code 2 and
+everything else to exit code 1.
 """
 
 

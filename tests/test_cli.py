@@ -162,6 +162,31 @@ class TestConfigFailures:
         assert err.startswith("error:") and "seed" in err and len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("eps = nan", "key 'eps': value must be finite, got nan"),
+            ("s_list = 0.6, inf", "key 's_list': value must be finite, got inf"),
+            ("s_list = ,", "s_list must not be empty"),
+            ("fit_min_s = 1.5", "fit_min_s must lie in (0, 1), got 1.5"),
+            ("--out", "cannot create output directory"),
+        ],
+    )
+    def test_invalid_input(self, tmp_path, capsys, line, message):
+        # a config line replaces the base config's value; --out names an existing file
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        keys = {"experiment": "rates", "s_list": "0.6, 0.8", "n": "65", "output_dir": str(tmp_path / "out")}
+        flags = ["--out", str(taken)] if line == "--out" else []
+        if not flags:
+            key, value = line.split(" = ")
+            keys[key] = value
+        cfg = write_cfg(tmp_path, "".join(f"{key} = {value}\n" for key, value in keys.items()))
+        assert cli.main(["rates", "--config", cfg] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["rates", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "error:" in capsys.readouterr().err

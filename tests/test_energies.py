@@ -224,7 +224,8 @@ class TestHolderSeminorm:
 
     @pytest.mark.parametrize("shape", [(4, 129), (2, 3, 33), (3, 4097)])
     def test_stack_matches_lag_loop_row_by_row(self, shape):
-        # at (3, 4097) a batch holds four (row, lag) pairs of 4,097 differences
+        # the rows of a stack share one lag set: at (3, 4097) each scanned lag is
+        # one (3, n - k) slice, and a row is also scanned where only another needs it
         rng = np.random.default_rng(shape[-1] + 7)
         grid = make_grid(DOM, shape[-1])
         stack = rng.standard_normal(shape)

@@ -1,7 +1,10 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import fraclap
+from fraclap import errors
 
 # perfbench's closed-form oracle for the solve workload; no CLI path calls it
 ORACLES = {"exact_solution_ball"}
@@ -35,3 +38,18 @@ class TestPublicApi:
                     used.add(node.attr)
         assert ORACLES <= set(fraclap.__all__)
         assert sorted(set(fraclap.__all__) - used - ORACLES) == []
+
+
+class TestErrors:
+    @pytest.mark.parametrize(
+        "error, base",
+        [
+            (errors.ConfigError, ValueError),
+            (errors.DataError, ValueError),
+            (errors.ShapeError, ValueError),
+            (errors.NumericalError, RuntimeError),
+        ],
+    )
+    def test_base_class(self, error, base):
+        # a caller who catches ValueError gets the input errors, not a failed solve
+        assert error.__bases__ == (base,)
