@@ -212,6 +212,61 @@ class TestConfigFailures:
         assert exc.value.code == 2
 
 
+class TestParser:
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["solve", "-h"], ["rates", "--config", "x", "--help"]])
+    def test_help_exits_zero_and_lists_every_subcommand(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: fraclap <subcommand> --config PATH") and err == ""
+        for command in cli._RUNNERS:
+            assert f"\n  {command} " in out
+        for option in ("--config", "--out", "--seed", "--verbose"):
+            assert option in out
+
+    def test_config_equals_form(self, tmp_path):
+        cfg = kernel_cfg(tmp_path, tmp_path / "out")
+        assert cli.main(["kernel-check", f"--config={cfg}"]) == 0
+        assert (tmp_path / "out" / "kernel_check.csv").exists()
+
+    def test_options_in_any_order_and_the_last_repeat_wins(self, tmp_path, capsys):
+        cfg = kernel_cfg(tmp_path, tmp_path / "out")
+        first, last = tmp_path / "first", tmp_path / "last"
+        argv = ["kernel-check", "--verbose", "--out", str(first), "--seed=7", f"--config={tmp_path}",
+                "--seed", "3", "--config", cfg, f"--out={last}"]
+        assert cli._parse(argv) == ("kernel-check", cfg, str(last), 3, True)
+        assert cli.main(argv) == 0
+        assert (last / "kernel_check.csv").exists() and not first.exists()
+        assert capsys.readouterr().out == (last / "kernel_check.csv").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "missing subcommand"),
+            (["solve", "--config"], "argument --config: expected one value"),
+            (["solve", "--config", "--out", "x"], "argument --config: expected one value"),
+            (["solve", "--config", "CFG", "--bogus"], "unrecognized argument '--bogus'"),
+            # prefixes of an option name are not accepted
+            (["solve", "--conf", "CFG"], "unrecognized argument '--conf'"),
+            (["solve", "--config", "CFG", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+            (["solve", "--config", "CFG", "--verbose=1"], "unrecognized argument '--verbose=1'"),
+            (["solve", "--config", "CFG", "stray"], "unrecognized argument 'stray'"),
+            (["--config", "CFG", "solve"], "invalid subcommand '--config'"),
+        ],
+    )
+    def test_usage_error_exits_two_with_one_error_line(self, tmp_path, capsys, argv, message):
+        cfg = write_cfg(tmp_path, f"experiment = solve\ns_list = 0.5\nn = 33\noutput_dir = {tmp_path / 'out'}\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([cfg if token == "CFG" else token for token in argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        errors = [line for line in err.splitlines() if line.startswith("fraclap: error:")]
+        assert out == "" and len(errors) == 1 and message in errors[0]
+        assert err.startswith("usage: fraclap ") and len(err.splitlines()) == 2
+        assert not (tmp_path / "out").exists()
+
+
 class TestRunnerOutcomes:
     def test_failing_check_suite_returns_one(self, tmp_path, monkeypatch):
         failing = CheckReport(
@@ -258,14 +313,16 @@ class TestRunnerOutcomes:
 # peak RSS), nor numpy.ma (np.unique and the set routines import it lazily;
 # it costs about 1 MB of RSS), nor numpy.random (about 6 MB of RSS and
 # 15 ms; the bump suite draws from profiles._PCG64, which reproduces
-# numpy.random.default_rng's stream)
+# numpy.random.default_rng's stream), nor argparse, gettext or locale
+# (building argparse's parsers cost 2.5-3 ms and about 0.3 MB of peak RSS
+# per run; cli.py parses its one option set directly)
 # Runs in a fresh interpreter: the test suite itself imports scipy.
 # What `import numpy` loads itself is not counted: numpy 1.x imports random,
 # polynomial and ma with the package, numpy >= 2.0 on first use.
 _FOOTPRINT_SCRIPT = """
 import json, sys
 out, runs = sys.argv[1], json.loads(sys.argv[2])
-heavy = ("scipy", "numpy.polynomial", "numpy.ma", "numpy.random")
+heavy = ("scipy", "numpy.polynomial", "numpy.ma", "numpy.random", "argparse", "gettext", "locale")
 import numpy
 own = set(sys.modules)
 loaded = lambda: sorted(m for m in set(sys.modules) - own if m in heavy or m.startswith(tuple(h + "." for h in heavy)))
@@ -279,10 +336,10 @@ json.dump(stages, open(out, "w"))
 
 
 def _loaded_after(tmp_path, runs):
-    """scipy, numpy.polynomial, numpy.ma and numpy.random modules that
-    `import numpy` did not load itself, in sys.modules after `import
-    fraclap.cli` and after each (name, argv) CLI run in order, plus each
-    run's exit code."""
+    """scipy, numpy.polynomial, numpy.ma, numpy.random, argparse, gettext
+    and locale modules that `import numpy` did not load itself, in
+    sys.modules after `import fraclap.cli` and after each (name, argv) CLI
+    run in order, plus each run's exit code."""
     src = str(Path(fraclap.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src] + [d for d in env.get("PYTHONPATH", "").split(os.pathsep) if d])
@@ -359,3 +416,6 @@ class TestImportFootprint:
         # generating the methods of @dataclass classes took most of the
         # package's import time (README, performance notes)
         _run_every_config_without(tmp_path, "dataclasses")
+
+    def test_every_subcommand_runs_with_argparse_blocked(self, tmp_path):
+        _run_every_config_without(tmp_path, "argparse")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fraclap import assembly
+from fraclap import assembly, energies
 from fraclap.energies import (
     _holder_quotients,
     dirichlet_local,
@@ -300,6 +300,21 @@ class TestHolderQuotients:
                 assert got.shape == (len(_BETAS),)
                 for beta, quotient in zip(_BETAS, got):
                     assert quotient == holder_loop(grid.with_values(row), beta), name
+
+    def test_rounding_margin_keeps_a_lag_above_its_rounded_bound(self, monkeypatch):
+        # a ramp through 0: D(21) exceeds the rounded sums D(20) + D(1) and
+        # D(16) + D(5) that bound it by one ulp, and at beta = 1 - 3 * 2**-53
+        # lag 21 holds the largest quotient, one ulp above the next.  Without
+        # the margin of energies._ROUND the refinement prunes lag 21
+        row = 1.85 * np.arange(-12.0, 12.0)
+        beta = 1.0 - 3.0 * 2.0**-53
+        lags = lag_maxima(row)
+        assert lags[20] > lags[19] + lags[0] and lags[20] > lags[15] + lags[4]
+        want = holder_quotient(lags, 1.0, beta)
+        assert want == lags[20] / 21.0**beta
+        assert _holder_quotients(row, 1.0, (beta,))[0] == want
+        monkeypatch.setattr(energies, "_ROUND", 1.0)
+        assert _holder_quotients(row, 1.0, (beta,))[0] < want
 
     def test_exponent_validation(self):
         stack = np.zeros((2, 9))
