@@ -51,6 +51,12 @@ def _sources(cfg: ExperimentConfig, f: GridFunction) -> Iterator[Tuple[float, Gr
     return ((s, f.with_values(f.values + cfg.pert_coeff(s) * pert_vals)) for s in cfg.s_list)
 
 
+def _roundoff(A: ToeplitzOperator) -> float:
+    """8 log2(2m) eps ||A||_1: the FFT matvec roundoff model, per unit 2-norm
+    of each of the two vectors in a product x^T A y."""
+    return 8.0 * math.log2(2 * A.c.size) * np.finfo(float).eps * A.norm1
+
+
 def _check_optimality_identity(
     A: ToeplitzOperator, b: np.ndarray, v: np.ndarray, u: np.ndarray, s: float
 ) -> None:
@@ -61,15 +67,12 @@ def _check_optimality_identity(
     With e = v - u the identity reads gap - e^T A e / 2 = e^T (A u - b), and
     the right side is checked directly: differencing the two objectives
     instead cancels them down to roundoff as s -> 1.  The bound is the FFT
-    matvec roundoff model 8 log2(2m) eps ||A||_1 ||u||_2 ||e||_2: accurate
-    solves read below 1e-2 of it, and a solve with one kernel entry off by
-    1e-8 relative exceeds it 1e5-fold."""
+    matvec roundoff model _roundoff(A) ||u||_2 ||e||_2: accurate solves read
+    below 1e-2 of it, and a solve with one kernel entry off by 1e-8
+    relative exceeds it 1e5-fold."""
     e = v - u
     defect = float(e @ (A.matvec(u) - b))
-    bound = (
-        8.0 * math.log2(2 * A.c.size) * np.finfo(float).eps
-        * A.norm1 * math.sqrt(u @ u) * math.sqrt(e @ e)
-    )
+    bound = _roundoff(A) * math.sqrt(u @ u) * math.sqrt(e @ e)
     if not abs(defect) <= bound:
         raise NumericalError(
             f"optimality identity violated at s={s}: e^T(Au - b)={defect!r} exceeds {bound!r}"
@@ -97,12 +100,16 @@ def run_rates(cfg: ExperimentConfig) -> SweepReport:
         u_s, A, b = solve_frac_system(f_s, p)
         u_int = u_s.values[idx]
 
-        semi2 = max(A.quad_form(v_loc - u_int), 0.0)
+        e = v_loc - u_int
+        semi2 = A.quad_form(e)
+        floor = _roundoff(A) * float(e @ e)
+        if semi2 < -floor:  # below roundoff: the operator is not positive definite here
+            raise NumericalError(f"negative seminorm at s={s}: e^T A e={semi2!r} is below -{floor!r}")
         err_l2 = l2_norm(u_loc - u_s, region="box")
         _check_optimality_identity(A, b, v_loc, u_int, s)
         gap = energy_gap(u_s, grid, f_grid, p, cfg.r_value(s))
         rows.append(
-            RateRow(s=s, l2_err=err_l2, total_ws2_err=math.sqrt(semi2 + err_l2**2), energy_gap=gap)
+            RateRow(s=s, l2_err=err_l2, total_ws2_err=math.sqrt(max(semi2, 0.0) + err_l2**2), energy_gap=gap)
         )
     return build_sweep_report(rows, cfg.fit_min_s)
 
@@ -111,7 +118,7 @@ def run_consistency(cfg: ExperimentConfig) -> SweepReport:
     """Max deviation of the pointwise nonlocal operator from the negative
     second derivative over interior sample points, per s."""
     g = cfg.g_profile()
-    if not g.has_second_derivative:
+    if g.second_derivative is None:
         raise ConfigError(
             f"consistency needs a twice-differentiable profile, got '{g.name}'"
         )

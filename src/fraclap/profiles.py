@@ -8,79 +8,44 @@ the catalog closed makes configs reproducible without an expression parser.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .grid import Domain, make_grid
 
-ArrayLike = Union[float, np.ndarray]
-
 
 class Profile:
-    """Analytic profile with optional first/second derivatives.
+    """Analytic profile: its catalog name, its parsed params, its value (call
+    the profile on an array of points) and its second derivative, a function
+    of the same kind, or None where the profile has none (abspow at its
+    center).  Both return an array of the points' shape.
 
-    Callable and vectorized; derivative accessors raise when the profile is
-    not smooth enough (abspow at its center, for example).
-    """
+    The class-level None entries are the names perfbench's tracer wraps; each
+    instance sets its own second_derivative, which takes precedence."""
+
+    derivative = second_derivative = None
 
     def __init__(
         self,
         name: str,
         params: Dict[str, float],
         value: Callable[[np.ndarray], np.ndarray],
-        deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        deriv2: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        second_derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> None:
         self.name = name
-        self.params = dict(params)
+        self.params = params
         self._value = value
-        self._deriv = deriv
-        self._deriv2 = deriv2
+        self.second_derivative = second_derivative
 
-    def _apply(self, fn: Callable[[np.ndarray], np.ndarray], x: ArrayLike) -> ArrayLike:
-        xx = np.asarray(x, dtype=float)
-        out = fn(xx)
-        if np.isscalar(x) or xx.ndim == 0:
-            return float(out)
-        return out
-
-    def __call__(self, x: ArrayLike) -> ArrayLike:
-        return self._apply(self._value, x)
-
-    @property
-    def has_derivative(self) -> bool:
-        return self._deriv is not None
-
-    @property
-    def has_second_derivative(self) -> bool:
-        return self._deriv2 is not None
-
-    def derivative(self, x: ArrayLike) -> ArrayLike:
-        if self._deriv is None:
-            raise ConfigError(f"profile '{self.name}' has no derivative")
-        return self._apply(self._deriv, x)
-
-    def second_derivative(self, x: ArrayLike) -> ArrayLike:
-        if self._deriv2 is None:
-            raise ConfigError(f"profile '{self.name}' has no second derivative")
-        return self._apply(self._deriv2, x)
-
-    def __repr__(self) -> str:
-        inner = ",".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))
-        return f"Profile({self.name}:{inner})"
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self._value(x)
 
 
 def _constant(params: Dict[str, float]) -> Profile:
     c = params["value"]
-    return Profile(
-        "constant",
-        params,
-        value=lambda x: np.full_like(x, c),
-        deriv=lambda x: np.zeros_like(x),
-        deriv2=lambda x: np.zeros_like(x),
-    )
+    return Profile("constant", params, lambda x: np.full_like(x, c), np.zeros_like)
 
 
 def _gaussian(params: Dict[str, float]) -> Profile:
@@ -92,15 +57,11 @@ def _gaussian(params: Dict[str, float]) -> Profile:
         u = (x - c) / w
         return a * np.exp(-u * u)
 
-    def der(x: np.ndarray) -> np.ndarray:
-        u = (x - c) / w
-        return a * np.exp(-u * u) * (-2.0 * u) / w
-
     def der2(x: np.ndarray) -> np.ndarray:
         u = (x - c) / w
         return a * np.exp(-u * u) * (4.0 * u * u - 2.0) / (w * w)
 
-    return Profile("gaussian", params, val, der, der2)
+    return Profile("gaussian", params, val, der2)
 
 
 def _cosine(params: Dict[str, float]) -> Profile:
@@ -108,9 +69,8 @@ def _cosine(params: Dict[str, float]) -> Profile:
     return Profile(
         "cosine",
         params,
-        value=lambda x: a * np.cos(k * (x - c)),
-        deriv=lambda x: -a * k * np.sin(k * (x - c)),
-        deriv2=lambda x: -a * k * k * np.cos(k * (x - c)),
+        lambda x: a * np.cos(k * (x - c)),
+        lambda x: -a * k * k * np.cos(k * (x - c)),
     )
 
 
@@ -131,12 +91,6 @@ def _bump(params: Dict[str, float]) -> Profile:
     def val(x: np.ndarray) -> np.ndarray:
         return a * _bump_pieces(x, c, w)[1]
 
-    def der(x: np.ndarray) -> np.ndarray:
-        us, core = _bump_pieces(x, c, w)
-        q = 1.0 - us * us
-        q = np.where(q > 0.0, q, 1.0)
-        return a * core * (-2.0 * us / (q * q)) / w
-
     def der2(x: np.ndarray) -> np.ndarray:
         us, core = _bump_pieces(x, c, w)
         q = 1.0 - us * us
@@ -145,18 +99,14 @@ def _bump(params: Dict[str, float]) -> Profile:
         poly = 4.0 * u2 / q**4 - 2.0 / q**2 - 8.0 * u2 / q**3
         return a * core * poly / (w * w)
 
-    return Profile("bump", params, val, der, der2)
+    return Profile("bump", params, val, der2)
 
 
 def _abspow(params: Dict[str, float]) -> Profile:
     a, c, e = params["amplitude"], params["center"], params["exponent"]
     if e <= 0.0:
         raise ConfigError(f"abspow exponent must be positive, got {e}")
-    return Profile(
-        "abspow",
-        params,
-        value=lambda x: a * np.abs(x - c) ** e,
-    )
+    return Profile("abspow", params, lambda x: a * np.abs(x - c) ** e)
 
 
 # per profile: (defaults in positional order, factory)

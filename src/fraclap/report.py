@@ -97,14 +97,11 @@ class SweepReport(NamedTuple):
     r2: float
     c_emp: float
 
-    def to_csv(self) -> str:
-        lines = [self.rows[0].header]
-        lines.extend(",".join(_fmt(v) for v in r.csv_values()) for r in self.rows)
-        lines.append(f"# slope={_fmt(self.slope)} r2={_fmt(self.r2)}")
-        return "\n".join(lines) + "\n"
-
     def csv_chunks(self) -> Iterator[str]:
-        yield self.to_csv()
+        yield self.rows[0].header + "\n"
+        for r in self.rows:
+            yield ",".join(_fmt(v) for v in r.csv_values()) + "\n"
+        yield f"# slope={_fmt(self.slope)} r2={_fmt(self.r2)}\n"
 
 
 def build_sweep_report(rows: Iterable[SweepRow], fit_min_s: float) -> SweepReport:
@@ -128,15 +125,10 @@ class CheckReport(NamedTuple):
     def passed(self) -> bool:
         return all(r.passed for r in self.rows)
 
-    def to_csv(self) -> str:
-        lines = ["name,value,bound,passed"]
-        for r in self.rows:
-            flag = "true" if r.passed else "false"
-            lines.append(f"{r.name},{_fmt(r.value)},{_fmt(r.bound)},{flag}")
-        return "\n".join(lines) + "\n"
-
     def csv_chunks(self) -> Iterator[str]:
-        yield self.to_csv()
+        yield "name,value,bound,passed\n"
+        for r in self.rows:
+            yield f"{r.name},{_fmt(r.value)},{_fmt(r.bound)},{'true' if r.passed else 'false'}\n"
 
 
 # Rows per streamed solve CSV chunk: the writer's working set is a few
@@ -190,9 +182,6 @@ class SolveReport:
             for lo, template in zip(starts, templates):
                 us = tuple(u[lo : lo + _CSV_ROWS].tolist())
                 yield (prefix + template.replace("\n", "\n" + prefix, len(us) - 1)) % us
-
-    def to_csv(self) -> str:
-        return "".join(self.csv_chunks())
 
 
 def _write(path: Union[str, Path], chunks: Iterable[str]) -> None:

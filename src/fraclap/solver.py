@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable, Tuple, Union
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -110,24 +110,21 @@ def _ball_coeff(p: FracParams) -> float:
     return math.exp(log_c)
 
 
-def exact_solution_ball(p: FracParams, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+def exact_solution_ball(p: FracParams, x: np.ndarray) -> np.ndarray:
     """Closed-form solution of the unit-source problem on the unit ball with
-    zero complement data: coeff(s, d) * (1 - |x|^2)_+^s."""
-    xx = np.asarray(x, dtype=float)
-    out = _ball_coeff(p) * np.clip(1.0 - xx * xx, 0.0, None) ** p.s
-    if np.isscalar(x) or xx.ndim == 0:
-        return float(out)
-    return out
+    zero complement data, coeff(s, d) * (1 - |x|^2)_+^s, at the points x."""
+    return _ball_coeff(p) * np.clip(1.0 - x * x, 0.0, None) ** p.s
 
 
 def frac_laplacian_pointwise(
-    g: Callable[[float], float],
+    g: Callable[[np.ndarray], np.ndarray],
     p: FracParams,
-    x: Union[float, np.ndarray],
+    x: np.ndarray,
     full_output: bool = False,
 ):
-    """Pointwise nonlocal operator applied to a twice-differentiable g, at
-    one point x or at every point of an array x (one g call for all).
+    """Pointwise nonlocal operator applied to a twice-differentiable g at
+    every point of the array x (one g call for all), as an array of x's
+    shape.
 
     The integrand is the symmetric second difference 2 g(x) - g(x+z) -
     g(x-z), which is O(z^2) and kills affine functions exactly, against
@@ -141,7 +138,6 @@ def frac_laplacian_pointwise(
     """
     if p.d != 1:
         raise ConfigError(f"pointwise operator supports d=1 only, got d={p.d}")
-    xx = np.asarray(x, dtype=float)
     s2 = 2.0 * p.s
     C = norm_const(p)
     span = np.log([_NEAR_CUT, _RADIUS])
@@ -174,10 +170,8 @@ def frac_laplacian_pointwise(
         sup_g = np.max(np.abs(vals[:, 2 * m + 1 :]), axis=-1)
         return value, np.abs(value - coarse) + 16.0 * C * sup_g * _RADIUS ** (-s2) / s2
 
-    flat = xx.reshape(-1)
+    flat = x.reshape(-1)
     step = max(1, _BLOCK_SAMPLES // offsets.size)
     blocks = [block(flat[i : i + step]) for i in range(0, max(flat.size, 1), step)]
-    out = [np.concatenate(col).reshape(xx.shape) for col in zip(*blocks)]
-    if xx.ndim == 0:
-        out = [float(v) for v in out]
+    out = [np.concatenate(col).reshape(x.shape) for col in zip(*blocks)]
     return tuple(out) if full_output else out[0]

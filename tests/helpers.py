@@ -41,7 +41,7 @@ from fraclap.mollifier import (
     full_coverage_mask,
     mollify,
 )
-from fraclap.profiles import _random_bump_rows, make_profile
+from fraclap.profiles import _bump_pieces, _random_bump_rows, make_profile
 from fraclap.solver import _assemble
 
 # np.trapezoid is numpy >= 2.0; pyproject allows numpy >= 1.24, which has np.trapz
@@ -105,6 +105,19 @@ def load_vector_all_cells(f: GridFunction) -> np.ndarray:
     np.add.at(out, idx, h * (f0 * (d1 - d2) + df * (d2 - d3)))
     np.add.at(out, idx + 1, h * (f0 * d2 + df * d3))
     return out
+
+
+def bump_derivative(amplitude: float, center: float, width: float):
+    """The derivative of the catalog profile bump:amplitude,center,width, as
+    a function of an array of points (oracle for smoothed gradients)."""
+
+    def der(x: np.ndarray) -> np.ndarray:
+        us, core = _bump_pieces(x, center, width)
+        q = 1.0 - us * us
+        q = np.where(q > 0.0, q, 1.0)
+        return amplitude * core * (-2.0 * us / (q * q)) / width
+
+    return der
 
 
 def random_bump(rng: np.random.Generator, dom: Domain, n: int) -> GridFunction:
@@ -543,10 +556,15 @@ def fit_slope(xs, ys) -> float:
     return float(np.polyfit(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), 1)[0])
 
 
+def csv_text(report) -> str:
+    """The report's CSV text: its csv_chunks joined, as emit_csv writes them."""
+    return "".join(report.csv_chunks())
+
+
 def solve_csv_rows(xs, blocks) -> str:
     """The solve CSV built one "%.12g,%.12g" row at a time, the per-row
-    form that SolveReport.to_csv's block templates must reproduce byte for
-    byte."""
+    form that SolveReport.csv_chunks' block templates must reproduce byte
+    for byte."""
     lines = ["s,x,u"]
     for s, us in blocks:
         prefix = "%.12g" % s + ","

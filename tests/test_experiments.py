@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fraclap import energies, mollifier
+from fraclap import cli, energies, experiments, mollifier
 from fraclap.assembly import ToeplitzOperator
 from fraclap.config import ExperimentConfig, parse_config
 from fraclap.errors import ConfigError, NumericalError
@@ -19,7 +19,7 @@ from fraclap.experiments import (
 from fraclap.grid import make_grid
 from fraclap.kernels import FracParams
 from fraclap.mollifier import mollify
-from helpers import mollify_gradient, solve_csv_rows, zero_data_err_ws2_sq
+from helpers import csv_text, mollify_gradient, solve_csv_rows, zero_data_err_ws2_sq
 
 
 def cfg_from(tmp_path, text: str):
@@ -43,7 +43,7 @@ class TestKernelCheck:
 
     def test_deterministic(self, tmp_path):
         cfg = cfg_from(tmp_path, "experiment = kernel_check\ns_list = 0.5\n")
-        assert run_kernel_check(cfg).to_csv() == run_kernel_check(cfg).to_csv()
+        assert csv_text(run_kernel_check(cfg)) == csv_text(run_kernel_check(cfg))
 
 
 class TestMollifierCheck:
@@ -63,11 +63,11 @@ class TestMollifierCheck:
     def test_same_seed_identical_other_seed_still_passes(self, tmp_path):
         base = "experiment = mollifier_check\ns_list = 0.5\nn = 65\n"
         cfg = cfg_from(tmp_path, base)
-        assert run_mollifier_check(cfg).to_csv() == run_mollifier_check(cfg).to_csv()
+        assert csv_text(run_mollifier_check(cfg)) == csv_text(run_mollifier_check(cfg))
         other = cfg_from(tmp_path, base + "seed = 7\n")
         rep = run_mollifier_check(other)
         assert rep.passed
-        assert rep.to_csv() != run_mollifier_check(cfg).to_csv()
+        assert csv_text(rep) != csv_text(run_mollifier_check(cfg))
 
 
     def test_report_values_pinned(self, tmp_path, monkeypatch):
@@ -236,7 +236,7 @@ class TestRates:
 
     def test_deterministic(self, tmp_path):
         cfg = cfg_from(tmp_path, "experiment = rates\ns_list = 0.6, 0.8\nn = 129\n")
-        assert run_rates(cfg).to_csv() == run_rates(cfg).to_csv()
+        assert csv_text(run_rates(cfg)) == csv_text(run_rates(cfg))
 
     def test_perturbation_modes_change_rows(self, tmp_path):
         base = "experiment = rates\ns_list = 0.6, 0.8\nn = 129\n"
@@ -260,6 +260,28 @@ class TestRates:
         cfg = ExperimentConfig(experiment="rates", s_list=(s,), n=257)
         with pytest.raises(NumericalError, match="optimality identity"):
             run_rates(cfg)
+
+    @pytest.mark.parametrize("factor", [0.0, 0.99])
+    def test_negative_seminorm_within_roundoff_reads_zero(self, monkeypatch, tmp_path, factor):
+        # e^T A e at -factor times the FFT roundoff model is clamped to 0
+        def quad_form(self, v):
+            return -factor * experiments._roundoff(self) * float(v @ v)
+
+        monkeypatch.setattr(ToeplitzOperator, "quad_form", quad_form)
+        rows = run_rates(cfg_from(tmp_path, "experiment = rates\ns_list = 0.6, 0.8\nn = 129\n")).rows
+        assert all(r.total_ws2_err == r.l2_err > 0.0 for r in rows)
+
+    def test_negative_seminorm_below_roundoff_exits_one(self, monkeypatch, tmp_path, capsys):
+        # just past the model it is a lost definiteness, not roundoff
+        def quad_form(self, v):
+            return -1.01 * experiments._roundoff(self) * float(v @ v)
+
+        monkeypatch.setattr(ToeplitzOperator, "quad_form", quad_form)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("experiment = rates\ns_list = 0.6, 0.8\nn = 129\n", encoding="utf-8")
+        assert cli.main(["rates", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "negative seminorm at s=0.6" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "rates.csv").exists()
 
     def test_optimality_check_passes_near_one_on_fine_mesh(self, tmp_path):
         # the former relative-gap check failed here on roundoff alone
@@ -336,4 +358,4 @@ class TestSolve:
         columns = [rep.x] + [us for _, us in rep.blocks]
         assert all(isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns)
         assert not any(c.flags.writeable for c in columns)
-        assert rep.to_csv() == solve_csv_rows(rep.x, rep.blocks)
+        assert csv_text(rep) == solve_csv_rows(rep.x, rep.blocks)

@@ -5,11 +5,40 @@ import pytest
 
 from fraclap import profiles
 from fraclap.errors import ConfigError, DataError
-from fraclap.grid import Domain
+from fraclap.grid import Domain, make_grid
 from fraclap.profiles import _PCG64, _random_bump_rows, make_profile, profile_names
-from helpers import central_diff, random_bump, random_bump_loop
+from helpers import bump_derivative, central_diff, random_bump, random_bump_loop
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
+
+
+def _gaussian_formulas(x, a, c, w):
+    u = (x - c) / w
+    return a * np.exp(-u * u), a * np.exp(-u * u) * (4.0 * u * u - 2.0) / (w * w)
+
+
+def _bump_formulas(x, a, c, w):
+    u = (x - c) / w
+    inside = np.abs(u) < 1.0
+    us = np.where(inside, u, 0.0)
+    core = np.where(inside, np.exp(1.0 - 1.0 / (1.0 - us * us)), 0.0)
+    q = np.where(1.0 - us * us > 0.0, 1.0 - us * us, 1.0)
+    u2 = us * us
+    poly = 4.0 * u2 / q**4 - 2.0 / q**2 - 8.0 * u2 / q**3
+    return a * core, a * core * poly / (w * w)
+
+
+# profile text -> (value, second derivative or None) at the points x
+CATALOG_FORMULAS = {
+    "constant:-2.5": lambda x: (np.full_like(x, -2.5), np.zeros_like(x)),
+    "gaussian:1.7,0.3,0.45": lambda x: _gaussian_formulas(x, 1.7, 0.3, 0.45),
+    "cosine:0.8,3.5,-0.2": lambda x: (
+        0.8 * np.cos(3.5 * (x - -0.2)),
+        -0.8 * 3.5 * 3.5 * np.cos(3.5 * (x - -0.2)),
+    ),
+    "bump:-1.5,0.2,0.7": lambda x: _bump_formulas(x, -1.5, 0.2, 0.7),
+    "abspow:1.3,0.15,0.75": lambda x: (1.3 * np.abs(x - 0.15) ** 0.75, None),
+}
 
 
 class TestCatalog:
@@ -18,32 +47,42 @@ class TestCatalog:
         assert names == tuple(sorted(names))
         assert {"constant", "gaussian", "cosine", "bump", "abspow"} <= set(names)
 
+    @pytest.mark.parametrize("text", sorted(CATALOG_FORMULAS))
+    def test_values_equal_written_out_formulas(self, text):
+        # every profile at non-default parameters on a 65-node grid, bit for
+        # bit against its formula and, where it has one, its second derivative
+        x = make_grid(DOM, 65).nodes
+        value, second = CATALOG_FORMULAS[text](x)
+        p = make_profile(text)
+        assert np.array_equal(p(x), value)
+        if second is not None:
+            assert np.array_equal(p.second_derivative(x), second)
+
     def test_constant(self):
         p = make_profile("constant:3.5")
-        assert p(0.0) == 3.5
-        assert p.derivative(1.2) == 0.0
-        assert p.second_derivative(-0.4) == 0.0
+        x = np.array([0.0, 1.2, -0.4])
+        assert np.all(p(x) == 3.5)
+        assert np.all(p.second_derivative(x) == 0.0)
 
     def test_gaussian_values(self):
         p = make_profile("gaussian:2,0.5,width=0.7")
-        x = 0.9
-        u = (x - 0.5) / 0.7
-        assert p(x) == pytest.approx(2.0 * math.exp(-u * u), rel=1e-14)
-        assert p(0.5) == pytest.approx(2.0, rel=1e-14)
+        u = (0.9 - 0.5) / 0.7
+        assert p(np.array([0.9, 0.5])) == pytest.approx([2.0 * math.exp(-u * u), 2.0], rel=1e-14)
 
     def test_cosine_values(self):
         p = make_profile("cosine:amplitude=1.5,freq=2.0,center=0.25")
-        assert p(0.25) == pytest.approx(1.5, rel=1e-14)
-        assert p.second_derivative(0.25) == pytest.approx(-1.5 * 4.0, rel=1e-14)
+        x = np.array([0.25])
+        assert p(x) == pytest.approx(1.5, rel=1e-14)
+        assert p.second_derivative(x) == pytest.approx(-1.5 * 4.0, rel=1e-14)
 
     def test_bump_compact_support(self):
         p = make_profile("bump:amplitude=2,center=0.1,width=0.5")
-        assert p(0.1) == pytest.approx(2.0, rel=1e-14)
-        for x in (0.6, -0.4, 3.0):
-            assert p(x) == 0.0
-            assert p.derivative(x) == 0.0
-            assert p.second_derivative(x) == 0.0
-        assert p(0.599) > 0.0
+        assert p(np.array([0.1])) == pytest.approx(2.0, rel=1e-14)
+        x = np.array([0.6, -0.4, 3.0])
+        assert np.all(p(x) == 0.0)
+        assert np.all(bump_derivative(2.0, 0.1, 0.5)(x) == 0.0)
+        assert np.all(p.second_derivative(x) == 0.0)
+        assert p(np.array([0.599]))[0] > 0.0
 
     @pytest.mark.parametrize(
         "text",
@@ -54,29 +93,32 @@ class TestCatalog:
         ],
     )
     def test_derivatives_match_finite_differences(self, text):
+        # the second derivative against a second difference of the values
+        # (roundoff about 1e-16 / 4e-8, truncation 4e-8 / 12 times the fourth
+        # derivative), and the bump's first derivative oracle against a
+        # first difference
         p = make_profile(text)
-        for x in (-0.3, 0.0, 0.21, 0.4):
-            d1 = central_diff(p, x, 1e-6)
-            d2 = central_diff(p.derivative, x, 1e-6)
-            assert p.derivative(x) == pytest.approx(d1, rel=1e-6, abs=1e-8)
-            assert p.second_derivative(x) == pytest.approx(d2, rel=1e-5, abs=1e-7)
+        x = np.array([-0.3, 0.0, 0.21, 0.4])
+        d2 = central_diff(lambda t: central_diff(p, t, 1e-4), x, 1e-4)
+        assert p.second_derivative(x) == pytest.approx(d2, rel=1e-5, abs=1e-6)
+        if text.startswith("bump:"):
+            der = bump_derivative(*p.params.values())
+            assert der(x) == pytest.approx(central_diff(p, x, 1e-6), rel=1e-6, abs=1e-8)
 
     def test_abspow_is_not_differentiable(self):
         p = make_profile("abspow:1,0,0.5")
-        assert p(0.25) == pytest.approx(0.5, rel=1e-14)
-        assert not p.has_derivative
-        assert not p.has_second_derivative
-        with pytest.raises(ConfigError):
-            p.derivative(0.3)
-        with pytest.raises(ConfigError):
-            p.second_derivative(0.3)
+        assert p(np.array([0.25])) == pytest.approx(0.5, rel=1e-14)
+        assert p.second_derivative is None
 
     def test_vectorized_call(self):
-        p = make_profile("gaussian")
-        out = p(np.array([0.0, 1.0]))
-        assert isinstance(out, np.ndarray)
-        assert out[0] == pytest.approx(1.0)
-        assert isinstance(p(0.0), float)
+        # arrays in, arrays of the same shape out, for every profile
+        x = np.array([[0.0, 1.0], [-0.5, 0.25]])
+        for name in profile_names():
+            p = make_profile(name)
+            assert p(x).shape == x.shape
+            if p.second_derivative is not None:
+                assert p.second_derivative(x).shape == x.shape
+        assert make_profile("gaussian")(x)[0, 0] == pytest.approx(1.0)
 
 
 class TestParsing:

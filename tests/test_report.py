@@ -16,7 +16,7 @@ from fraclap.report import (
     emit_svg,
     fit_line,
 )
-from helpers import solve_csv_rows
+from helpers import csv_text, solve_csv_rows
 
 
 def rate_row(s: float, err: float) -> RateRow:
@@ -101,7 +101,7 @@ class TestSweepReport:
 
     def test_csv_schema(self, make_row, header, third, ylabel):
         rep = build_sweep_report([make_row(0.7, 0.3), make_row(0.9, 0.1)], 0.6)
-        lines = rep.to_csv().splitlines()
+        lines = csv_text(rep).splitlines()
         assert lines[0] == header
         assert len(lines) == 4
         assert lines[-1].startswith("# slope=")
@@ -125,7 +125,7 @@ class TestCheckReport:
                 CheckRow(name="b", value=2.0, bound=1.0, passed=False),
             )
         )
-        lines = rep.to_csv().splitlines()
+        lines = csv_text(rep).splitlines()
         assert lines[0] == "name,value,bound,passed"
         assert lines[1].endswith(",true")
         assert lines[2].endswith(",false")
@@ -134,7 +134,7 @@ class TestCheckReport:
 class TestSolveReport:
     def test_long_form_csv(self):
         rep = SolveReport(x=(0.0, 0.5), blocks=((0.5, (1.0, 2.0)), (0.7, (3.0, 4.0))))
-        lines = rep.to_csv().splitlines()
+        lines = csv_text(rep).splitlines()
         assert lines[0] == "s,x,u"
         assert len(lines) == 5
         assert lines[3].split(",")[0] == "0.7"
@@ -148,7 +148,7 @@ class TestSolveReport:
         want = ["s,x,u"] + [
             ",".join("%.12g" % v for v in (s, x, u)) for s, bu in rep.blocks for x, u in zip(rep.x, bu)
         ]
-        assert rep.to_csv() == "\n".join(want) + "\n"
+        assert csv_text(rep) == "\n".join(want) + "\n"
 
     @staticmethod
     def _values(n_random: int, seed: int):
@@ -160,21 +160,21 @@ class TestSolveReport:
         us = self._values(40, 1)
         xs = tuple(np.linspace(-1.0, 1.0, len(us)).tolist())
         blocks = tuple((s, us[::-1] if k % 2 else us) for k, s in enumerate((0.5, 0.7, 0.9, 0.99)))
-        assert SolveReport(x=xs, blocks=blocks).to_csv() == solve_csv_rows(xs, blocks)
+        assert csv_text(SolveReport(x=xs, blocks=blocks)) == solve_csv_rows(xs, blocks)
 
     def test_equal_but_distinct_x_columns_match_row_oracle(self):
         # equal tuples whose zeros differ in sign still print differently
         zeros = ((0.0, 1.0), (-0.0, 1.0))
         blocks = ((0.8, (1.0, 2.0)), (0.9, (1.0, 2.0)))
-        texts = [SolveReport(x=xs, blocks=blocks).to_csv() for xs in zeros]
+        texts = [csv_text(SolveReport(x=xs, blocks=blocks)) for xs in zeros]
         assert zeros[0] == zeros[1] and texts[0] != texts[1]
         assert texts == [solve_csv_rows(xs, blocks) for xs in zeros]
 
     def test_empty_block_matches_row_oracle(self):
         blocks = ((0.5, ()), (0.7, ()), (0.9, ()))
-        assert SolveReport(x=(), blocks=blocks).to_csv() == solve_csv_rows((), blocks)
-        assert SolveReport(x=(), blocks=((0.5, ()),)).to_csv() == "s,x,u\n"
-        assert SolveReport(x=(0.0, 1.0), blocks=()).to_csv() == "s,x,u\n"
+        assert csv_text(SolveReport(x=(), blocks=blocks)) == solve_csv_rows((), blocks)
+        assert csv_text(SolveReport(x=(), blocks=((0.5, ()),))) == "s,x,u\n"
+        assert csv_text(SolveReport(x=(0.0, 1.0), blocks=())) == "s,x,u\n"
 
     def test_mismatched_block_lengths_rejected(self):
         good = (0.5, (2.0, 3.0))
@@ -205,7 +205,7 @@ class TestSolveReport:
         if as_array:
             xs, blocks = np.array(xs), tuple((s, np.array(u)) for s, u in blocks)
         rep = SolveReport(x=xs, blocks=blocks)
-        assert rep.to_csv() == want
+        assert csv_text(rep) == want
         emit_csv(rep, tmp_path / "solve.csv")
         assert (tmp_path / "solve.csv").read_bytes() == want.encode("utf-8")
 
@@ -215,7 +215,7 @@ class TestEmitCsv:
         rep = CheckReport(rows=(CheckRow(name="a", value=0.5, bound=1.0, passed=True),))
         out = tmp_path / "r.csv"
         emit_csv(rep, out)
-        assert out.read_text(encoding="utf-8") == rep.to_csv()
+        assert out.read_bytes() == b"name,value,bound,passed\na,0.5,1,true\n"
 
     def test_unwritable_target(self, tmp_path):
         rep = CheckReport(rows=())

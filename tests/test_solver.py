@@ -197,50 +197,49 @@ class TestStabilityIdentities:
 class TestBallSolution:
     def test_vanishes_outside(self):
         p = FracParams(s=0.5)
-        assert exact_solution_ball(p, 1.0) == 0.0
-        assert exact_solution_ball(p, -3.7) == 0.0
-        out = exact_solution_ball(p, np.array([-2.0, 1.5]))
+        out = exact_solution_ball(p, np.array([[1.0, -3.7], [-2.0, 1.5]]))
+        assert out.shape == (2, 2)
         assert np.all(out == 0.0)
 
     def test_local_limit_amplitude(self):
-        got = exact_solution_ball(FracParams(s=0.999), 0.0)
-        assert got == pytest.approx(0.5, rel=0.02)
+        got = exact_solution_ball(FracParams(s=0.999), np.array([0.0]))
+        assert got[0] == pytest.approx(0.5, rel=0.02)
 
     def test_profile_satisfies_unit_source(self):
         p = FracParams(s=0.6)
         g = lambda t: exact_solution_ball(p, t)
-        for x in (0.0, 0.3):
-            val = frac_laplacian_pointwise(g, p, x)
-            assert val == pytest.approx(1.0, rel=2e-2)
+        val = frac_laplacian_pointwise(g, p, np.array([0.0, 0.3]))
+        assert val == pytest.approx(1.0, rel=2e-2)
 
 
 class TestPointwiseOperator:
     def test_annihilates_constants(self):
         for s in (0.3, 0.5, 0.9):
-            assert frac_laplacian_pointwise(lambda t: 4.0, FracParams(s=s), 0.2) == 0.0
+            assert np.all(frac_laplacian_pointwise(lambda t: 4.0, FracParams(s=s), np.array([0.2, -0.7])) == 0.0)
 
     def test_annihilates_affine(self):
         # the symmetric second difference cancels affine terms; only the
         # rounding of g itself survives under the singular weight
         for s in (0.3, 0.5, 0.9):
             p = FracParams(s=s)
-            got = frac_laplacian_pointwise(lambda t: 2.0 * t - 1.0, p, 0.2)
-            assert abs(got) <= 1e-9
+            got = frac_laplacian_pointwise(lambda t: 2.0 * t - 1.0, p, np.array([0.2, -0.7]))
+            assert np.max(np.abs(got)) <= 1e-9
 
     def test_local_limit_matches_second_derivative(self):
         p = FracParams(s=0.99)
-        g = lambda t: math.exp(-t * t)
-        for x in (0.0, 0.5):
-            want = -(4.0 * x * x - 2.0) * math.exp(-x * x)
-            assert frac_laplacian_pointwise(g, p, x) == pytest.approx(want, abs=0.02)
+        g = lambda t: np.exp(-t * t)
+        xs = np.array([0.0, 0.5])
+        want = -(4.0 * xs * xs - 2.0) * np.exp(-xs * xs)
+        assert frac_laplacian_pointwise(g, p, xs) == pytest.approx(want, abs=0.02)
 
     def test_error_bar(self):
         p = FracParams(s=0.7)
-        g = lambda t: math.exp(-t * t)
-        val, bar = frac_laplacian_pointwise(g, p, 0.0, full_output=True)
-        assert bar > 0.0
-        assert bar < 1e-2
-        assert val == pytest.approx(frac_laplacian_pointwise(g, p, 0.0), rel=1e-14)
+        g = lambda t: np.exp(-t * t)
+        xs = np.array([0.0, 0.4])
+        val, bar = frac_laplacian_pointwise(g, p, xs, full_output=True)
+        assert np.all(bar > 0.0)
+        assert np.all(bar < 1e-2)
+        assert val == pytest.approx(frac_laplacian_pointwise(g, p, xs), rel=1e-14)
 
     @pytest.mark.parametrize("s", [0.6, 0.9, 0.99, 0.995])
     def test_consistency_points_match_gaussian_oracle(self, s):
@@ -260,7 +259,8 @@ class TestPointwiseOperator:
         # 0 without sampling that window's last piece
         g = make_profile("bump:amplitude=8,center=0,width=0.5")
         p = FracParams(s=0.9)
-        x = float(np.linspace(-1.0, 1.0, 103)[21])
+        xs = np.linspace(-1.0, 1.0, 103)[21:22]
+        x = float(xs[0])
         crossings = sorted(abs(x - edge) for edge in (-0.5, 0.5))
         body, _ = quad(
             lambda z: (2.0 * g(x) - g(x + z) - g(x - z)) * z ** (-1.0 - 2.0 * p.s),
@@ -271,17 +271,18 @@ class TestPointwiseOperator:
             limit=400,
         )
         want = 4.0 * norm_const(p) * body
-        val, bar = frac_laplacian_pointwise(g, p, x, full_output=True)
-        assert abs(val - want) <= bar
+        val, bar = frac_laplacian_pointwise(g, p, xs, full_output=True)
+        assert abs(val[0] - want) <= bar[0]
 
-    def test_array_points_match_scalar_calls(self):
+    def test_array_points_match_one_point_calls(self):
         g = make_profile("gaussian")
         p = FracParams(s=0.8)
         xs = np.array([[-0.4, 0.1], [0.3, 0.9]])
         vals, bars = frac_laplacian_pointwise(g, p, xs, full_output=True)
         assert vals.shape == bars.shape == xs.shape
         for x, val, bar in zip(xs.ravel(), vals.ravel(), bars.ravel()):
-            assert frac_laplacian_pointwise(g, p, float(x), full_output=True) == pytest.approx((val, bar), rel=1e-13)
+            one_val, one_bar = frac_laplacian_pointwise(g, p, np.array([x]), full_output=True)
+            assert (one_val[0], one_bar[0]) == pytest.approx((val, bar), rel=1e-13)
 
     @pytest.mark.parametrize("full_output", [False, True])
     def test_point_blocks_bitwise_equal_one_block(self, monkeypatch, full_output):
@@ -306,14 +307,14 @@ class TestPointwiseOperator:
 
     def test_nonfinite_data_rejected(self):
         with pytest.raises(DataError):
-            frac_laplacian_pointwise(lambda t: float("nan"), FracParams(s=0.5), 0.0)
+            frac_laplacian_pointwise(lambda t: float("nan"), FracParams(s=0.5), np.array([0.0]))
 
     def test_nonfinite_sample_anywhere_rejected(self):
         # finite at x, x +- 1 and x +- 50; infinite only near x + 3
         g = lambda t: math.inf if 2.9 < t < 3.1 else math.exp(-t * t)
         with pytest.raises(DataError, match="x=0.0"):
-            frac_laplacian_pointwise(g, FracParams(s=0.5), 0.0)
+            frac_laplacian_pointwise(g, FracParams(s=0.5), np.array([0.0]))
 
     def test_dimension_guard(self):
         with pytest.raises(ConfigError):
-            frac_laplacian_pointwise(lambda t: 0.0, FracParams(s=0.5, d=2), 0.0)
+            frac_laplacian_pointwise(lambda t: 0.0, FracParams(s=0.5, d=2), np.array([0.0]))
