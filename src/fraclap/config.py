@@ -172,6 +172,10 @@ def _validate(cfg: ExperimentConfig) -> None:
                 f"experiment '{cfg.experiment}' needs at least two distinct s >= "
                 f"fit_min_s={cfg.fit_min_s} for its fit, got {len(fitted)}"
             )
+    # a repeated s would print its row twice and count twice in the fit
+    repeats = [s for i, s in enumerate(cfg.s_list) if s in cfg.s_list[:i]]
+    if repeats:
+        raise ConfigError(f"s_list must not repeat a value, got {repeats[0]} twice")
     if cfg.pert_mode not in ("none", "shrinking", "fixed"):
         raise ConfigError(
             f"pert_mode must be none, shrinking, or fixed, got '{cfg.pert_mode}'"

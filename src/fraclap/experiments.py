@@ -37,10 +37,6 @@ from .solver import (
 )
 
 
-def _params(cfg: ExperimentConfig, s: float) -> FracParams:
-    return FracParams(s=s, eps=cfg.eps, d=1)
-
-
 def _sources(cfg: ExperimentConfig, f: GridFunction) -> Iterator[Tuple[float, GridFunction]]:
     """(s, the nonlocal source at s) for each s of cfg: f plus pert_coeff(s)
     times the perturbation sampled on f's grid, or f itself when pert_mode
@@ -96,7 +92,7 @@ def run_rates(cfg: ExperimentConfig) -> SweepReport:
 
     rows: List[RateRow] = []
     for s, f_s in _sources(cfg, f_grid):
-        p = _params(cfg, s)
+        p = FracParams(s=s, eps=cfg.eps)
         u_s, A, b = solve_frac_system(f_s, p)
         u_int = u_s.values[idx]
 
@@ -127,7 +123,7 @@ def run_consistency(cfg: ExperimentConfig) -> SweepReport:
     minus_g2 = -g.second_derivative(xs)
     rows: List[ConsistencyRow] = []
     for s in cfg.s_list:
-        worst = np.max(np.abs(frac_laplacian_pointwise(g, _params(cfg, s), xs) - minus_g2))
+        worst = np.max(np.abs(frac_laplacian_pointwise(g, FracParams(s=s, eps=cfg.eps), xs) - minus_g2))
         rows.append(ConsistencyRow(s=s, max_abs_err=float(worst)))
     return build_sweep_report(rows, cfg.fit_min_s)
 
@@ -254,7 +250,5 @@ def run_solve(cfg: ExperimentConfig) -> SolveReport:
     grid = make_grid(dom, n)
     blocks: List[Tuple[float, np.ndarray]] = []
     for s, f_s in _sources(cfg, sample(dom, n, cfg.f_profile())):
-        p = _params(cfg, s)
-        u = solve_frac_dirichlet(f_s, p)
-        blocks.append((s, u.values))
+        blocks.append((s, solve_frac_dirichlet(f_s, FracParams(s=s, eps=cfg.eps)).values))
     return SolveReport(x=grid.nodes, blocks=tuple(blocks))

@@ -129,15 +129,10 @@ def make_grid(domain: Domain, n: int) -> GridFunction:
 
 
 def _call_on(f: Callable, x: np.ndarray) -> np.ndarray:
-    """f at every entry of the array x: one call on the whole array when f
-    returns an array of x's shape, else one scalar call per entry."""
-    try:
-        vals = np.asarray(f(x), dtype=float)
-        if vals.shape == x.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(t)) for t in x.ravel()]).reshape(x.shape)
+    """f at every entry of the array x by one call on the whole array, its
+    result broadcast to x's shape (so a constant such as lambda x: 1.0
+    serves)."""
+    return np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
 
 
 def sample(domain: Domain, n: int, f: Callable) -> GridFunction:

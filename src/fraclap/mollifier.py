@@ -45,7 +45,7 @@ import numpy.fft  # noqa: F401  numpy imports it lazily; load it with the packag
 from .assembly import ToeplitzOperator, far_kernel, stiffness_kernel
 from .energies import _holder_quotients, objective_local
 from .errors import ConfigError
-from .grid import GridFunction, _product_rows
+from .grid import Domain, GridFunction, _product_rows
 from .kernels import FracParams, eta_t_integrals, norm_const, psi_integrals
 
 _LIMIT_TOL = 1e-9
@@ -143,10 +143,12 @@ def _spectrum(values: np.ndarray, L: int, odd: bool) -> np.ndarray:
 
 
 class _Kernel(NamedTuple):
-    """A stencil's reach L and the rfft of its mirrored kernel at _apply's
-    transform length for rows of one length: the stencil step of _apply."""
+    """A stencil's reach L, its parity, and the rfft of its mirrored kernel
+    at _apply's transform length for rows of one length: the stencil step
+    of _apply."""
 
     L: int
+    odd: bool
     transfer: np.ndarray
 
 
@@ -157,16 +159,16 @@ def _kernel(w: np.ndarray, odd: bool, n: int) -> _Kernel:
     constants then map to exactly zero."""
     L = w.size - 1
     if L == 0:  # no kernel piece: _apply maps every row to zeros
-        return _Kernel(0, np.zeros(0))
+        return _Kernel(0, odd, np.zeros(0))
     if odd:
         tail = np.cumsum(w[:0:-1])[::-1]
         k = np.concatenate((tail[::-1], tail))
     else:
         k = np.concatenate((w[:0:-1], w))
-    return _Kernel(L, np.fft.rfft(k[::-1], _transform_length(n, L, odd)))
+    return _Kernel(L, odd, np.fft.rfft(k[::-1], _transform_length(n, L, odd)))
 
 
-def _apply(values: np.ndarray, kernel: _Kernel, odd: bool, spectra: dict) -> np.ndarray:
+def _apply(values: np.ndarray, kernel: _Kernel, spectra: dict) -> np.ndarray:
     """Correlate each edge-padded row of values (..., n) with the mirrored
     stencil of kernel, its _kernel for rows of n values, by numpy's real
     FFT, keeping the n outputs that circular wraparound cannot reach, as an
@@ -174,7 +176,7 @@ def _apply(values: np.ndarray, kernel: _Kernel, odd: bool, spectra: dict) -> np.
     once.  spectra maps (L, odd) to _spectrum(values, L, odd), made on
     first use: stencils of one reach share one per stack."""
     n = values.shape[-1]
-    L, transfer = kernel
+    L, odd, transfer = kernel
     if L == 0:
         return np.zeros(values.shape)
     if (L, odd) not in spectra:
@@ -190,7 +192,7 @@ def mollify(phi: GridFunction, p: FracParams) -> GridFunction:
     cell); only d = 1 is supported."""
     if p.d != 1:
         raise ConfigError(f"mollify supports d=1 only, got d={p.d}")
-    return phi.with_values(_apply(phi.values, _kernel(_stencil(p, phi.h, 0.0, 1.0, False), False, phi.n), False, {}))
+    return phi.with_values(_apply(phi.values, _kernel(_stencil(p, phi.h, 0.0, 1.0, False), False, phi.n), {}))
 
 
 def _closeness_rows(grid: GridFunction, values: np.ndarray, smoothed: np.ndarray, p: FracParams, d1) -> _Rows:
@@ -229,22 +231,20 @@ def _tail_rows(tail: np.ndarray, mask: np.ndarray, p: FracParams, rho: float, al
     return np.max(np.abs(tail[..., mask]), axis=-1), p.d * p.plateau_scale * holder * (1.0 - p.s) * factor
 
 
-def _ramp(grid: GridFunction, r: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Signed depth of each node of grid in Omega (negative outside) and the
-    competitor's ramp lam = clip(depth / r, 0, 1); the strip width r must
-    lie in (0, |Omega|/2)."""
-    dom = grid.domain
+def _ramp(dom: Domain, x: np.ndarray, r: float) -> np.ndarray:
+    """The competitor's ramp lam = clip(depth / r, 0, 1) at the points x,
+    with depth their signed distance to Omega's complement (negative
+    outside); the strip width r must lie in (0, |Omega|/2)."""
     half = dom.omega_measure / 2.0
     if not (math.isfinite(r) and 0.0 < r < half):
         raise ConfigError(f"strip width r={r} must lie in (0, |Omega|/2={half})")
-    depth = np.minimum(grid.nodes - dom.omega_lo, dom.omega_hi - grid.nodes)
-    return depth, np.clip(depth / r, 0.0, 1.0)
+    return np.clip(np.minimum(x - dom.omega_lo, dom.omega_hi - x) / r, 0.0, 1.0)
 
 
 def _blend(g: GridFunction, smoothed: GridFunction, r: float) -> GridFunction:
     """The boundary competitor w: g outside Omega, the already smoothed
     solution at depth >= r inside, and linear in the depth in between."""
-    _, lam = _ramp(smoothed, r)
+    lam = _ramp(smoothed.domain, smoothed.nodes, r)
     return smoothed.with_values((1.0 - lam) * g.values + lam * smoothed.values)
 
 
@@ -264,16 +264,14 @@ def _strip(grid: GridFunction, r: float):
     offsets t that interpolate a row there (t = 0 in cell [x_j, x_j+1] when
     an end is a node)."""
     x, dom = grid.nodes, grid.domain
-    _, lam = _ramp(grid, r)
     sides = ((dom.omega_lo, dom.omega_lo + r), (dom.omega_hi - r, dom.omega_hi))
     cuts = [np.concatenate(([a], x[(x > a) & (x < b)], [b])) for a, b in sides]
     ends = []
     for piece_end in (np.s_[:-1], np.s_[1:]):
         pts = np.concatenate([c[piece_end] for c in cuts])
         j = np.searchsorted(x, pts, "right") - 1
-        d = np.minimum(pts - dom.omega_lo, dom.omega_hi - pts)
-        ends.append((1.0 - np.clip(d / r, 0.0, 1.0), j, (pts - x[j]) / grid.h))
-    return 1.0 - lam, ends
+        ends.append((1.0 - _ramp(dom, pts, r), j, (pts - x[j]) / grid.h))
+    return 1.0 - _ramp(dom, x, r), ends
 
 
 def _strip_rows(
@@ -369,7 +367,7 @@ def _rows_at_s(
 
     def rows(bumps: np.ndarray, spectra: dict, holder: np.ndarray, d1: np.ndarray) -> Iterator[_SuiteRow]:
         for p, smooth, grad, tail in stencils:
-            smoothed = _apply(bumps, smooth, False, spectra)
+            smoothed = _apply(bumps, smooth, spectra)
             yield ("closeness_l2", *_closeness_rows(grid, bumps, smoothed, p, d1))
             energy = _consistency_rows(h, smoothed, p, d1)
             yield ("energy_consistency", *energy)
@@ -377,8 +375,8 @@ def _rows_at_s(
                 yield ("energy_consistency_eps0", *energy)
             closeness, l2 = _strip_rows(grid, smoothed, p, r, holder, strip)
             del smoothed  # each gradient stack below lives only until its rows are taken
-            yield ("lipschitz_gradient", *_lipschitz_rows(_apply(bumps, grad, True, spectra), mask, p, holder))
-            yield ("tail_bound", *_tail_rows(_apply(bumps, tail, True, spectra), mask, p, rho, s, holder))
+            yield ("lipschitz_gradient", *_lipschitz_rows(_apply(bumps, grad, spectra), mask, p, holder))
+            yield ("tail_bound", *_tail_rows(_apply(bumps, tail, spectra), mask, p, rho, s, holder))
             yield ("strip_closeness", *closeness)
             yield ("strip_l2", *l2)
 

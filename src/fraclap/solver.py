@@ -14,7 +14,6 @@ problem is solved through the closed-form discrete Green's function.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Callable, Tuple
 
 import numpy as np
@@ -39,18 +38,6 @@ _PANELS = 64
 _BLOCK_SAMPLES = 1 << 15
 
 
-def _assemble(grid: GridFunction, p: FracParams) -> Tuple[ToeplitzOperator, np.ndarray]:
-    """The stiffness operator on grid's interior nodes, with their indices."""
-    idx = interior_indices(grid)
-    if p.s > 0.999:
-        warnings.warn(
-            f"s={p.s} is close to 1; the nonlocal matrix is nearly as "
-            "ill-conditioned as the local one at this mesh",
-            RuntimeWarning,
-        )
-    return ToeplitzOperator(stiffness_kernel(p, grid.h, idx.size - 1)), idx
-
-
 def solve_frac_system(
     f_s: GridFunction, p: FracParams
 ) -> Tuple[GridFunction, ToeplitzOperator, np.ndarray]:
@@ -61,7 +48,8 @@ def solve_frac_system(
     each interior hat over Omega.  Returns (u, op, b): the zero-extended
     solution on the full grid, and the interior operator and load it
     solves, so callers can measure errors in the same energy."""
-    op, idx = _assemble(f_s, p)
+    idx = interior_indices(f_s)
+    op = ToeplitzOperator(stiffness_kernel(p, f_s.h, idx.size - 1))
     b = load_vector(f_s)[idx]
     values = np.zeros(f_s.n)
     values[idx] = op.solve(b)
@@ -123,8 +111,8 @@ def frac_laplacian_pointwise(
     full_output: bool = False,
 ):
     """Pointwise nonlocal operator applied to a twice-differentiable g at
-    every point of the array x (one g call for all), as an array of x's
-    shape.
+    every point of the array x (one g call per block of points), as an
+    array of x's shape.
 
     The integrand is the symmetric second difference 2 g(x) - g(x+z) -
     g(x-z), which is O(z^2) and kills affine functions exactly, against

@@ -42,7 +42,6 @@ from fraclap.mollifier import (
     mollify,
 )
 from fraclap.profiles import _bump_pieces, _random_bump_rows, make_profile
-from fraclap.solver import _assemble
 
 # np.trapezoid is numpy >= 2.0; pyproject allows numpy >= 1.24, which has np.trapz
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -332,7 +331,7 @@ def gradient_values(values: np.ndarray, h: float, p: FracParams, t_lo: float, t_
     """Quadrature of the antisymmetric difference of each row (..., n) against
     eta * t over radii [t_lo, t_hi] times plateau_scale; exact for P1 data."""
     w = _stencil(p, h, max(t_lo, 0.0), min(t_hi, 1.0), True)
-    return _apply(values, _kernel(w, True, values.shape[-1]), True, {})
+    return _apply(values, _kernel(w, True, values.shape[-1]), {})
 
 
 def correlate_apply(v: np.ndarray, w: np.ndarray, odd: bool) -> np.ndarray:
@@ -380,7 +379,7 @@ def mollify_gradient(phi: GridFunction, p: FracParams) -> GridFunction:
     """
     if p.d != 1:
         raise ConfigError(f"mollify_gradient supports d=1 only, got d={p.d}")
-    return phi.with_values(_apply(phi.values, _kernel(_stencil(p, phi.h, p.eps, 1.0, True), True, phi.n), True, {}))
+    return phi.with_values(_apply(phi.values, _kernel(_stencil(p, phi.h, p.eps, 1.0, True), True, phi.n), {}))
 
 
 def gradient_loop(phi: GridFunction, p: FracParams, t_lo: float, t_hi: float) -> np.ndarray:
@@ -603,7 +602,8 @@ def assemble_frac(dom: Domain, n: int, p: FracParams) -> assembly.ToeplitzOperat
     """The nonlocal stiffness operator on the interior nodes of n nodes
     over dom's box: op.quad_form(v) is twice the energy of the zero-extended
     P1 function with interior coefficients v."""
-    return _assemble(make_grid(dom, n), p)[0]
+    grid = make_grid(dom, n)
+    return assembly.ToeplitzOperator(stiffness_kernel(p, grid.h, assembly.interior_indices(grid).size - 1))
 
 
 class SupportError(ValueError):

@@ -1,4 +1,3 @@
-import math
 import warnings
 
 import numpy as np
@@ -239,7 +238,7 @@ class TestToeplitz:
     @pytest.mark.parametrize("s", [0.3, 0.6, 0.9, 0.99])
     def test_solve_matches_dense_cholesky(self, n, s):
         op = frac_operator(n, s)
-        b = load_vector(sample(DOM, n, lambda x: 1.0 + 0.5 * math.sin(3.0 * x)))
+        b = load_vector(sample(DOM, n, lambda x: 1.0 + 0.5 * np.sin(3.0 * x)))
         b = b[interior_indices(make_grid(DOM, n))]
         want = cho_solve(cho_factor(toeplitz(op.c)), b)
         got = op.solve(b)
@@ -249,7 +248,7 @@ class TestToeplitz:
     @pytest.mark.parametrize("s", [0.3, 0.6, 0.9, 0.99, 0.999])
     def test_solve_matches_refined_dense_solve(self, n, s):
         op = frac_operator(n, s)
-        b = load_vector(sample(DOM, n, lambda x: 1.0 + 0.5 * math.sin(3.0 * x)))
+        b = load_vector(sample(DOM, n, lambda x: 1.0 + 0.5 * np.sin(3.0 * x)))
         b = b[interior_indices(make_grid(DOM, n))]
         want = refined_dense_solve(op.c, b)
         got = op.solve(b)
@@ -389,7 +388,7 @@ class TestInteriorIndices:
 
 class TestLoadVector:
     def test_against_per_hat_simpson(self):
-        f = sample(DOM, 17, lambda x: math.sin(1.3 * x) + 0.4)
+        f = sample(DOM, 17, lambda x: np.sin(1.3 * x) + 0.4)
         b = load_vector(f)
         lo, hi = DOM.omega_lo, DOM.omega_hi
         for i, xi in enumerate(f.nodes):

@@ -168,6 +168,7 @@ class TestConfigFailures:
             ("eps = nan", "key 'eps': value must be finite, got nan"),
             ("s_list = 0.6, inf", "key 's_list': value must be finite, got inf"),
             ("s_list = ,", "s_list must not be empty"),
+            ("s_list = 0.6, 0.6, 0.9", "s_list must not repeat a value, got 0.6 twice"),
             ("fit_min_s = 1.5", "fit_min_s must lie in (0, 1), got 1.5"),
             ("--out", "cannot create output directory"),
         ],

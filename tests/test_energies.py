@@ -152,7 +152,7 @@ class TestEnergySplitBounds:
         rng = np.random.default_rng(23)
         from fraclap.grid import l2_norm
 
-        f = sample(DOM, 65, lambda x: math.cos(0.5 * math.pi * x))
+        f = sample(DOM, 65, lambda x: np.cos(0.5 * np.pi * x))
         for s in (0.3, 0.5, 0.7, 0.9):
             p = FracParams(s=s)
             cap = 4.0 * norm_const(p) / s
@@ -201,7 +201,7 @@ class TestHolderSeminorm:
 
     def test_square_root_profile(self):
         # |x|^(1/2) attains its 1/2-Holder quotient at pairs through the origin
-        phi = sample(DOM, 65, lambda x: math.sqrt(abs(x)))
+        phi = sample(DOM, 65, lambda x: np.sqrt(np.abs(x)))
         assert holder_seminorm_grid(phi, 0.5) == pytest.approx(1.0, rel=1e-12)
 
     def test_exponent_validation(self):

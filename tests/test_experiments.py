@@ -115,9 +115,9 @@ class TestMollifierCheck:
         steps, transforms = [], []
         apply, rfft = mollifier._apply, np.fft.rfft
 
-        def counted_step(values, w, odd, spectra):
+        def counted_step(values, w, spectra):
             steps.append(values.shape)
-            return apply(values, w, odd, spectra)
+            return apply(values, w, spectra)
 
         def counted_rfft(a, *args, **kwargs):
             transforms.append(np.shape(a))

@@ -129,12 +129,32 @@ class TestSample:
         with np.errstate(divide="ignore"), pytest.raises(DataError, match="node"):
             sample(DOM, 5, lambda x: 1.0 / x)
 
-    def test_scalar_only_callable(self):
-        def f(x):
-            return float(x) + 1.0
+    def test_one_call_on_the_whole_array(self):
+        # an array result is taken as it is, a 0-d one is broadcast
+        for f, want in ((lambda x: x + 1.0, [-1.0, 0.0, 1.0, 2.0, 3.0]), (lambda x: 2.5, [2.5] * 5)):
+            calls = []
+            g = sample(DOM, 5, lambda x: calls.append(x.shape) or f(x))
+            assert calls == [(5,)]
+            assert np.array_equal(g.values, want)
 
-        g = sample(DOM, 5, f)
-        assert np.array_equal(g.values, np.array([-1.0, 0.0, 1.0, 2.0, 3.0]))
+    def test_scalar_only_callable(self):
+        # f sees the whole node array once; its own error propagates, with
+        # no retry per node
+        calls = []
+
+        def to_float(x):
+            calls.append(x.shape)
+            return float(x) + 1.0  # TypeError on an array of 5
+
+        def branch(x):
+            calls.append(x.shape)
+            return 1.0 if x > 0.0 else 0.0  # ValueError: ambiguous truth value
+
+        for f, error in ((to_float, TypeError), (branch, ValueError)):
+            calls.clear()
+            with pytest.raises(error):
+                sample(DOM, 5, f)
+            assert calls == [(5,)]
 
     def test_roundtrip_through_eval(self):
         g = sample(DOM, 33, np.cos)

@@ -410,7 +410,7 @@ class TestFFTApply:
                         x_max = np.max(np.abs(v))
                     pow2 = 1 << (n + 2 * (w.size - 1) - 1).bit_length()
                     tol = 16.0 * math.log2(pow2) * np.finfo(float).eps * k_l1 * x_max
-                    err = np.max(np.abs(_apply(v, _kernel(w, odd, n), odd, {}) - correlate_apply(v, w, odd)))
+                    err = np.max(np.abs(_apply(v, _kernel(w, odd, n), {}) - correlate_apply(v, w, odd)))
                     assert err <= tol
 
     @pytest.mark.parametrize("n", [65, 4097])
@@ -420,11 +420,11 @@ class TestFFTApply:
         p = FracParams(s=0.7, eps=0.1)
         for t_lo, odd in ((0.0, False), (0.1, True), (0.6, True), (1.0, True)):
             w = _kernel(_stencil(p, h, t_lo, 1.0, odd), odd, n)
-            got = _apply(stack, w, odd, {})
+            got = _apply(stack, w, {})
             assert got.shape == stack.shape
             assert got.base is None  # not a view that keeps the transform buffer alive
             for idx in np.ndindex(2, 3):
-                one = _apply(stack[idx], w, odd, {})
+                one = _apply(stack[idx], w, {})
                 assert np.max(np.abs(got[idx] - one)) <= 1e-15 * np.max(np.abs(one))
 
 
@@ -507,7 +507,7 @@ class TestStripRows:
             assert np.count_nonzero(strip & (dist > tol)) > 0
             for eps in (0.0, 0.1, 0.5):
                 p = FracParams(s=s, eps=eps)
-                smoothed = _apply(stack, _kernel(_stencil(p, zero.h, 0.0, 1.0, False), False, n), False, {})
+                smoothed = _apply(stack, _kernel(_stencil(p, zero.h, 0.0, 1.0, False), False, n), {})
                 (sup, sup_rhs), (l2, l2_rhs) = _strip_rows(zero, smoothed, p, r, holder, _strip(zero, r))
                 near = (1.0 - s) / (1.0 - eps ** (2.0 - 2.0 * s))
                 for i, phi in enumerate(phis):
@@ -538,7 +538,7 @@ class TestStripRows:
         stack = _random_bump_rows(_PCG64(1), DOM, n, 100)
         p = FracParams(s=s)
         r = (1.0 - s) ** (1.0 / s)
-        smoothed = _apply(stack, _kernel(_stencil(p, grid.h, 0.0, 1.0, False), False, n), False, {})
+        smoothed = _apply(stack, _kernel(_stencil(p, grid.h, 0.0, 1.0, False), False, n), {})
         (sup, _), _ = _strip_rows(grid, smoothed, p, r, 1.0, _strip(grid, r))
         loop = np.array([strip_sup_loop(grid, row, r) for row in smoothed])
         sampled = np.array([strip_sup_sampled(grid, row, r) for row in smoothed])
@@ -546,7 +546,8 @@ class TestStripRows:
         assert np.all(sampled <= loop * (1.0 + 1e-15))
         slope = np.max(np.abs(np.diff(smoothed, axis=-1)), axis=-1) / grid.h
         assert np.all(loop - sampled <= slope / r * (2.0 / 200_000) ** 2 / 4.0)
-        depth, lam = _ramp(grid, r)
+        depth = np.minimum(grid.nodes - DOM.omega_lo, DOM.omega_hi - grid.nodes)
+        lam = _ramp(DOM, grid.nodes, r)
         nodal = np.max(np.abs((1.0 - lam) * smoothed)[:, (depth >= 0.0) & (depth <= r)], axis=-1)
         assert np.max(sup / nodal) > 1.01
 

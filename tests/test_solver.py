@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -40,10 +38,6 @@ class TestAssembly:
         a = toeplitz(op.c)
         assert a.shape == (31, 31)
         assert np.linalg.eigvalsh(a).min() > 0.0
-
-    def test_near_one_warns(self):
-        with pytest.warns(RuntimeWarning):
-            assemble_frac(DOM, 33, FracParams(s=0.9995))
 
     def test_dimension_guard(self):
         with pytest.raises(ConfigError):
@@ -287,23 +281,35 @@ class TestPointwiseOperator:
     @pytest.mark.parametrize("full_output", [False, True])
     def test_point_blocks_bitwise_equal_one_block(self, monkeypatch, full_output):
         # the consistency experiment's 101 points span several blocks; one
-        # block holding them all gives the same bits, and g sees no call
-        # larger than one block
+        # block holding them all gives the same bits, and g sees one call
+        # per block, on all its points' offsets, and none larger than one
+        # block
         g = make_profile("bump:amplitude=8,center=0,width=0.5")
         p = FracParams(s=0.9)
         xs = np.linspace(-1.0, 1.0, 103)[1:-1]
-        sizes = []
+        shapes = []
 
         def counted(t):
-            sizes.append(np.size(t))
+            shapes.append(t.shape)
             return g(t)
 
         blocked = frac_laplacian_pointwise(counted, p, xs, full_output=full_output)
-        assert len(sizes) > 1
-        assert max(sizes) <= solver._BLOCK_SAMPLES
+        assert len(shapes) > 1 and sum(rows for rows, _ in shapes) == xs.size
+        assert max(rows * offsets for rows, offsets in shapes) <= solver._BLOCK_SAMPLES
         monkeypatch.setattr(solver, "_BLOCK_SAMPLES", 1 << 40)
         whole = frac_laplacian_pointwise(g, p, xs, full_output=full_output)
         assert np.array_equal(blocked, whole)
+
+    def test_own_error_propagates_after_one_call(self):
+        calls = []
+
+        def scalar_only(t):
+            calls.append(t.shape)
+            return float(t)  # TypeError on an array of more than one entry
+
+        with pytest.raises(TypeError):
+            frac_laplacian_pointwise(scalar_only, FracParams(s=0.5), np.array([0.0]))
+        assert len(calls) == 1
 
     def test_nonfinite_data_rejected(self):
         with pytest.raises(DataError):
@@ -311,7 +317,7 @@ class TestPointwiseOperator:
 
     def test_nonfinite_sample_anywhere_rejected(self):
         # finite at x, x +- 1 and x +- 50; infinite only near x + 3
-        g = lambda t: math.inf if 2.9 < t < 3.1 else math.exp(-t * t)
+        g = lambda t: np.where((2.9 < t) & (t < 3.1), np.inf, np.exp(-t * t))
         with pytest.raises(DataError, match="x=0.0"):
             frac_laplacian_pointwise(g, FracParams(s=0.5), np.array([0.0]))
 
