@@ -8,7 +8,6 @@ operator values approach their classical counterparts as s approaches 1.
 
 from .assembly import ToeplitzOperator
 from .config import EXPERIMENTS, ExperimentConfig, parse_config, with_overrides
-from .energies import dirichlet_local, objective_local
 from .errors import ConfigError, DataError, NumericalError, ShapeError
 from .experiments import (
     run_consistency,
@@ -17,7 +16,7 @@ from .experiments import (
     run_rates,
     run_solve,
 )
-from .grid import Domain, GridFunction, l2_norm, make_grid, product_integral, sample
+from .grid import Domain, GridFunction, dirichlet_local, l2_norm, make_grid, objective_local, product_integral, sample
 from .kernels import (
     FracParams,
     classical_const,
@@ -40,12 +39,7 @@ from .report import (
     emit_svg,
     fit_line,
 )
-from .solver import (
-    exact_solution_ball,
-    frac_laplacian_pointwise,
-    solve_frac_dirichlet,
-    solve_local_dirichlet,
-)
+from .solver import exact_solution_ball, frac_laplacian_pointwise, solve_local_dirichlet
 
 __version__ = "0.1.0"
 
@@ -93,7 +87,6 @@ __all__ = [
     "run_rates",
     "run_solve",
     "sample",
-    "solve_frac_dirichlet",
     "solve_local_dirichlet",
     "sphere_measure",
     "with_overrides",

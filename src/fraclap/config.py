@@ -5,13 +5,12 @@ loudly instead of silently running defaults.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import Dict, Iterable, NamedTuple, Tuple, Union
 
 from .errors import ConfigError
 from .grid import Domain
-from .profiles import Profile, make_profile
+from .profiles import Profile, _parse_number, make_profile
 
 EXPERIMENTS = ("kernel_check", "mollifier_check", "solve", "consistency", "rates")
 
@@ -25,12 +24,10 @@ class ExperimentConfig(NamedTuple):
     experiment: str
     s_list: Tuple[float, ...]
     n: int = 513
-    eps: float = 0.0
     omega_lo: float = -1.0
     omega_hi: float = 1.0
     box_lo: float = -2.0
     box_hi: float = 2.0
-    r_rule: str = "paper"
     f_spec: str = "constant:1"
     g_spec: str = "gaussian"
     pert_mode: str = "none"
@@ -54,9 +51,8 @@ class ExperimentConfig(NamedTuple):
         return make_profile(self.pert_profile)
 
     def r_value(self, s: float) -> float:
-        if self.r_rule == "paper":
-            return (1.0 - s) ** (1.0 / s)
-        return float(self.r_rule.split(":", 1)[1])
+        """The paper's boundary-strip width (1 - s)**(1/s)."""
+        return (1.0 - s) ** (1.0 / s)
 
     def pert_coeff(self, s: float) -> float:
         if self.pert_mode == "none":
@@ -73,16 +69,6 @@ def _check_known(keys: Iterable[str]) -> None:
     unknown = sorted(set(keys) - set(ExperimentConfig._fields))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-
-
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        v = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"key '{key}': bad number '{raw}'") from exc
-    if not math.isfinite(v):
-        raise ConfigError(f"key '{key}': value must be finite, got {raw}")
-    return v
 
 
 def _parse_int(key: str, raw: str) -> int:
@@ -123,14 +109,16 @@ def parse_config(path: Union[str, Path]) -> ExperimentConfig:
     kwargs: Dict[str, object] = {}
     for key, raw in pairs.items():
         if key == "s_list":
-            items = [t.strip() for t in raw.split(",") if t.strip()]
-            if not items:
+            items = [t.strip() for t in raw.split(",")]
+            if not any(items):
                 raise ConfigError("s_list must not be empty")
-            kwargs[key] = tuple(_parse_float("s_list", t) for t in items)
+            if not all(items):
+                raise ConfigError(f"empty item in s_list '{raw}'")
+            kwargs[key] = tuple(_parse_number(t, "key 's_list'") for t in items)
         elif key in ("n", "seed"):
             kwargs[key] = _parse_int(key, raw)
-        elif key in ("eps", "omega_lo", "omega_hi", "box_lo", "box_hi", "pert_scale", "fit_min_s"):
-            kwargs[key] = _parse_float(key, raw)
+        elif key in ("omega_lo", "omega_hi", "box_lo", "box_hi", "pert_scale", "fit_min_s"):
+            kwargs[key] = _parse_number(raw, f"key '{key}'")
         else:
             kwargs[key] = raw
     cfg = ExperimentConfig(**kwargs)  # type: ignore[arg-type]
@@ -158,8 +146,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"n must be at least 33, got {cfg.n}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
-    if not 0.0 <= cfg.eps < 1.0:
-        raise ConfigError(f"eps must lie in [0, 1), got {cfg.eps}")
     if not cfg.output_dir:
         raise ConfigError("output_dir must not be empty")
     if not 0.0 < cfg.fit_min_s < 1.0:
@@ -180,13 +166,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"pert_mode must be none, shrinking, or fixed, got '{cfg.pert_mode}'"
         )
-    if cfg.r_rule != "paper":
-        head, sep, tail = cfg.r_rule.partition(":")
-        if head != "fixed" or not sep:
-            raise ConfigError(f"r_rule must be one of paper or fixed:<value>, got '{cfg.r_rule}'")
-        v = _parse_float("r_rule", tail)
-        if v <= 0.0:
-            raise ConfigError(f"r_rule fixed value must be positive, got {v}")
     try:
         dom = cfg.domain
     except ConfigError as exc:
@@ -198,8 +177,8 @@ def _validate(cfg: ExperimentConfig) -> None:
             r = cfg.r_value(s)
             if not r < dom.omega_measure / 2.0:
                 raise ConfigError(
-                    f"r_rule '{cfg.r_rule}' gives strip width r={r} at s={s}, "
-                    f"which must be below half of |Omega|={dom.omega_measure}"
+                    f"strip width r=(1-s)**(1/s)={r} at s={s} must be below "
+                    f"half of |Omega|={dom.omega_measure}"
                 )
     for builder in (cfg.f_profile, cfg.g_profile, cfg.pert):
         builder()

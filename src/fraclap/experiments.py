@@ -29,12 +29,7 @@ from .report import (
     build_sweep_report,
     fit_line,
 )
-from .solver import (
-    frac_laplacian_pointwise,
-    solve_frac_dirichlet,
-    solve_frac_system,
-    solve_local_dirichlet,
-)
+from .solver import frac_laplacian_pointwise, solve_frac_system, solve_local_dirichlet
 
 
 def _sources(cfg: ExperimentConfig, f: GridFunction) -> Iterator[Tuple[float, GridFunction]]:
@@ -92,7 +87,7 @@ def run_rates(cfg: ExperimentConfig) -> SweepReport:
 
     rows: List[RateRow] = []
     for s, f_s in _sources(cfg, f_grid):
-        p = FracParams(s=s, eps=cfg.eps)
+        p = FracParams(s=s)
         u_s, A, b = solve_frac_system(f_s, p)
         u_int = u_s.values[idx]
 
@@ -123,7 +118,7 @@ def run_consistency(cfg: ExperimentConfig) -> SweepReport:
     minus_g2 = -g.second_derivative(xs)
     rows: List[ConsistencyRow] = []
     for s in cfg.s_list:
-        worst = np.max(np.abs(frac_laplacian_pointwise(g, FracParams(s=s, eps=cfg.eps), xs) - minus_g2))
+        worst = np.max(np.abs(frac_laplacian_pointwise(g, FracParams(s=s), xs) - minus_g2))
         rows.append(ConsistencyRow(s=s, max_abs_err=float(worst)))
     return build_sweep_report(rows, cfg.fit_min_s)
 
@@ -250,5 +245,5 @@ def run_solve(cfg: ExperimentConfig) -> SolveReport:
     grid = make_grid(dom, n)
     blocks: List[Tuple[float, np.ndarray]] = []
     for s, f_s in _sources(cfg, sample(dom, n, cfg.f_profile())):
-        blocks.append((s, solve_frac_dirichlet(f_s, FracParams(s=s, eps=cfg.eps)).values))
+        blocks.append((s, solve_frac_system(f_s, FracParams(s=s))[0].values))
     return SolveReport(x=grid.nodes, blocks=tuple(blocks))

@@ -9,6 +9,7 @@ box; several operators in this package integrate over such neighborhoods.
 Grid functions are P1: values at the uniform nodes, linear in between, and
 extended by their boundary value outside the box (constant extension).  A
 function that vanishes at the box ends is therefore extended by zero.
+Their products, L2 norms and local Dirichlet energy are integrated exactly.
 """
 
 from __future__ import annotations
@@ -123,8 +124,6 @@ class GridFunction:
 
 def make_grid(domain: Domain, n: int) -> GridFunction:
     """Zero grid function on n uniform nodes over the domain's box."""
-    if n < 3:
-        raise ConfigError(f"need at least 3 nodes, got n={n}")
     return GridFunction(domain, n, np.zeros(n))
 
 
@@ -162,6 +161,19 @@ def product_integral(phi: GridFunction, psi: GridFunction, region: str = "box") 
     restricted to the region (cells clipped exactly)."""
     phi._check_same_grid(psi)
     return float(_product_rows(phi, phi.values, psi.values, region))
+
+
+def dirichlet_local(phi: GridFunction) -> float:
+    """Half the integral of the squared gradient of the interpolant:
+    (1/2) sum over cells of h (dv/h)^2."""
+    dv = np.diff(phi.values)
+    return 0.5 * float(dv @ dv) / phi.h
+
+
+def objective_local(phi: GridFunction, f: GridFunction) -> float:
+    """Local objective: gradient energy minus the exact load over the
+    interval."""
+    return dirichlet_local(phi) - product_integral(phi, f, region="omega")
 
 
 def _product_rows(grid: GridFunction, p: np.ndarray, q: np.ndarray, region: str) -> np.ndarray:

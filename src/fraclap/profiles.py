@@ -8,6 +8,7 @@ the catalog closed makes configs reproducible without an expression parser.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -149,7 +150,7 @@ def make_profile(text: str) -> Profile:
                         f"unknown parameter '{key}' for profile '{name}'; "
                         f"expected one of: {', '.join(k for k, _ in order)}"
                     )
-                params[key] = _parse_number(raw, text)
+                params[key] = _parse_number(raw, f"profile '{text}'")
             else:
                 if seen_named:
                     raise ConfigError(
@@ -157,16 +158,20 @@ def make_profile(text: str) -> Profile:
                     )
                 if pos >= len(order):
                     raise ConfigError(f"too many parameters for profile '{name}'")
-                params[order[pos][0]] = _parse_number(item, text)
+                params[order[pos][0]] = _parse_number(item, f"profile '{text}'")
                 pos += 1
     return factory(params)
 
 
-def _parse_number(raw: str, context: str) -> float:
+def _parse_number(raw: str, where: str) -> float:
+    """raw as a finite float; where names it in the ConfigError otherwise."""
     try:
-        return float(raw)
+        v = float(raw)
     except ValueError as exc:
-        raise ConfigError(f"bad numeric value '{raw.strip()}' in profile '{context}'") from exc
+        raise ConfigError(f"{where}: bad number '{raw.strip()}'") from exc
+    if not math.isfinite(v):
+        raise ConfigError(f"{where}: value must be finite, got {raw.strip()}")
+    return v
 
 
 _M32 = 0xFFFFFFFF

@@ -56,11 +56,6 @@ def solve_frac_system(
     return f_s.with_values(values), op, b
 
 
-def solve_frac_dirichlet(f_s: GridFunction, p: FracParams) -> GridFunction:
-    """The zero-extended solution of solve_frac_system alone."""
-    return solve_frac_system(f_s, p)[0]
-
-
 def solve_local_dirichlet(f: GridFunction) -> GridFunction:
     """Galerkin solution of the gradient-energy problem on f's grid; nodally
     exact in 1d for the continuous problem with the same data.

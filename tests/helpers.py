@@ -22,7 +22,6 @@ from scipy.linalg import cho_factor, cho_solve, toeplitz
 
 from fraclap import assembly
 from fraclap.assembly import _gauss_legendre, far_kernel, stiffness_kernel
-from fraclap.energies import _holder_quotients
 from fraclap.errors import ConfigError
 from fraclap.grid import Domain, GridFunction, _clip_bounds, make_grid, product_integral, sample
 from fraclap.kernels import FracParams, eta_t_integrals, norm_const, psi_integrals
@@ -31,6 +30,7 @@ from fraclap.mollifier import (
     _closeness_rows,
     _consistency_rows,
     _apply,
+    _holder_quotients,
     _kernel,
     _lipschitz_rows,
     _partition,
@@ -528,7 +528,7 @@ def lag_maxima(values: np.ndarray) -> np.ndarray:
 
 def holder_quotient(lags: np.ndarray, h: float, beta: float) -> np.ndarray:
     """Max over k of lags[..., k-1] / (k h)**beta, from lag_maxima: the full
-    lag scan (reference for energies._holder_quotients, which must return
+    lag scan (reference for mollifier._holder_quotients, which must return
     the same floats)."""
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")

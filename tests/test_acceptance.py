@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 
 from fraclap.config import ExperimentConfig
-from fraclap.energies import dirichlet_local, objective_local
 from fraclap.experiments import (
     run_consistency,
     run_kernel_check,
     run_mollifier_check,
     run_rates,
 )
-from fraclap.grid import Domain, sample
+from fraclap.grid import Domain, dirichlet_local, objective_local, sample
 from fraclap.kernels import FracParams, classical_const, const_ratio, norm_const
 from fraclap.mollifier import energy_gap
 from fraclap.profiles import make_profile
@@ -27,7 +26,7 @@ from fraclap.report import fit_line
 from fraclap.solver import (
     exact_solution_ball,
     frac_laplacian_pointwise,
-    solve_frac_dirichlet,
+    solve_frac_system,
     solve_local_dirichlet,
 )
 from helpers import (
@@ -131,7 +130,7 @@ class TestAcceptance:
 
         for s in (0.35, 0.6):
             p = FracParams(s=s)
-            u_s = solve_frac_dirichlet(f, p)
+            u_s = solve_frac_system(f, p)[0]
             base = objective_frac(u_s, f, p)
             for phi in trials:
                 gap = objective_frac(phi, f, p) - base
@@ -156,7 +155,7 @@ class TestAcceptance:
             errs = []
             for n in ladder:
                 f = sample(DOM, n, lambda x: 1.0)
-                u = solve_frac_dirichlet(f, p)
+                u = solve_frac_system(f, p)[0]
                 ref = u.with_values(exact_solution_ball(p, u.nodes))
                 errs.append(linf_distance(u, ref, "box"))
             assert all(a > b for a, b in zip(errs, errs[1:])), (s, errs)
@@ -287,7 +286,7 @@ class TestAcceptance:
         worst_margin = 0.0
         for s in (0.5, 0.7, 0.9):
             p = FracParams(s=s)
-            u = solve_frac_dirichlet(f, p)
+            u = solve_frac_system(f, p)[0]
             hold = holder_seminorm_grid(u, s)
             for r in (0.2, 0.1, 0.05):
                 for check in (check_strip_closeness, check_strip_l2):
@@ -298,7 +297,7 @@ class TestAcceptance:
         gaps = []
         for s in RATE_S:
             p = FracParams(s=s)
-            u = solve_frac_dirichlet(f, p)
+            u = solve_frac_system(f, p)[0]
             r = (1.0 - s) ** (1.0 / s)
             gaps.append(energy_gap(u, g, f, p, r))
         slope, _, _ = fit_line(

@@ -13,9 +13,8 @@ from fraclap.assembly import (
     load_vector,
     stiffness_kernel,
 )
-from fraclap.energies import dirichlet_local
 from fraclap.errors import ConfigError, NumericalError
-from fraclap.grid import Domain, l2_norm, make_grid, sample
+from fraclap.grid import Domain, dirichlet_local, l2_norm, make_grid, sample
 from fraclap.kernels import FracParams
 from fraclap.solver import solve_local_dirichlet
 from helpers import (

@@ -7,7 +7,7 @@ from fraclap.errors import ConfigError, ShapeError
 from fraclap.grid import Domain, sample
 from fraclap.kernels import FracParams
 from fraclap.mollifier import _ramp, _strip, _strip_rows, energy_gap, mollify
-from fraclap.solver import solve_frac_dirichlet
+from fraclap.solver import solve_frac_system
 from helpers import (
     build_w,
     check_strip_closeness,
@@ -26,7 +26,7 @@ def zero(n: int):
 
 def solved(n: int, s: float):
     f = sample(DOM, n, lambda x: 1.0)
-    return solve_frac_dirichlet(f, FracParams(s=s))
+    return solve_frac_system(f, FracParams(s=s))[0]
 
 
 class TestStripWidth:
@@ -172,7 +172,7 @@ class TestEnergyGap:
         f = sample(DOM, n, lambda x: 1.0)
         gaps = []
         for s in (0.6, 0.8, 0.95):
-            u = solve_frac_dirichlet(f, FracParams(s=s))
+            u = solve_frac_system(f, FracParams(s=s))[0]
             r = (1.0 - s) ** (1.0 / s)
             gaps.append(energy_gap(u, zero(n), f, FracParams(s=s), r))
         assert gaps[0] > gaps[1] > gaps[2] > 0.0

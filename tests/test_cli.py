@@ -121,7 +121,6 @@ class TestConfigFailures:
     @pytest.mark.parametrize(
         "extra",
         [
-            "r_rule = fixed:1.5\n",
             # the paper rule gives r = 0.4**(1/0.6) = 0.217 at s = 0.6
             "omega_lo = -0.1\nomega_hi = 0.1\nbox_lo = -1.1\nbox_hi = 1.1\n",
         ],
@@ -135,7 +134,7 @@ class TestConfigFailures:
             cfg = write_cfg(tmp_path, text + extra)
             assert cli.main([command, "--config", cfg]) == 2
             err = capsys.readouterr().err
-            assert "r_rule" in err and "s=0.6" in err
+            assert f"r=(1-s)**(1/s)={0.4 ** (1 / 0.6)} at s=0.6" in err and "|Omega|=0.2" in err
             assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -165,9 +164,13 @@ class TestConfigFailures:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ("eps = nan", "key 'eps': value must be finite, got nan"),
+            ("pert_scale = nan", "key 'pert_scale': value must be finite, got nan"),
             ("s_list = 0.6, inf", "key 's_list': value must be finite, got inf"),
             ("s_list = ,", "s_list must not be empty"),
+            ("s_list = 0.6,, 0.8,", "empty item in s_list '0.6,, 0.8,'"),
+            ("f_spec = constant:nan", "profile 'constant:nan': value must be finite, got nan"),
+            ("f_spec = gaussian:center=inf", "profile 'gaussian:center=inf': value must be finite, got inf"),
+            ("f_spec = bump:width=inf", "profile 'bump:width=inf': value must be finite, got inf"),
             ("s_list = 0.6, 0.6, 0.9", "s_list must not repeat a value, got 0.6 twice"),
             ("fit_min_s = 1.5", "fit_min_s must lie in (0, 1), got 1.5"),
             ("--out", "cannot create output directory"),

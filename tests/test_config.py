@@ -20,7 +20,6 @@ class TestParsing:
         assert cfg.experiment == "rates"
         assert cfg.s_list == (0.6, 0.7)
         assert cfg.n == 513
-        assert cfg.eps == 0.0
         assert cfg.seed == 42
         assert cfg.output_dir == "out"
         assert cfg.domain.omega_lo == -1.0
@@ -99,12 +98,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="33"):
             parse_config(write(tmp_path, MINIMAL + "n = 17\n"))
 
-    def test_eps_range(self, tmp_path):
-        with pytest.raises(ConfigError):
-            parse_config(write(tmp_path, MINIMAL + "eps = 1.0\n"))
-        cfg = parse_config(write(tmp_path, MINIMAL + "eps = 0.9\n"))
-        assert cfg.eps == 0.9
-
     def test_domain_margin(self, tmp_path):
         with pytest.raises(ConfigError, match="domain"):
             parse_config(write(tmp_path, MINIMAL + "box_lo = -1.5\n"))
@@ -126,21 +119,20 @@ class TestRules:
         s = 0.6
         assert cfg.r_value(s) == pytest.approx((1.0 - s) ** (1.0 / s), rel=1e-14)
 
-    def test_r_rule_fixed(self, tmp_path):
-        cfg = parse_config(write(tmp_path, MINIMAL + "r_rule = fixed:0.125\n"))
-        assert cfg.r_value(0.6) == 0.125
-        assert cfg.r_value(0.9) == 0.125
-
-    def test_r_rule_rejects_bad_values(self, tmp_path):
-        with pytest.raises(ConfigError):
-            parse_config(write(tmp_path, MINIMAL + "r_rule = fixed:0\n"))
-        with pytest.raises(ConfigError):
-            parse_config(write(tmp_path, MINIMAL + "r_rule = tiny\n"))
-
     def test_rho_rules(self, tmp_path):
         # mollifier-check's tail radius is a constant, not a config key
         with pytest.raises(ConfigError, match="unknown config keys: rho_rule"):
             parse_config(write(tmp_path, MINIMAL + "rho_rule = log\n"))
+
+    @pytest.mark.parametrize("line", ["eps = 0.0", "r_rule = paper"])
+    def test_eps_and_r_rule_are_unknown(self, tmp_path, capsys, line):
+        # the solves use the plain kernel (eps = 0) and the strip width is
+        # always the paper rule; mollifier-check sweeps its own eps
+        out = tmp_path / "out"
+        cfg = write(tmp_path, MINIMAL + f"{line}\noutput_dir = {out}\n")
+        assert cli.main(["rates", "--config", str(cfg)]) == 2
+        assert f"unknown config keys: {line.split()[0]}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pert_coefficients(self, tmp_path):
         cfg = parse_config(write(tmp_path, MINIMAL))

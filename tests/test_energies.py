@@ -3,14 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fraclap import assembly, energies
-from fraclap.energies import (
-    _holder_quotients,
-    dirichlet_local,
-    objective_local,
-)
-from fraclap.grid import Domain, make_grid, sample
+from fraclap import assembly, mollifier
+from fraclap.grid import Domain, dirichlet_local, make_grid, objective_local, sample
 from fraclap.kernels import FracParams, norm_const
+from fraclap.mollifier import _holder_quotients
 from fraclap.profiles import _random_bump_rows, make_profile
 from helpers import (
     SupportError,
@@ -305,7 +301,7 @@ class TestHolderQuotients:
         # a ramp through 0: D(21) exceeds the rounded sums D(20) + D(1) and
         # D(16) + D(5) that bound it by one ulp, and at beta = 1 - 3 * 2**-53
         # lag 21 holds the largest quotient, one ulp above the next.  Without
-        # the margin of energies._ROUND the refinement prunes lag 21
+        # the margin of mollifier._ROUND the refinement prunes lag 21
         row = 1.85 * np.arange(-12.0, 12.0)
         beta = 1.0 - 3.0 * 2.0**-53
         lags = lag_maxima(row)
@@ -313,7 +309,7 @@ class TestHolderQuotients:
         want = holder_quotient(lags, 1.0, beta)
         assert want == lags[20] / 21.0**beta
         assert _holder_quotients(row, 1.0, (beta,))[0] == want
-        monkeypatch.setattr(energies, "_ROUND", 1.0)
+        monkeypatch.setattr(mollifier, "_ROUND", 1.0)
         assert _holder_quotients(row, 1.0, (beta,))[0] < want
 
     def test_exponent_validation(self):

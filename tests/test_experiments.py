@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fraclap import cli, energies, experiments, mollifier
+from fraclap import cli, experiments, mollifier
 from fraclap.assembly import ToeplitzOperator
 from fraclap.config import ExperimentConfig, parse_config
 from fraclap.errors import ConfigError, NumericalError
@@ -145,13 +145,12 @@ class TestMollifierCheck:
         # the lag maxima of the bump stack do not depend on s, so a run over
         # s = 0.5, 0.9 scans the lags once for both exponents
         calls = []
-        scan = energies._holder_quotients
+        scan = mollifier._holder_quotients
 
         def counted(values, h, betas):
             calls.append((values.shape, tuple(betas)))
             return scan(values, h, betas)
 
-        monkeypatch.setattr(energies, "_holder_quotients", counted)
         monkeypatch.setattr(mollifier, "_holder_quotients", counted)
         cfg = cfg_from(tmp_path, "experiment = mollifier_check\ns_list = 0.5, 0.9\nn = 65\n")
         assert run_mollifier_check(cfg).passed
@@ -167,7 +166,7 @@ class TestMollifierCheck:
         # and transformed once per parity; each of the 18 stencil kernels
         # is transformed once per run
         scans, transforms = [], []
-        scan, rfft = energies._holder_quotients, np.fft.rfft
+        scan, rfft = mollifier._holder_quotients, np.fft.rfft
 
         def counted_scan(values, h, betas):
             scans.append((values.shape, tuple(betas)))

@@ -5,15 +5,14 @@ from scipy.linalg import toeplitz
 
 from fraclap import solver
 from fraclap.assembly import interior_indices
-from fraclap.energies import dirichlet_local, objective_local
 from fraclap.errors import ConfigError, DataError
-from fraclap.grid import Domain, make_grid, sample
+from fraclap.grid import Domain, dirichlet_local, make_grid, objective_local, sample
 from fraclap.kernels import FracParams, norm_const
 from fraclap.profiles import make_profile
 from fraclap.solver import (
     exact_solution_ball,
     frac_laplacian_pointwise,
-    solve_frac_dirichlet,
+    solve_frac_system,
     solve_local_dirichlet,
 )
 from helpers import (
@@ -84,7 +83,7 @@ class TestAssembly:
 
 class TestFracSolve:
     def test_zero_load(self):
-        u = solve_frac_dirichlet(const_f(65, 0.0), FracParams(s=0.5))
+        u = solve_frac_system(const_f(65, 0.0), FracParams(s=0.5))[0]
         assert np.all(u.values == 0.0)
 
     def test_linearity(self):
@@ -92,13 +91,13 @@ class TestFracSolve:
         rng = np.random.default_rng(61)
         f1 = random_bump(rng, DOM, 65)
         f2 = random_bump(rng, DOM, 65)
-        u1 = solve_frac_dirichlet(f1, p)
-        u2 = solve_frac_dirichlet(f2, p)
-        u12 = solve_frac_dirichlet(f1 + f2, p)
+        u1 = solve_frac_system(f1, p)[0]
+        u2 = solve_frac_system(f2, p)[0]
+        u12 = solve_frac_system(f1 + f2, p)[0]
         assert np.allclose(u12.values, u1.values + u2.values, rtol=1e-12, atol=1e-14)
 
     def test_zero_outside_omega(self):
-        u = solve_frac_dirichlet(const_f(65), FracParams(s=0.5))
+        u = solve_frac_system(const_f(65), FracParams(s=0.5))[0]
         outside = np.abs(u.nodes) >= 1.0 - 1e-12
         assert np.all(u.values[outside] == 0.0)
 
@@ -106,7 +105,7 @@ class TestFracSolve:
         p = FracParams(s=0.6)
         errs = []
         for n in (129, 257, 513):
-            u = solve_frac_dirichlet(const_f(n), p)
+            u = solve_frac_system(const_f(n), p)[0]
             ref = u.with_values(exact_solution_ball(p, u.nodes))
             errs.append(linf_distance(u, ref, "box"))
         assert errs[0] > errs[1] > errs[2]
@@ -119,7 +118,7 @@ class TestFracSolve:
         p = FracParams(s=s)
         errs = []
         for n in (1025, 4097, 16385):
-            u = solve_frac_dirichlet(const_f(n), p)
+            u = solve_frac_system(const_f(n), p)[0]
             ref = u.with_values(exact_solution_ball(p, u.nodes))
             errs.append(linf_distance(u, ref, "box"))
         assert errs[0] > errs[1] > errs[2]
@@ -129,14 +128,14 @@ class TestFracSolve:
         f = random_bump(rng, DOM, 129)
         f = f.with_values(np.abs(f.values))
         for s in (0.3, 0.7):
-            u = solve_frac_dirichlet(f, FracParams(s=s))
+            u = solve_frac_system(f, FracParams(s=s))[0]
             assert u.values.min() >= -1e-12
 
     def test_galerkin_minimality(self):
         p = FracParams(s=0.55)
         rng = np.random.default_rng(63)
         f = random_bump(rng, DOM, 65)
-        u = solve_frac_dirichlet(f, p)
+        u = solve_frac_system(f, p)[0]
         base = objective_frac(u, f, p)
         for _ in range(5):
             w = random_bump(rng, DOM, 65)
@@ -167,7 +166,7 @@ class TestStabilityIdentities:
         n = 257
         rng = np.random.default_rng(71)
         f = random_bump(rng, DOM, n)
-        u = solve_frac_dirichlet(f, p)
+        u = solve_frac_system(f, p)[0]
         base = objective_frac(u, f, p)
         for _ in range(5):
             phi = random_bump(rng, DOM, n)
