@@ -1,6 +1,6 @@
 """Plain-text experiment configuration: `key = value` lines, `#` comments,
-comma-separated lists.  Unknown keys are rejected by name so typos fail
-loudly instead of silently running defaults.
+comma-separated lists.  Unknown keys and keys the experiment does not read
+are rejected by name, so neither a typo nor a no-op setting runs silently.
 """
 
 from __future__ import annotations
@@ -12,7 +12,19 @@ from .errors import ConfigError
 from .grid import Domain
 from .profiles import Profile, _parse_number, make_profile
 
-EXPERIMENTS = ("kernel_check", "mollifier_check", "solve", "consistency", "rates")
+# the keys each experiment reads besides `experiment` and the CLI's
+# `output_dir`; a file that sets any other key is rejected by name.
+# consistency reads the box bounds only through the domain check
+_DOMAIN = ("omega_lo", "omega_hi", "box_lo", "box_hi")
+_SOLVE = ("s_list", "n", "f_spec", "pert_mode", "pert_profile", "pert_scale") + _DOMAIN
+_READS = {
+    "kernel_check": (),
+    "mollifier_check": ("s_list", "n", "seed") + _DOMAIN,
+    "solve": _SOLVE,
+    "consistency": ("s_list", "g_spec", "fit_min_s") + _DOMAIN,
+    "rates": _SOLVE + ("fit_min_s",),
+}
+EXPERIMENTS = tuple(_READS)
 
 # experiments that assemble or invert the nonlocal operator keep s inside
 # the well-conditioned band
@@ -22,7 +34,7 @@ _S_BAND = (0.25, 0.995)
 
 class ExperimentConfig(NamedTuple):
     experiment: str
-    s_list: Tuple[float, ...]
+    s_list: Tuple[float, ...] = ()
     n: int = 513
     omega_lo: float = -1.0
     omega_hi: float = 1.0
@@ -62,9 +74,6 @@ class ExperimentConfig(NamedTuple):
         return self.pert_scale
 
 
-_REQUIRED = ("experiment", "s_list")
-
-
 def _check_known(keys: Iterable[str]) -> None:
     unknown = sorted(set(keys) - set(ExperimentConfig._fields))
     if unknown:
@@ -102,9 +111,15 @@ def parse_config(path: Union[str, Path]) -> ExperimentConfig:
     """Read, type, and validate a config file; defaults fill missing keys."""
     pairs = _read_pairs(path)
     _check_known(pairs)
-    missing = [k for k in _REQUIRED if k not in pairs]
+    exp = pairs.get("experiment")
+    # an unknown experiment reads the keys it sets, and _validate names it
+    reads = ("experiment", "output_dir") + _READS.get(exp, tuple(pairs))
+    missing = [k for k in ("experiment", "s_list") if k in reads and k not in pairs]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
+    unread = sorted(set(pairs) - set(reads))
+    if unread:
+        raise ConfigError(f"experiment '{exp}' does not read config keys: {', '.join(unread)}")
 
     kwargs: Dict[str, object] = {}
     for key, raw in pairs.items():

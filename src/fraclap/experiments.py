@@ -26,8 +26,8 @@ from .report import (
     RateRow,
     SolveReport,
     SweepReport,
+    _fit_loglog,
     build_sweep_report,
-    fit_line,
 )
 from .solver import frac_laplacian_pointwise, solve_frac_system, solve_local_dirichlet
 
@@ -138,11 +138,11 @@ def _radial_rule(a: float, b: float) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _psi_moment_quadrature(p: FracParams, alpha: float) -> float:
-    """The radial moment of the scalar psi by _radial_rule, split at eps."""
+    """The radial moment of psi by _radial_rule, split at eps."""
     total = 0.0
     for a, b in ((0.0, p.eps), (p.eps, 1.0)) if p.eps > 0.0 else ((0.0, 1.0),):
         t, w = _radial_rule(a, b)
-        total += float(np.sum(w * [psi(p, float(ti)) for ti in t] * t ** (alpha + p.d - 1.0)))
+        total += float(np.sum(w * psi(p, t) * t ** (alpha + p.d - 1.0)))
     return sphere_measure(p.d) * total
 
 
@@ -198,9 +198,7 @@ def run_kernel_check(cfg: ExperimentConfig) -> CheckReport:
     rows.append(
         CheckRow("const_ratio_defect_linear", worst_linear, 2.0, worst_linear <= 2.0)
     )
-    slope, _, _ = fit_line(
-        [math.log(1.0 - s) for s in _RATIO_S], [math.log(v) for v in defect_inverse]
-    )
+    slope, _, _ = _fit_loglog([(1.0 - s, v) for s, v in zip(_RATIO_S, defect_inverse)])
     rows.append(CheckRow("const_ratio_defect_slope", slope, 1.0, slope >= 1.0))
 
     return CheckReport(rows=tuple(rows))

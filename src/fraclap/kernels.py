@@ -93,31 +93,24 @@ def const_ratio(p: FracParams) -> float:
     return math.exp(lg) / s
 
 
-def _inner_tail(p: FracParams, a: float) -> float:
-    """Integral of eta(tau)*tau over (a, 1), for a in [0, 1]."""
+def psi(p: FracParams, t):
+    """Mollification kernel at radii t >= 0, a number or an array of t's
+    shape: C (a**-q - 1)/q with a = max(eps, t) and q = d + 2s - 2, or
+    C log(1/a) near q = 0, times the plateau normalization, and 0 for t >= 1.
+    At t = 0 with eps = 0 it is inf when q >= 0 (integrable blowup) and
+    C/(-q) times the normalization when q < 0; a NaN radius gives NaN."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
+        raise ValueError(f"psi requires t >= 0, got t={t[t < 0.0][0]}")
     C = norm_const(p)
     q = p.d + 2.0 * p.s - 2.0
-    if a >= 1.0:
-        return 0.0
-    if abs(q) < _LOG_BRANCH_TOL:
-        return math.inf if a == 0.0 else C * math.log(1.0 / a)
-    if a == 0.0:
-        return math.inf if q > 0.0 else C / (-q)
-    return C * (a**-q - 1.0) / q
-
-
-def psi(p: FracParams, t: float) -> float:
-    """Mollification kernel at radius t >= 0.
-
-    Plateau value for t <= eps, the eta-tail integral scaled by the plateau
-    normalization for t in (eps, 1), zero for t >= 1.  For eps = 0 and
-    d + 2s > 2 the value at t = 0 is infinite (integrable blowup).
-    """
-    if t < 0.0:
-        raise ValueError(f"psi requires t >= 0, got t={t}")
-    if t >= 1.0:
-        return 0.0
-    return p.plateau_scale * _inner_tail(p, max(p.eps, t))
+    a = np.maximum(p.eps, t.ravel())  # 1-d: a number gets an array entry's bits
+    with np.errstate(divide="ignore", over="ignore"):  # a -> 0: the blowup is inf
+        if abs(q) < _LOG_BRANCH_TOL:
+            tail = C * np.log(1.0 / a)
+        else:
+            tail = C * (a**-q - 1.0) / q
+    return np.where(t >= 1.0, 0.0, p.plateau_scale * tail.reshape(t.shape))[()]
 
 
 def psi_moment(p: FracParams, alpha: float) -> float:

@@ -19,12 +19,13 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import cho_factor, cho_solve, toeplitz
+from scipy.special import eval_jacobi, gammaln, roots_jacobi, roots_legendre
 
 from fraclap import assembly
 from fraclap.assembly import _gauss_legendre, far_kernel, stiffness_kernel
 from fraclap.errors import ConfigError
 from fraclap.grid import Domain, GridFunction, _clip_bounds, make_grid, product_integral, sample
-from fraclap.kernels import FracParams, eta_t_integrals, norm_const, psi_integrals
+from fraclap.kernels import FracParams, const_ratio, eta_t_integrals, norm_const, psi_integrals
 from fraclap.mollifier import (
     _blend,
     _closeness_rows,
@@ -214,6 +215,48 @@ def zero_data_err_ws2_sq(s: float) -> float:
         )
         l2 = c**2 * mp.beta(half, 2 * s + 1) - c * mp.beta(half, s + 2) + mp.beta(half, 3) / 4
         return float(semi + l2)
+
+
+def jacobi_energy(s: float, f, terms: int = 60, nodes: int = 100) -> float:
+    """The continuum energy <u, u> = int f u of the solution u of fraclap's
+    problem with source f on Omega = (-1, 1) and zero exterior data.
+
+    The operator is const_ratio(s) times the standard fractional Laplacian,
+    which maps (1 - x^2)_+^s P_k to Gamma(2s+k+1)/k! P_k, P_k = P_k^(s,s)
+    the Jacobi polynomial of the weight (1 - x^2)^s (Dyda, FCAA 15 (2012);
+    Acosta, Borthagaray, Bersetche and Pinasco, Math. Comp. 87 (2018)).
+    So with f = sum f_k P_k and h_k = int (1 - x^2)^s P_k^2,
+    E = sum f_k^2 h_k k! / (const_ratio Gamma(2s+k+1)).  The coefficients
+    f_k h_k come from the Gauss-Jacobi rule of `nodes` points, exact for
+    polynomials of degree below 2 nodes; f must be smooth on [-1, 1]."""
+    x, w = roots_jacobi(nodes, s, s)
+    k = np.arange(terms)
+    fh = eval_jacobi(k[:, None], s, s, x) @ (w * f(x))  # f_k h_k
+    log_h = (
+        (2.0 * s + 1.0) * math.log(2.0)
+        + 2.0 * gammaln(k + s + 1.0)
+        - np.log(2.0 * k + 2.0 * s + 1.0)
+        - gammaln(k + 1.0)
+        - gammaln(k + 2.0 * s + 1.0)
+    )
+    terms_k = fh**2 * np.exp(gammaln(k + 1.0) - gammaln(k + 2.0 * s + 1.0) - log_h)
+    return float(np.sum(terms_k)) / const_ratio(FracParams(s=s))
+
+
+def exact_hat_load(grid: GridFunction, f) -> np.ndarray:
+    """int over Omega of f times each hat of grid, by the 8-point
+    Gauss-Legendre rule on each cell; Omega's ends must be nodes.  Unlike
+    load_vector, which integrates f's P1 interpolant, this is the load of
+    f itself, up to the rule's O(h^16) error."""
+    x, h = grid.nodes, grid.h
+    t, w = roots_legendre(8)
+    t, w = (t + 1.0) / 2.0, w / 2.0
+    cells = np.flatnonzero((x[:-1] >= grid.domain.omega_lo) & (x[1:] <= grid.domain.omega_hi))
+    fw = f(x[cells, None] + h * t) * w * h
+    b = np.zeros(grid.n)
+    np.add.at(b, cells, fw @ (1.0 - t))
+    np.add.at(b, cells + 1, fw @ t)
+    return b
 
 
 def dirichlet_frac_oracle(phi: GridFunction, p: FracParams) -> float:

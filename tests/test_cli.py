@@ -24,7 +24,7 @@ def write_cfg(tmp_path, text: str, name="exp.cfg"):
 def kernel_cfg(tmp_path, out: str):
     return write_cfg(
         tmp_path,
-        f"experiment = kernel_check\ns_list = 0.5\noutput_dir = {out}\n",
+        f"experiment = kernel_check\noutput_dir = {out}\n",
     )
 
 
@@ -144,7 +144,7 @@ class TestConfigFailures:
     def test_sweep_without_two_fit_points(self, tmp_path, capsys, command, s_list):
         # rejected at config time, before any solve or output directory
         out = tmp_path / "out"
-        text = f"experiment = {command}\ns_list = {s_list}\nn = 129\noutput_dir = {out}\n"
+        text = f"experiment = {command}\ns_list = {s_list}\noutput_dir = {out}\n"
         assert cli.main([command, "--config", write_cfg(tmp_path, text)]) == 2
         err = capsys.readouterr().err
         assert "two distinct s >= fit_min_s=0.6" in err and len(err.splitlines()) == 1
@@ -303,7 +303,7 @@ class TestRunnerOutcomes:
         monkeypatch.setattr(solver, "stiffness_kernel", singular)
         cfg = write_cfg(
             tmp_path,
-            f"experiment = {command}\ns_list = 0.5, 0.7\nfit_min_s = 0.5\nn = 65\noutput_dir = {tmp_path / 'out'}\n",
+            f"experiment = {command}\ns_list = 0.6, 0.7\nn = 65\noutput_dir = {tmp_path / 'out'}\n",
         )
         assert cli.main([command, "--config", cfg]) == 1
         err = capsys.readouterr().err
@@ -381,7 +381,7 @@ class TestImportFootprint:
         moll = write_cfg(
             tmp_path, f"experiment = mollifier_check\ns_list = 0.9\nn = 33\noutput_dir = {tmp_path}\n", "m.cfg"
         )
-        kern = write_cfg(tmp_path, f"experiment = kernel_check\ns_list = 0.5\noutput_dir = {tmp_path}\n", "k.cfg")
+        kern = write_cfg(tmp_path, f"experiment = kernel_check\noutput_dir = {tmp_path}\n", "k.cfg")
         cons = write_cfg(tmp_path, f"experiment = consistency\ns_list = 0.9, 0.95\noutput_dir = {tmp_path}\n", "c.cfg")
         runs = [
             ["rates", ["rates", "--config", rates]],

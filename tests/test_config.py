@@ -82,14 +82,14 @@ class TestValidation:
 
     def test_s_open_interval(self, tmp_path):
         with pytest.raises(ConfigError):
-            parse_config(write(tmp_path, "experiment = kernel_check\ns_list = 1.0\n"))
+            parse_config(write(tmp_path, "experiment = mollifier_check\ns_list = 1.0\n"))
         with pytest.raises(ConfigError):
-            parse_config(write(tmp_path, "experiment = kernel_check\ns_list = 0.0\n"))
+            parse_config(write(tmp_path, "experiment = mollifier_check\ns_list = 0.0\n"))
 
     def test_solving_band(self, tmp_path):
         # checks may probe extreme s; solving experiments stay in the
         # well-conditioned band
-        cfg = parse_config(write(tmp_path, "experiment = kernel_check\ns_list = 0.1\n"))
+        cfg = parse_config(write(tmp_path, "experiment = mollifier_check\ns_list = 0.1\n"))
         assert cfg.s_list == (0.1,)
         with pytest.raises(ConfigError, match="rates"):
             parse_config(write(tmp_path, "experiment = rates\ns_list = 0.1\n"))
@@ -151,6 +151,42 @@ class TestRules:
         assert cli.main(["rates", "--config", str(cfg)]) == 2
         assert "unknown config keys: f_s_spec" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestKeysRead:
+    @pytest.mark.parametrize(
+        "text, command, unread",
+        [
+            ("experiment = rates\ns_list = 0.6, 0.7\ng_spec = abspow\n", "rates", "g_spec"),
+            (
+                "experiment = consistency\ns_list = 0.9, 0.95\nn = 99999\nf_spec = bump\nseed = 3\n",
+                "consistency",
+                "f_spec, n, seed",
+            ),
+            ("experiment = kernel_check\ns_list = 0.5\n", "kernel-check", "s_list"),
+        ],
+    )
+    def test_key_the_experiment_never_reads_exits_2(self, tmp_path, capsys, text, command, unread):
+        out = tmp_path / "out"
+        cfg = write(tmp_path, text + f"output_dir = {out}\n")
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        experiment = command.replace("-", "_")
+        assert f"experiment '{experiment}' does not read config keys: {unread}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_kernel_check_takes_no_s_list(self, tmp_path):
+        # its check grid of s values is fixed, so a config names none
+        cfg = parse_config(write(tmp_path, "experiment = kernel_check\n"))
+        assert cfg.s_list == ()
+        with pytest.raises(ConfigError, match="missing required keys: s_list"):
+            parse_config(write(tmp_path, "experiment = mollifier_check\n"))
+
+    def test_defaults_and_overrides_stay_silent(self, tmp_path):
+        # --seed reaches every experiment, whether or not it draws
+        out = tmp_path / "out"
+        cfg = write(tmp_path, f"experiment = solve\ns_list = 0.5\nn = 33\noutput_dir = {out}\n")
+        assert cli.main(["solve", "--config", str(cfg), "--seed", "3", "--out", str(out / "x")]) == 0
+        assert (out / "x" / "solve.csv").exists()
 
 
 class TestOverrides:

@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fraclap import cli, experiments, mollifier
+from fraclap import cli, config, experiments, mollifier
 from fraclap.assembly import ToeplitzOperator
-from fraclap.config import ExperimentConfig, parse_config
+from fraclap.config import EXPERIMENTS, ExperimentConfig, parse_config
 from fraclap.errors import ConfigError, NumericalError
 from fraclap.experiments import (
     _MOLL_BUMPS,
@@ -28,9 +28,27 @@ def cfg_from(tmp_path, text: str):
     return parse_config(path)
 
 
+class TestKeysRead:
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_table_lists_the_fields_each_runner_reads(self, experiment):
+        # a config subclass records every field the runner touches; the
+        # perturbation is on, so its three keys are reached
+        read = set()
+
+        class Recording(ExperimentConfig):
+            def __getattribute__(self, name):
+                if name in ExperimentConfig._fields:
+                    read.add(name)
+                return super().__getattribute__(name)
+
+        cfg = Recording(experiment=experiment, s_list=(0.6, 0.7), n=65, pert_mode="fixed")
+        getattr(experiments, "run_" + experiment)(cfg)
+        assert read == set(config._READS[experiment])
+
+
 class TestKernelCheck:
     def test_all_rows_pass(self, tmp_path):
-        cfg = cfg_from(tmp_path, "experiment = kernel_check\ns_list = 0.5\n")
+        cfg = cfg_from(tmp_path, "experiment = kernel_check\n")
         rep = run_kernel_check(cfg)
         assert rep.passed
         names = {r.name for r in rep.rows}
@@ -42,7 +60,7 @@ class TestKernelCheck:
             assert math.isfinite(row.value)
 
     def test_deterministic(self, tmp_path):
-        cfg = cfg_from(tmp_path, "experiment = kernel_check\ns_list = 0.5\n")
+        cfg = cfg_from(tmp_path, "experiment = kernel_check\n")
         assert csv_text(run_kernel_check(cfg)) == csv_text(run_kernel_check(cfg))
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,66 @@ class TestPsi:
                 assert all(v >= 0.0 for v in vals)
                 assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
                 assert all(v == 0.0 for t, v in zip(ts, vals) if t >= 1.0)
+
+
+class TestPsiArrays:
+    # radii that cross every branch: 0, the plateau, the tail, 1 and beyond
+    T = np.concatenate(([0.0, 0.3, 1.0, 2.5, np.inf], np.linspace(1e-3, 1.2, 235))).reshape(4, 60)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_array_gives_elementwise_bits_in_its_shape(self, d):
+        for s in S_GRID:
+            for eps in (0.0, 0.3):
+                p = FracParams(s=s, eps=eps, d=d)
+                out = psi(p, self.T)
+                assert out.shape == self.T.shape
+                each = np.array([psi(p, float(t)) for t in self.T.flat]).reshape(self.T.shape)
+                assert out.tobytes() == each.tobytes()
+
+    def test_value_at_zero(self):
+        # d + 2s > 2: the integrable blowup; d + 2s < 2: the finite limit
+        # plateau_scale C / (2 - d - 2s) of the tail integral
+        for p in (FracParams(s=0.9), FracParams(s=0.3, d=2), FracParams(s=0.1, d=3)):
+            assert psi(p, 0.0) == math.inf
+        for s in (0.1, 0.3, 0.45):
+            p = FracParams(s=s)
+            want = p.plateau_scale * norm_const(p) / (2.0 - p.d - 2.0 * p.s)
+            assert psi(p, np.zeros(3)) == pytest.approx(np.full(3, want), rel=1e-15)
+
+    def test_log_branch_at_s_half(self):
+        p = FracParams(s=0.5, d=1)
+        t = np.array([0.0, 0.1, 0.5, 0.9, 1.0])
+        want = [math.inf] + [2.0 * norm_const(p) * math.log(1.0 / v) for v in t[1:-1]] + [0.0]
+        assert psi(p, t) == pytest.approx(want, rel=1e-15)
+
+    def test_zero_from_radius_one_and_flat_plateau(self):
+        for s in S_GRID:
+            p = FracParams(s=s, eps=0.3)
+            assert np.all(psi(p, np.array([1.0, 1.0 + 1e-12, 7.3, np.inf])) == 0.0)
+            assert np.all(psi(p, np.linspace(0.0, 0.3, 7)) == psi(p, 0.3))
+
+    def test_negative_entry_rejected(self):
+        with pytest.raises(ValueError, match="-1e-300"):
+            psi(FracParams(s=0.5), np.array([0.2, -1e-300, 0.5]))
+
+    def test_nan_radius_gives_nan(self):
+        # a NaN entry stays NaN and leaves its neighbours alone
+        p = FracParams(s=0.9)
+        assert math.isnan(psi(p, math.nan))
+        out = psi(p, np.array([0.5, np.nan, 2.0]))
+        assert math.isnan(out[1]) and out[0] == psi(p, 0.5) and out[2] == 0.0
+
+    def test_no_runtime_warning(self):
+        # 0 and tiny radii divide by zero or overflow inside the power; the
+        # result is the inf of the blowup, without a warning
+        t = np.array([0.0, 1e-300, 5e-324, 0.5, 1.0, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d in (1, 2, 3):
+                for s in S_GRID + (0.99,):
+                    for eps in (0.0, 0.3):
+                        psi(FracParams(s=s, eps=eps, d=d), t)
+                        psi(FracParams(s=s, eps=eps, d=d), 0.0)
 
 
 class TestPsiMoment:

@@ -1,13 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
 
 from fraclap import solver
-from fraclap.assembly import interior_indices
+from fraclap.assembly import ToeplitzOperator, interior_indices, stiffness_kernel
 from fraclap.errors import ConfigError, DataError
-from fraclap.grid import Domain, dirichlet_local, make_grid, objective_local, sample
-from fraclap.kernels import FracParams, norm_const
+from fraclap.grid import Domain, _mass_rows, dirichlet_local, make_grid, objective_local, sample
+from fraclap.kernels import FracParams, const_ratio, norm_const
 from fraclap.profiles import make_profile
 from fraclap.solver import (
     exact_solution_ball,
@@ -18,7 +20,9 @@ from fraclap.solver import (
 from helpers import (
     assemble_frac,
     dirichlet_frac,
+    exact_hat_load,
     gaussian_truncated_oracle,
+    jacobi_energy,
     linf_distance,
     objective_frac,
     random_bump,
@@ -141,6 +145,66 @@ class TestFracSolve:
             w = random_bump(rng, DOM, 65)
             for t in (-0.1, -0.01, 0.01, 0.1):
                 assert objective_frac(u + t * w, f, p) >= base - 1e-12
+
+
+def interior_operator(s: float, n: int):
+    grid = make_grid(DOM, n)
+    idx = interior_indices(grid)
+    return grid, idx, ToeplitzOperator(stiffness_kernel(FracParams(s=s), grid.h, idx.size - 1))
+
+
+def first_eigenvalue(s: float, n: int) -> float:
+    """Galerkin lambda_1 of (A, M) on the interior nodes, M the P1 mass
+    matrix: 12 steps of inverse iteration from the ones vector, then the
+    Rayleigh quotient."""
+    grid, idx, A = interior_operator(s, n)
+
+    def mass(v):
+        full = np.zeros(n)
+        full[idx] = v
+        return _mass_rows(grid, full, "omega")[idx]
+
+    x = np.ones(idx.size)
+    for _ in range(12):
+        x = A.solve(mass(x))
+        x /= np.linalg.norm(x)
+    return A.quad_form(x) / float(x @ mass(x))
+
+
+class TestFirstEigenvalue:
+    @pytest.mark.parametrize("s", [0.3, 0.6, 0.9, 0.99])
+    def test_nested_meshes_and_continuum_bracket(self, s):
+        # the P1 space at n = 1025 lies inside the one at 4097, so by
+        # min-max lambda_1 cannot rise under the refinement; the continuum
+        # lambda_1 of the standard fractional Laplacian on (-1, 1) lies in
+        # [1/2, 1] times (pi^2/4)^s (Chen & Song, J. Funct. Anal. 226
+        # (2005)), and fraclap's operator is const_ratio times that one
+        coarse, fine = first_eigenvalue(s, 1025), first_eigenvalue(s, 4097)
+        assert fine <= coarse
+        ratio = fine / (const_ratio(FracParams(s=s)) * (math.pi**2 / 4.0) ** s)
+        assert 0.5 <= ratio <= 1.0
+
+
+class TestJacobiEnergyOracle:
+    @pytest.mark.parametrize("s", [0.3, 0.6, 0.9])
+    def test_energy_error_is_nonnegative_and_falls_like_h(self, s):
+        # for f = cos 2x + x, Galerkin orthogonality gives
+        # E - b^T u_h = ||u - u_h||_s^2 >= 0, which falls like h
+        # (Acosta & Borthagaray, SINUM 55 (2017)): a factor 4 per 4x n, up
+        # to a next-order share of at most 3% at these n.  The load is f's
+        # own, by Gauss on each cell: load_vector integrates f's P1
+        # interpolant, whose O(h^2) data error is not part of this identity
+        def f(x):
+            return np.cos(2.0 * x) + x
+
+        energy = jacobi_energy(s, f)
+        gaps = []
+        for n in (1025, 4097):
+            grid, idx, A = interior_operator(s, n)
+            b = exact_hat_load(grid, f)[idx]
+            gaps.append(energy - float(b @ A.solve(b)))
+        assert min(gaps) >= 0.0
+        assert 3.5 <= gaps[0] / gaps[1] <= 4.5
 
 
 class TestLocalSolve:
