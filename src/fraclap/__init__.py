@@ -16,7 +16,7 @@ from .experiments import (
     run_rates,
     run_solve,
 )
-from .grid import Domain, GridFunction, dirichlet_local, l2_norm, make_grid, objective_local, product_integral, sample
+from .grid import Domain, Grid, dirichlet_local, l2_norm, make_grid, objective_local, product_integral, sample
 from .kernels import (
     FracParams,
     classical_const,
@@ -53,7 +53,7 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentConfig",
     "FracParams",
-    "GridFunction",
+    "Grid",
     "NumericalError",
     "Profile",
     "RateRow",

@@ -43,7 +43,7 @@ import numpy as np
 import numpy.fft  # noqa: F401  numpy imports it lazily; load it with the package
 
 from .errors import ConfigError, NumericalError
-from .grid import GridFunction, _mass_rows
+from .grid import Grid, _mass_rows
 from .kernels import FracParams, norm_const
 
 # CG steps allowed per solve; the tau-preconditioned stiffness systems take
@@ -270,19 +270,18 @@ def far_kernel(p: FracParams, h: float, full: np.ndarray) -> np.ndarray:
     return c2
 
 
-def interior_indices(phi: GridFunction) -> np.ndarray:
+def interior_indices(grid: Grid) -> np.ndarray:
     """Indices of nodes strictly inside the interval (omega_lo, omega_hi);
     ConfigError when there are none."""
-    x = phi.nodes
-    tol = 1e-9 * phi.h
-    idx = np.where((x > phi.domain.omega_lo + tol) & (x < phi.domain.omega_hi - tol))[0]
+    x = grid.nodes
+    tol = 1e-9 * grid.h
+    idx = np.where((x > grid.domain.omega_lo + tol) & (x < grid.domain.omega_hi - tol))[0]
     if idx.size == 0:
         raise ConfigError("grid has no interior nodes inside Omega")
     return idx
 
 
-def load_vector(f: GridFunction) -> np.ndarray:
+def load_vector(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Exact integrals of f's interpolant against every hat, restricted to
     the interval; returns a full-length vector (one entry per node)."""
-    return _mass_rows(f, f.values, "omega")
-
+    return _mass_rows(grid, grid.check(f), "omega")

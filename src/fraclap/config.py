@@ -5,6 +5,7 @@ are rejected by name, so neither a typo nor a no-op setting runs silently.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Dict, Iterable, NamedTuple, Tuple, Union
 
@@ -14,14 +15,15 @@ from .profiles import Profile, _parse_number, make_profile
 
 # the keys each experiment reads besides `experiment` and the CLI's
 # `output_dir`; a file that sets any other key is rejected by name.
-# consistency reads the box bounds only through the domain check
-_DOMAIN = ("omega_lo", "omega_hi", "box_lo", "box_hi")
+# consistency integrates over the whole line, so it reads Omega but no box
+_OMEGA = ("omega_lo", "omega_hi")
+_DOMAIN = _OMEGA + ("box_lo", "box_hi")
 _SOLVE = ("s_list", "n", "f_spec", "pert_mode", "pert_profile", "pert_scale") + _DOMAIN
 _READS = {
     "kernel_check": (),
     "mollifier_check": ("s_list", "n", "seed") + _DOMAIN,
     "solve": _SOLVE,
-    "consistency": ("s_list", "g_spec", "fit_min_s") + _DOMAIN,
+    "consistency": ("s_list", "g_spec", "fit_min_s") + _OMEGA,
     "rates": _SOLVE + ("fit_min_s",),
 }
 EXPERIMENTS = tuple(_READS)
@@ -181,10 +183,14 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"pert_mode must be none, shrinking, or fixed, got '{cfg.pert_mode}'"
         )
-    try:
-        dom = cfg.domain
-    except ConfigError as exc:
-        raise ConfigError(f"bad domain bounds: {exc}") from exc
+    if "box_lo" in _READS[cfg.experiment]:
+        try:
+            dom = cfg.domain
+        except ConfigError as exc:
+            raise ConfigError(f"bad domain bounds: {exc}") from exc
+    elif not (math.isfinite(cfg.omega_lo) and math.isfinite(cfg.omega_hi) and cfg.omega_lo < cfg.omega_hi):
+        # no box: only the interval itself must be finite and non-empty
+        raise ConfigError(f"bad domain bounds: empty or infinite interval ({cfg.omega_lo}, {cfg.omega_hi})")
     if cfg.experiment in ("rates", "mollifier_check"):
         # the boundary strip of the energy gap and the strip rows must fit
         # inside Omega

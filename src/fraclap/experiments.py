@@ -15,7 +15,7 @@ import numpy as np
 from .assembly import ToeplitzOperator, _log_panels, interior_indices
 from .config import ExperimentConfig
 from .errors import ConfigError, NumericalError
-from .grid import GridFunction, l2_norm, make_grid, sample
+from .grid import Grid, l2_norm, make_grid, sample
 from .kernels import FracParams, classical_const, const_ratio, norm_const, psi, psi_moment, sphere_measure
 from .mollifier import _bump_suite_rows, _chunk_rows, energy_gap
 from .profiles import _PCG64, _random_bump_rows
@@ -32,14 +32,14 @@ from .report import (
 from .solver import frac_laplacian_pointwise, solve_frac_system, solve_local_dirichlet
 
 
-def _sources(cfg: ExperimentConfig, f: GridFunction) -> Iterator[Tuple[float, GridFunction]]:
+def _sources(cfg: ExperimentConfig, grid: Grid, f: np.ndarray) -> Iterator[Tuple[float, np.ndarray]]:
     """(s, the nonlocal source at s) for each s of cfg: f plus pert_coeff(s)
-    times the perturbation sampled on f's grid, or f itself when pert_mode
-    is none, whose coefficient is always 0."""
+    times the perturbation sampled on grid, or f itself when pert_mode is
+    none, whose coefficient is always 0."""
     if cfg.pert_mode == "none":
         return ((s, f) for s in cfg.s_list)
-    pert_vals = sample(f.domain, f.n, cfg.pert()).values
-    return ((s, f.with_values(f.values + cfg.pert_coeff(s) * pert_vals)) for s in cfg.s_list)
+    pert = sample(grid, cfg.pert())
+    return ((s, f + cfg.pert_coeff(s) * pert) for s in cfg.s_list)
 
 
 def _roundoff(A: ToeplitzOperator) -> float:
@@ -77,28 +77,27 @@ def run_rates(cfg: ExperimentConfig) -> SweepReport:
     The same stiffness operator is used for the solve and for the error
     seminorm, which makes the exact optimality identity available as a
     per-point cross-check."""
-    dom = cfg.domain
-    n = cfg.n
-    grid = make_grid(dom, n)  # zero: also the exterior data g of energy_gap
+    grid = make_grid(cfg.domain, cfg.n)
     idx = interior_indices(grid)
-    f_grid = sample(dom, n, cfg.f_profile())
-    u_loc = solve_local_dirichlet(f_grid)
-    v_loc = u_loc.values[idx]
+    f = sample(grid, cfg.f_profile())
+    u_loc = solve_local_dirichlet(grid, f)
+    v_loc = u_loc[idx]
+    g = np.zeros(grid.n)  # the exterior data of energy_gap
 
     rows: List[RateRow] = []
-    for s, f_s in _sources(cfg, f_grid):
+    for s, f_s in _sources(cfg, grid, f):
         p = FracParams(s=s)
-        u_s, A, b = solve_frac_system(f_s, p)
-        u_int = u_s.values[idx]
+        u_s, A, b = solve_frac_system(grid, f_s, p)
+        u_int = u_s[idx]
 
         e = v_loc - u_int
         semi2 = A.quad_form(e)
         floor = _roundoff(A) * float(e @ e)
         if semi2 < -floor:  # below roundoff: the operator is not positive definite here
             raise NumericalError(f"negative seminorm at s={s}: e^T A e={semi2!r} is below -{floor!r}")
-        err_l2 = l2_norm(u_loc - u_s, region="box")
+        err_l2 = l2_norm(grid, u_loc - u_s, region="box")
         _check_optimality_identity(A, b, v_loc, u_int, s)
-        gap = energy_gap(u_s, grid, f_grid, p, cfg.r_value(s))
+        gap = energy_gap(grid, u_s, g, f, p, cfg.r_value(s))
         rows.append(
             RateRow(s=s, l2_err=err_l2, total_ws2_err=math.sqrt(max(semi2, 0.0) + err_l2**2), energy_gap=gap)
         )
@@ -113,8 +112,7 @@ def run_consistency(cfg: ExperimentConfig) -> SweepReport:
         raise ConfigError(
             f"consistency needs a twice-differentiable profile, got '{g.name}'"
         )
-    dom = cfg.domain
-    xs = np.linspace(dom.omega_lo, dom.omega_hi, 103)[1:-1]
+    xs = np.linspace(cfg.omega_lo, cfg.omega_hi, 103)[1:-1]
     minus_g2 = -g.second_derivative(xs)
     rows: List[ConsistencyRow] = []
     for s in cfg.s_list:
@@ -222,7 +220,7 @@ def run_mollifier_check(cfg: ExperimentConfig) -> CheckReport:
     grid = make_grid(cfg.domain, cfg.n)
     strips = tuple((s, cfg.r_value(s)) for s in cfg.s_list)
     rng = _PCG64(cfg.seed)
-    chunks = (_random_bump_rows(rng, cfg.domain, cfg.n, rows) for rows in _chunk_rows(grid, _MOLL_BUMPS))
+    chunks = (_random_bump_rows(rng, grid, rows) for rows in _chunk_rows(grid, _MOLL_BUMPS))
 
     worst: Dict[str, float] = {}  # rows in the order the suite yields them
     for name, lhs, rhs in _bump_suite_rows(grid, chunks, strips, _MOLL_EPS, _TAIL_RHO):
@@ -238,10 +236,8 @@ def run_mollifier_check(cfg: ExperimentConfig) -> CheckReport:
 
 def run_solve(cfg: ExperimentConfig) -> SolveReport:
     """Solve the nonlocal problem for each s and collect nodal values."""
-    dom = cfg.domain
-    n = cfg.n
-    grid = make_grid(dom, n)
+    grid = make_grid(cfg.domain, cfg.n)
     blocks: List[Tuple[float, np.ndarray]] = []
-    for s, f_s in _sources(cfg, sample(dom, n, cfg.f_profile())):
-        blocks.append((s, solve_frac_system(f_s, FracParams(s=s))[0].values))
+    for s, f_s in _sources(cfg, grid, sample(grid, cfg.f_profile())):
+        blocks.append((s, solve_frac_system(grid, f_s, FracParams(s=s))[0]))
     return SolveReport(x=grid.nodes, blocks=tuple(blocks))

@@ -6,17 +6,18 @@ live.  The box must leave a margin of at least 1 on each side of the interval
 so that every unit-radius neighborhood of an interval point stays inside the
 box; several operators in this package integrate over such neighborhoods.
 
-Grid functions are P1: values at the uniform nodes, linear in between, and
-extended by their boundary value outside the box (constant extension).  A
-function that vanishes at the box ends is therefore extended by zero.
-Their products, L2 norms and local Dirichlet energy are integrated exactly.
+A P1 function is an array of its values at the uniform nodes of a Grid,
+linear in between and extended by its boundary value outside the box
+(constant extension).  A function that vanishes at the box ends is therefore
+extended by zero.  Products, L2 norms and local Dirichlet energy of P1
+functions are integrated exactly.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
@@ -24,8 +25,7 @@ from .errors import ConfigError, DataError, ShapeError
 
 
 class Domain:
-    """Open interval (omega_lo, omega_hi) inside the box [box_lo, box_hi].
-    Domains with equal endpoints compare and hash equal."""
+    """Open interval (omega_lo, omega_hi) inside the box [box_lo, box_hi]."""
 
     __slots__ = ("omega_lo", "omega_hi", "box_lo", "box_hi")
 
@@ -44,17 +44,6 @@ class Domain:
             )
         self.omega_lo, self.omega_hi, self.box_lo, self.box_hi = vals
 
-    def _ends(self) -> Tuple[float, float, float, float]:
-        return (self.omega_lo, self.omega_hi, self.box_lo, self.box_hi)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Domain):
-            return NotImplemented
-        return self._ends() == other._ends()
-
-    def __hash__(self) -> int:
-        return hash(self._ends())
-
     @property
     def omega_measure(self) -> float:
         return self.omega_hi - self.omega_lo
@@ -64,34 +53,20 @@ class Domain:
         return self.box_hi - self.box_lo
 
 
-@functools.lru_cache(maxsize=8)  # one read-only node array per grid, shared by its functions
+@functools.lru_cache(maxsize=8)  # one read-only node array per grid
 def _nodes(lo: float, hi: float, n: int) -> np.ndarray:
     x = np.linspace(lo, hi, n)
     x.flags.writeable = False
     return x
 
 
-class GridFunction:
-    """P1 function: values at n uniform nodes spanning the box.
+class Grid(NamedTuple):
+    """n uniform nodes spanning the domain's box.  A P1 function on it is a
+    float array whose last axis holds its n nodal values; a stack (..., n)
+    holds one function per row."""
 
-    Outside the box the function takes its boundary node value (constant
-    extension).  Instances are immutable; arithmetic returns new instances.
-    They compare and hash by identity.
-    """
-
-    __slots__ = ("domain", "n", "values")
-
-    def __init__(self, domain: Domain, n: int, values: np.ndarray) -> None:
-        if n < 3:
-            raise ConfigError(f"need at least 3 nodes, got n={n}")
-        vals = np.asarray(values, dtype=float)
-        if vals.shape != (n,):
-            raise ShapeError(f"values shape {vals.shape} != ({n},)")
-        if not np.all(np.isfinite(vals)):
-            raise DataError("grid function values must be finite")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        self.domain, self.n, self.values = domain, n, vals
+    domain: Domain
+    n: int
 
     @property
     def nodes(self) -> np.ndarray:
@@ -101,30 +76,22 @@ class GridFunction:
     def h(self) -> float:
         return (self.domain.box_hi - self.domain.box_lo) / (self.n - 1)
 
-    def with_values(self, values) -> "GridFunction":
-        return GridFunction(self.domain, self.n, np.asarray(values, dtype=float))
-
-    def _check_same_grid(self, other: "GridFunction") -> None:
-        if self.domain != other.domain or self.n != other.n:
-            raise ShapeError("grid functions live on different grids")
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._check_same_grid(other)
-        return self.with_values(self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self._check_same_grid(other)
-        return self.with_values(self.values - other.values)
-
-    def __mul__(self, c: float) -> "GridFunction":
-        return self.with_values(self.values * float(c))
-
-    __rmul__ = __mul__
+    def check(self, v) -> np.ndarray:
+        """v as a float array of P1 functions on this grid: ShapeError unless
+        its last axis has n entries, DataError on a non-finite value."""
+        v = np.asarray(v, dtype=float)
+        if v.shape[-1:] != (self.n,):
+            raise ShapeError(f"values shape {v.shape} does not end in ({self.n},)")
+        if not np.all(np.isfinite(v)):
+            raise DataError("P1 function values must be finite")
+        return v
 
 
-def make_grid(domain: Domain, n: int) -> GridFunction:
-    """Zero grid function on n uniform nodes over the domain's box."""
-    return GridFunction(domain, n, np.zeros(n))
+def make_grid(domain: Domain, n: int) -> Grid:
+    """n uniform nodes over the domain's box; ConfigError when n < 3."""
+    if n < 3:
+        raise ConfigError(f"need at least 3 nodes, got n={n}")
+    return Grid(domain, n)
 
 
 def _call_on(f: Callable, x: np.ndarray) -> np.ndarray:
@@ -134,18 +101,17 @@ def _call_on(f: Callable, x: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
 
 
-def sample(domain: Domain, n: int, f: Callable) -> GridFunction:
-    """Sample the callable f at the nodes.  Non-finite samples raise DataError
-    naming the first offending node."""
-    phi = make_grid(domain, n)
-    x = phi.nodes
+def sample(grid: Grid, f: Callable) -> np.ndarray:
+    """The callable f at the nodes, as a new array.  Non-finite samples
+    raise DataError naming the first offending node."""
+    x = grid.nodes
     vals = _call_on(f, x)
     bad = np.where(~np.isfinite(vals))[0]
     if bad.size:
         raise DataError(
             f"non-finite sample {vals[bad[0]]!r} at node {bad[0]} (x={x[bad[0]]})"
         )
-    return phi.with_values(vals)
+    return vals.copy()
 
 
 def _clip_bounds(domain: Domain, region: str) -> Tuple[float, float]:
@@ -156,33 +122,27 @@ def _clip_bounds(domain: Domain, region: str) -> Tuple[float, float]:
     raise ConfigError(f"unknown region {region!r}, expected one of ('omega', 'box')")
 
 
-def product_integral(phi: GridFunction, psi: GridFunction, region: str = "box") -> float:
-    """Exact integral of the product of two P1 functions on the same grid,
-    restricted to the region (cells clipped exactly)."""
-    phi._check_same_grid(psi)
-    return float(_product_rows(phi, phi.values, psi.values, region))
+def product_integral(grid: Grid, p: np.ndarray, q: np.ndarray, region: str = "box") -> float | np.ndarray:
+    """Exact integral of the product of the P1 functions p and q on grid,
+    restricted to the region (cells clipped exactly): a number for two
+    functions, an array for each pair of rows of two stacks (..., n)."""
+    return np.sum(grid.check(p) * _mass_rows(grid, grid.check(q), region), axis=-1)
 
 
-def dirichlet_local(phi: GridFunction) -> float:
+def dirichlet_local(grid: Grid, v: np.ndarray) -> float:
     """Half the integral of the squared gradient of the interpolant:
     (1/2) sum over cells of h (dv/h)^2."""
-    dv = np.diff(phi.values)
-    return 0.5 * float(dv @ dv) / phi.h
+    dv = np.diff(grid.check(v))
+    return 0.5 * float(dv @ dv) / grid.h
 
 
-def objective_local(phi: GridFunction, f: GridFunction) -> float:
+def objective_local(grid: Grid, v: np.ndarray, f: np.ndarray) -> float:
     """Local objective: gradient energy minus the exact load over the
     interval."""
-    return dirichlet_local(phi) - product_integral(phi, f, region="omega")
+    return dirichlet_local(grid, v) - product_integral(grid, v, f, region="omega")
 
 
-def _product_rows(grid: GridFunction, p: np.ndarray, q: np.ndarray, region: str) -> np.ndarray:
-    """product_integral of each pair of rows of p and q (..., n), values on
-    grid's nodes."""
-    return np.sum(p * _mass_rows(grid, q, region), axis=-1)
-
-
-def _mass_rows(grid: GridFunction, q: np.ndarray, region: str) -> np.ndarray:
+def _mass_rows(grid: Grid, q: np.ndarray, region: str) -> np.ndarray:
     """M q for each row of q (..., n): entry i is the exact integral over the
     region of hat_i times the interpolant of the row.
 
@@ -221,7 +181,7 @@ def _mass_rows(grid: GridFunction, q: np.ndarray, region: str) -> np.ndarray:
     return out
 
 
-def l2_norm(phi: GridFunction, region: str = "box") -> float:
+def l2_norm(grid: Grid, v: np.ndarray, region: str = "box") -> float:
     """Exact L2 norm of the interpolant over the region."""
-    return math.sqrt(max(0.0, product_integral(phi, phi, region)))
+    return math.sqrt(max(0.0, product_integral(grid, v, v, region)))
 

@@ -109,7 +109,7 @@ def psi(p: FracParams, t):
         if abs(q) < _LOG_BRANCH_TOL:
             tail = C * np.log(1.0 / a)
         else:
-            tail = C * (a**-q - 1.0) / q
+            tail = C * np.expm1(-q * np.log(a)) / q  # a**-q - 1 with no cancellation as a -> 1
     return np.where(t >= 1.0, 0.0, p.plateau_scale * tail.reshape(t.shape))[()]
 
 

@@ -45,7 +45,7 @@ import numpy.fft  # noqa: F401  numpy imports it lazily; load it with the packag
 
 from .assembly import ToeplitzOperator, far_kernel, stiffness_kernel
 from .errors import ConfigError
-from .grid import Domain, GridFunction, _product_rows, objective_local
+from .grid import Domain, Grid, objective_local, product_integral
 from .kernels import FracParams, eta_t_integrals, norm_const, psi_integrals
 
 _LIMIT_TOL = 1e-9
@@ -58,11 +58,11 @@ _CHUNK_VALUES = 1 << 14
 _Rows = Tuple[np.ndarray, np.ndarray]  # per-row (lhs, rhs) of one inequality
 
 
-def full_coverage_mask(phi: GridFunction) -> np.ndarray:
+def full_coverage_mask(grid: Grid) -> np.ndarray:
     """True for nodes whose unit ball stays inside the box."""
-    x = phi.nodes
-    tol = 1e-9 * phi.h
-    return (x - 1.0 >= phi.domain.box_lo - tol) & (x + 1.0 <= phi.domain.box_hi + tol)
+    x = grid.nodes
+    tol = 1e-9 * grid.h
+    return (x - 1.0 >= grid.domain.box_lo - tol) & (x + 1.0 <= grid.domain.box_hi + tol)
 
 
 def _partition(h: float, t_lo: float, t_hi: float, plateau: Optional[float] = None):
@@ -186,20 +186,21 @@ def _apply(values: np.ndarray, kernel: _Kernel, spectra: dict) -> np.ndarray:
     return full[..., start : start + n].copy()
 
 
-def mollify(phi: GridFunction, p: FracParams) -> GridFunction:
-    """Average phi against the radial kernel over the unit ball around every
-    node.  Exact for the P1 interpolant (closed-form kernel integrals per
-    cell); only d = 1 is supported."""
+def mollify(grid: Grid, v: np.ndarray, p: FracParams) -> np.ndarray:
+    """Average v, a P1 function or a stack of them on grid, against the
+    radial kernel over the unit ball around every node.  Exact for the P1
+    interpolant (closed-form kernel integrals per cell); only d = 1 is
+    supported."""
     if p.d != 1:
         raise ConfigError(f"mollify supports d=1 only, got d={p.d}")
-    return phi.with_values(_apply(phi.values, _kernel(_stencil(p, phi.h, 0.0, 1.0, False), False, phi.n), {}))
+    return _apply(grid.check(v), _kernel(_stencil(p, grid.h, 0.0, 1.0, False), False, grid.n), {})
 
 
-def _closeness_rows(grid: GridFunction, values: np.ndarray, smoothed: np.ndarray, p: FracParams, d1) -> _Rows:
+def _closeness_rows(grid: Grid, values: np.ndarray, smoothed: np.ndarray, p: FracParams, d1) -> _Rows:
     """Squared L2(box) distance of each smoothed row to its row of values
     versus the closeness bound plateau_scale**2 * (1-s) * d1."""
     diff = smoothed - values
-    return _product_rows(grid, diff, diff, "box"), p.plateau_scale**2 * (1.0 - p.s) * d1
+    return product_integral(grid, diff, diff, "box"), p.plateau_scale**2 * (1.0 - p.s) * d1
 
 
 def _consistency_rows(h: float, smoothed: np.ndarray, p: FracParams, d1) -> _Rows:
@@ -241,23 +242,22 @@ def _ramp(dom: Domain, x: np.ndarray, r: float) -> np.ndarray:
     return np.clip(np.minimum(x - dom.omega_lo, dom.omega_hi - x) / r, 0.0, 1.0)
 
 
-def _blend(g: GridFunction, smoothed: GridFunction, r: float) -> GridFunction:
+def _blend(grid: Grid, g: np.ndarray, smoothed: np.ndarray, r: float) -> np.ndarray:
     """The boundary competitor w: g outside Omega, the already smoothed
     solution at depth >= r inside, and linear in the depth in between."""
-    lam = _ramp(smoothed.domain, smoothed.nodes, r)
-    return smoothed.with_values((1.0 - lam) * g.values + lam * smoothed.values)
+    lam = _ramp(grid.domain, grid.nodes, r)
+    return (1.0 - lam) * g + lam * smoothed
 
 
-def energy_gap(u_s: GridFunction, g: GridFunction, f: GridFunction, p: FracParams, r: float) -> float:
+def energy_gap(grid: Grid, u_s: np.ndarray, g: np.ndarray, f: np.ndarray, p: FracParams, r: float) -> float:
     """Absolute difference of the local objective between the competitor
     for exterior data g and the smoothed solution u_s."""
-    u_s._check_same_grid(g)
-    smoothed = mollify(u_s, p)
-    w = _blend(g, smoothed, r)
-    return abs(objective_local(w, f) - objective_local(smoothed, f))
+    smoothed = mollify(grid, u_s, p)
+    w = _blend(grid, grid.check(g), smoothed, r)
+    return abs(objective_local(grid, w, f) - objective_local(grid, smoothed, f))
 
 
-def _strip(grid: GridFunction, r: float):
+def _strip(grid: Grid, r: float):
     """The row-independent part of _strip_rows for one (grid, r): 1 - lam
     at the nodes, and at the lower and upper ends of every piece of each
     side's strip cut at the nodes inside it, 1 - lam with the cells j and
@@ -275,7 +275,7 @@ def _strip(grid: GridFunction, r: float):
 
 
 def _strip_rows(
-    grid: GridFunction, smoothed: np.ndarray, p: FracParams, r: float, holder, strip
+    grid: Grid, smoothed: np.ndarray, p: FracParams, r: float, holder, strip
 ) -> Tuple[_Rows, _Rows]:
     """Distances of each smoothed row (..., n) to its boundary competitor w
     for zero exterior data, so the difference is (1 - lam) smoothed with
@@ -296,7 +296,7 @@ def _strip_rows(
     q = np.concatenate((m0 * u0, m1 * u1, (m0 + dm * t) * (u0 + du * t)), axis=-1)
     sup = np.max(np.abs(q), axis=-1)
     near = (1.0 - p.s) * p.plateau_scale / 2.0
-    l2 = _product_rows(grid, diff, diff, "omega")
+    l2 = product_integral(grid, diff, diff, "omega")
     return (sup, 2.0 * holder * (r**p.s + near)), (l2, 8.0 * holder**2 * (r ** (1.0 + 2.0 * p.s) + near**2 * r))
 
 
@@ -386,7 +386,7 @@ def _holder_quotients(values: np.ndarray, h: float, betas) -> np.ndarray:
     return best.reshape((len(betas),) + values.shape[:-1])
 
 
-def _chunk_rows(grid: GridFunction, count: int) -> List[int]:
+def _chunk_rows(grid: Grid, count: int) -> List[int]:
     """Row counts of the chunks that split count bump rows on grid evenly
     for _bump_suite_rows: with p the transform length of a stencil of
     radius 1, ceil(count p / _CHUNK_VALUES) chunks of ceil(count / chunks)
@@ -401,7 +401,7 @@ _SuiteRow = Tuple[str, np.ndarray, np.ndarray]
 
 
 def _bump_suite_rows(
-    grid: GridFunction,
+    grid: Grid,
     chunks: Iterable[np.ndarray],
     strips: Sequence[Tuple[float, float]],
     eps_list: Tuple[float, ...],
@@ -431,7 +431,7 @@ def _bump_suite_rows(
 
 
 def _rows_at_s(
-    grid: GridFunction, mask: np.ndarray, s: float, r: float, eps_list: Tuple[float, ...], rho: float
+    grid: Grid, mask: np.ndarray, s: float, r: float, eps_list: Tuple[float, ...], rho: float
 ) -> Tuple[ToeplitzOperator, Callable[[np.ndarray, dict, np.ndarray, np.ndarray], Iterator[_SuiteRow]]]:
     """_bump_suite_rows at one s: the near-energy operator, whose quadratic
     form is twice each bump's d1, and a generator function of one chunk,

@@ -14,7 +14,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .grid import Domain, make_grid
+from .grid import Grid
 
 
 class Profile:
@@ -234,7 +234,7 @@ class _PCG64:
         return low + (high - low) * self.random()
 
 
-def _random_bump_rows(rng: np.random.Generator, dom: Domain, n: int, count: int) -> np.ndarray:
+def _random_bump_rows(rng: np.random.Generator, grid: Grid, count: int) -> np.ndarray:
     """count random smooth bumps (some a superposition of two), compactly
     supported inside Omega and sampled on the grid, as a (count, n) stack.
     rng is any object with random() and uniform(low, high), such as _PCG64
@@ -244,6 +244,7 @@ def _random_bump_rows(rng: np.random.Generator, dom: Domain, n: int, count: int)
     Each bump's parameters are drawn in turn (width, centre, amplitude,
     sign, then whether a second bump is added and its parameters); all
     cores are evaluated as one stack."""
+    dom = grid.domain
     mid = 0.5 * (dom.omega_lo + dom.omega_hi)
     half = 0.5 * dom.omega_measure
 
@@ -260,7 +261,7 @@ def _random_bump_rows(rng: np.random.Generator, dom: Domain, n: int, count: int)
         if rng.random() < 0.3:
             second.append(draw())
             paired.append(row)
-    x = make_grid(dom, n).nodes
+    x = grid.nodes
     a, c, w = np.array(first + second).T[:, :, None]
     cores = a * _bump_pieces(x, c, w)[1]
     vals = cores[:count]

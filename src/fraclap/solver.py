@@ -20,7 +20,7 @@ import numpy as np
 
 from .assembly import ToeplitzOperator, _log_panels, interior_indices, load_vector, stiffness_kernel
 from .errors import ConfigError, DataError
-from .grid import GridFunction, _call_on
+from .grid import Grid, _call_on
 from .kernels import FracParams, norm_const
 
 # splitting radius for the singular part of the pointwise operator: below it
@@ -38,42 +38,40 @@ _PANELS = 64
 _BLOCK_SAMPLES = 1 << 15
 
 
-def solve_frac_system(
-    f_s: GridFunction, p: FracParams
-) -> Tuple[GridFunction, ToeplitzOperator, np.ndarray]:
-    """Galerkin solution of the nonlocal problem with zero complement data,
-    on f_s's grid.
+def solve_frac_system(grid: Grid, f: np.ndarray, p: FracParams) -> Tuple[np.ndarray, ToeplitzOperator, np.ndarray]:
+    """Galerkin solution of the nonlocal problem with zero complement data
+    and source f on grid.
 
-    The load b is the exact integral of the P1 interpolant of f_s against
+    The load b is the exact integral of the P1 interpolant of f against
     each interior hat over Omega.  Returns (u, op, b): the zero-extended
     solution on the full grid, and the interior operator and load it
     solves, so callers can measure errors in the same energy."""
-    idx = interior_indices(f_s)
-    op = ToeplitzOperator(stiffness_kernel(p, f_s.h, idx.size - 1))
-    b = load_vector(f_s)[idx]
-    values = np.zeros(f_s.n)
-    values[idx] = op.solve(b)
-    return f_s.with_values(values), op, b
+    idx = interior_indices(grid)
+    op = ToeplitzOperator(stiffness_kernel(p, grid.h, idx.size - 1))
+    b = load_vector(grid, f)[idx]
+    u = np.zeros(grid.n)
+    u[idx] = op.solve(b)
+    return u, op, b
 
 
-def solve_local_dirichlet(f: GridFunction) -> GridFunction:
-    """Galerkin solution of the gradient-energy problem on f's grid; nodally
-    exact in 1d for the continuous problem with the same data.
+def solve_local_dirichlet(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """Galerkin solution of the gradient-energy problem with source f on
+    grid; nodally exact in 1d for the continuous problem with the same data.
 
     The stiffness tridiag(-1, 2, -1)/h on m interior nodes has the discrete
     Green's function h min(i, j) (m + 1 - max(i, j)) / (m + 1), 1-based, so
     u_i = h (m + 1 - i) sum_{j <= i} j b_j / (m + 1)
           + h i sum_{j > i} (m + 1 - j) b_j / (m + 1)."""
-    idx = interior_indices(f)
-    b = load_vector(f)[idx]
+    idx = interior_indices(grid)
+    b = load_vector(grid, f)[idx]
     m = idx.size
     i = np.arange(1, m + 1)
     left = np.cumsum(i * b)
     right = np.cumsum(((m + 1 - i) * b)[::-1])[::-1]
     right = np.append(right[1:], 0.0)
-    values = np.zeros(f.n)
-    values[idx] = f.h * ((m + 1 - i) * left + i * right) / (m + 1)
-    return f.with_values(values)
+    u = np.zeros(grid.n)
+    u[idx] = grid.h * ((m + 1 - i) * left + i * right) / (m + 1)
+    return u
 
 
 def _ball_coeff(p: FracParams) -> float:

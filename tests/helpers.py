@@ -24,7 +24,7 @@ from scipy.special import eval_jacobi, gammaln, roots_jacobi, roots_legendre
 from fraclap import assembly
 from fraclap.assembly import _gauss_legendre, far_kernel, stiffness_kernel
 from fraclap.errors import ConfigError
-from fraclap.grid import Domain, GridFunction, _clip_bounds, make_grid, product_integral, sample
+from fraclap.grid import Domain, Grid, _clip_bounds, make_grid, product_integral, sample
 from fraclap.kernels import FracParams, const_ratio, eta_t_integrals, norm_const, psi_integrals
 from fraclap.mollifier import (
     _blend,
@@ -58,18 +58,18 @@ def simpson_cells(f, pts) -> float:
     return float(np.sum((b - a) / 6.0 * (f(a) + 4.0 * f(m) + f(b))))
 
 
-def product_integral_oracle(phi: GridFunction, psi: GridFunction, lo: float, hi: float) -> float:
+def product_integral_oracle(grid: Grid, phi: np.ndarray, psi: np.ndarray, lo: float, hi: float) -> float:
     """Integral of phi*psi over [lo, hi] by exact Simpson panels."""
-    inner = phi.nodes[(phi.nodes > lo) & (phi.nodes < hi)]
+    inner = grid.nodes[(grid.nodes > lo) & (grid.nodes < hi)]
     pts = np.concatenate(([lo], inner, [hi]))
-    return simpson_cells(lambda x: grid_eval(phi, x) * grid_eval(psi, x), pts)
+    return simpson_cells(lambda x: grid_eval(grid, phi, x) * grid_eval(grid, psi, x), pts)
 
 
-def product_rows_all_cells(grid: GridFunction, p: np.ndarray, q: np.ndarray, region: str) -> np.ndarray:
+def product_rows_all_cells(grid: Grid, p: np.ndarray, q: np.ndarray, region: str) -> np.ndarray:
     """Integral over the region of the product of each pair of rows of p and
     q (..., n): every cell clipped to the region and integrated as an exact
     cubic in the offset from its left node, with the cell widths taken from
-    the node differences (reference for grid._product_rows)."""
+    the node differences (reference for grid.product_integral)."""
     dom = grid.domain
     lo, hi = (dom.omega_lo, dom.omega_hi) if region == "omega" else (dom.box_lo, dom.box_hi)
     x, h = grid.nodes, grid.h
@@ -86,22 +86,22 @@ def product_rows_all_cells(grid: GridFunction, p: np.ndarray, q: np.ndarray, reg
     return np.sum(p0 * q0 * d1 + (p0 * mq + q0 * mp) * d2 + mp * mq * d3, axis=-1)
 
 
-def load_vector_all_cells(f: GridFunction) -> np.ndarray:
+def load_vector_all_cells(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Integral over the interval of f's interpolant against every hat, every
     cell clipped to the interval on the reference cell and scattered onto
     its two nodes (reference for assembly.load_vector)."""
-    x, h = f.nodes, f.h
-    a = np.maximum(x[:-1], f.domain.omega_lo)
-    b = np.minimum(x[1:], f.domain.omega_hi)
+    x, h = grid.nodes, grid.h
+    a = np.maximum(x[:-1], grid.domain.omega_lo)
+    b = np.minimum(x[1:], grid.domain.omega_hi)
     mask = b > a
     idx = np.where(mask)[0]
     ta, tb = (a[mask] - x[:-1][mask]) / h, (b[mask] - x[:-1][mask]) / h
-    f0 = f.values[:-1][mask]
-    df = f.values[1:][mask] - f0
+    f0 = f[:-1][mask]
+    df = f[1:][mask] - f0
     d1 = tb - ta
     d2 = (tb**2 - ta**2) / 2.0
     d3 = (tb**3 - ta**3) / 3.0
-    out = np.zeros(f.n)
+    out = np.zeros(grid.n)
     np.add.at(out, idx, h * (f0 * (d1 - d2) + df * (d2 - d3)))
     np.add.at(out, idx + 1, h * (f0 * d2 + df * d3))
     return out
@@ -120,18 +120,19 @@ def bump_derivative(amplitude: float, center: float, width: float):
     return der
 
 
-def random_bump(rng: np.random.Generator, dom: Domain, n: int) -> GridFunction:
+def random_bump(rng: np.random.Generator, grid: Grid) -> np.ndarray:
     """One random smooth bump (sometimes a superposition of two) compactly
     supported inside Omega, sampled on the grid: the first row of
     profiles._random_bump_rows."""
-    return make_grid(dom, n).with_values(_random_bump_rows(rng, dom, n, 1)[0])
+    return _random_bump_rows(rng, grid, 1)[0]
 
 
-def random_bump_loop(rng: np.random.Generator, dom: Domain, n: int) -> GridFunction:
+def random_bump_loop(rng: np.random.Generator, grid: Grid) -> np.ndarray:
     """One random bump drawn parameter by parameter (width, centre,
     amplitude, sign, then whether a half-weight second bump is added),
     each bump built as a catalog profile and sampled on the grid
     (reference for profiles.random_bump and its stacked form)."""
+    dom = grid.domain
     mid = 0.5 * (dom.omega_lo + dom.omega_hi)
     half = 0.5 * dom.omega_measure
 
@@ -145,21 +146,21 @@ def random_bump_loop(rng: np.random.Generator, dom: Domain, n: int) -> GridFunct
     first = draw()
     if rng.random() < 0.3:
         second = draw()
-        return sample(dom, n, lambda x: first(x) + 0.5 * second(x))
-    return sample(dom, n, first)
+        return sample(grid, lambda x: first(x) + 0.5 * second(x))
+    return sample(grid, first)
 
 
-def correlation_exact(phi: GridFunction, z: float) -> float:
-    """Integral of phi(x) phi(x+z) dx over the real line for a grid function
+def correlation_exact(grid: Grid, phi: np.ndarray, z: float) -> float:
+    """Integral of phi(x) phi(x+z) dx over the real line for a P1 function
     vanishing at the box ends, z >= 0.  Exact: the integrand is a piecewise
     product of linears on the union breakpoints."""
-    x = phi.nodes
+    x = grid.nodes
     lo, hi = x[0], x[-1] - z
     if hi <= lo:
         return 0.0
     pts = np.union1d(np.union1d(x, x - z), [lo, hi])
     pts = pts[(pts >= lo) & (pts <= hi)]
-    return simpson_cells(lambda t: grid_eval(phi, t) * grid_eval(phi, t + z), pts)
+    return simpson_cells(lambda t: grid_eval(grid, phi, t) * grid_eval(grid, phi, t + z), pts)
 
 
 def gaussian_truncated_oracle(s: float, x: float, radius: float = 50.0) -> float:
@@ -243,7 +244,7 @@ def jacobi_energy(s: float, f, terms: int = 60, nodes: int = 100) -> float:
     return float(np.sum(terms_k)) / const_ratio(FracParams(s=s))
 
 
-def exact_hat_load(grid: GridFunction, f) -> np.ndarray:
+def exact_hat_load(grid: Grid, f) -> np.ndarray:
     """int over Omega of f times each hat of grid, by the 8-point
     Gauss-Legendre rule on each cell; Omega's ends must be nodes.  Unlike
     load_vector, which integrates f's P1 interpolant, this is the load of
@@ -259,17 +260,17 @@ def exact_hat_load(grid: GridFunction, f) -> np.ndarray:
     return b
 
 
-def dirichlet_frac_oracle(phi: GridFunction, p: FracParams) -> float:
+def dirichlet_frac_oracle(grid: Grid, phi: np.ndarray, p: FracParams) -> float:
     """Interaction energy of the zero-extended interpolant by direct radial
     quadrature: int_R eta(|z|) Q(z) dz with Q(z) the exact squared L2 norm of
     the z-shift difference; the tail beyond the box span is closed-form."""
-    span = phi.domain.box_measure
-    r0 = correlation_exact(phi, 0.0)
+    span = grid.domain.box_measure
+    r0 = correlation_exact(grid, phi, 0.0)
 
     def shifted_sq(z: float) -> float:
-        return 2.0 * (r0 - correlation_exact(phi, z))
+        return 2.0 * (r0 - correlation_exact(grid, phi, z))
 
-    pts = [k * phi.h for k in range(1, int(span / phi.h))]
+    pts = [k * grid.h for k in range(1, int(span / grid.h))]
     if len(pts) > 60:
         pts = pts[:: len(pts) // 60 + 1]
     with warnings.catch_warnings():
@@ -391,10 +392,10 @@ def correlate_apply(v: np.ndarray, w: np.ndarray, odd: bool) -> np.ndarray:
     return np.correlate(vpad, np.concatenate((w[:0:-1], w)), mode="valid")
 
 
-def mollify_loop(phi: GridFunction, p: FracParams) -> np.ndarray:
+def mollify_loop(grid: Grid, v: np.ndarray, p: FracParams) -> np.ndarray:
     """Smoothed values summed kernel piece by kernel piece, each piece a
     clipped gather of the nodes it touches (reference for mollify)."""
-    h, n, v = phi.h, phi.n, phi.values
+    h, n = grid.h, grid.n
     a, b, js = _partition(h, 0.0, 1.0, p.eps)
     K0, K1 = psi_integrals(p, a, b)
     idx = np.arange(n)
@@ -411,7 +412,7 @@ def mollify_loop(phi: GridFunction, p: FracParams) -> np.ndarray:
     return out
 
 
-def mollify_gradient(phi: GridFunction, p: FracParams) -> GridFunction:
+def mollify_gradient(grid: Grid, v: np.ndarray, p: FracParams) -> np.ndarray:
     """Gradient of the smoothed function, as the nonsingular radial integral
     of the antisymmetric difference over [eps, 1], by mollifier's stencil
     and FFT application.
@@ -422,13 +423,13 @@ def mollify_gradient(phi: GridFunction, p: FracParams) -> GridFunction:
     """
     if p.d != 1:
         raise ConfigError(f"mollify_gradient supports d=1 only, got d={p.d}")
-    return phi.with_values(_apply(phi.values, _kernel(_stencil(p, phi.h, p.eps, 1.0, True), True, phi.n), {}))
+    return _apply(grid.check(v), _kernel(_stencil(p, grid.h, p.eps, 1.0, True), True, grid.n), {})
 
 
-def gradient_loop(phi: GridFunction, p: FracParams, t_lo: float, t_hi: float) -> np.ndarray:
+def gradient_loop(grid: Grid, v: np.ndarray, p: FracParams, t_lo: float, t_hi: float) -> np.ndarray:
     """Gradient quadrature over radii [t_lo, t_hi] summed piece by piece
     (reference for mollify_gradient and the tail quadrature)."""
-    h, n, v = phi.h, phi.n, phi.values
+    h, n = grid.h, grid.n
     C = norm_const(p)
     g = 1.0 - 2.0 * p.s
     a, b, js = _partition(h, max(t_lo, 0.0), min(t_hi, 1.0))
@@ -539,23 +540,22 @@ def central_diff(f, x: float, delta: float) -> float:
     return (f(x + delta) - f(x - delta)) / (2.0 * delta)
 
 
-def holder_seminorm_grid(phi: GridFunction, beta: float) -> float:
+def holder_seminorm_grid(grid: Grid, v: np.ndarray, beta: float) -> float:
     """Grid Hoelder estimator: max over node pairs of |dv| / |dx|**beta.
 
     A lower bound for the seminorm of the interpolant; exact at beta = 1
     where the max is attained by adjacent nodes.
     """
-    return float(_holder_quotients(phi.values, phi.h, (beta,))[0])
+    return float(_holder_quotients(v, grid.h, (beta,))[0])
 
 
-def holder_loop(phi: GridFunction, beta: float) -> float:
+def holder_loop(grid: Grid, v: np.ndarray, beta: float) -> float:
     """Grid Hoelder quotient maximised lag by lag (reference for
     holder_seminorm_grid, which must return the same float)."""
-    v = phi.values
     best = 0.0
-    for k in range(1, phi.n):
+    for k in range(1, grid.n):
         diff = float(np.max(np.abs(v[k:] - v[:-k])))
-        best = max(best, diff / (k * phi.h) ** beta)
+        best = max(best, diff / (k * grid.h) ** beta)
     return best
 
 
@@ -618,10 +618,10 @@ def solve_csv_rows(xs, blocks) -> str:
 # subjects of their own tests.
 
 
-def grid_eval(phi: GridFunction, x) -> np.ndarray | float:
+def grid_eval(grid: Grid, phi: np.ndarray, x) -> np.ndarray | float:
     """The interpolant of phi at x (scalar or array), with constant
     extension outside the box."""
-    out = np.interp(np.asarray(x, dtype=float), phi.nodes, phi.values)
+    out = np.interp(np.asarray(x, dtype=float), grid.nodes, phi)
     return float(out) if out.ndim == 0 else out
 
 
@@ -666,19 +666,19 @@ class EnergyBreakdown:
         return self.d1 + self.d2
 
 
-def dirichlet_frac(phi: GridFunction, p: FracParams) -> EnergyBreakdown:
+def dirichlet_frac(grid: Grid, phi: np.ndarray, p: FracParams) -> EnergyBreakdown:
     """Nonlocal interaction energy of the zero-extended interpolant, split
     into near (distance < 1) and far (distance > 1) parts, both exact
     Toeplitz forms: the far part from the closed-form far kernel.  The full
     kernel comes from assembly.stiffness_kernel looked up on the module, so
     a test can count its calls."""
-    if phi.values[0] != 0.0 or phi.values[-1] != 0.0:
+    if phi[0] != 0.0 or phi[-1] != 0.0:
         raise SupportError(
             "nonzero box boundary samples: the whole-line energy of the "
             "constant extension would be infinite"
         )
-    v = phi.values[1:-1]
-    h = phi.h
+    v = phi[1:-1]
+    h = grid.h
     c_full = assembly.stiffness_kernel(p, h, len(v) - 1)
     c_far = far_kernel(p, h, c_full)
     d1 = 0.5 * assembly.ToeplitzOperator(c_full - c_far).quad_form(v)
@@ -686,21 +686,21 @@ def dirichlet_frac(phi: GridFunction, p: FracParams) -> EnergyBreakdown:
     return EnergyBreakdown(d1=d1, d2=d2)
 
 
-def linf_distance(phi: GridFunction, psi: GridFunction, region: str = "box") -> float:
+def linf_distance(grid: Grid, phi: np.ndarray, psi: np.ndarray, region: str = "box") -> float:
     """Max absolute nodal difference over the nodes lying in the region."""
-    phi._check_same_grid(psi)
-    lo, hi = _clip_bounds(phi.domain, region)
-    x = phi.nodes
-    tol = 1e-9 * phi.h
+    phi, psi = grid.check(phi), grid.check(psi)
+    lo, hi = _clip_bounds(grid.domain, region)
+    x = grid.nodes
+    tol = 1e-9 * grid.h
     mask = (x >= lo - tol) & (x <= hi + tol)
-    return float(np.max(np.abs(phi.values[mask] - psi.values[mask])))
+    return float(np.max(np.abs(phi[mask] - psi[mask])))
 
 
-def objective_frac(phi: GridFunction, f_s: GridFunction, p: FracParams) -> float:
+def objective_frac(grid: Grid, phi: np.ndarray, f_s: np.ndarray, p: FracParams) -> float:
     """Nonlocal objective: interaction energy minus the exact load over the
     interval."""
-    load = product_integral(phi, f_s, region="omega")
-    return dirichlet_frac(phi, p).total - load
+    load = product_integral(grid, phi, f_s, region="omega")
+    return dirichlet_frac(grid, phi, p).total - load
 
 
 def mass_quadratic_form(v: np.ndarray, h: float) -> float:
@@ -710,14 +710,14 @@ def mass_quadratic_form(v: np.ndarray, h: float) -> float:
     return float((2.0 * h / 3.0) * (v @ v) + 2.0 * (h / 6.0) * (v[1:] @ v[:-1]))
 
 
-def autocorrelation(phi: GridFunction, z: float) -> float:
+def autocorrelation(grid: Grid, phi: np.ndarray, z: float) -> float:
     """Exact integral of phi(x) phi(x+z) dx for the zero-extended interpolant
     (requires zero boundary samples to be meaningful as a whole-line value)."""
     if z < 0.0:
         z = -z
-    nodes = phi.nodes
-    lo = phi.domain.box_lo
-    hi = phi.domain.box_hi - z
+    nodes = grid.nodes
+    lo = grid.domain.box_lo
+    hi = grid.domain.box_hi - z
     if hi <= lo:
         return 0.0
     cuts = np.union1d(nodes, nodes - z)
@@ -732,17 +732,17 @@ def autocorrelation(phi: GridFunction, z: float) -> float:
     half = b - a
     total = 0.0
     for q in (mids - r * half, mids + r * half):
-        total += 0.5 * float(np.sum(half * grid_eval(phi, q) * grid_eval(phi, q + z)))
+        total += 0.5 * float(np.sum(half * grid_eval(grid, phi, q) * grid_eval(grid, phi, q + z)))
     return total
 
 
-def far_cross_quadrature(phi: GridFunction, p: FracParams, order: int = 10) -> float:
+def far_cross_quadrature(grid: Grid, phi: np.ndarray, p: FracParams, order: int = 10) -> float:
     """Integral of eta(|x-y|) phi(x) phi(y) over pairs with |x - y| > 1,
     by per-cell Gauss quadrature in the separation variable against exact
     autocorrelations.  Independent of the closed-form far kernel."""
     C = norm_const(p)
-    h = phi.h
-    zmax = phi.domain.box_measure
+    h = grid.h
+    zmax = grid.domain.box_measure
     t, w = _gauss_legendre(order)
     total = 0.0
     z0 = 1.0
@@ -753,75 +753,73 @@ def far_cross_quadrature(phi: GridFunction, p: FracParams, order: int = 10) -> f
         mid, half = 0.5 * (z0 + z1), 0.5 * (z1 - z0)
         for ti, wi in zip(t, w):
             z = mid + half * ti
-            total += wi * half * C * z ** (-1.0 - 2.0 * p.s) * autocorrelation(phi, z)
+            total += wi * half * C * z ** (-1.0 - 2.0 * p.s) * autocorrelation(grid, phi, z)
         z0 = z1
     return 2.0 * total
 
 
 # One-row forms of the mollifier-check rows (mollifier._*_rows on a single
-# grid function), each returning its (lhs, rhs) pair.
+# P1 function), each returning its (lhs, rhs) pair.
 
 
-def check_identity_l2(phi: GridFunction, p: FracParams, near_energy=None):
+def check_identity_l2(grid: Grid, phi: np.ndarray, p: FracParams, near_energy=None):
     """Squared L2 distance between the smoothed function and the original
     versus plateau_scale**2 (1-s) d1; near_energy replaces the d1
     computation (d1 does not depend on eps)."""
-    d1 = dirichlet_frac(phi, p).d1 if near_energy is None else near_energy
-    return _closeness_rows(phi, phi.values, mollify(phi, p).values, p, d1)
+    d1 = dirichlet_frac(grid, phi, p).d1 if near_energy is None else near_energy
+    return _closeness_rows(grid, phi, mollify(grid, phi, p), p, d1)
 
 
-def check_energy_consistency(phi: GridFunction, p: FracParams, near_energy=None):
+def check_energy_consistency(grid: Grid, phi: np.ndarray, p: FracParams, near_energy=None):
     """Gradient energy of the smoothed function versus its near-part control
     d1 / (1 - eps**(2-2s))**2; for eps = 0 the bound is d1 itself."""
-    d1 = dirichlet_frac(phi, p).d1 if near_energy is None else near_energy
-    return _consistency_rows(phi.h, mollify(phi, p).values, p, d1)
+    d1 = dirichlet_frac(grid, phi, p).d1 if near_energy is None else near_energy
+    return _consistency_rows(grid.h, mollify(grid, phi, p), p, d1)
 
 
-def check_lipschitz(phi: GridFunction, p: FracParams, s_holder: float, holder_est=None):
+def check_lipschitz(grid: Grid, phi: np.ndarray, p: FracParams, s_holder: float, holder_est=None):
     """Max gradient of the smoothed function over fully covered nodes versus
     2 d [phi]_{C^{0,s_holder}} / (1 - eps**(2-2s)); holder_est replaces the
     grid estimate (a lower bound) when the seminorm is known."""
-    est = holder_seminorm_grid(phi, s_holder) if holder_est is None else holder_est
-    return _lipschitz_rows(mollify_gradient(phi, p).values, full_coverage_mask(phi), p, est)
+    est = holder_seminorm_grid(grid, phi, s_holder) if holder_est is None else holder_est
+    return _lipschitz_rows(mollify_gradient(grid, phi, p), full_coverage_mask(grid), p, est)
 
 
-def check_tail_bound(phi: GridFunction, p: FracParams, rho: float, alpha: float, holder_est=None):
+def check_tail_bound(grid: Grid, phi: np.ndarray, p: FracParams, rho: float, alpha: float, holder_est=None):
     """Max over covered nodes of the gradient quadrature over radii [rho, 1]
     versus the tail bound of mollifier._tail_rows with [phi]_{C^{0,alpha}}."""
-    est = holder_seminorm_grid(phi, alpha) if holder_est is None else holder_est
-    tail = gradient_values(phi.values, phi.h, p, rho, 1.0)
-    return _tail_rows(tail, full_coverage_mask(phi), p, rho, alpha, est)
+    est = holder_seminorm_grid(grid, phi, alpha) if holder_est is None else holder_est
+    tail = gradient_values(phi, grid.h, p, rho, 1.0)
+    return _tail_rows(tail, full_coverage_mask(grid), p, rho, alpha, est)
 
 
-def build_w(u_s: GridFunction, g: GridFunction, p: FracParams, r: float) -> GridFunction:
+def build_w(grid: Grid, u_s: np.ndarray, g: np.ndarray, p: FracParams, r: float) -> np.ndarray:
     """Competitor equal to g outside Omega, to the smoothed u_s at depth
     >= r inside, with a linear ramp across the strip."""
-    u_s._check_same_grid(g)
-    return _blend(g, mollify(u_s, p), r)
+    return _blend(grid, grid.check(g), mollify(grid, u_s, p), r)
 
 
-def _strip_one(u_s: GridFunction, g: GridFunction, p: FracParams, r: float, hold_us: float, hold_g: float):
+def _strip_one(grid: Grid, u_s: np.ndarray, g: np.ndarray, p: FracParams, r: float, hold_us: float, hold_g: float):
     """Both mollifier._strip_rows pairs for one function; the rows model
     zero exterior data, so g must vanish and hold_g be 0."""
-    u_s._check_same_grid(g)
-    if np.any(g.values) or hold_g != 0.0:
+    if np.any(grid.check(g)) or hold_g != 0.0:
         raise ValueError("the strip rows take zero exterior data g and hold_g = 0")
-    return _strip_rows(u_s, mollify(u_s, p).values, p, r, hold_us, _strip(u_s, r))
+    return _strip_rows(grid, mollify(grid, u_s, p), p, r, hold_us, _strip(grid, r))
 
 
-def check_strip_closeness(u_s, g, p, r, hold_us, hold_g):
+def check_strip_closeness(grid, u_s, g, p, r, hold_us, hold_g):
     """Sup distance between the smoothed solution and the competitor over the
     inner strip versus 2 hold_us (r^s + (1-s)/(1-eps^(2-2s)))."""
-    return _strip_one(u_s, g, p, r, hold_us, hold_g)[0]
+    return _strip_one(grid, u_s, g, p, r, hold_us, hold_g)[0]
 
 
-def check_strip_l2(u_s, g, p, r, hold_us, hold_g):
+def check_strip_l2(grid, u_s, g, p, r, hold_us, hold_g):
     """Squared L2(Omega) distance between the smoothed solution and the
     competitor versus 8 hold_us^2 (r^(1+2s) + ((1-s)/(1-eps^(2-2s)))^2 r)."""
-    return _strip_one(u_s, g, p, r, hold_us, hold_g)[1]
+    return _strip_one(grid, u_s, g, p, r, hold_us, hold_g)[1]
 
 
-def strip_sup_loop(grid: GridFunction, values: np.ndarray, r: float) -> float:
+def strip_sup_loop(grid: Grid, values: np.ndarray, r: float) -> float:
     """Exact max over Omega's closure at depth <= r of |(1 - lam) v| for one
     smoothed row v (its P1 interpolant), lam = clip(depth / r, 0, 1), cell
     by cell in a scalar loop (reference for mollifier._strip_rows' sup).  On
@@ -854,7 +852,7 @@ def strip_sup_loop(grid: GridFunction, values: np.ndarray, r: float) -> float:
     return best
 
 
-def strip_sup_sampled(grid: GridFunction, values: np.ndarray, r: float, points: int = 200_001) -> float:
+def strip_sup_sampled(grid: Grid, values: np.ndarray, r: float, points: int = 200_001) -> float:
     """max of |(1 - lam) v| over `points` equispaced samples of Omega's
     closure, v the P1 interpolant of the row values: a lower bound for
     strip_sup_loop, exact at the nodes the samples hit."""

@@ -18,7 +18,7 @@ from fraclap.experiments import (
     run_mollifier_check,
     run_rates,
 )
-from fraclap.grid import Domain, dirichlet_local, objective_local, sample
+from fraclap.grid import Domain, dirichlet_local, make_grid, objective_local, sample
 from fraclap.kernels import FracParams, classical_const, const_ratio, norm_const
 from fraclap.mollifier import energy_gap
 from fraclap.profiles import make_profile
@@ -113,28 +113,28 @@ class TestAcceptance:
         )
 
     def test_a04_discrete_stability_identities(self):
-        n = 257
+        grid = make_grid(DOM, 257)
         t0 = time.perf_counter()
-        f = sample(DOM, n, lambda x: 1.0)
+        f = sample(grid, lambda x: 1.0)
         rng = np.random.default_rng(42)
-        trials = [random_bump(rng, DOM, n) for _ in range(20)]
+        trials = [random_bump(rng, grid) for _ in range(20)]
 
         worst = 0.0
-        u_loc = solve_local_dirichlet(f)
-        base_loc = objective_local(u_loc, f)
+        u_loc = solve_local_dirichlet(grid, f)
+        base_loc = objective_local(grid, u_loc, f)
         for phi in trials:
-            gap = objective_local(phi, f) - base_loc
-            target = dirichlet_local(phi - u_loc)
+            gap = objective_local(grid, phi, f) - base_loc
+            target = dirichlet_local(grid, phi - u_loc)
             scale = max(abs(gap), abs(target), 1e-300)
             worst = max(worst, abs(gap - target) / scale)
 
         for s in (0.35, 0.6):
             p = FracParams(s=s)
-            u_s = solve_frac_system(f, p)[0]
-            base = objective_frac(u_s, f, p)
+            u_s = solve_frac_system(grid, f, p)[0]
+            base = objective_frac(grid, u_s, f, p)
             for phi in trials:
-                gap = objective_frac(phi, f, p) - base
-                target = dirichlet_frac(phi - u_s, p).total
+                gap = objective_frac(grid, phi, f, p) - base
+                target = dirichlet_frac(grid, phi - u_s, p).total
                 scale = max(abs(gap), abs(target), 1e-300)
                 worst = max(worst, abs(gap - target) / scale)
         seconds = time.perf_counter() - t0
@@ -154,10 +154,9 @@ class TestAcceptance:
             p = FracParams(s=s)
             errs = []
             for n in ladder:
-                f = sample(DOM, n, lambda x: 1.0)
-                u = solve_frac_system(f, p)[0]
-                ref = u.with_values(exact_solution_ball(p, u.nodes))
-                errs.append(linf_distance(u, ref, "box"))
+                grid = make_grid(DOM, n)
+                u = solve_frac_system(grid, sample(grid, lambda x: 1.0), p)[0]
+                errs.append(linf_distance(grid, u, exact_solution_ball(p, grid.nodes), "box"))
             assert all(a > b for a, b in zip(errs, errs[1:])), (s, errs)
             assert errs[-1] < 2e-2, (s, errs)
             final_errs[s] = errs[-1]
@@ -280,26 +279,26 @@ class TestAcceptance:
 
     def test_a10_boundary_competitor_suite(self):
         t0 = time.perf_counter()
-        n = 513
-        f = sample(DOM, n, lambda x: 1.0)
-        g = sample(DOM, n, lambda x: 0.0)
+        grid = make_grid(DOM, 513)
+        f = sample(grid, lambda x: 1.0)
+        g = sample(grid, lambda x: 0.0)
         worst_margin = 0.0
         for s in (0.5, 0.7, 0.9):
             p = FracParams(s=s)
-            u = solve_frac_system(f, p)[0]
-            hold = holder_seminorm_grid(u, s)
+            u = solve_frac_system(grid, f, p)[0]
+            hold = holder_seminorm_grid(grid, u, s)
             for r in (0.2, 0.1, 0.05):
                 for check in (check_strip_closeness, check_strip_l2):
-                    lhs, rhs = check(u, g, p, r, hold, 0.0)
+                    lhs, rhs = check(grid, u, g, p, r, hold, 0.0)
                     assert lhs <= rhs * (1.0 + 1e-4) + 1e-10, (check.__name__, s, r)
                     worst_margin = max(worst_margin, lhs / max(rhs, 1e-300))
 
         gaps = []
         for s in RATE_S:
             p = FracParams(s=s)
-            u = solve_frac_system(f, p)[0]
+            u = solve_frac_system(grid, f, p)[0]
             r = (1.0 - s) ** (1.0 / s)
-            gaps.append(energy_gap(u, g, f, p, r))
+            gaps.append(energy_gap(grid, u, g, f, p, r))
         slope, _, _ = fit_line(
             [math.log(1.0 - s) for s in RATE_S], [math.log(v) for v in gaps]
         )

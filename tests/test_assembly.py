@@ -38,26 +38,29 @@ from helpers import (
 )
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
+G33 = make_grid(DOM, 33)
 
 
 class TestStiffnessKernel:
     @pytest.mark.parametrize("s,eps", [(0.3, 0.0), (0.6, 0.2), (0.9, 0.0)])
     def test_quadratic_form_matches_energy_oracle(self, s, eps):
         rng = np.random.default_rng(17)
-        phi = random_bump(rng, DOM, 33)
+        grid = make_grid(DOM, 33)
+        phi = random_bump(rng, grid)
         p = FracParams(s=s, eps=eps)
-        v = phi.values[1:-1]
-        c = stiffness_kernel(p, phi.h, len(v) - 1)
+        v = phi[1:-1]
+        c = stiffness_kernel(p, grid.h, len(v) - 1)
         got = ToeplitzOperator(c).quad_form(v)
-        assert got == pytest.approx(2.0 * dirichlet_frac_oracle(phi, p), rel=1e-4)
+        assert got == pytest.approx(2.0 * dirichlet_frac_oracle(grid, phi, p), rel=1e-4)
 
     def test_local_limit_recovers_gradient_energy(self):
         rng = np.random.default_rng(18)
-        phi = random_bump(rng, DOM, 257)
-        v = phi.values[1:-1]
-        c = stiffness_kernel(FracParams(s=0.99), phi.h, len(v) - 1)
+        grid = make_grid(DOM, 257)
+        phi = random_bump(rng, grid)
+        v = phi[1:-1]
+        c = stiffness_kernel(FracParams(s=0.99), grid.h, len(v) - 1)
         got = ToeplitzOperator(c).quad_form(v)
-        assert got == pytest.approx(2.0 * dirichlet_local(phi), rel=0.05)
+        assert got == pytest.approx(2.0 * dirichlet_local(grid, phi), rel=0.05)
 
     def test_dimension_guard(self):
         with pytest.raises(ConfigError):
@@ -81,25 +84,25 @@ class TestLocalStiffness:
     # the local solve is checked against the dense tridiagonal
     # (2/h, -1/h, 0, ...) stiffness built here
     def test_banded_pattern(self):
-        n = 65
+        grid = make_grid(DOM, 65)
         rng = np.random.default_rng(19)
-        f = random_bump(rng, DOM, n)
-        u = solve_local_dirichlet(f)
-        idx = interior_indices(u)
-        h = u.h
+        f = random_bump(rng, grid)
+        u = solve_local_dirichlet(grid, f)
+        idx = interior_indices(grid)
+        h = grid.h
         kernel = np.zeros(idx.size)
         kernel[0], kernel[1] = 2.0 / h, -1.0 / h
-        b = load_vector(f)[idx]
-        residual = toeplitz(kernel) @ u.values[idx] - b
+        b = load_vector(grid, f)[idx]
+        residual = toeplitz(kernel) @ u[idx] - b
         assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(b))
 
     def test_solves_poisson(self):
-        n = 65
-        u = solve_local_dirichlet(sample(DOM, n, lambda x: 2.0))
-        idx = interior_indices(u)
-        assert idx.size == 31 and u.h == 0.0625
-        x = u.nodes[idx]
-        assert np.allclose(u.values[idx], 1.0 - x * x, atol=1e-12)
+        grid = make_grid(DOM, 65)
+        u = solve_local_dirichlet(grid, sample(grid, lambda x: 2.0))
+        idx = interior_indices(grid)
+        assert idx.size == 31 and grid.h == 0.0625
+        x = grid.nodes[idx]
+        assert np.allclose(u[idx], 1.0 - x * x, atol=1e-12)
 
 
 class TestGaussLegendre:
@@ -156,11 +159,11 @@ class TestFarPairs:
 class TestFarKernel:
     def test_far_plus_near_equals_full(self):
         rng = np.random.default_rng(19)
-        phi = random_bump(rng, DOM, 65)
-        v = phi.values[1:-1]
+        grid = make_grid(DOM, 65)
+        v = random_bump(rng, grid)[1:-1]
         p = FracParams(s=0.55, eps=0.1)
-        c_full = stiffness_kernel(p, phi.h, len(v) - 1)
-        c_far = far_kernel(p, phi.h, c_full)
+        c_full = stiffness_kernel(p, grid.h, len(v) - 1)
+        c_far = far_kernel(p, grid.h, c_full)
         near = ToeplitzOperator(c_full - c_far).quad_form(v)
         far = ToeplitzOperator(c_far).quad_form(v)
         assert near + far == pytest.approx(ToeplitzOperator(c_full).quad_form(v), rel=1e-12)
@@ -168,16 +171,17 @@ class TestFarKernel:
 
     def test_matches_independent_cross_quadrature(self):
         rng = np.random.default_rng(20)
-        phi = random_bump(rng, DOM, 65)
-        v = phi.values[1:-1]
+        grid = make_grid(DOM, 65)
+        phi = random_bump(rng, grid)
+        v = phi[1:-1]
         for s in (0.35, 0.75):
             p = FracParams(s=s)
-            c_far = far_kernel(p, phi.h, stiffness_kernel(p, phi.h, len(v) - 1))
+            c_far = far_kernel(p, grid.h, stiffness_kernel(p, grid.h, len(v) - 1))
             got = 0.5 * ToeplitzOperator(c_far).quad_form(v)
             from fraclap.kernels import norm_const
 
-            mass = mass_quadratic_form(v, phi.h)
-            want = 2.0 * (norm_const(p) / s) * mass - 2.0 * far_cross_quadrature(phi, p)
+            mass = mass_quadratic_form(v, grid.h)
+            want = 2.0 * (norm_const(p) / s) * mass - 2.0 * far_cross_quadrature(grid, phi, p)
             assert got == pytest.approx(want, rel=1e-6)
 
     @pytest.mark.parametrize("n", [65, 257, 4097])
@@ -224,8 +228,8 @@ class TestToeplitz:
     @pytest.mark.parametrize("s", [0.3, 0.99])
     def test_stiffness_products_match_dense_reference(self, s):
         rng = np.random.default_rng(24)
-        phi = random_bump(rng, DOM, 513)
-        v = phi.values[interior_indices(phi)]
+        grid = make_grid(DOM, 513)
+        v = random_bump(rng, grid)[interior_indices(grid)]
         op = frac_operator(513, s)
         m = toeplitz(op.c)
         want = m @ v
@@ -237,8 +241,8 @@ class TestToeplitz:
     @pytest.mark.parametrize("s", [0.3, 0.6, 0.9, 0.99])
     def test_solve_matches_dense_cholesky(self, n, s):
         op = frac_operator(n, s)
-        b = load_vector(sample(DOM, n, lambda x: 1.0 + 0.5 * np.sin(3.0 * x)))
-        b = b[interior_indices(make_grid(DOM, n))]
+        grid = make_grid(DOM, n)
+        b = load_vector(grid, sample(grid, lambda x: 1.0 + 0.5 * np.sin(3.0 * x)))[interior_indices(grid)]
         want = cho_solve(cho_factor(toeplitz(op.c)), b)
         got = op.solve(b)
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
@@ -247,8 +251,8 @@ class TestToeplitz:
     @pytest.mark.parametrize("s", [0.3, 0.6, 0.9, 0.99, 0.999])
     def test_solve_matches_refined_dense_solve(self, n, s):
         op = frac_operator(n, s)
-        b = load_vector(sample(DOM, n, lambda x: 1.0 + 0.5 * np.sin(3.0 * x)))
-        b = b[interior_indices(make_grid(DOM, n))]
+        grid = make_grid(DOM, n)
+        b = load_vector(grid, sample(grid, lambda x: 1.0 + 0.5 * np.sin(3.0 * x)))[interior_indices(grid)]
         want = refined_dense_solve(op.c, b)
         got = op.solve(b)
         assert np.max(np.abs(got - want)) <= 5e-12 * np.max(np.abs(want))
@@ -362,9 +366,10 @@ class TestToeplitz:
 class TestMassForm:
     def test_matches_l2_norm(self):
         rng = np.random.default_rng(29)
-        phi = random_bump(rng, DOM, 65)
-        got = mass_quadratic_form(phi.values[1:-1], phi.h)
-        assert got == pytest.approx(l2_norm(phi, "box") ** 2, rel=1e-12)
+        grid = make_grid(DOM, 65)
+        phi = random_bump(rng, grid)
+        got = mass_quadratic_form(phi[1:-1], grid.h)
+        assert got == pytest.approx(l2_norm(grid, phi, "box") ** 2, rel=1e-12)
 
 
 class TestInteriorIndices:
@@ -387,21 +392,22 @@ class TestInteriorIndices:
 
 class TestLoadVector:
     def test_against_per_hat_simpson(self):
-        f = sample(DOM, 17, lambda x: np.sin(1.3 * x) + 0.4)
-        b = load_vector(f)
+        grid = make_grid(DOM, 17)
+        f = sample(grid, lambda x: np.sin(1.3 * x) + 0.4)
+        b = load_vector(grid, f)
         lo, hi = DOM.omega_lo, DOM.omega_hi
-        for i, xi in enumerate(f.nodes):
-            a = max(xi - f.h, lo)
-            c = min(xi + f.h, hi)
+        for i, xi in enumerate(grid.nodes):
+            a = max(xi - grid.h, lo)
+            c = min(xi + grid.h, hi)
             if c <= a:
                 assert b[i] == 0.0
                 continue
             pts = np.unique(np.clip(np.array([a, xi, c]), a, c))
 
             def hat_i(x):
-                return np.clip(1.0 - np.abs(np.asarray(x) - xi) / f.h, 0.0, None)
+                return np.clip(1.0 - np.abs(np.asarray(x) - xi) / grid.h, 0.0, None)
 
-            want = simpson_cells(lambda x: grid_eval(f, x) * hat_i(x), pts)
+            want = simpson_cells(lambda x: grid_eval(grid, f, x) * hat_i(x), pts)
             assert b[i] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize(
@@ -420,48 +426,50 @@ class TestLoadVector:
     def test_matches_all_cells_formula(self, dom, n):
         # whole cells take h where the all-cells formula takes the node
         # differences, which carry roundoff growing with max|x| / h
-        f = sample(dom, n, lambda x: np.cos(2.0 * x) + 0.3 * x)
-        got = load_vector(f)
-        want = load_vector_all_cells(f)
-        scale = 8.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(f.nodes)) / f.h)
+        grid = make_grid(dom, n)
+        f = sample(grid, lambda x: np.cos(2.0 * x) + 0.3 * x)
+        got = load_vector(grid, f)
+        want = load_vector_all_cells(grid, f)
+        scale = 8.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(grid.nodes)) / grid.h)
         assert got.shape == (n,)
-        assert np.max(np.abs(got - want)) <= scale * f.h * np.max(np.abs(f.values))
+        assert np.max(np.abs(got - want)) <= scale * grid.h * np.max(np.abs(f))
 
     def test_constant_function(self):
-        f = sample(DOM, 17, lambda x: 2.0)
-        b = load_vector(f)
+        grid = make_grid(DOM, 17)
+        b = load_vector(grid, sample(grid, lambda x: 2.0))
         # interior hats integrate to h, hats straddling the boundary to less
-        idx = interior_indices(f)
+        idx = interior_indices(grid)
         inner = idx[1:-1]
-        assert np.allclose(b[inner], 2.0 * f.h)
+        assert np.allclose(b[inner], 2.0 * grid.h)
         assert b.sum() == pytest.approx(2.0 * DOM.omega_measure, rel=1e-13)
 
 
 class TestAutocorrelation:
     def test_zero_shift_is_squared_norm(self):
         rng = np.random.default_rng(31)
-        phi = random_bump(rng, DOM, 65)
-        assert autocorrelation(phi, 0.0) == pytest.approx(
-            l2_norm(phi, "box") ** 2, rel=1e-12
+        grid = make_grid(DOM, 65)
+        phi = random_bump(rng, grid)
+        assert autocorrelation(grid, phi, 0.0) == pytest.approx(
+            l2_norm(grid, phi, "box") ** 2, rel=1e-12
         )
 
     def test_matches_breakpoint_oracle(self):
         rng = np.random.default_rng(32)
-        phi = random_bump(rng, DOM, 33)
+        phi = random_bump(rng, G33)
         for z in (0.07, 0.5, 1.31, 2.6):
-            assert autocorrelation(phi, z) == pytest.approx(
-                correlation_exact(phi, z), rel=1e-12, abs=1e-15
+            assert autocorrelation(G33, phi, z) == pytest.approx(
+                correlation_exact(G33, phi, z), rel=1e-12, abs=1e-15
             )
 
     def test_beyond_span(self):
         rng = np.random.default_rng(33)
-        phi = random_bump(rng, DOM, 33)
-        assert autocorrelation(phi, DOM.box_measure) == 0.0
-        assert autocorrelation(phi, 17.0) == 0.0
+        phi = random_bump(rng, G33)
+        assert autocorrelation(G33, phi, DOM.box_measure) == 0.0
+        assert autocorrelation(G33, phi, 17.0) == 0.0
 
     def test_even_in_shift(self):
         rng = np.random.default_rng(34)
-        phi = random_bump(rng, DOM, 33)
-        assert autocorrelation(phi, -0.4) == pytest.approx(
-            autocorrelation(phi, 0.4), rel=1e-14
+        phi = random_bump(rng, G33)
+        assert autocorrelation(G33, phi, -0.4) == pytest.approx(
+            autocorrelation(G33, phi, 0.4), rel=1e-14
         )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fraclap.errors import ConfigError, ShapeError
-from fraclap.grid import Domain, sample
+from fraclap.grid import Domain, make_grid, sample
 from fraclap.kernels import FracParams
 from fraclap.mollifier import _ramp, _strip, _strip_rows, energy_gap, mollify
 from fraclap.solver import solve_frac_system
@@ -21,34 +21,34 @@ DOM = Domain(-1.0, 1.0, -2.0, 2.0)
 
 
 def zero(n: int):
-    return sample(DOM, n, lambda x: 0.0)
+    return np.zeros(n)
 
 
-def solved(n: int, s: float):
-    f = sample(DOM, n, lambda x: 1.0)
-    return solve_frac_system(f, FracParams(s=s))[0]
+def solved(grid, s: float):
+    f = sample(grid, lambda x: 1.0)
+    return solve_frac_system(grid, f, FracParams(s=s))[0]
 
 
 class TestStripWidth:
     def test_validation(self):
         # r must be finite, positive and below half of |Omega| = 2, for the
         # competitor, its objective gap and the strip rows alike
-        u, g, p = zero(17), zero(17), FracParams(s=0.5)
+        grid, u, g, p = make_grid(DOM, 17), zero(17), zero(17), FracParams(s=0.5)
         for r in (0.0, 1.0, math.nan):
             with pytest.raises(ConfigError):
-                build_w(u, g, p, r)
+                build_w(grid, u, g, p, r)
             with pytest.raises(ConfigError):
-                energy_gap(u, g, g, p, r)
+                energy_gap(grid, u, g, g, p, r)
             with pytest.raises(ConfigError, match="strip width"):
-                _strip_rows(u, np.zeros((2, 17)), p, r, 1.0, _strip(u, r))
-        build_w(u, g, p, 0.3)
+                _strip_rows(grid, np.zeros((2, 17)), p, r, 1.0, _strip(grid, r))
+        build_w(grid, u, g, p, 0.3)
 
 
 class TestRamp:
     @pytest.mark.parametrize("n", [33, 130])
     def test_matches_distance_oracle(self, n):
         # lam is the clipped quotient dist_to_complement / r bit for bit
-        grid = zero(n)
+        grid = make_grid(DOM, n)
         x = grid.nodes
         dist = dist_to_complement(DOM, x)
         for r in (0.5 * grid.h, 0.3, 0.999):
@@ -69,65 +69,66 @@ class TestDistance:
 
 class TestBuildW:
     def test_matches_data_outside(self):
-        n = 129
-        u = solved(n, 0.7)
-        g = sample(DOM, n, lambda x: 0.3 * np.cos(x))
-        w = build_w(u, g, FracParams(s=0.7), 0.2)
-        outside = dist_to_complement(DOM, w.nodes) == 0.0
-        assert np.array_equal(w.values[outside], g.values[outside])
+        grid = make_grid(DOM, 129)
+        u = solved(grid, 0.7)
+        g = sample(grid, lambda x: 0.3 * np.cos(x))
+        w = build_w(grid, u, g, FracParams(s=0.7), 0.2)
+        outside = dist_to_complement(DOM, grid.nodes) == 0.0
+        assert np.array_equal(w[outside], g[outside])
 
     def test_matches_smoothed_solution_deep_inside(self):
-        n = 129
+        grid = make_grid(DOM, 129)
         p = FracParams(s=0.7)
-        u = solved(n, 0.7)
-        g = zero(n)
-        w = build_w(u, g, p, 0.25)
-        sm = mollify(u, p)
-        deep = dist_to_complement(DOM, w.nodes) >= 0.25 - 1e-12
-        assert np.allclose(w.values[deep], sm.values[deep], atol=1e-14)
+        u = solved(grid, 0.7)
+        g = zero(grid.n)
+        w = build_w(grid, u, g, p, 0.25)
+        sm = mollify(grid, u, p)
+        deep = dist_to_complement(DOM, grid.nodes) >= 0.25 - 1e-12
+        assert np.allclose(w[deep], sm[deep], atol=1e-14)
 
     def test_between_endpoints_on_strip(self):
-        n = 129
+        grid = make_grid(DOM, 129)
         p = FracParams(s=0.6)
-        u = solved(n, 0.6)
-        g = zero(n)
-        w = build_w(u, g, p, 0.3)
-        sm = mollify(u, p)
-        lo = np.minimum(g.values, sm.values) - 1e-14
-        hi = np.maximum(g.values, sm.values) + 1e-14
-        assert np.all((w.values >= lo) & (w.values <= hi))
+        u = solved(grid, 0.6)
+        g = zero(grid.n)
+        w = build_w(grid, u, g, p, 0.3)
+        sm = mollify(grid, u, p)
+        lo = np.minimum(g, sm) - 1e-14
+        hi = np.maximum(g, sm) + 1e-14
+        assert np.all((w >= lo) & (w <= hi))
 
     def test_validation(self):
-        u = solved(65, 0.5)
+        grid = make_grid(DOM, 65)
+        u = solved(grid, 0.5)
         with pytest.raises(ShapeError):
-            build_w(u, zero(33), FracParams(s=0.5), 0.1)
+            build_w(grid, u, zero(33), FracParams(s=0.5), 0.1)
         with pytest.raises(ConfigError):
-            build_w(u, zero(65), FracParams(s=0.5), 1.0)
+            build_w(grid, u, zero(65), FracParams(s=0.5), 1.0)
 
 
 class TestStripCloseness:
     def test_zero_inputs(self):
         lhs, rhs = check_strip_closeness(
-            zero(65), zero(65), FracParams(s=0.5), 0.2, 0.0, 0.0
+            make_grid(DOM, 65), zero(65), zero(65), FracParams(s=0.5), 0.2, 0.0, 0.0
         )
         assert lhs == 0.0 and rhs == 0.0
 
     @pytest.mark.parametrize("s", [0.5, 0.7, 0.9])
     def test_bound_on_solved_state(self, s):
-        n = 513
-        u = solved(n, s)
-        hold = holder_seminorm_grid(u, s)
+        grid = make_grid(DOM, 513)
+        u = solved(grid, s)
+        hold = holder_seminorm_grid(grid, u, s)
         for r in (0.2, 0.1, 0.05):
-            lhs, rhs = check_strip_closeness(u, zero(n), FracParams(s=s), r, hold, 0.0)
+            lhs, rhs = check_strip_closeness(grid, u, zero(grid.n), FracParams(s=s), r, hold, 0.0)
             assert lhs <= rhs * (1.0 + 1e-4) + 1e-10
 
     def test_bound_shrinks_with_radius(self):
-        n = 257
+        grid = make_grid(DOM, 257)
         s = 0.7
-        u = solved(n, s)
-        hold = holder_seminorm_grid(u, s)
+        u = solved(grid, s)
+        hold = holder_seminorm_grid(grid, u, s)
         out = [
-            check_strip_closeness(u, zero(n), FracParams(s=s), r, hold, 0.0)
+            check_strip_closeness(grid, u, zero(grid.n), FracParams(s=s), r, hold, 0.0)
             for r in (0.3, 0.1, 0.03)
         ]
         rhs = [pair[1] for pair in out]
@@ -136,26 +137,26 @@ class TestStripCloseness:
 
 class TestStripL2:
     def test_zero_inputs(self):
-        lhs, rhs = check_strip_l2(zero(65), zero(65), FracParams(s=0.5), 0.2, 0.0, 0.0)
+        lhs, rhs = check_strip_l2(make_grid(DOM, 65), zero(65), zero(65), FracParams(s=0.5), 0.2, 0.0, 0.0)
         assert lhs == 0.0 and rhs == 0.0
 
     @pytest.mark.parametrize("s", [0.5, 0.7, 0.9])
     def test_bound_on_solved_state(self, s):
-        n = 513
-        u = solved(n, s)
-        hold = holder_seminorm_grid(u, s)
+        grid = make_grid(DOM, 513)
+        u = solved(grid, s)
+        hold = holder_seminorm_grid(grid, u, s)
         for r in (0.2, 0.1, 0.05):
-            lhs, rhs = check_strip_l2(u, zero(n), FracParams(s=s), r, hold, 0.0)
+            lhs, rhs = check_strip_l2(grid, u, zero(grid.n), FracParams(s=s), r, hold, 0.0)
             assert lhs <= rhs * (1.0 + 1e-4) + 1e-10
 
     def test_squared_distance_decays_superlinearly(self):
-        n = 513
+        grid = make_grid(DOM, 513)
         s = 0.7
-        u = solved(n, s)
-        hold = holder_seminorm_grid(u, s)
+        u = solved(grid, s)
+        hold = holder_seminorm_grid(grid, u, s)
         radii = (0.2, 0.1, 0.05, 0.025)
         lhs = [
-            check_strip_l2(u, zero(n), FracParams(s=s), r, hold, 0.0)[0]
+            check_strip_l2(grid, u, zero(grid.n), FracParams(s=s), r, hold, 0.0)[0]
             for r in radii
         ]
         slope = fit_slope([math.log(r) for r in radii], [math.log(v) for v in lhs])
@@ -165,28 +166,28 @@ class TestStripL2:
 class TestEnergyGap:
     def test_zero_inputs(self):
         f = zero(65)
-        assert energy_gap(zero(65), zero(65), f, FracParams(s=0.5), 0.2) == 0.0
+        assert energy_gap(make_grid(DOM, 65), zero(65), zero(65), f, FracParams(s=0.5), 0.2) == 0.0
 
     def test_decays_toward_local_limit(self):
-        n = 257
-        f = sample(DOM, n, lambda x: 1.0)
+        grid = make_grid(DOM, 257)
+        f = sample(grid, lambda x: 1.0)
         gaps = []
         for s in (0.6, 0.8, 0.95):
-            u = solve_frac_system(f, FracParams(s=s))[0]
+            u = solve_frac_system(grid, f, FracParams(s=s))[0]
             r = (1.0 - s) ** (1.0 / s)
-            gaps.append(energy_gap(u, zero(n), f, FracParams(s=s), r))
+            gaps.append(energy_gap(grid, u, zero(grid.n), f, FracParams(s=s), r))
         assert gaps[0] > gaps[1] > gaps[2] > 0.0
 
     def test_invariant_under_constant_shift_with_mean_free_load(self):
         # shifting both the state and the data by a constant changes the
         # objective of each candidate by the same amount when f integrates
         # to zero over Omega, so the gap is unchanged
-        n = 257
+        grid = make_grid(DOM, 257)
         s = 0.7
-        f = sample(DOM, n, lambda x: np.cos(np.pi * x))
-        u = solved(n, s)
-        g = sample(DOM, n, lambda x: 0.1 * x)
-        base = energy_gap(u, g, f, FracParams(s=s), 0.15)
-        c = sample(DOM, n, lambda x: 0.37)
-        shifted = energy_gap(u + c, g + c, f, FracParams(s=s), 0.15)
+        f = sample(grid, lambda x: np.cos(np.pi * x))
+        u = solved(grid, s)
+        g = sample(grid, lambda x: 0.1 * x)
+        base = energy_gap(grid, u, g, f, FracParams(s=s), 0.15)
+        c = sample(grid, lambda x: 0.37)
+        shifted = energy_gap(grid, u + c, g + c, f, FracParams(s=s), 0.15)
         assert shifted == pytest.approx(base, abs=1e-10)

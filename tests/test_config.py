@@ -164,6 +164,7 @@ class TestKeysRead:
                 "f_spec, n, seed",
             ),
             ("experiment = kernel_check\ns_list = 0.5\n", "kernel-check", "s_list"),
+            ("experiment = consistency\ns_list = 0.9, 0.95\nbox_lo = -4\nbox_hi = 4\n", "consistency", "box_hi, box_lo"),
         ],
     )
     def test_key_the_experiment_never_reads_exits_2(self, tmp_path, capsys, text, command, unread):
@@ -180,6 +181,22 @@ class TestKeysRead:
         assert cfg.s_list == ()
         with pytest.raises(ConfigError, match="missing required keys: s_list"):
             parse_config(write(tmp_path, "experiment = mollifier_check\n"))
+
+    def test_consistency_reads_omega_without_a_box(self, tmp_path):
+        # the pointwise operator integrates over the whole line: an interval
+        # wider than the default box needs no box keys, and only the
+        # interval itself is checked
+        out = tmp_path / "out"
+        cfg = write(tmp_path, f"experiment = consistency\ns_list = 0.9, 0.95\nomega_lo = -3\nomega_hi = 3\noutput_dir = {out}\n")
+        assert cli.main(["consistency", "--config", str(cfg)]) == 0
+        assert (out / "consistency.csv").read_text().count("\n") == 4
+        for lo, hi in (("1", "-1"), ("0.5", "0.5")):
+            text = f"experiment = consistency\ns_list = 0.9, 0.95\nomega_lo = {lo}\nomega_hi = {hi}\n"
+            with pytest.raises(ConfigError, match="bad domain bounds: empty or infinite interval"):
+                parse_config(write(tmp_path, text))
+        cfg = parse_config(write(tmp_path, "experiment = consistency\ns_list = 0.9, 0.95\n"))
+        with pytest.raises(ConfigError, match="bad domain bounds: empty or infinite interval"):
+            with_overrides(cfg, omega_hi=float("inf"))
 
     def test_defaults_and_overrides_stay_silent(self, tmp_path):
         # --seed reaches every experiment, whether or not it draws

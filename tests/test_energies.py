@@ -26,77 +26,76 @@ from helpers import (
 )
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
+G9, G17, G33, G65, G257 = (make_grid(DOM, n) for n in (9, 17, 33, 65, 257))
 
 
-def hat(n: int, k: int) -> "GridFunction":
-    g = make_grid(DOM, n)
+def hat(n: int, k: int) -> np.ndarray:
     vals = np.zeros(n)
     vals[k] = 1.0
-    return g.with_values(vals)
+    return vals
 
 
 class TestDirichletLocal:
     def test_constant_is_flat(self):
-        assert dirichlet_local(sample(DOM, 9, lambda x: 3.0)) == 0.0
+        assert dirichlet_local(G9, sample(G9, lambda x: 3.0)) == 0.0
 
     def test_single_hat(self):
         # two cells with slope 1/h each: energy h * (1/h)^2 = 1/h
-        g = hat(9, 4)
-        assert dirichlet_local(g) == pytest.approx(1.0 / g.h, rel=1e-14)
+        assert dirichlet_local(G9, hat(9, 4)) == pytest.approx(1.0 / G9.h, rel=1e-14)
 
     def test_linear_profile(self):
-        g = sample(DOM, 257, lambda x: x)
-        assert dirichlet_local(g) == pytest.approx(0.5 * DOM.box_measure, rel=1e-12)
+        g = sample(G257, lambda x: x)
+        assert dirichlet_local(G257, g) == pytest.approx(0.5 * DOM.box_measure, rel=1e-12)
 
 
 class TestDirichletFrac:
     def test_zero_function(self):
-        e = dirichlet_frac(sample(DOM, 17, lambda x: 0.0), FracParams(s=0.5))
+        e = dirichlet_frac(G17, sample(G17, lambda x: 0.0), FracParams(s=0.5))
         assert e.d1 == 0.0 and e.d2 == 0.0 and e.total == 0.0
 
     def test_quadratic_scaling(self):
         rng = np.random.default_rng(3)
-        phi = random_bump(rng, DOM, 33)
+        phi = random_bump(rng, G33)
         p = FracParams(s=0.6, eps=0.1)
-        base = dirichlet_frac(phi, p).total
-        scaled = dirichlet_frac(2.5 * phi, p).total
+        base = dirichlet_frac(G33, phi, p).total
+        scaled = dirichlet_frac(G33, 2.5 * phi, p).total
         assert scaled == pytest.approx(2.5**2 * base, rel=1e-12)
 
     @pytest.mark.parametrize("s,eps", [(0.3, 0.0), (0.5, 0.0), (0.7, 0.2), (0.9, 0.0)])
     def test_against_radial_quadrature_oracle(self, s, eps):
         rng = np.random.default_rng(11)
-        phi = random_bump(rng, DOM, 33)
+        phi = random_bump(rng, G33)
         p = FracParams(s=s, eps=eps)
-        want = dirichlet_frac_oracle(phi, p)
-        assert dirichlet_frac(phi, p).total == pytest.approx(want, rel=1e-4)
+        want = dirichlet_frac_oracle(G33, phi, p)
+        assert dirichlet_frac(G33, phi, p).total == pytest.approx(want, rel=1e-4)
 
     def test_nonzero_boundary_rejected(self):
-        phi = sample(DOM, 17, lambda x: 1.0)
+        phi = sample(G17, lambda x: 1.0)
         with pytest.raises(SupportError):
-            dirichlet_frac(phi, FracParams(s=0.5))
+            dirichlet_frac(G17, phi, FracParams(s=0.5))
 
     def test_far_routes_agree(self):
         # the closed-form far part against the independent quadrature route
         # d2 = (2 C / s) ||phi||_{L2}^2 - 2 * (far cross integral)
         rng = np.random.default_rng(5)
-        phi = random_bump(rng, DOM, 65)
+        phi = random_bump(rng, G65)
         for s in (0.3, 0.7):
             p = FracParams(s=s)
-            mass = mass_quadratic_form(phi.values[1:-1], phi.h)
-            cross = far_cross_quadrature(phi, p)
+            mass = mass_quadratic_form(phi[1:-1], G65.h)
+            cross = far_cross_quadrature(G65, phi, p)
             qua_d2 = (2.0 * norm_const(p) / s) * mass - 2.0 * cross
-            assert dirichlet_frac(phi, p).d2 == pytest.approx(qua_d2, rel=1e-6)
+            assert dirichlet_frac(G65, phi, p).d2 == pytest.approx(qua_d2, rel=1e-6)
 
     def test_matches_assembled_quadratic_form(self):
         from scipy.linalg import toeplitz
 
         rng = np.random.default_rng(8)
-        phi = random_bump(rng, DOM, 65)
+        phi = random_bump(rng, G65)
         p = FracParams(s=0.45, eps=0.15)
         a = toeplitz(assemble_frac(DOM, 65, p).c)
-        v = phi.values[assembly.interior_indices(phi)]
+        v = phi[assembly.interior_indices(G65)]
         quad_form = float(v @ (a @ v))
-        assert 2.0 * dirichlet_frac(phi, p).total == pytest.approx(quad_form, rel=1e-10)
+        assert 2.0 * dirichlet_frac(G65, phi, p).total == pytest.approx(quad_form, rel=1e-10)
 
 
     def test_one_full_kernel_per_split(self, monkeypatch):
@@ -108,12 +107,13 @@ class TestDirichletFrac:
             return full_kernel(p, h, kmax)
 
         monkeypatch.setattr(assembly, "stiffness_kernel", counted)
-        phi = random_bump(np.random.default_rng(61), DOM, 129)
+        grid = make_grid(DOM, 129)
+        phi = random_bump(np.random.default_rng(61), grid)
         for s in (0.3, 0.9):
             p = FracParams(s=s)
-            split = dirichlet_frac(phi, p)
-            c_far = assembly.far_kernel(p, phi.h, full_kernel(p, phi.h, 126))
-            assert split.d2 == 0.5 * assembly.ToeplitzOperator(c_far).quad_form(phi.values[1:-1])
+            split = dirichlet_frac(grid, phi, p)
+            c_far = assembly.far_kernel(p, grid.h, full_kernel(p, grid.h, 126))
+            assert split.d2 == 0.5 * assembly.ToeplitzOperator(c_far).quad_form(phi[1:-1])
         # one per dirichlet_frac call; the oracle's own is not counted
         assert calls == [126] * 2
 
@@ -124,9 +124,9 @@ class TestEnergySplitBounds:
         for s in (0.3, 0.5, 0.7, 0.9):
             p = FracParams(s=s)
             for _ in range(5):
-                phi = random_bump(rng, DOM, 65)
-                e = dirichlet_frac(phi, p)
-                assert e.d1 <= dirichlet_local(phi) * (1.0 + 1e-10)
+                phi = random_bump(rng, G65)
+                e = dirichlet_frac(G65, phi, p)
+                assert e.d1 <= dirichlet_local(G65, phi) * (1.0 + 1e-10)
 
     def test_far_part_mass_bound(self):
         # diagonal term is (2C/s)||phi||^2 and the cross term is bounded by
@@ -138,9 +138,9 @@ class TestEnergySplitBounds:
             p = FracParams(s=s)
             cap = 4.0 * norm_const(p) / s
             for _ in range(5):
-                phi = random_bump(rng, DOM, 65)
-                e = dirichlet_frac(phi, p)
-                assert e.d2 <= cap * l2_norm(phi, "box") ** 2 * (1.0 + 1e-10)
+                phi = random_bump(rng, G65)
+                e = dirichlet_frac(G65, phi, p)
+                assert e.d2 <= cap * l2_norm(G65, phi, "box") ** 2 * (1.0 + 1e-10)
 
     def test_objective_comparison_with_local(self):
         # with the same right-hand side the nonlocal objective never exceeds
@@ -148,63 +148,64 @@ class TestEnergySplitBounds:
         rng = np.random.default_rng(23)
         from fraclap.grid import l2_norm
 
-        f = sample(DOM, 65, lambda x: np.cos(0.5 * np.pi * x))
+        f = sample(G65, lambda x: np.cos(0.5 * np.pi * x))
         for s in (0.3, 0.5, 0.7, 0.9):
             p = FracParams(s=s)
             cap = 4.0 * norm_const(p) / s
             for _ in range(20):
-                phi = random_bump(rng, DOM, 65)
-                slack = cap * l2_norm(phi, "box") ** 2
-                lhs = objective_frac(phi, f, p)
-                rhs = objective_local(phi, f) + slack
+                phi = random_bump(rng, G65)
+                slack = cap * l2_norm(G65, phi, "box") ** 2
+                lhs = objective_frac(G65, phi, f, p)
+                rhs = objective_local(G65, phi, f) + slack
                 assert lhs <= rhs + 1e-10
 
 
 class TestSeminorm:
     def test_recovers_gradient_norm_near_local_limit(self):
         rng = np.random.default_rng(32)
-        phi = random_bump(rng, DOM, 257)
-        got = math.sqrt(2.0 * dirichlet_frac(phi, FracParams(s=0.99)).total)
-        want = math.sqrt(2.0 * dirichlet_local(phi))
+        phi = random_bump(rng, G257)
+        got = math.sqrt(2.0 * dirichlet_frac(G257, phi, FracParams(s=0.99)).total)
+        want = math.sqrt(2.0 * dirichlet_local(G257, phi))
         assert got == pytest.approx(want, rel=0.1)
 
 
 class TestObjectives:
     def test_zero_candidate(self):
-        phi = sample(DOM, 33, lambda x: 0.0)
-        f = sample(DOM, 33, lambda x: 1.0)
-        assert objective_local(phi, f) == 0.0
-        assert objective_frac(phi, f, FracParams(s=0.5)) == 0.0
+        phi = sample(G33, lambda x: 0.0)
+        f = sample(G33, lambda x: 1.0)
+        assert objective_local(G33, phi, f) == 0.0
+        assert objective_frac(G33, phi, f, FracParams(s=0.5)) == 0.0
 
     def test_load_term_restricted_to_omega(self):
         rng = np.random.default_rng(41)
-        phi = random_bump(rng, DOM, 129)
-        f = sample(DOM, 129, lambda x: x * x - 0.3)
+        grid = make_grid(DOM, 129)
+        phi = random_bump(rng, grid)
+        f = sample(grid, lambda x: x * x - 0.3)
         xs = np.linspace(DOM.omega_lo, DOM.omega_hi, 4097)
-        load = simpson_cells(lambda x: grid_eval(phi, x) * grid_eval(f, x), xs)
-        got = objective_local(phi, f)
-        assert got == pytest.approx(dirichlet_local(phi) - load, rel=1e-10)
+        load = simpson_cells(lambda x: grid_eval(grid, phi, x) * grid_eval(grid, f, x), xs)
+        got = objective_local(grid, phi, f)
+        assert got == pytest.approx(dirichlet_local(grid, phi) - load, rel=1e-10)
 
 
 class TestHolderSeminorm:
     def test_constant(self):
-        assert holder_seminorm_grid(sample(DOM, 33, lambda x: 2.0), 0.5) == 0.0
+        assert holder_seminorm_grid(G33, sample(G33, lambda x: 2.0), 0.5) == 0.0
 
     def test_linear_with_exponent_one(self):
-        assert holder_seminorm_grid(sample(DOM, 33, lambda x: x), 1.0) == pytest.approx(
+        assert holder_seminorm_grid(G33, sample(G33, lambda x: x), 1.0) == pytest.approx(
             1.0, rel=1e-12
         )
 
     def test_square_root_profile(self):
         # |x|^(1/2) attains its 1/2-Holder quotient at pairs through the origin
-        phi = sample(DOM, 65, lambda x: np.sqrt(np.abs(x)))
-        assert holder_seminorm_grid(phi, 0.5) == pytest.approx(1.0, rel=1e-12)
+        phi = sample(G65, lambda x: np.sqrt(np.abs(x)))
+        assert holder_seminorm_grid(G65, phi, 0.5) == pytest.approx(1.0, rel=1e-12)
 
     def test_exponent_validation(self):
-        phi = sample(DOM, 17, lambda x: x)
+        phi = sample(G17, lambda x: x)
         for beta in (0.0, -0.2, 1.5):
             with pytest.raises(ValueError):
-                holder_seminorm_grid(phi, beta)
+                holder_seminorm_grid(G17, phi, beta)
 
     @pytest.mark.parametrize("n", [3, 33, 129, 1025, 2049])
     def test_matches_lag_loop_exactly(self, n):
@@ -212,10 +213,9 @@ class TestHolderSeminorm:
         # maximum sits at the largest lag, so no lag is skipped
         rng = np.random.default_rng(n)
         grid = make_grid(DOM, n)
-        for vals in (rng.standard_normal(n), grid.nodes):
-            phi = grid.with_values(vals)
+        for phi in (rng.standard_normal(n), grid.nodes):
             for beta in (0.1, 0.5, 0.99, 1.0):
-                assert holder_seminorm_grid(phi, beta) == holder_loop(phi, beta)
+                assert holder_seminorm_grid(grid, phi, beta) == holder_loop(grid, phi, beta)
 
 
     @pytest.mark.parametrize("shape", [(4, 129), (2, 3, 33), (3, 4097)])
@@ -229,7 +229,7 @@ class TestHolderSeminorm:
         assert got.shape == (2,) + shape[:-1]
         for j, beta in enumerate((0.5, 1.0)):
             for idx in np.ndindex(shape[:-1]):
-                assert got[j][idx] == holder_loop(grid.with_values(stack[idx]), beta)
+                assert got[j][idx] == holder_loop(grid, stack[idx], beta)
 
 
 _BETAS = (1e-3, 0.5, 0.9, 1.0)
@@ -255,9 +255,10 @@ def holder_stacks(n: int):
     is pruned) and a mix.  At n = 16385 the full scan's Python loop over
     every lag is slow, so only 2 seeded bumps and the two-bump rows run."""
     rng = np.random.default_rng(n + 3)
+    grid = make_grid(DOM, n)
     if n > 4097:
-        return {"bumps": _random_bump_rows(rng, DOM, n, 2), "two_bumps": two_bumps(n)}
-    bumps = _random_bump_rows(rng, DOM, n, 20)
+        return {"bumps": _random_bump_rows(rng, grid, 2), "two_bumps": two_bumps(n)}
+    bumps = _random_bump_rows(rng, grid, 20)
     constant = np.array([np.full(n, 1.5), np.zeros(n), np.full(n, -2.0)])
     spike = np.zeros((1, n))
     spike[0, n // 2] = 1.0
@@ -295,7 +296,7 @@ class TestHolderQuotients:
                 got = _holder_quotients(row, grid.h, _BETAS)
                 assert got.shape == (len(_BETAS),)
                 for beta, quotient in zip(_BETAS, got):
-                    assert quotient == holder_loop(grid.with_values(row), beta), name
+                    assert quotient == holder_loop(grid, row, beta), name
 
     def test_rounding_margin_keeps_a_lag_above_its_rounded_bound(self, monkeypatch):
         # a ramp through 0: D(21) exceeds the rounded sums D(20) + D(1) and

@@ -153,10 +153,10 @@ class TestMollifierCheck:
         stacks = sorted(shape for shape in transforms if len(shape) == 2 and shape[-1] > 65)
         assert stacks == [(_MOLL_BUMPS, 96), (_MOLL_BUMPS, 97)]
 
-        phi = make_grid(cfg.domain, 65).with_values(np.sin(np.linspace(0.0, 3.0, 65)))
+        grid, phi = make_grid(cfg.domain, 65), np.sin(np.linspace(0.0, 3.0, 65))
         transforms.clear()
-        mollify(phi, FracParams(s=0.5))
-        mollify_gradient(phi, FracParams(s=0.9, eps=0.1))
+        mollify(grid, phi, FracParams(s=0.5))
+        mollify_gradient(grid, phi, FracParams(s=0.9, eps=0.1))
         assert [shape for shape in transforms if shape[-1] > 65] == [(97,), (96,)]
 
     def test_one_lag_scan_per_run(self, tmp_path, monkeypatch):

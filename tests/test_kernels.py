@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -220,6 +221,20 @@ class TestPsiArrays:
         assert math.isnan(psi(p, math.nan))
         out = psi(p, np.array([0.5, np.nan, 2.0]))
         assert math.isnan(out[1]) and out[0] == psi(p, 0.5) and out[2] == 0.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_relative_accuracy_as_radius_tends_to_one(self, d):
+        # C (a**-q - 1) / q cancels as a -> 1, its relative error growing
+        # like eps / (1 - t); against 40-digit mpmath, with C and q exact
+        # for the float s, the tail stays at roundoff up to 1 - t = 1e-15
+        mp.mp.dps = 40
+        t = 1.0 - np.array([1e-4, 1e-8, 1e-12, 1e-15])
+        for s in (0.3, 0.6, 0.9, 0.99):
+            p = FracParams(s=s, d=d)
+            q = d + 2 * mp.mpf(s) - 2
+            c = 2 * d * (1 - mp.mpf(s)) * mp.gamma(mp.mpf(d) / 2) / (2 * mp.pi ** (mp.mpf(d) / 2))
+            want = np.array([float(c * (mp.mpf(v) ** -q - 1) / q) for v in t])
+            assert np.max(np.abs(psi(p, t) / want - 1.0)) <= 1e-14, s
 
     def test_no_runtime_warning(self):
         # 0 and tiny radii divide by zero or overflow inside the power; the

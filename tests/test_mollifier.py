@@ -49,41 +49,49 @@ from helpers import (
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
 WIDE = Domain(-1.0, 1.0, -2.5, 2.5)
+# the grids on DOM, by node count
+G = {n: make_grid(DOM, n) for n in (9, 17, 33, 65, 129, 257, 1025)}
 
 
 def bumps(seed: int, n: int, count: int):
     rng = np.random.default_rng(seed)
-    return [random_bump(rng, DOM, n) for _ in range(count)]
+    return [random_bump(rng, make_grid(DOM, n)) for _ in range(count)]
 
 
 class TestCoverageMask:
     def test_unit_margin(self):
-        g = sample(DOM, 9, lambda x: 0.0)
-        mask = full_coverage_mask(g)
+        mask = full_coverage_mask(G[9])
         assert list(np.where(mask)[0]) == [2, 3, 4, 5, 6]
-        assert np.all(np.abs(g.nodes[mask]) <= 1.0 + 1e-12)
+        assert np.all(np.abs(G[9].nodes[mask]) <= 1.0 + 1e-12)
 
 
 class TestMollifyExactness:
     def test_constant_preserved_everywhere(self):
-        g = sample(DOM, 33, lambda x: 3.5)
+        g = sample(G[33], lambda x: 3.5)
         for s, eps in ((0.3, 0.0), (0.7, 0.4)):
-            out = mollify(g, FracParams(s=s, eps=eps))
-            assert np.allclose(out.values, 3.5, atol=1e-12)
+            out = mollify(G[33], g, FracParams(s=s, eps=eps))
+            assert np.allclose(out, 3.5, atol=1e-12)
 
     def test_affine_preserved_on_covered_nodes(self):
-        g = sample(DOM, 65, lambda x: 2.0 * x + 0.3)
-        mask = full_coverage_mask(g)
+        g = sample(G[65], lambda x: 2.0 * x + 0.3)
+        mask = full_coverage_mask(G[65])
         for s, eps in ((0.4, 0.0), (0.8, 0.25)):
-            out = mollify(g, FracParams(s=s, eps=eps))
-            assert np.allclose(out.values[mask], g.values[mask], atol=1e-10)
+            out = mollify(G[65], g, FracParams(s=s, eps=eps))
+            assert np.allclose(out[mask], g[mask], atol=1e-10)
 
     def test_dimension_guard(self):
-        g = sample(DOM, 17, lambda x: 0.0)
+        g = sample(G[17], lambda x: 0.0)
         with pytest.raises(ConfigError):
-            mollify(g, FracParams(s=0.5, d=2))
+            mollify(G[17], g, FracParams(s=0.5, d=2))
         with pytest.raises(ConfigError):
-            mollify_gradient(g, FracParams(s=0.5, d=3))
+            mollify_gradient(G[17], g, FracParams(s=0.5, d=3))
+
+    def test_stack_rows_match_one_by_one(self):
+        stack = np.stack(bumps(seed=100, n=65, count=3))
+        p = FracParams(s=0.6, eps=0.2)
+        out = mollify(G[65], stack, p)
+        for row, smoothed in zip(stack, out):
+            assert np.array_equal(smoothed, mollify(G[65], row, p))
 
 
 class TestPointwiseCloseness:
@@ -93,11 +101,12 @@ class TestPointwiseCloseness:
         # covered nodes is controlled by the a-th kernel moment plus the
         # piecewise-linear sampling error of order h^a
         a = 0.7
-        phi = sample(WIDE, 1025, lambda x: abs(x) ** a)
+        grid = make_grid(WIDE, 1025)
+        phi = sample(grid, lambda x: abs(x) ** a)
         p = FracParams(s=s, eps=eps)
-        mask = full_coverage_mask(phi)
-        lhs = float(np.max(np.abs((mollify(phi, p) - phi).values[mask])))
-        assert lhs <= psi_moment(p, a) + phi.h**a
+        mask = full_coverage_mask(grid)
+        lhs = float(np.max(np.abs((mollify(grid, phi, p) - phi)[mask])))
+        assert lhs <= psi_moment(p, a) + grid.h**a
         # the moment itself sits below the plateau-normalized closeness scale
         assert psi_moment(p, a) <= (1.0 - p.s) * p.plateau_scale / 2.0 + 1e-12
 
@@ -107,20 +116,20 @@ class TestIdentityL2:
         for phi in bumps(seed=101, n=129, count=15):
             for s in (0.3, 0.5, 0.7, 0.9):
                 for eps in (0.0, 0.3):
-                    lhs, rhs = check_identity_l2(phi, FracParams(s=s, eps=eps))
+                    lhs, rhs = check_identity_l2(G[129], phi, FracParams(s=s, eps=eps))
                     assert lhs <= rhs * (1.0 + 1e-4) + 1e-10
 
     def test_distance_shrinks_toward_local_limit(self):
         for phi in bumps(seed=102, n=129, count=5):
-            lo, _ = check_identity_l2(phi, FracParams(s=0.3))
-            hi, _ = check_identity_l2(phi, FracParams(s=0.9))
+            lo, _ = check_identity_l2(G[129], phi, FracParams(s=0.3))
+            hi, _ = check_identity_l2(G[129], phi, FracParams(s=0.9))
             assert hi < lo
 
     def test_near_energy_shortcut_matches(self):
         phi = bumps(seed=103, n=65, count=1)[0]
         p = FracParams(s=0.6, eps=0.2)
-        d1 = dirichlet_frac(phi, p).d1
-        assert check_identity_l2(phi, p, near_energy=d1) == check_identity_l2(phi, p)
+        d1 = dirichlet_frac(G[65], phi, p).d1
+        assert check_identity_l2(G[65], phi, p, near_energy=d1) == check_identity_l2(G[65], phi, p)
 
 
 class TestEnergyConsistency:
@@ -128,48 +137,49 @@ class TestEnergyConsistency:
         for phi in bumps(seed=111, n=129, count=20):
             for s in (0.3, 0.6, 0.9):
                 for eps in (0.0, 0.3):
-                    lhs, rhs = check_energy_consistency(phi, FracParams(s=s, eps=eps))
+                    lhs, rhs = check_energy_consistency(G[129], phi, FracParams(s=s, eps=eps))
                     assert lhs <= rhs * (1.0 + 1e-4) + 1e-10
 
     def test_zero_eps_bound_is_near_energy(self):
         phi = bumps(seed=112, n=129, count=1)[0]
         p = FracParams(s=0.5)
-        lhs, rhs = check_energy_consistency(phi, p)
-        assert rhs == pytest.approx(dirichlet_frac(phi, p).d1, rel=1e-14)
+        lhs, rhs = check_energy_consistency(G[129], phi, p)
+        assert rhs == pytest.approx(dirichlet_frac(G[129], phi, p).d1, rel=1e-14)
         assert lhs <= rhs
 
 
 class TestLipschitz:
     def test_constant_gives_zero_pair(self):
-        g = sample(DOM, 33, lambda x: 1.25)
-        lhs, rhs = check_lipschitz(g, FracParams(s=0.5), s_holder=0.5)
+        g = sample(G[33], lambda x: 1.25)
+        lhs, rhs = check_lipschitz(G[33], g, FracParams(s=0.5), s_holder=0.5)
         assert lhs == 0.0 and rhs == 0.0
 
     @pytest.mark.parametrize("s,eps", [(0.6, 0.0), (0.6, 0.2), (0.35, 0.0)])
     def test_holder_profile(self, s, eps):
-        phi = sample(WIDE, 513, lambda x: abs(x) ** s)
+        grid = make_grid(WIDE, 513)
+        phi = sample(grid, lambda x: abs(x) ** s)
         p = FracParams(s=s, eps=eps)
-        lhs, rhs = check_lipschitz(phi, p, s_holder=s, holder_est=1.0)
+        lhs, rhs = check_lipschitz(grid, phi, p, s_holder=s, holder_est=1.0)
         assert 0.0 < lhs <= rhs
 
     def test_random_bumps_with_grid_estimate(self):
         for phi in bumps(seed=121, n=129, count=10):
             for s in (0.4, 0.8):
-                lhs, rhs = check_lipschitz(phi, FracParams(s=s), s_holder=s)
+                lhs, rhs = check_lipschitz(G[129], phi, FracParams(s=s), s_holder=s)
                 assert lhs <= rhs * (1.0 + 1e-4) + 1e-10
 
 
 class TestTailBound:
     def test_full_radius_pair_is_zero(self):
         phi = bumps(seed=131, n=65, count=1)[0]
-        lhs, rhs = check_tail_bound(phi, FracParams(s=0.5), rho=1.0, alpha=0.5)
+        lhs, rhs = check_tail_bound(G[65], phi, FracParams(s=0.5), rho=1.0, alpha=0.5)
         assert lhs == 0.0
         assert rhs == pytest.approx(0.0, abs=1e-15)
 
     def test_bound_holds(self):
         for phi in bumps(seed=132, n=129, count=10):
             lhs, rhs = check_tail_bound(
-                phi, FracParams(s=0.6, eps=0.2), rho=0.3, alpha=0.6
+                G[129], phi, FracParams(s=0.6, eps=0.2), rho=0.3, alpha=0.6
             )
             assert lhs <= rhs * (1.0 + 1e-4) + 1e-10
 
@@ -179,9 +189,9 @@ class TestTailBound:
         s = 0.6
         rho = 0.4
         crit = 2.0 * s - 1.0
-        _, mid = check_tail_bound(phi, FracParams(s=s), rho=rho, alpha=crit)
-        _, lo = check_tail_bound(phi, FracParams(s=s), rho=rho, alpha=crit - 1e-7)
-        _, hi = check_tail_bound(phi, FracParams(s=s), rho=rho, alpha=crit + 1e-7)
+        _, mid = check_tail_bound(G[65], phi, FracParams(s=s), rho=rho, alpha=crit)
+        _, lo = check_tail_bound(G[65], phi, FracParams(s=s), rho=rho, alpha=crit - 1e-7)
+        _, hi = check_tail_bound(G[65], phi, FracParams(s=s), rho=rho, alpha=crit + 1e-7)
         assert mid > 0.0
         assert lo == pytest.approx(mid, rel=1e-4)
         assert hi == pytest.approx(mid, rel=1e-4)
@@ -189,61 +199,64 @@ class TestTailBound:
     def test_validation(self):
         phi = bumps(seed=134, n=65, count=1)[0]
         with pytest.raises(ValueError):
-            check_tail_bound(phi, FracParams(s=0.5, eps=0.3), rho=0.2, alpha=0.5)
+            check_tail_bound(G[65], phi, FracParams(s=0.5, eps=0.3), rho=0.2, alpha=0.5)
         with pytest.raises(ValueError):
-            check_tail_bound(phi, FracParams(s=0.5), rho=0.0, alpha=0.5)
+            check_tail_bound(G[65], phi, FracParams(s=0.5), rho=0.0, alpha=0.5)
         with pytest.raises(ValueError):
-            check_tail_bound(phi, FracParams(s=0.5), rho=0.5, alpha=1.5)
+            check_tail_bound(G[65], phi, FracParams(s=0.5), rho=0.5, alpha=1.5)
 
 
 class TestSmoothingInvariants:
     def test_sup_norm_nonexpansive(self):
         for phi in bumps(seed=141, n=129, count=10):
-            cap = float(np.max(np.abs(phi.values)))
+            cap = float(np.max(np.abs(phi)))
             for s, eps in ((0.3, 0.0), (0.7, 0.3)):
-                out = mollify(phi, FracParams(s=s, eps=eps))
-                assert float(np.max(np.abs(out.values))) <= cap + 1e-12
+                out = mollify(G[129], phi, FracParams(s=s, eps=eps))
+                assert float(np.max(np.abs(out))) <= cap + 1e-12
 
     def test_l2_norm_nonexpansive(self):
         # support in Omega keeps every unit translate inside the box, so the
         # averaged function cannot gain mass; the tolerance absorbs the P1
         # resampling of the smoothed values
         for phi in bumps(seed=142, n=257, count=5):
-            base = l2_norm(phi, "box")
-            out = mollify(phi, FracParams(s=0.5))
-            assert l2_norm(out, "box") <= base * (1.0 + 1e-3) + 1e-9
+            base = l2_norm(G[257], phi, "box")
+            out = mollify(G[257], phi, FracParams(s=0.5))
+            assert l2_norm(G[257], out, "box") <= base * (1.0 + 1e-3) + 1e-9
 
     def test_holder_constant_not_amplified(self):
         a = 0.6
-        phi = sample(WIDE, 513, lambda x: abs(x) ** a)
-        out = mollify(phi, FracParams(s=0.5))
-        mask = full_coverage_mask(phi)
-        got = holder_restricted(out.values, out.nodes, mask, a)
+        grid = make_grid(WIDE, 513)
+        phi = sample(grid, lambda x: abs(x) ** a)
+        out = mollify(grid, phi, FracParams(s=0.5))
+        mask = full_coverage_mask(grid)
+        got = holder_restricted(out, grid.nodes, mask, a)
         assert got <= 1.0
 
 
 class TestGradient:
     def test_matches_smoothed_derivative(self):
         prof = make_profile("bump:amplitude=1.5,center=0.1,width=0.6")
-        phi = sample(DOM, 1025, prof)
-        dphi = sample(DOM, 1025, bump_derivative(1.5, 0.1, 0.6))
+        grid = G[1025]
+        phi = sample(grid, prof)
+        dphi = sample(grid, bump_derivative(1.5, 0.1, 0.6))
         p = FracParams(s=0.5, eps=0.2)
-        got = mollify_gradient(phi, p)
-        want = mollify(dphi, p)
-        mask = full_coverage_mask(phi)
-        scale = float(np.max(np.abs(want.values[mask])))
-        err = float(np.max(np.abs(got.values[mask] - want.values[mask])))
+        got = mollify_gradient(grid, phi, p)
+        want = mollify(grid, dphi, p)
+        mask = full_coverage_mask(grid)
+        scale = float(np.max(np.abs(want[mask])))
+        err = float(np.max(np.abs(got[mask] - want[mask])))
         assert err <= 1e-3 * scale
 
     @pytest.mark.parametrize("eps", [0.0, 0.3])
     def test_matches_finite_difference_of_smoothed_values(self, eps):
         prof = make_profile("bump:amplitude=2.0,center=-0.2,width=0.55")
-        phi = sample(DOM, 1025, prof)
+        grid = G[1025]
+        phi = sample(grid, prof)
         p = FracParams(s=0.5, eps=eps)
-        sm = mollify(phi, p).values
-        grad = mollify_gradient(phi, p).values
-        fd = (sm[2:] - sm[:-2]) / (2.0 * phi.h)
-        inner = full_coverage_mask(phi)[1:-1]
+        sm = mollify(grid, phi, p)
+        grad = mollify_gradient(grid, phi, p)
+        fd = (sm[2:] - sm[:-2]) / (2.0 * grid.h)
+        inner = full_coverage_mask(grid)[1:-1]
         scale = float(np.max(np.abs(grad)))
         err = float(np.max(np.abs(grad[1:-1][inner] - fd[inner])))
         # the mismatch halves like h^2 under refinement, so it is the
@@ -251,16 +264,16 @@ class TestGradient:
         assert err <= 2e-4 * scale
 
     def test_constant_has_zero_gradient(self):
-        g = sample(DOM, 65, lambda x: 2.0)
-        out = mollify_gradient(g, FracParams(s=0.6, eps=0.1))
-        assert np.allclose(out.values, 0.0, atol=1e-13)
+        g = sample(G[65], lambda x: 2.0)
+        out = mollify_gradient(G[65], g, FracParams(s=0.6, eps=0.1))
+        assert np.allclose(out, 0.0, atol=1e-13)
 
     @pytest.mark.parametrize("s,eps", [(0.3, 0.0), (0.6, 0.1), (0.99, 0.5)])
     def test_constant_gradient_is_exactly_zero(self, s, eps):
-        g = sample(DOM, 129, lambda x: -0.7)
+        g = sample(G[129], lambda x: -0.7)
         p = FracParams(s=s, eps=eps)
-        assert np.all(mollify_gradient(g, p).values == 0.0)
-        assert np.all(gradient_values(g.values, g.h, p, 0.6, 1.0) == 0.0)
+        assert np.all(mollify_gradient(G[129], g, p) == 0.0)
+        assert np.all(gradient_values(g, G[129].h, p, 0.6, 1.0) == 0.0)
 
 
 def sup_rel(got: np.ndarray, want: np.ndarray) -> float:
@@ -338,16 +351,17 @@ class TestStencil:
     def test_matches_piecewise_loop(self, n):
         # rough values up to the box ends, so the edge clipping is exercised
         rng = np.random.default_rng(n)
-        phi = sample(DOM, n, lambda x: 0.0).with_values(rng.standard_normal(n) + 0.5)
+        grid = make_grid(DOM, n)
+        phi = rng.standard_normal(n) + 0.5
         for s in (0.3, 0.5, 0.9, 0.99):
             for eps in (0.0, 0.1, 0.5):
                 p = FracParams(s=s, eps=eps)
-                assert sup_rel(mollify(phi, p).values, mollify_loop(phi, p)) <= 1e-13
+                assert sup_rel(mollify(grid, phi, p), mollify_loop(grid, phi, p)) <= 1e-13
                 assert sup_rel(
-                    mollify_gradient(phi, p).values, gradient_loop(phi, p, eps, 1.0)
+                    mollify_gradient(grid, phi, p), gradient_loop(grid, phi, p, eps, 1.0)
                 ) <= 1e-13
                 assert sup_rel(
-                    gradient_values(phi.values, phi.h, p, 0.6, 1.0), gradient_loop(phi, p, 0.6, 1.0)
+                    gradient_values(phi, grid.h, p, 0.6, 1.0), gradient_loop(grid, phi, p, 0.6, 1.0)
                 ) <= 1e-13
 
     @pytest.mark.parametrize("s", [0.5, 0.99])
@@ -435,10 +449,10 @@ class TestBumpSuite:
         # each check_* on one bump reproduces that bump's row of the batched
         # suite; d1 and the Hoelder seminorm are recomputed per bump here
         phis = bumps(seed=n, n=n, count=10)
-        stack = np.stack([phi.values for phi in phis])
+        stack = np.stack(phis)
         eps_list, rho, r = (0.0, 0.1, 0.5), 0.6, (1.0 - s) ** (1.0 / s)
-        zero = make_grid(DOM, n)
-        rows = list(_bump_suite_rows(zero, [stack], ((s, r),), eps_list, rho))
+        grid, zero = make_grid(DOM, n), np.zeros(n)
+        rows = list(_bump_suite_rows(grid, [stack], ((s, r),), eps_list, rho))
         per_eps = ["closeness_l2", "energy_consistency", "lipschitz_gradient", "tail_bound"]
         per_eps += ["strip_closeness", "strip_l2"]
         assert [row[0] for row in rows] == per_eps[:2] + ["energy_consistency_eps0"] + per_eps[2:] + per_eps * 2
@@ -449,16 +463,16 @@ class TestBumpSuite:
             assert lhs.shape == rhs.shape == (10,)
             for i, phi in enumerate(phis):
                 if name == "closeness_l2":
-                    one = check_identity_l2(phi, p)
+                    one = check_identity_l2(grid, phi, p)
                 elif name.startswith("energy_consistency"):
-                    one = check_energy_consistency(phi, p)
+                    one = check_energy_consistency(grid, phi, p)
                 elif name == "lipschitz_gradient":
-                    one = check_lipschitz(phi, p, s)
+                    one = check_lipschitz(grid, phi, p, s)
                 elif name == "tail_bound":
-                    one = check_tail_bound(phi, p, rho, s)
+                    one = check_tail_bound(grid, phi, p, rho, s)
                 else:
                     check = check_strip_closeness if name == "strip_closeness" else check_strip_l2
-                    one = check(phi, zero, p, r, holder_seminorm_grid(phi, s), 0.0)
+                    one = check(grid, phi, zero, p, r, holder_seminorm_grid(grid, phi, s), 0.0)
                 assert one == pytest.approx((lhs[i], rhs[i]), rel=1e-14, abs=0.0)
 
 
@@ -473,9 +487,9 @@ class TestBumpSuite:
         assert len(sizes) > 1 and sum(sizes) == 100
         strips, eps_list = ((0.5, 0.25), (0.9, 0.1 ** (1.0 / 0.9))), (0.0, 0.1, 0.5)
         rng = _PCG64(1)
-        chunks = (_random_bump_rows(rng, DOM, n, rows) for rows in sizes)
+        chunks = (_random_bump_rows(rng, grid, rows) for rows in sizes)
         chunked = list(_bump_suite_rows(grid, chunks, strips, eps_list, 0.6))
-        one = list(_bump_suite_rows(grid, [_random_bump_rows(_PCG64(1), DOM, n, 100)], strips, eps_list, 0.6))
+        one = list(_bump_suite_rows(grid, [_random_bump_rows(_PCG64(1), grid, 100)], strips, eps_list, 0.6))
         assert len(chunked) == len(one) * len(sizes)
         for i, (name, lhs, rhs) in enumerate(one):
             parts = chunked[i :: len(one)]
@@ -496,10 +510,10 @@ class TestStripRows:
         # distance of w by l2_norm; the bounds are written out again from
         # the paper
         phis = bumps(seed=n + 1, n=n, count=10)
-        stack = np.stack([phi.values for phi in phis])
-        zero = make_grid(DOM, n)
-        holder = holder_quotient(lag_maxima(stack), zero.h, s)
-        x, tol = zero.nodes, 1e-9 * zero.h
+        stack = np.stack(phis)
+        grid, zero = make_grid(DOM, n), np.zeros(n)
+        holder = holder_quotient(lag_maxima(stack), grid.h, s)
+        x, tol = grid.nodes, 1e-9 * grid.h
         closure = (x >= DOM.omega_lo - tol) & (x <= DOM.omega_hi + tol)
         dist = dist_to_complement(DOM, x)
         for r in ((1.0 - s) ** (1.0 / s), 0.3):
@@ -507,22 +521,22 @@ class TestStripRows:
             assert np.count_nonzero(strip & (dist > tol)) > 0
             for eps in (0.0, 0.1, 0.5):
                 p = FracParams(s=s, eps=eps)
-                smoothed = _apply(stack, _kernel(_stencil(p, zero.h, 0.0, 1.0, False), False, n), {})
-                (sup, sup_rhs), (l2, l2_rhs) = _strip_rows(zero, smoothed, p, r, holder, _strip(zero, r))
+                smoothed = _apply(stack, _kernel(_stencil(p, grid.h, 0.0, 1.0, False), False, n), {})
+                (sup, sup_rhs), (l2, l2_rhs) = _strip_rows(grid, smoothed, p, r, holder, _strip(grid, r))
                 near = (1.0 - s) / (1.0 - eps ** (2.0 - 2.0 * s))
                 for i, phi in enumerate(phis):
-                    sm = mollify(phi, p)
-                    w = build_w(phi, zero, p, r)
-                    hold = holder_seminorm_grid(phi, s)
+                    sm = mollify(grid, phi, p)
+                    w = build_w(grid, phi, zero, p, r)
+                    hold = holder_seminorm_grid(grid, phi, s)
                     want = (
-                        strip_sup_loop(zero, sm.values, r),
+                        strip_sup_loop(grid, sm, r),
                         2.0 * hold * (r**s + near),
-                        l2_norm(sm - w, region="omega") ** 2,
+                        l2_norm(grid, sm - w, region="omega") ** 2,
                         8.0 * hold**2 * (r ** (1.0 + 2.0 * s) + near**2 * r),
                     )
                     got = (sup[i], sup_rhs[i], l2[i], l2_rhs[i])
                     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-                    assert sup[i] >= float(np.max(np.abs(sm.values - w.values)[strip]))
+                    assert sup[i] >= float(np.max(np.abs(sm - w)[strip]))
 
     @pytest.mark.parametrize("n", [65, 129])
     @pytest.mark.parametrize("s", [0.5, 0.9])
@@ -535,7 +549,7 @@ class TestStripRows:
         # sampling's miss at a vertex: |q''| (delta/2)**2 / 2 with
         # |q''| <= 2 max|v'| / r and delta the sample spacing
         grid = make_grid(DOM, n)
-        stack = _random_bump_rows(_PCG64(1), DOM, n, 100)
+        stack = _random_bump_rows(_PCG64(1), grid, 100)
         p = FracParams(s=s)
         r = (1.0 - s) ** (1.0 / s)
         smoothed = _apply(stack, _kernel(_stencil(p, grid.h, 0.0, 1.0, False), False, n), {})
@@ -558,7 +572,7 @@ class TestStripRows:
         phis = bumps(seed=7, n=33, count=3)
         grid = make_grid(DOM, 33)
         p = FracParams(s=0.9)
-        smoothed = np.stack([mollify(phi, p).values for phi in phis])
+        smoothed = np.stack([mollify(grid, phi, p) for phi in phis])
         (sup, _), _ = _strip_rows(grid, smoothed, p, 0.5 * grid.h, 1.0, _strip(grid, 0.5 * grid.h))
         edge = np.isin(grid.nodes, (DOM.omega_lo, DOM.omega_hi))
         assert np.count_nonzero(edge) == 2
@@ -578,8 +592,8 @@ class TestStripRows:
         dist = dist_to_complement(DOM, grid.nodes)
         assert not np.any((dist > 0.0) & (dist <= r))
         assert not np.any(np.isin(grid.nodes, (DOM.omega_lo, DOM.omega_hi)))
-        smoothed = [mollify(phi, p) for phi in phis]
-        (sup, _), _ = _strip_rows(grid, np.stack([sm.values for sm in smoothed]), p, r, 1.0, _strip(grid, r))
-        want = [max(abs(grid_eval(sm, DOM.omega_lo)), abs(grid_eval(sm, DOM.omega_hi))) for sm in smoothed]
+        smoothed = [mollify(grid, phi, p) for phi in phis]
+        (sup, _), _ = _strip_rows(grid, np.stack(smoothed), p, r, 1.0, _strip(grid, r))
+        want = [max(abs(grid_eval(grid, sm, DOM.omega_lo)), abs(grid_eval(grid, sm, DOM.omega_hi))) for sm in smoothed]
         assert sup == pytest.approx(want, rel=1e-14, abs=0.0)
         assert np.all(sup > 0.0)

@@ -10,6 +10,7 @@ from fraclap.profiles import _PCG64, _random_bump_rows, make_profile, profile_na
 from helpers import bump_derivative, central_diff, random_bump, random_bump_loop
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
+G65, G129 = make_grid(DOM, 65), make_grid(DOM, 129)
 
 
 def _gaussian_formulas(x, a, c, w):
@@ -51,7 +52,7 @@ class TestCatalog:
     def test_values_equal_written_out_formulas(self, text):
         # every profile at non-default parameters on a 65-node grid, bit for
         # bit against its formula and, where it has one, its second derivative
-        x = make_grid(DOM, 65).nodes
+        x = G65.nodes
         value, second = CATALOG_FORMULAS[text](x)
         p = make_profile(text)
         assert np.array_equal(p(x), value)
@@ -163,19 +164,19 @@ class TestRandomBump:
     def test_supported_inside_omega(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            phi = random_bump(rng, DOM, 129)
-            outside = np.abs(phi.nodes) >= 0.999
-            assert np.all(phi.values[outside] == 0.0)
-            assert np.any(phi.values != 0.0)
+            phi = random_bump(rng, G129)
+            outside = np.abs(G129.nodes) >= 0.999
+            assert np.all(phi[outside] == 0.0)
+            assert np.any(phi != 0.0)
 
     def test_seed_reproducibility(self):
-        a = random_bump(np.random.default_rng(5), DOM, 65)
-        b = random_bump(np.random.default_rng(5), DOM, 65)
-        assert np.array_equal(a.values, b.values)
+        a = random_bump(np.random.default_rng(5), G65)
+        b = random_bump(np.random.default_rng(5), G65)
+        assert np.array_equal(a, b)
 
     def test_draws_vary(self):
         rng = np.random.default_rng(9)
-        draws = [random_bump(rng, DOM, 65).values for _ in range(10)]
+        draws = [random_bump(rng, G65) for _ in range(10)]
         distinct = {tuple(d) for d in draws}
         assert len(distinct) == 10
 
@@ -185,10 +186,11 @@ class TestRandomBump:
         # one row at a time and stacked both equal, bit for bit and in the
         # generator state left behind, the draws made one profile at a time
         rng = np.random.default_rng(seed)
-        want = np.stack([random_bump_loop(rng, dom, n).values for _ in range(100)])
+        grid = make_grid(dom, n)
+        want = np.stack([random_bump_loop(rng, grid) for _ in range(100)])
         for make in (
-            lambda other: np.stack([random_bump(other, dom, n).values for _ in range(100)]),
-            lambda other: _random_bump_rows(other, dom, n, 100),
+            lambda other: np.stack([random_bump(other, grid) for _ in range(100)]),
+            lambda other: _random_bump_rows(other, grid, 100),
         ):
             other = np.random.default_rng(seed)
             assert np.array_equal(make(other), want)
@@ -201,9 +203,9 @@ class TestRandomBump:
         # generator: the rows, bit for bit, and the generator state left
         # behind are those of one call for all of them
         one = _PCG64(seed)
-        want = _random_bump_rows(one, DOM, 129, 100)
+        want = _random_bump_rows(one, G129, 100)
         rng = _PCG64(seed)
-        got = np.concatenate([_random_bump_rows(rng, DOM, 129, rows) for rows in sizes])
+        got = np.concatenate([_random_bump_rows(rng, G129, rows) for rows in sizes])
         assert np.array_equal(got, want)
         assert (rng._state, rng._inc) == (one._state, one._inc)
         assert [rng.random() for _ in range(5)] == [one.random() for _ in range(5)]
@@ -218,7 +220,7 @@ class TestRandomBump:
 
         monkeypatch.setattr(profiles, "_bump_pieces", poisoned)
         with pytest.raises(DataError, match="bump 3 at node 7"):
-            _random_bump_rows(np.random.default_rng(1), DOM, 65, 10)
+            _random_bump_rows(np.random.default_rng(1), G65, 10)
 
 
 class TestPCG64:
@@ -236,5 +238,5 @@ class TestPCG64:
 
     @pytest.mark.parametrize("seed", range(21))
     def test_bump_rows_equal_default_rng(self, seed):
-        want = _random_bump_rows(np.random.default_rng(seed), DOM, 129, 100)
-        assert np.array_equal(_random_bump_rows(_PCG64(seed), DOM, 129, 100), want)
+        want = _random_bump_rows(np.random.default_rng(seed), G129, 100)
+        assert np.array_equal(_random_bump_rows(_PCG64(seed), G129, 100), want)

@@ -29,10 +29,11 @@ from helpers import (
 )
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
+G65 = make_grid(DOM, 65)
 
 
-def const_f(n: int, value: float = 1.0):
-    return sample(DOM, n, lambda x: value)
+def const_f(grid, value: float = 1.0):
+    return sample(grid, lambda x: value)
 
 
 class TestAssembly:
@@ -62,7 +63,7 @@ class TestAssembly:
         def energy(*nodes):
             values = np.zeros(grid.n)
             values[list(nodes)] = 1.0
-            return dirichlet_local(grid.with_values(values))
+            return dirichlet_local(grid, values)
 
         a = np.empty((m, m))
         for i in range(m):
@@ -87,31 +88,31 @@ class TestAssembly:
 
 class TestFracSolve:
     def test_zero_load(self):
-        u = solve_frac_system(const_f(65, 0.0), FracParams(s=0.5))[0]
-        assert np.all(u.values == 0.0)
+        u = solve_frac_system(G65, const_f(G65, 0.0), FracParams(s=0.5))[0]
+        assert np.all(u == 0.0)
 
     def test_linearity(self):
         p = FracParams(s=0.6)
         rng = np.random.default_rng(61)
-        f1 = random_bump(rng, DOM, 65)
-        f2 = random_bump(rng, DOM, 65)
-        u1 = solve_frac_system(f1, p)[0]
-        u2 = solve_frac_system(f2, p)[0]
-        u12 = solve_frac_system(f1 + f2, p)[0]
-        assert np.allclose(u12.values, u1.values + u2.values, rtol=1e-12, atol=1e-14)
+        f1 = random_bump(rng, G65)
+        f2 = random_bump(rng, G65)
+        u1 = solve_frac_system(G65, f1, p)[0]
+        u2 = solve_frac_system(G65, f2, p)[0]
+        u12 = solve_frac_system(G65, f1 + f2, p)[0]
+        assert np.allclose(u12, u1 + u2, rtol=1e-12, atol=1e-14)
 
     def test_zero_outside_omega(self):
-        u = solve_frac_system(const_f(65), FracParams(s=0.5))[0]
-        outside = np.abs(u.nodes) >= 1.0 - 1e-12
-        assert np.all(u.values[outside] == 0.0)
+        u = solve_frac_system(G65, const_f(G65), FracParams(s=0.5))[0]
+        outside = np.abs(G65.nodes) >= 1.0 - 1e-12
+        assert np.all(u[outside] == 0.0)
 
     def test_converges_to_closed_form_ball_solution(self):
         p = FracParams(s=0.6)
         errs = []
         for n in (129, 257, 513):
-            u = solve_frac_system(const_f(n), p)[0]
-            ref = u.with_values(exact_solution_ball(p, u.nodes))
-            errs.append(linf_distance(u, ref, "box"))
+            grid = make_grid(DOM, n)
+            u = solve_frac_system(grid, const_f(grid), p)[0]
+            errs.append(linf_distance(grid, u, exact_solution_ball(p, grid.nodes), "box"))
         assert errs[0] > errs[1] > errs[2]
         assert errs[-1] < 1e-2
 
@@ -122,29 +123,29 @@ class TestFracSolve:
         p = FracParams(s=s)
         errs = []
         for n in (1025, 4097, 16385):
-            u = solve_frac_system(const_f(n), p)[0]
-            ref = u.with_values(exact_solution_ball(p, u.nodes))
-            errs.append(linf_distance(u, ref, "box"))
+            grid = make_grid(DOM, n)
+            u = solve_frac_system(grid, const_f(grid), p)[0]
+            errs.append(linf_distance(grid, u, exact_solution_ball(p, grid.nodes), "box"))
         assert errs[0] > errs[1] > errs[2]
 
     def test_nonnegative_for_nonnegative_load(self):
         rng = np.random.default_rng(62)
-        f = random_bump(rng, DOM, 129)
-        f = f.with_values(np.abs(f.values))
+        grid = make_grid(DOM, 129)
+        f = np.abs(random_bump(rng, grid))
         for s in (0.3, 0.7):
-            u = solve_frac_system(f, FracParams(s=s))[0]
-            assert u.values.min() >= -1e-12
+            u = solve_frac_system(grid, f, FracParams(s=s))[0]
+            assert u.min() >= -1e-12
 
     def test_galerkin_minimality(self):
         p = FracParams(s=0.55)
         rng = np.random.default_rng(63)
-        f = random_bump(rng, DOM, 65)
-        u = solve_frac_system(f, p)[0]
-        base = objective_frac(u, f, p)
+        f = random_bump(rng, G65)
+        u = solve_frac_system(G65, f, p)[0]
+        base = objective_frac(G65, u, f, p)
         for _ in range(5):
-            w = random_bump(rng, DOM, 65)
+            w = random_bump(rng, G65)
             for t in (-0.1, -0.01, 0.01, 0.1):
-                assert objective_frac(u + t * w, f, p) >= base - 1e-12
+                assert objective_frac(G65, u + t * w, f, p) >= base - 1e-12
 
 
 def interior_operator(s: float, n: int):
@@ -172,15 +173,15 @@ def first_eigenvalue(s: float, n: int) -> float:
 
 
 class TestFirstEigenvalue:
-    @pytest.mark.parametrize("s", [0.3, 0.6, 0.9, 0.99])
+    @pytest.mark.parametrize("s", [0.3, 0.6, 0.9, 0.99, 0.995])
     def test_nested_meshes_and_continuum_bracket(self, s):
-        # the P1 space at n = 1025 lies inside the one at 4097, so by
-        # min-max lambda_1 cannot rise under the refinement; the continuum
+        # the P1 spaces at n = 1025, 4097 and 16385 are nested, so by
+        # min-max lambda_1 cannot rise under each refinement; the continuum
         # lambda_1 of the standard fractional Laplacian on (-1, 1) lies in
         # [1/2, 1] times (pi^2/4)^s (Chen & Song, J. Funct. Anal. 226
         # (2005)), and fraclap's operator is const_ratio times that one
-        coarse, fine = first_eigenvalue(s, 1025), first_eigenvalue(s, 4097)
-        assert fine <= coarse
+        coarse, mid, fine = (first_eigenvalue(s, n) for n in (1025, 4097, 16385))
+        assert fine <= mid <= coarse
         ratio = fine / (const_ratio(FracParams(s=s)) * (math.pi**2 / 4.0) ** s)
         assert 0.5 <= ratio <= 1.0
 
@@ -209,45 +210,47 @@ class TestJacobiEnergyOracle:
 
 class TestLocalSolve:
     def test_parabola_nodal_exactness(self):
-        u = solve_local_dirichlet(const_f(257, 2.0))
-        want = np.clip(1.0 - u.nodes**2, 0.0, None)
-        assert np.allclose(u.values, want, atol=1e-12)
+        grid = make_grid(DOM, 257)
+        u = solve_local_dirichlet(grid, const_f(grid, 2.0))
+        want = np.clip(1.0 - grid.nodes**2, 0.0, None)
+        assert np.allclose(u, want, atol=1e-12)
 
     @pytest.mark.parametrize("n", [65, 4097, 65537])
     def test_parabola_nodal_exactness_on_fine_meshes(self, n):
-        u = solve_local_dirichlet(const_f(n, 2.0))
-        want = np.clip(1.0 - u.nodes**2, 0.0, None)
-        assert np.max(np.abs(u.values - want)) <= 1e-14
+        grid = make_grid(DOM, n)
+        u = solve_local_dirichlet(grid, const_f(grid, 2.0))
+        want = np.clip(1.0 - grid.nodes**2, 0.0, None)
+        assert np.max(np.abs(u - want)) <= 1e-14
 
     def test_zero_load(self):
-        u = solve_local_dirichlet(const_f(65, 0.0))
-        assert np.all(u.values == 0.0)
+        u = solve_local_dirichlet(G65, const_f(G65, 0.0))
+        assert np.all(u == 0.0)
 
 
 class TestStabilityIdentities:
     def test_frac_energy_gap_identity(self):
         p = FracParams(s=0.45, eps=0.1)
-        n = 257
+        grid = make_grid(DOM, 257)
         rng = np.random.default_rng(71)
-        f = random_bump(rng, DOM, n)
-        u = solve_frac_system(f, p)[0]
-        base = objective_frac(u, f, p)
+        f = random_bump(rng, grid)
+        u = solve_frac_system(grid, f, p)[0]
+        base = objective_frac(grid, u, f, p)
         for _ in range(5):
-            phi = random_bump(rng, DOM, n)
-            gap = objective_frac(phi, f, p) - base
-            want = dirichlet_frac(phi - u, p).total
+            phi = random_bump(rng, grid)
+            gap = objective_frac(grid, phi, f, p) - base
+            want = dirichlet_frac(grid, phi - u, p).total
             assert gap == pytest.approx(want, rel=1e-10)
 
     def test_local_energy_gap_identity(self):
-        n = 257
+        grid = make_grid(DOM, 257)
         rng = np.random.default_rng(72)
-        f = random_bump(rng, DOM, n)
-        u = solve_local_dirichlet(f)
-        base = objective_local(u, f)
+        f = random_bump(rng, grid)
+        u = solve_local_dirichlet(grid, f)
+        base = objective_local(grid, u, f)
         for _ in range(5):
-            phi = random_bump(rng, DOM, n)
-            gap = objective_local(phi, f) - base
-            want = dirichlet_local(phi - u)
+            phi = random_bump(rng, grid)
+            gap = objective_local(grid, phi, f) - base
+            want = dirichlet_local(grid, phi - u)
             assert gap == pytest.approx(want, rel=1e-10)
 
 
