@@ -42,7 +42,7 @@ from typing import Tuple
 import numpy as np
 import numpy.fft  # noqa: F401  numpy imports it lazily; load it with the package
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, ShapeError
 from .grid import Grid, _mass_rows
 from .kernels import FracParams, norm_const
 
@@ -116,7 +116,7 @@ class ToeplitzOperator:
     def _check(self, v: np.ndarray, stacked: bool = False) -> np.ndarray:
         v = np.asarray(v)
         if (v.shape[-1:] if stacked else v.shape) != self.c.shape:
-            raise ValueError(f"vector of shape {v.shape} does not match a Toeplitz matrix of order {len(self.c)}")
+            raise ShapeError(f"vector of shape {v.shape} does not match a Toeplitz matrix of order {len(self.c)}")
         return v
 
     def matvec(self, v: np.ndarray) -> np.ndarray:

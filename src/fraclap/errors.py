@@ -16,7 +16,7 @@ class DataError(ValueError):
 
 
 class ShapeError(ValueError):
-    """Mismatched discretizations: two grid functions on different grids."""
+    """Values of the wrong shape for their grid or operator."""
 
 
 class NumericalError(RuntimeError):

@@ -8,6 +8,7 @@ for a fixed config and seed.
 from __future__ import annotations
 
 import math
+import random
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
@@ -18,7 +19,7 @@ from .errors import ConfigError, NumericalError
 from .grid import Grid, l2_norm, make_grid, sample
 from .kernels import FracParams, classical_const, const_ratio, norm_const, psi, psi_moment, sphere_measure
 from .mollifier import _bump_suite_rows, _chunk_rows, energy_gap
-from .profiles import _PCG64, _random_bump_rows
+from .profiles import _random_bump_rows
 from .report import (
     CheckReport,
     CheckRow,
@@ -219,7 +220,7 @@ def run_mollifier_check(cfg: ExperimentConfig) -> CheckReport:
     one generator: the same rows as one draw of all of them."""
     grid = make_grid(cfg.domain, cfg.n)
     strips = tuple((s, cfg.r_value(s)) for s in cfg.s_list)
-    rng = _PCG64(cfg.seed)
+    rng = random.Random(cfg.seed)
     chunks = (_random_bump_rows(rng, grid, rows) for rows in _chunk_rows(grid, _MOLL_BUMPS))
 
     worst: Dict[str, float] = {}  # rows in the order the suite yields them

@@ -76,12 +76,13 @@ class Grid(NamedTuple):
     def h(self) -> float:
         return (self.domain.box_hi - self.domain.box_lo) / (self.n - 1)
 
-    def check(self, v) -> np.ndarray:
+    def check(self, v, stacked: bool = True) -> np.ndarray:
         """v as a float array of P1 functions on this grid: ShapeError unless
-        its last axis has n entries, DataError on a non-finite value."""
+        its last axis has n entries (and it has no other axis, unless
+        stacked), DataError on a non-finite value."""
         v = np.asarray(v, dtype=float)
-        if v.shape[-1:] != (self.n,):
-            raise ShapeError(f"values shape {v.shape} does not end in ({self.n},)")
+        if (v.shape[-1:] if stacked else v.shape) != (self.n,):
+            raise ShapeError(f"values shape {v.shape} does not {'end in' if stacked else 'equal'} ({self.n},)")
         if not np.all(np.isfinite(v)):
             raise DataError("P1 function values must be finite")
         return v
@@ -131,15 +132,15 @@ def product_integral(grid: Grid, p: np.ndarray, q: np.ndarray, region: str = "bo
 
 def dirichlet_local(grid: Grid, v: np.ndarray) -> float:
     """Half the integral of the squared gradient of the interpolant:
-    (1/2) sum over cells of h (dv/h)^2."""
-    dv = np.diff(grid.check(v))
+    (1/2) sum over cells of h (dv/h)^2; v is one function."""
+    dv = np.diff(grid.check(v, stacked=False))
     return 0.5 * float(dv @ dv) / grid.h
 
 
 def objective_local(grid: Grid, v: np.ndarray, f: np.ndarray) -> float:
     """Local objective: gradient energy minus the exact load over the
-    interval."""
-    return dirichlet_local(grid, v) - product_integral(grid, v, f, region="omega")
+    interval; v and f are one function each."""
+    return dirichlet_local(grid, v) - product_integral(grid, v, grid.check(f, stacked=False), region="omega")
 
 
 def _mass_rows(grid: Grid, q: np.ndarray, region: str) -> np.ndarray:

@@ -9,6 +9,7 @@ the catalog closed makes configs reproducible without an expression parser.
 from __future__ import annotations
 
 import math
+import random
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -174,72 +175,13 @@ def _parse_number(raw: str, where: str) -> float:
     return v
 
 
-_M32 = 0xFFFFFFFF
-_M64 = (1 << 64) - 1
-_M128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-class _PCG64:
-    """The random() and uniform() stream of numpy.random.default_rng(seed)
-    for an integer seed >= 0, bit for bit, without importing numpy.random
-    (its import costs about 6 MB of RSS): numpy's SeedSequence pool mixing
-    turns the seed into four 64-bit words, which seed PCG64's 128-bit LCG
-    with XSL-RR output (O'Neill, HMC-CS-2014-0905)."""
-
-    def __init__(self, seed: int) -> None:
-        entropy = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1), 32)]
-        const = 0x43B0D7E5
-
-        def hashmix(value: int) -> int:
-            nonlocal const
-            value ^= const
-            const = const * 0x931E8875 & _M32
-            value = value * const & _M32
-            return value ^ value >> 16
-
-        def mix(x: int, y: int) -> int:
-            r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-            return r ^ r >> 16
-
-        pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for word in entropy[4:]:
-            for dst in range(4):
-                pool[dst] = mix(pool[dst], hashmix(word))
-        const, half = 0x8B51F9DD, []
-        for i in range(8):  # generate_state(4, np.uint64), as eight 32-bit halves
-            value = pool[i % 4] ^ const
-            const = const * 0x58F38DED & _M32
-            value = value * const & _M32
-            half.append(value ^ value >> 16)
-        w = [half[2 * k] | half[2 * k + 1] << 32 for k in range(4)]
-        self._inc = (w[2] << 64 | w[3]) << 1 & _M128 | 1
-        # from state 0: one step, add the seed words, one more step
-        self._state = ((self._inc + (w[0] << 64 | w[1])) * _PCG_MULT + self._inc) & _M128
-
-    def _next64(self) -> int:
-        self._state = (self._state * _PCG_MULT + self._inc) & _M128
-        x = (self._state >> 64 ^ self._state) & _M64
-        rot = self._state >> 122
-        return (x >> rot | x << (64 - rot)) & _M64
-
-    def random(self) -> float:
-        return (self._next64() >> 11) * 2.0**-53
-
-    def uniform(self, low: float, high: float) -> float:
-        return low + (high - low) * self.random()
-
-
-def _random_bump_rows(rng: np.random.Generator, grid: Grid, count: int) -> np.ndarray:
+def _random_bump_rows(rng: random.Random, grid: Grid, count: int) -> np.ndarray:
     """count random smooth bumps (some a superposition of two), compactly
     supported inside Omega and sampled on the grid, as a (count, n) stack.
-    rng is any object with random() and uniform(low, high), such as _PCG64
-    or a numpy Generator.  The draws go row by row, so consecutive calls on
-    one rng give the rows and the final state of one call for all of them.
+    rng is any object with random() and uniform(low, high), such as
+    random.Random or a numpy Generator.  The draws go row by row, so
+    consecutive calls on one rng give the rows and the final state of one
+    call for all of them.
 
     Each bump's parameters are drawn in turn (width, centre, amplitude,
     sign, then whether a second bump is added and its parameters); all

@@ -218,6 +218,23 @@ def zero_data_err_ws2_sq(s: float) -> float:
         return float(semi + l2)
 
 
+def _jacobi_terms(s: float, f, terms: int, nodes: int):
+    """(k, f_k h_k, log h_k) for k < terms: f's coefficients f_k on the
+    Jacobi polynomials P_k = P_k^(s,s) times their squared norms
+    h_k = int (1 - x^2)^s P_k^2, by the Gauss-Jacobi rule of `nodes` points."""
+    x, w = roots_jacobi(nodes, s, s)
+    k = np.arange(terms)
+    fh = eval_jacobi(k[:, None], s, s, x) @ (w * f(x))
+    log_h = (
+        (2.0 * s + 1.0) * math.log(2.0)
+        + 2.0 * gammaln(k + s + 1.0)
+        - np.log(2.0 * k + 2.0 * s + 1.0)
+        - gammaln(k + 1.0)
+        - gammaln(k + 2.0 * s + 1.0)
+    )
+    return k, fh, log_h
+
+
 def jacobi_energy(s: float, f, terms: int = 60, nodes: int = 100) -> float:
     """The continuum energy <u, u> = int f u of the solution u of fraclap's
     problem with source f on Omega = (-1, 1) and zero exterior data.
@@ -230,18 +247,18 @@ def jacobi_energy(s: float, f, terms: int = 60, nodes: int = 100) -> float:
     E = sum f_k^2 h_k k! / (const_ratio Gamma(2s+k+1)).  The coefficients
     f_k h_k come from the Gauss-Jacobi rule of `nodes` points, exact for
     polynomials of degree below 2 nodes; f must be smooth on [-1, 1]."""
-    x, w = roots_jacobi(nodes, s, s)
-    k = np.arange(terms)
-    fh = eval_jacobi(k[:, None], s, s, x) @ (w * f(x))  # f_k h_k
-    log_h = (
-        (2.0 * s + 1.0) * math.log(2.0)
-        + 2.0 * gammaln(k + s + 1.0)
-        - np.log(2.0 * k + 2.0 * s + 1.0)
-        - gammaln(k + 1.0)
-        - gammaln(k + 2.0 * s + 1.0)
-    )
+    k, fh, log_h = _jacobi_terms(s, f, terms, nodes)
     terms_k = fh**2 * np.exp(gammaln(k + 1.0) - gammaln(k + 2.0 * s + 1.0) - log_h)
     return float(np.sum(terms_k)) / const_ratio(FracParams(s=s))
+
+
+def jacobi_solution(s: float, f, x: np.ndarray, terms: int = 60, nodes: int = 100) -> np.ndarray:
+    """The point values at x of the solution u of jacobi_energy's problem:
+    u(x) = (1 - x^2)_+^s sum f_k k! / (const_ratio Gamma(2s+k+1)) P_k(x),
+    from the same coefficients f_k = (f_k h_k) / h_k."""
+    k, fh, log_h = _jacobi_terms(s, f, terms, nodes)
+    c = fh * np.exp(gammaln(k + 1.0) - gammaln(k + 2.0 * s + 1.0) - log_h) / const_ratio(FracParams(s=s))
+    return np.clip(1.0 - x**2, 0.0, None) ** s * (c @ eval_jacobi(k[:, None], s, s, x))
 
 
 def exact_hat_load(grid: Grid, f) -> np.ndarray:

@@ -13,7 +13,7 @@ from fraclap.assembly import (
     load_vector,
     stiffness_kernel,
 )
-from fraclap.errors import ConfigError, NumericalError
+from fraclap.errors import ConfigError, NumericalError, ShapeError
 from fraclap.grid import Domain, dirichlet_local, l2_norm, make_grid, sample
 from fraclap.kernels import FracParams
 from fraclap.solver import solve_local_dirichlet
@@ -342,6 +342,13 @@ class TestToeplitz:
             op.solve(np.ones(5))
         with pytest.raises(ValueError):
             toeplitz_quadratic_form(np.zeros(3), np.zeros(5))
+
+    def test_wrong_length_is_a_shape_error(self):
+        # the CLI maps the package's own error types to exit codes
+        op = ToeplitzOperator(np.ones(5))
+        for call in (op.matvec, op.quad_form, op.solve):
+            with pytest.raises(ShapeError, match=r"vector of shape \(4,\) does not match a Toeplitz matrix of order 5"):
+                call(np.ones(4))
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_smallest_orders_match_dense(self, m):

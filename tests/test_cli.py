@@ -316,8 +316,9 @@ class TestRunnerOutcomes:
 # (importing it and building one Gauss rule costs about 6 ms and 1.8 MB of
 # peak RSS), nor numpy.ma (np.unique and the set routines import it lazily;
 # it costs about 1 MB of RSS), nor numpy.random (about 6 MB of RSS and
-# 15 ms; the bump suite draws from profiles._PCG64, which reproduces
-# numpy.random.default_rng's stream), nor argparse, gettext or locale
+# 15 ms; the bump suite draws from the standard library's random.Random,
+# which `import numpy` loads already, numpy 2.4 through tempfile), nor
+# argparse, gettext or locale
 # (building argparse's parsers cost 2.5-3 ms and about 0.3 MB of peak RSS
 # per run; cli.py parses its one option set directly)
 # Runs in a fresh interpreter: the test suite itself imports scipy.

@@ -89,25 +89,26 @@ class TestMollifierCheck:
 
 
     def test_report_values_pinned(self, tmp_path, monkeypatch):
-        # values printed by the per-piece smoothing loop that the stencils
-        # replaced, at full precision; the strip rows by the one-row
-        # competitor checks that the stacked strip rows replaced, and
+        # the worst ratios recomputed bump by bump on random.Random(11)'s
+        # draws (helpers.random_bump_loop), at full precision: smoothing by
+        # helpers.mollify_loop, gradients by helpers.gradient_loop, d1 by
+        # helpers.dirichlet_frac, Hoelder quotients by helpers.holder_loop,
         # strip_closeness, the exact max over the strip including each
-        # cell's vertex, by a per-bump route (mollify,
-        # helpers.strip_sup_loop, helpers.holder_loop).  The vertices raise
-        # some bumps' lhs, but the worst ratio peaks at a node, so it equals
-        # the value read over the nodes alone
+        # cell's vertex, by helpers.strip_sup_loop and strip_l2 through
+        # helpers.build_w, each bound written out from the paper.  The
+        # vertices raise some bumps' lhs, but the worst ratio peaks at a
+        # node, so it equals the value read over the nodes alone
         cfg = cfg_from(
             tmp_path, "experiment = mollifier_check\ns_list = 0.5, 0.9\nn = 65\nseed = 11\n"
         )
         want = {
-            "closeness_l2": 0.029428290763465866,
-            "energy_consistency": 0.7284360809798301,
-            "energy_consistency_eps0": 0.7284360809798301,
-            "lipschitz_gradient": 0.47714121484933836,
-            "tail_bound": 0.3289668288864968,
-            "strip_closeness": 0.06605615385769266,
-            "strip_l2": 0.0021601492036891065,
+            "closeness_l2": 0.029783033823390755,
+            "energy_consistency": 0.7253826118258222,
+            "energy_consistency_eps0": 0.7253826118258222,
+            "lipschitz_gradient": 0.4662232414162616,
+            "tail_bound": 0.3325671638952992,
+            "strip_closeness": 0.06601389025310667,
+            "strip_l2": 0.0019020227167611317,
         }
         built = []
         stencil = mollifier._stencil
@@ -307,17 +308,19 @@ class TestRates:
         assert [r.s for r in rows] == [0.95, 0.99]
         assert all(r.total_ws2_err > r.l2_err for r in rows)  # a positive seminorm
 
-    def test_zero_data_approaches_continuum_oracle(self, tmp_path):
+    def test_zero_data_approaches_continuum_oracle(self):
         # f = 1 with zero exterior data; the relative gap to the continuum
-        # err_ws2_sq is O(h): measured 1.0 h, 2.49 h and 2.55 h at s = 0.6,
-        # 0.9 and 0.99 (h = 4 / (n - 1)), falling 3.98-4.00 fold per
-        # quadrupling of n
-        s_list = (0.6, 0.9, 0.99)
+        # err_ws2_sq is O(h): measured 1.0 h, 2.49 h, 2.55 h, 2.53-2.54 h and
+        # 2.45-2.54 h at s = 0.6, 0.9, 0.99, 0.999 and 0.9999 (h = 4 / (n - 1)),
+        # falling 3.98-4.14 fold per quadrupling of n.  The last two lie
+        # past the config band, which ends at 0.995, so the config is built
+        # directly
+        s_list = (0.6, 0.9, 0.99, 0.999, 0.9999)
         want = np.array([zero_data_err_ws2_sq(s) for s in s_list])
         gaps = []
         for n in (1025, 4097, 16385):
-            text = f"experiment = rates\ns_list = {', '.join(map(str, s_list))}\nn = {n}\n"
-            got = np.array([r.total_ws2_err**2 for r in run_rates(cfg_from(tmp_path, text)).rows])
+            cfg = ExperimentConfig(experiment="rates", s_list=s_list, n=n)
+            got = np.array([r.total_ws2_err**2 for r in run_rates(cfg).rows])
             gaps.append(np.abs(got - want) / want)
             assert np.all(gaps[-1] <= 3.0 * 4.0 / (n - 1))
         for coarse, fine in zip(gaps, gaps[1:]):

@@ -194,6 +194,16 @@ class TestArithmetic:
             with pytest.raises(error):
                 call()
 
+    def test_local_energy_of_a_stack_is_a_shape_error(self):
+        # one function only: the BLAS dot of one difference vector keeps its bits
+        with pytest.raises(ShapeError, match=r"values shape \(2, 9\) does not equal \(9,\)"):
+            dirichlet_local(G9, np.zeros((2, 9)))
+
+    def test_local_objective_of_a_stacked_load_is_a_shape_error(self):
+        # documented as a number, so a stack of loads is refused, not broadcast
+        with pytest.raises(ShapeError, match=r"values shape \(2, 9\) does not equal \(9,\)"):
+            objective_local(G9, np.zeros(9), np.ones((2, 9)))
+
 
 class TestL2Norm:
     def test_zero(self):

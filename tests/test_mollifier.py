@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from fraclap.mollifier import (
     full_coverage_mask,
     mollify,
 )
-from fraclap.profiles import _PCG64, _random_bump_rows, make_profile
+from fraclap.profiles import _random_bump_rows, make_profile
 from helpers import (
     build_w,
     bump_derivative,
@@ -486,10 +487,10 @@ class TestBumpSuite:
         sizes = _chunk_rows(grid, 100)
         assert len(sizes) > 1 and sum(sizes) == 100
         strips, eps_list = ((0.5, 0.25), (0.9, 0.1 ** (1.0 / 0.9))), (0.0, 0.1, 0.5)
-        rng = _PCG64(1)
+        rng = random.Random(1)
         chunks = (_random_bump_rows(rng, grid, rows) for rows in sizes)
         chunked = list(_bump_suite_rows(grid, chunks, strips, eps_list, 0.6))
-        one = list(_bump_suite_rows(grid, [_random_bump_rows(_PCG64(1), grid, 100)], strips, eps_list, 0.6))
+        one = list(_bump_suite_rows(grid, [_random_bump_rows(random.Random(1), grid, 100)], strips, eps_list, 0.6))
         assert len(chunked) == len(one) * len(sizes)
         for i, (name, lhs, rhs) in enumerate(one):
             parts = chunked[i :: len(one)]
@@ -547,9 +548,11 @@ class TestStripRows:
         # stacked sup equals the scalar vertex loop, which no 200,001-point
         # sampling of Omega exceeds and which beats it by at most the
         # sampling's miss at a vertex: |q''| (delta/2)**2 / 2 with
-        # |q''| <= 2 max|v'| / r and delta the sample spacing
+        # |q''| <= 2 max|v'| / r and delta the sample spacing.  Some row's
+        # peak lies inside a cell by more than the 1e-14 the sup is
+        # compared at, so a sup read at the nodes alone fails here
         grid = make_grid(DOM, n)
-        stack = _random_bump_rows(_PCG64(1), grid, 100)
+        stack = _random_bump_rows(random.Random(1), grid, 100)
         p = FracParams(s=s)
         r = (1.0 - s) ** (1.0 / s)
         smoothed = _apply(stack, _kernel(_stencil(p, grid.h, 0.0, 1.0, False), False, n), {})
@@ -563,7 +566,7 @@ class TestStripRows:
         depth = np.minimum(grid.nodes - DOM.omega_lo, DOM.omega_hi - grid.nodes)
         lam = _ramp(DOM, grid.nodes, r)
         nodal = np.max(np.abs((1.0 - lam) * smoothed)[:, (depth >= 0.0) & (depth <= r)], axis=-1)
-        assert np.max(sup / nodal) > 1.01
+        assert np.max(sup / nodal) > 1.0 + 1e-12
 
     def test_narrow_strip_checks_boundary_nodes(self):
         # a strip narrower than one cell holds no node inside Omega, but w

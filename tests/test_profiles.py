@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from fraclap import profiles
 from fraclap.errors import ConfigError, DataError
 from fraclap.grid import Domain, make_grid
-from fraclap.profiles import _PCG64, _random_bump_rows, make_profile, profile_names
+from fraclap.profiles import _random_bump_rows, make_profile, profile_names
 from helpers import bump_derivative, central_diff, random_bump, random_bump_loop
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
@@ -202,12 +203,12 @@ class TestRandomBump:
         # mollifier-check draws its bumps one chunk of rows at a time on one
         # generator: the rows, bit for bit, and the generator state left
         # behind are those of one call for all of them
-        one = _PCG64(seed)
+        one = random.Random(seed)
         want = _random_bump_rows(one, G129, 100)
-        rng = _PCG64(seed)
+        rng = random.Random(seed)
         got = np.concatenate([_random_bump_rows(rng, G129, rows) for rows in sizes])
         assert np.array_equal(got, want)
-        assert (rng._state, rng._inc) == (one._state, one._inc)
+        assert rng.getstate() == one.getstate()
         assert [rng.random() for _ in range(5)] == [one.random() for _ in range(5)]
 
     def test_stacked_rows_name_non_finite_row_and_node(self, monkeypatch):
@@ -223,20 +224,18 @@ class TestRandomBump:
             _random_bump_rows(np.random.default_rng(1), G65, 10)
 
 
-class TestPCG64:
-    @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 3, 10**30])
-    def test_stream_equals_default_rng(self, seed):
-        # seeds of one to four 32-bit words and past the four-word pool;
-        # random() and uniform() interleaved as the bump draws interleave them
-        ours, theirs = _PCG64(seed), np.random.default_rng(seed)
-        for i in range(1000):
-            if i % 3 == 0:
-                assert ours.random() == theirs.random()
-            else:
-                lo, hi = -0.25 * (i % 7), 0.5 + i % 5
-                assert ours.uniform(lo, hi) == theirs.uniform(lo, hi)
-
-    @pytest.mark.parametrize("seed", range(21))
-    def test_bump_rows_equal_default_rng(self, seed):
-        want = _random_bump_rows(np.random.default_rng(seed), G129, 100)
-        assert np.array_equal(_random_bump_rows(_PCG64(seed), G129, 100), want)
+class TestBumpStream:
+    @pytest.mark.parametrize(
+        "seed,want",
+        [
+            (0, [0.8444218515250481, 0.7579544029403025, 0.420571580830845]),
+            (42, [0.6394267984578837, 0.025010755222666936, 0.27502931836911926]),
+            (2**128 + 3, [0.707691495967557, 0.9222346957592326, 0.7457195782334577]),
+        ],
+    )
+    def test_first_draws_are_pinned(self, seed, want):
+        # mollifier-check draws its bumps from random.Random(seed), whose
+        # random() sequence Python keeps across versions; seeds of one and
+        # of five 32-bit words
+        rng = random.Random(seed)
+        assert [rng.random() for _ in want] == want

@@ -23,6 +23,7 @@ from helpers import (
     exact_hat_load,
     gaussian_truncated_oracle,
     jacobi_energy,
+    jacobi_solution,
     linf_distance,
     objective_frac,
     random_bump,
@@ -206,6 +207,26 @@ class TestJacobiEnergyOracle:
             gaps.append(energy - float(b @ A.solve(b)))
         assert min(gaps) >= 0.0
         assert 3.5 <= gaps[0] / gaps[1] <= 4.5
+
+    @pytest.mark.parametrize("s", [0.1, 0.3, 0.6, 0.9, 0.99])
+    def test_point_values_converge_like_h_to_the_s(self, s):
+        # the sup of u - u_h over the nodes, for the asymmetric
+        # f = cos 2x + x, is at most 0.013 h^s at n = 1025 and 4097, the
+        # rate the (1 - x^2)^s behaviour at the boundary allows; it falls by
+        # 4^s per 4x n to within 2% for s <= 0.9, while at s = 0.99 the
+        # ratio (12.3) is still pre-asymptotic, so only the h^s bound
+        # applies there
+        def f(x):
+            return np.cos(2.0 * x) + x
+
+        errs = []
+        for n in (1025, 4097):
+            grid = make_grid(DOM, n)
+            u = solve_frac_system(grid, sample(grid, f), FracParams(s=s))[0]
+            errs.append(float(np.max(np.abs(u - jacobi_solution(s, f, grid.nodes)))))
+            assert errs[-1] <= 0.05 * grid.h**s
+        if s <= 0.9:
+            assert errs[0] / errs[1] == pytest.approx(4.0**s, rel=0.1)
 
 
 class TestLocalSolve:
