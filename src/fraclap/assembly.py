@@ -215,9 +215,7 @@ def _spline_average(s: float, k: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 def stiffness_kernel(p: FracParams, h: float, kmax: int) -> np.ndarray:
     """Toeplitz kernel of the full interaction form for hats with spacing h,
-    offsets 0..kmax.  Exact closed form; d = 1 only."""
-    if p.d != 1:
-        raise ConfigError(f"Toeplitz kernels support d=1 only, got d={p.d}")
+    offsets 0..kmax.  Exact closed form."""
     if h <= 0.0:
         raise ConfigError(f"spacing must be positive, got h={h}")
     if kmax < 0:

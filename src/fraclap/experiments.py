@@ -18,7 +18,8 @@ from .config import ExperimentConfig
 from .errors import ConfigError, NumericalError
 from .grid import Grid, l2_norm, make_grid, sample
 from .kernels import FracParams, classical_const, const_ratio, norm_const, psi, psi_moment, sphere_measure
-from .mollifier import _bump_suite_rows, _chunk_rows, energy_gap
+# the bump suite's constants _MOLL_EPS and _TAIL_RHO stay importable from here
+from .mollifier import _MOLL_EPS, _TAIL_RHO, _bump_suite_rows, _chunk_rows, energy_gap  # noqa: F401
 from .profiles import _random_bump_rows
 from .report import (
     CheckReport,
@@ -136,13 +137,13 @@ def _radial_rule(a: float, b: float) -> Tuple[np.ndarray, np.ndarray]:
     return _log_panels(a, math.log(b - a) - u[::-1])
 
 
-def _psi_moment_quadrature(p: FracParams, alpha: float) -> float:
-    """The radial moment of psi by _radial_rule, split at eps."""
+def _psi_moment_quadrature(p: FracParams, alpha: float, d: int) -> float:
+    """The radial moment of psi in R^d by _radial_rule, split at eps."""
     total = 0.0
     for a, b in ((0.0, p.eps), (p.eps, 1.0)) if p.eps > 0.0 else ((0.0, 1.0),):
         t, w = _radial_rule(a, b)
-        total += float(np.sum(w * psi(p, t) * t ** (alpha + p.d - 1.0)))
-    return sphere_measure(p.d) * total
+        total += float(np.sum(w * psi(p, t, d) * t ** (alpha + d - 1.0)))
+    return sphere_measure(d) * total
 
 
 def run_kernel_check(cfg: ExperimentConfig) -> CheckReport:
@@ -157,10 +158,10 @@ def run_kernel_check(cfg: ExperimentConfig) -> CheckReport:
     for d in (1, 2, 3):
         for s in _PSI_S:
             for eps in _PSI_EPS:
-                p = FracParams(s=s, eps=eps, d=d)
+                p = FracParams(s=s, eps=eps)
                 for alpha in _PSI_ALPHA:
-                    closed = psi_moment(p, alpha)
-                    via_quad = _psi_moment_quadrature(p, alpha)
+                    closed = psi_moment(p, alpha, d)
+                    via_quad = _psi_moment_quadrature(p, alpha, d)
                     worst_rel = max(worst_rel, abs(closed - via_quad) / abs(closed))
                     if alpha == 0.0:
                         worst_mass = max(worst_mass, abs(closed - 1.0))
@@ -171,22 +172,21 @@ def run_kernel_check(cfg: ExperimentConfig) -> CheckReport:
     r, w = _radial_rule(0.0, 1.0)
     for d in (1, 2, 3):
         for s in _PSI_S:
-            p = FracParams(s=s, eps=0.0, d=d)
             radial = float(np.sum(w * r ** (1.0 - 2.0 * s)))
-            val = sphere_measure(d) / d * norm_const(p) * radial
+            val = sphere_measure(d) / d * norm_const(FracParams(s=s), d) * radial
             worst_half = max(worst_half, abs(val - 0.5))
     rows.append(CheckRow("eta_second_moment_half", worst_half, 1e-8, worst_half <= 1e-8))
 
     worst_agree = 0.0
     for d in (1, 2, 3):
         for s in (0.5, 0.9, 0.99, 0.999):
-            p = FracParams(s=s, eps=0.0, d=d)
-            a = const_ratio(p)
-            worst_agree = max(worst_agree, abs(a - norm_const(p) / classical_const(p)) / abs(a))
+            p = FracParams(s=s)
+            a = const_ratio(p, d)
+            worst_agree = max(worst_agree, abs(a - norm_const(p, d) / classical_const(p, d)) / abs(a))
     rows.append(CheckRow("const_ratio_two_routes", worst_agree, 1e-10, worst_agree <= 1e-10))
 
     # defect of the normalization ratio along the s ladder, d = 1
-    ratios = [const_ratio(FracParams(s=s, eps=0.0, d=1)) for s in _RATIO_S]
+    ratios = [const_ratio(FracParams(s=s)) for s in _RATIO_S]
     defect_classic = [abs(1.0 - 1.0 / r) for r in ratios]
     defect_inverse = [abs(1.0 - r) for r in ratios]
     worst_step = max(b / a for a, b in zip(defect_classic, defect_classic[1:]))
@@ -203,9 +203,7 @@ def run_kernel_check(cfg: ExperimentConfig) -> CheckReport:
     return CheckReport(rows=tuple(rows))
 
 
-_MOLL_EPS = (0.0, 0.1, 0.5)
 _MOLL_BUMPS = 100
-_TAIL_RHO = 0.6
 _SLACK_REL = 1e-4
 _SLACK_ABS = 1e-10
 
@@ -224,7 +222,7 @@ def run_mollifier_check(cfg: ExperimentConfig) -> CheckReport:
     chunks = (_random_bump_rows(rng, grid, rows) for rows in _chunk_rows(grid, _MOLL_BUMPS))
 
     worst: Dict[str, float] = {}  # rows in the order the suite yields them
-    for name, lhs, rhs in _bump_suite_rows(grid, chunks, strips, _MOLL_EPS, _TAIL_RHO):
+    for name, lhs, rhs in _bump_suite_rows(grid, chunks, strips):
         ratio = (lhs - _SLACK_ABS) / np.maximum(rhs, 1e-300)
         worst[name] = max(worst.get(name, 0.0), float(np.max(ratio)))
 

@@ -3,11 +3,13 @@ mollification kernel.
 
 The interaction kernel is eta(t) = C * t**(-d-2s) with the constant C chosen
 so that the truncated first-coordinate second moment of eta over the unit
-ball equals 1/2 for every s and d.  Two independent expressions for the
-normalization are provided: the moment-based one (norm_const) and the
-Fourier-symbol one (classical_const); const_ratio evaluates their quotient
-through a single Gamma-function expression so that agreement of the two
-routes can be checked to high precision.
+ball equals 1/2 for every s and d.  Every operator is 1-D, so d (default 1)
+is an argument only of the R^d formulas that kernel-check sweeps.  Two
+independent expressions for the normalization are provided: the
+moment-based one (norm_const) and the Fourier-symbol one (classical_const);
+const_ratio evaluates their quotient through a single Gamma-function
+expression so that agreement of the two routes can be checked to high
+precision.
 
 The mollification kernel psi integrates eta against the radial coordinate
 from a cutoff up to 1 and is flattened to a plateau below eps.  It is a
@@ -33,19 +35,16 @@ _LOG_BRANCH_TOL = 1e-9
 
 
 class FracParams:
-    """Differentiability order s in (0,1), plateau cutoff eps in [0,1),
-    dimension d >= 1."""
+    """Differentiability order s in (0,1), plateau cutoff eps in [0,1)."""
 
-    __slots__ = ("s", "eps", "d")
+    __slots__ = ("s", "eps")
 
-    def __init__(self, s: float, eps: float = 0.0, d: int = 1) -> None:
-        if not (isinstance(d, int) and d >= 1):
-            raise ConfigError(f"dimension must be an integer >= 1, got {d}")
+    def __init__(self, s: float, eps: float = 0.0) -> None:
         if not 0.0 < s < 1.0:
             raise ConfigError(f"s must lie in (0, 1), got {s}")
         if not 0.0 <= eps < 1.0:
             raise ConfigError(f"eps must lie in [0, 1), got {eps}")
-        self.s, self.eps, self.d = s, eps, d
+        self.s, self.eps = s, eps
 
     @property
     def plateau_scale(self) -> float:
@@ -55,22 +54,28 @@ class FracParams:
         return 2.0 / -math.expm1((2.0 - 2.0 * self.s) * math.log(self.eps))
 
 
-def sphere_measure(d: int) -> float:
-    """Surface measure of the unit sphere in R^d (2, 2*pi, 4*pi, ...)."""
+def _check_dimension(d: int) -> None:
+    """ConfigError unless d is an integer >= 1."""
     if not (isinstance(d, int) and d >= 1):
         raise ConfigError(f"dimension must be an integer >= 1, got {d}")
+
+
+def sphere_measure(d: int) -> float:
+    """Surface measure of the unit sphere in R^d (2, 2*pi, 4*pi, ...)."""
+    _check_dimension(d)
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-def norm_const(p: FracParams) -> float:
-    """Moment normalization: (d / sphere_measure(d)) * (1 - s)."""
-    return p.d / sphere_measure(p.d) * (1.0 - p.s)
+def norm_const(p: FracParams, d: int = 1) -> float:
+    """Moment normalization in R^d: (d / sphere_measure(d)) * (1 - s)."""
+    return d / sphere_measure(d) * (1.0 - p.s)
 
 
-def classical_const(p: FracParams) -> float:
-    """Fourier-symbol normalization 4**(s-1) * Gamma(s+d/2) * s * (1-s)
+def classical_const(p: FracParams, d: int = 1) -> float:
+    """Fourier-symbol normalization in R^d, 4**(s-1) * Gamma(s+d/2) * s * (1-s)
     / (pi**(d/2) * Gamma(2-s)), evaluated in log space."""
-    s, d = p.s, p.d
+    _check_dimension(d)
+    s = p.s
     lg = (
         (s - 1.0) * math.log(4.0)
         + math.lgamma(s + d / 2.0)
@@ -80,10 +85,11 @@ def classical_const(p: FracParams) -> float:
     return math.exp(lg) * s * (1.0 - s)
 
 
-def const_ratio(p: FracParams) -> float:
-    """norm_const / classical_const as one Gamma quotient:
+def const_ratio(p: FracParams, d: int = 1) -> float:
+    """norm_const / classical_const in R^d as one Gamma quotient:
     Gamma(1+d/2) * Gamma(2-s) / (s * 4**(s-1) * Gamma(s+d/2))."""
-    s, d = p.s, p.d
+    _check_dimension(d)
+    s = p.s
     lg = (
         math.lgamma(1.0 + d / 2.0)
         + math.lgamma(2.0 - s)
@@ -93,8 +99,8 @@ def const_ratio(p: FracParams) -> float:
     return math.exp(lg) / s
 
 
-def psi(p: FracParams, t):
-    """Mollification kernel at radii t >= 0, a number or an array of t's
+def psi(p: FracParams, t, d: int = 1):
+    """Mollification kernel in R^d at radii t >= 0, a number or an array of t's
     shape: C (a**-q - 1)/q with a = max(eps, t) and q = d + 2s - 2, or
     C log(1/a) near q = 0, times the plateau normalization, and 0 for t >= 1.
     At t = 0 with eps = 0 it is inf when q >= 0 (integrable blowup) and
@@ -102,8 +108,8 @@ def psi(p: FracParams, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError(f"psi requires t >= 0, got t={t[t < 0.0][0]}")
-    C = norm_const(p)
-    q = p.d + 2.0 * p.s - 2.0
+    C = norm_const(p, d)
+    q = d + 2.0 * p.s - 2.0
     a = np.maximum(p.eps, t.ravel())  # 1-d: a number gets an array entry's bits
     with np.errstate(divide="ignore", over="ignore"):  # a -> 0: the blowup is inf
         if abs(q) < _LOG_BRANCH_TOL:
@@ -113,7 +119,7 @@ def psi(p: FracParams, t):
     return np.where(t >= 1.0, 0.0, p.plateau_scale * tail.reshape(t.shape))[()]
 
 
-def psi_moment(p: FracParams, alpha: float) -> float:
+def psi_moment(p: FracParams, alpha: float, d: int = 1) -> float:
     """Radial moment of psi over R^d: integral of psi(|z|) |z|**alpha dz.
 
     Closed form
@@ -121,9 +127,10 @@ def psi_moment(p: FracParams, alpha: float) -> float:
         * (1 - eps**(2-2s+alpha)) / (1 - eps**(2-2s)),
     which equals 1 at alpha = 0 (psi is a probability density).
     """
+    _check_dimension(d)
     if alpha < 0.0:
         raise ValueError(f"moment order must be >= 0, got {alpha}")
-    s, d, eps = p.s, p.d, p.eps
+    s, eps = p.s, p.eps
     base = d / (d + alpha) * (1.0 - s) / ((1.0 - s) + alpha / 2.0)
     if eps == 0.0:
         return base
@@ -193,10 +200,8 @@ def psi_integrals(p: FracParams, a, b) -> Tuple[np.ndarray, np.ndarray]:
     [a, b] beyond radius 1 contribute zero, parts below eps use the plateau
     value, and the power region uses closed-form antiderivatives written
     without cancellation, so they stay accurate through s = 1/2, as s -> 1
-    and on short subintervals far from 0.  Only d = 1 is supported.
+    and on short subintervals far from 0.
     """
-    if p.d != 1:
-        raise ConfigError(f"psi_integrals supports d=1 only, got d={p.d}")
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.shape != b.shape:
@@ -237,11 +242,9 @@ def psi_integrals(p: FracParams, a, b) -> Tuple[np.ndarray, np.ndarray]:
 
 def eta_t_integrals(p: FracParams, a, b) -> Tuple[np.ndarray, np.ndarray]:
     """Exact (integral of eta*t, integral of eta*t**2) over [a, b] with
-    0 < a <= b.  Only d = 1 is supported; both are written as
-    a**e * expm1(e log(b/a))/e, so neither cancels as s -> 1 or on short
-    subintervals, and the first takes its logarithmic limit at s = 1/2."""
-    if p.d != 1:
-        raise ConfigError(f"eta_t_integrals supports d=1 only, got d={p.d}")
+    0 < a <= b.  Both are written as a**e * expm1(e log(b/a))/e, so
+    neither cancels as s -> 1 or on short subintervals, and the first takes
+    its logarithmic limit at s = 1/2."""
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.shape != b.shape:

@@ -189,10 +189,7 @@ def _apply(values: np.ndarray, kernel: _Kernel, spectra: dict) -> np.ndarray:
 def mollify(grid: Grid, v: np.ndarray, p: FracParams) -> np.ndarray:
     """Average v, a P1 function or a stack of them on grid, against the
     radial kernel over the unit ball around every node.  Exact for the P1
-    interpolant (closed-form kernel integrals per cell); only d = 1 is
-    supported."""
-    if p.d != 1:
-        raise ConfigError(f"mollify supports d=1 only, got d={p.d}")
+    interpolant (closed-form kernel integrals per cell)."""
     return _apply(grid.check(v), _kernel(_stencil(p, grid.h, 0.0, 1.0, False), False, grid.n), {})
 
 
@@ -212,14 +209,14 @@ def _consistency_rows(h: float, smoothed: np.ndarray, p: FracParams, d1) -> _Row
 
 def _lipschitz_rows(grad: np.ndarray, mask: np.ndarray, p: FracParams, holder) -> _Rows:
     """Max of each gradient row over the covered nodes in mask versus the
-    transfer bound 2 d holder / (1 - eps**(2-2s))."""
-    return np.max(np.abs(grad[..., mask]), axis=-1), p.d * p.plateau_scale * holder
+    transfer bound 2 holder / (1 - eps**(2-2s))."""
+    return np.max(np.abs(grad[..., mask]), axis=-1), p.plateau_scale * holder
 
 
 def _tail_rows(tail: np.ndarray, mask: np.ndarray, p: FracParams, rho: float, alpha: float, holder) -> _Rows:
     """Max of each tail-gradient row (radii [rho, 1]) over the covered nodes
     in mask versus the tail bound
-    2 d holder (1-s) (1 - rho**(alpha+1-2s)) / ((alpha+1-2s)(1-eps**(2-2s))),
+    2 holder (1-s) (1 - rho**(alpha+1-2s)) / ((alpha+1-2s)(1-eps**(2-2s))),
     with the logarithmic limit at alpha + 1 = 2s.  Requires rho > eps."""
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
@@ -229,7 +226,7 @@ def _tail_rows(tail: np.ndarray, mask: np.ndarray, p: FracParams, rho: float, al
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     e = alpha + 1.0 - 2.0 * p.s
     factor = -math.log(rho) if abs(e) < _LIMIT_TOL else -math.expm1(e * math.log(rho)) / e
-    return np.max(np.abs(tail[..., mask]), axis=-1), p.d * p.plateau_scale * holder * (1.0 - p.s) * factor
+    return np.max(np.abs(tail[..., mask]), axis=-1), p.plateau_scale * holder * (1.0 - p.s) * factor
 
 
 def _ramp(dom: Domain, x: np.ndarray, r: float) -> np.ndarray:
@@ -398,18 +395,17 @@ def _chunk_rows(grid: Grid, count: int) -> List[int]:
 
 
 _SuiteRow = Tuple[str, np.ndarray, np.ndarray]
+# the plateau cutoffs of the bump suite, and the inner radius of its tail rows
+_MOLL_EPS = (0.0, 0.1, 0.5)
+_TAIL_RHO = 0.6
 
 
 def _bump_suite_rows(
-    grid: Grid,
-    chunks: Iterable[np.ndarray],
-    strips: Sequence[Tuple[float, float]],
-    eps_list: Tuple[float, ...],
-    rho: float,
+    grid: Grid, chunks: Iterable[np.ndarray], strips: Sequence[Tuple[float, float]]
 ) -> Iterator[_SuiteRow]:
     """(inequality, lhs, rhs), one entry per row of a (rows, n) stack of
     bumps on grid, for each stack in chunks, each (s, r) in strips and eps
-    in eps_list; r is the boundary strip width at s.  Every chunk yields the
+    in _MOLL_EPS; r is the boundary strip width at s.  Every chunk yields the
     same inequalities in the same order, so a max over the rows of every
     chunk is the max over all bumps.
 
@@ -419,7 +415,7 @@ def _bump_suite_rows(
     parity for every stencil, and each s runs in its own generator, so its
     arrays go before the next s."""
     mask = full_coverage_mask(grid)
-    at_s = [_rows_at_s(grid, mask, s, r, eps_list, rho) for s, r in strips]
+    at_s = [_rows_at_s(grid, mask, s, r) for s, r in strips]
     betas = tuple(s for s, _ in strips)
     for bumps in chunks:
         spectra: dict = {}  # the chunk's _apply transforms, shared by every s
@@ -431,24 +427,25 @@ def _bump_suite_rows(
 
 
 def _rows_at_s(
-    grid: Grid, mask: np.ndarray, s: float, r: float, eps_list: Tuple[float, ...], rho: float
+    grid: Grid, mask: np.ndarray, s: float, r: float
 ) -> Tuple[ToeplitzOperator, Callable[[np.ndarray, dict, np.ndarray, np.ndarray], Iterator[_SuiteRow]]]:
     """_bump_suite_rows at one s: the near-energy operator, whose quadratic
     form is twice each bump's d1, and a generator function of one chunk,
     rows(bumps, spectra, holder, d1), with holder and d1 the chunk's
     Hoelder-s quotients and near energies.  The operator, the strip
-    geometry and the three stencils per eps with their kernel transforms
-    are built here, once per run; per chunk, each stencil is applied once.
+    geometry and the three stencils per eps (the tail one from radius
+    _TAIL_RHO) with their kernel transforms are built here, once per run;
+    per chunk, each stencil is applied once.
     The strip rows are taken before the gradient stencils run, so at most
     one smoothed or gradient stack of an eps is alive at a time."""
     h, n = grid.h, grid.n
-    p_near = FracParams(s=s, eps=0.0, d=1)
+    p_near = FracParams(s=s, eps=0.0)
     full = stiffness_kernel(p_near, h, n - 3)  # offsets of the n - 2 nodes inside the box
     strip = _strip(grid, r)
     stencils = []
-    for eps in eps_list:
-        p = FracParams(s=s, eps=eps, d=1)
-        radii = ((0.0, False), (eps, True), (rho, True))  # smoothing, gradient, tail
+    for eps in _MOLL_EPS:
+        p = FracParams(s=s, eps=eps)
+        radii = ((0.0, False), (eps, True), (_TAIL_RHO, True))  # smoothing, gradient, tail
         stencils.append((p, *(_kernel(_stencil(p, h, t_lo, 1.0, odd), odd, n) for t_lo, odd in radii)))
 
     def rows(bumps: np.ndarray, spectra: dict, holder: np.ndarray, d1: np.ndarray) -> Iterator[_SuiteRow]:
@@ -462,7 +459,7 @@ def _rows_at_s(
             closeness, l2 = _strip_rows(grid, smoothed, p, r, holder, strip)
             del smoothed  # each gradient stack below lives only until its rows are taken
             yield ("lipschitz_gradient", *_lipschitz_rows(_apply(bumps, grad, spectra), mask, p, holder))
-            yield ("tail_bound", *_tail_rows(_apply(bumps, tail, spectra), mask, p, rho, s, holder))
+            yield ("tail_bound", *_tail_rows(_apply(bumps, tail, spectra), mask, p, _TAIL_RHO, s, holder))
             yield ("strip_closeness", *closeness)
             yield ("strip_l2", *l2)
 

@@ -19,7 +19,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .assembly import ToeplitzOperator, _log_panels, interior_indices, load_vector, stiffness_kernel
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .grid import Grid, _call_on
 from .kernels import FracParams, norm_const
 
@@ -75,9 +75,9 @@ def solve_local_dirichlet(grid: Grid, f: np.ndarray) -> np.ndarray:
 
 
 def _ball_coeff(p: FracParams) -> float:
-    """Amplitude of the unit-source profile on the unit ball, under the
-    normalization in which the quadratic form has a clean s -> 1 limit."""
-    s, d = p.s, p.d
+    """Amplitude of the unit-source profile on the unit ball of R^d, d = 1,
+    under the normalization in which the quadratic form has a clean s -> 1 limit."""
+    s, d = p.s, 1
     log_c = (
         math.log(s)
         - math.log(4.0)
@@ -117,8 +117,6 @@ def frac_laplacian_pointwise(
     non-finite sample of g raises DataError.  The points go in blocks of at
     most _BLOCK_SAMPLES samples of g.
     """
-    if p.d != 1:
-        raise ConfigError(f"pointwise operator supports d=1 only, got d={p.d}")
     s2 = 2.0 * p.s
     C = norm_const(p)
     span = np.log([_NEAR_CUT, _RADIUS])

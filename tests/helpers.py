@@ -23,7 +23,6 @@ from scipy.special import eval_jacobi, gammaln, roots_jacobi, roots_legendre
 
 from fraclap import assembly
 from fraclap.assembly import _gauss_legendre, far_kernel, stiffness_kernel
-from fraclap.errors import ConfigError
 from fraclap.grid import Domain, Grid, _clip_bounds, make_grid, product_integral, sample
 from fraclap.kernels import FracParams, const_ratio, eta_t_integrals, norm_const, psi_integrals
 from fraclap.mollifier import (
@@ -438,8 +437,6 @@ def mollify_gradient(grid: Grid, v: np.ndarray, p: FracParams) -> np.ndarray:
     difference of P1 data vanishes linearly at radius 0, so the integrand
     stays integrable and the closed-form cell integrals remain exact.
     """
-    if p.d != 1:
-        raise ConfigError(f"mollify_gradient supports d=1 only, got d={p.d}")
     return _apply(grid.check(v), _kernel(_stencil(p, grid.h, p.eps, 1.0, True), True, grid.n), {})
 
 
@@ -651,11 +648,11 @@ def dist_to_complement(dom: Domain, x):
     return out
 
 
-def eta(p: FracParams, t: float) -> float:
-    """Interaction kernel C * t**(-d-2s); requires t > 0."""
+def eta(p: FracParams, t: float, d: int = 1) -> float:
+    """Interaction kernel C * t**(-d-2s) in R^d; requires t > 0."""
     if t <= 0.0:
         raise ValueError(f"eta requires t > 0, got t={t}")
-    return norm_const(p) * t ** (-(p.d + 2.0 * p.s))
+    return norm_const(p, d) * t ** (-(d + 2.0 * p.s))
 
 
 def assemble_frac(dom: Domain, n: int, p: FracParams) -> assembly.ToeplitzOperator:

@@ -254,7 +254,7 @@ class TestAcceptance:
         agree = 0.0
         ratios = []
         for s in ladder:
-            p = FracParams(s=s, d=1)
+            p = FracParams(s=s)
             r = const_ratio(p)
             via_parts = norm_const(p) / classical_const(p)
             agree = max(agree, abs(r - via_parts) / abs(r))

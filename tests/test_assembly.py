@@ -62,9 +62,10 @@ class TestStiffnessKernel:
         got = ToeplitzOperator(c).quad_form(v)
         assert got == pytest.approx(2.0 * dirichlet_local(grid, phi), rel=0.05)
 
-    def test_dimension_guard(self):
-        with pytest.raises(ConfigError):
-            stiffness_kernel(FracParams(s=0.5, d=2), 0.1, 5)
+    @pytest.mark.parametrize("h", [0.0, -0.1])
+    def test_nonpositive_spacing_rejected(self, h):
+        with pytest.raises(ConfigError, match="spacing must be positive"):
+            stiffness_kernel(FracParams(s=0.5), h, 5)
 
     @pytest.mark.parametrize("s", [0.05, 0.3, 0.5, 0.5 - 1e-9, 0.5 + 1e-9, 0.9, 0.99, 0.999])
     def test_matches_mpmath_closed_form(self, s):

@@ -9,6 +9,9 @@ import pytest
 
 import fraclap
 from fraclap import cli, report, solver
+from fraclap.assembly import _log_panels
+from fraclap.config import parse_config
+from fraclap.kernels import FracParams, norm_const
 from fraclap.errors import NumericalError
 from fraclap.report import CheckReport, CheckRow
 
@@ -424,3 +427,83 @@ class TestImportFootprint:
 
     def test_every_subcommand_runs_with_argparse_blocked(self, tmp_path):
         _run_every_config_without(tmp_path, "argparse")
+
+
+# numpy's SIMD targets above the x86-64-v2 baseline, as numpy 2.4 names them;
+# with all four disabled every ufunc runs its baseline loop
+_BASELINE_DISPATCH = "X86_V4 X86_V3 AVX512_ICL AVX512_SPR"
+
+
+def _child_env(disabled):
+    """The environment of a CLI child process: this package on its path, and
+    NPY_DISABLE_CPU_FEATURES set to disabled, or unset when it is None."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fraclap.__file__).resolve().parents[1]))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    if disabled is not None:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+    return env
+
+
+def _outputs_of_every_config(out: Path, disabled) -> dict:
+    """Every tests/configs config through the CLI, each in a fresh process
+    under _child_env(disabled); the bytes of each file written, by its path
+    relative to out."""
+    for cfg in sorted(CONFIGS.glob("*.cfg")):
+        argv = [cfg.stem.replace("_", "-"), "--config", str(cfg), "--out", str(out / cfg.stem)]
+        result = subprocess.run(
+            [sys.executable, "-m", "fraclap.cli", *argv], env=_child_env(disabled), capture_output=True, timeout=300
+        )
+        assert result.returncode == 0, (cfg.name, result.stderr)
+    return {path.relative_to(out).as_posix(): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+def _consistency_table(text: bytes):
+    """(rows of floats, slope, r2) of a consistency CSV."""
+    *rows, trailer = text.decode().splitlines()[1:]
+    fit = dict(item.split("=") for item in trailer[2:].split())
+    return [[float(v) for v in row.split(",")] for row in rows], float(fit["slope"]), float(fit["r2"])
+
+
+class TestDispatch:
+    def test_outputs_under_the_baseline_dispatch(self, tmp_path):
+        # numpy picks its SIMD loops at run time, and the baseline ones round
+        # some elementwise transcendentals differently by an ulp.  Every
+        # tests/configs output but consistency.csv is byte-identical under
+        # them; consistency.csv moves by about 4e-10 relative
+        probe = [sys.executable, "-W", "error::ImportWarning", "-c", "import numpy"]
+        if subprocess.run(probe, env=_child_env(_BASELINE_DISPATCH), capture_output=True, timeout=60).returncode:
+            pytest.skip(f"numpy {np.__version__} does not dispatch the targets {_BASELINE_DISPATCH}")
+        default = _outputs_of_every_config(tmp_path / "default", None)
+        baseline = _outputs_of_every_config(tmp_path / "baseline", _BASELINE_DISPATCH)
+        assert default.keys() == baseline.keys()
+        consistency = "consistency/consistency.csv"
+        for name in default.keys() - {consistency}:
+            assert baseline[name] == default[name], name
+
+        # The roundoff model: each sample of g moves by at most 1 ulp, so
+        # each second difference of the pointwise rule moves by at most
+        # 4 ulp of max|g|, and a value by 4 C sum|w_j| times that, with w_j
+        # the rule's weights (the frozen quadratic profile below _NEAR_CUT
+        # included).  The exact -g'' moves by an ulp, far below this, and
+        # printing at 12 digits adds 1e-11 relative at most
+        cfg = parse_config(CONFIGS / "consistency.cfg")
+        g = cfg.g_profile()
+        assert g.name == "gaussian"  # whose sup is |amplitude|
+        ulp_g = np.finfo(float).eps * abs(g.params["amplitude"])
+        z, w = _log_panels(0.0, np.linspace(*np.log([solver._NEAR_CUT, solver._RADIUS]), solver._PANELS + 1))
+        rows_a, slope_a, r2_a = _consistency_table(default[consistency])
+        rows_b, slope_b, r2_b = _consistency_table(baseline[consistency])
+        rel_moves = []
+        for (s, one_minus_s, err_a), (s_b, one_minus_s_b, err_b) in zip(rows_a, rows_b):
+            assert (s, one_minus_s) == (s_b, one_minus_s_b)
+            weights = np.sum(w * z ** (-1.0 - 2.0 * s)) + solver._NEAR_CUT ** (-2.0 * s) / (2.0 - 2.0 * s)
+            bound = 4.0 * norm_const(FracParams(s=s)) * weights * 4.0 * ulp_g + 1e-11 * abs(err_a)
+            assert abs(err_b - err_a) <= bound, (s, err_a, err_b, bound)
+            rel_moves.append(bound / err_a)
+        # the slope is a combination c_i log(err_i) with c_i = (l_i - mean l)
+        # / sum (l_j - mean l)^2, l_i = log(1 - s_i); two points fit exactly,
+        # so r2 reads 1 in both runs
+        lx = np.log([row[1] for row in rows_a])
+        c = (lx - lx.mean()) / np.sum((lx - lx.mean()) ** 2)
+        assert abs(slope_b - slope_a) <= float(np.abs(c) @ rel_moves) + 1e-11 * abs(slope_a)
+        assert len(rows_a) == 2 and r2_a == r2_b == 1.0

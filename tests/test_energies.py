@@ -319,3 +319,10 @@ class TestHolderQuotients:
             with pytest.raises(ValueError):
                 _holder_quotients(stack, 0.5, betas)
 
+    @pytest.mark.parametrize("shape", [(0, 9), (3, 1), (2, 0, 5)])
+    def test_no_lag_gives_zeros(self, shape):
+        # a stack with no rows, or rows of one node, has no lag to scan:
+        # every quotient is 0, in the shape of a stack with rows
+        got = _holder_quotients(np.ones(shape), 0.5, (0.5, 1.0))
+        assert got.shape == (2,) + shape[:-1]
+        assert not np.any(got)

@@ -24,11 +24,11 @@ from helpers import cell_integrals_oracle, eta
 S_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
-def radial_moment_quad(p: FracParams, alpha: float) -> float:
-    """Independent evaluation of the psi moment by adaptive quadrature."""
+def radial_moment_quad(p: FracParams, alpha: float, d: int = 1) -> float:
+    """Independent evaluation of the psi moment in R^d by adaptive quadrature."""
     pts = [p.eps] if p.eps > 0.0 else None
     val, _ = quad(
-        lambda t: psi(p, t) * t ** (alpha + p.d - 1.0),
+        lambda t: psi(p, t, d) * t ** (alpha + d - 1.0),
         0.0,
         1.0,
         points=pts,
@@ -36,7 +36,7 @@ def radial_moment_quad(p: FracParams, alpha: float) -> float:
         epsabs=1e-13,
         epsrel=1e-12,
     )
-    return sphere_measure(p.d) * val
+    return sphere_measure(d) * val
 
 
 class TestSphereMeasure:
@@ -56,8 +56,25 @@ class TestParams:
             FracParams(s=1.0)
         with pytest.raises(ConfigError):
             FracParams(s=0.5, eps=1.0)
-        with pytest.raises(ConfigError):
-            FracParams(s=0.5, d=0)
+
+    def test_dimension_is_no_parameter(self):
+        # every operator is 1-D; d is an argument only of the R^d formulas,
+        # each of which takes only an integer d >= 1
+        assert FracParams.__slots__ == ("s", "eps")
+        with pytest.raises(TypeError):
+            FracParams(s=0.5, d=2)
+        p = FracParams(s=0.5, eps=0.2)
+        formulas = (
+            norm_const,
+            classical_const,
+            const_ratio,
+            lambda p, d: psi(p, 0.5, d),
+            lambda p, d: psi_moment(p, 1.0, d),
+        )
+        for formula in formulas:
+            for d in (0, 1.5):
+                with pytest.raises(ConfigError, match="dimension"):
+                    formula(p, d)
 
     def test_plateau_scale(self):
         assert FracParams(s=0.5).plateau_scale == 2.0
@@ -67,16 +84,16 @@ class TestParams:
 
 class TestNormConst:
     def test_half_line_value(self):
-        assert norm_const(FracParams(s=0.5, d=1)) == pytest.approx(0.25, rel=1e-15)
+        assert norm_const(FracParams(s=0.5)) == pytest.approx(0.25, rel=1e-15)
 
     def test_two_dimensional_value(self):
         want = (2.0 / (2.0 * math.pi)) * 0.5
-        assert norm_const(FracParams(s=0.5, d=2)) == pytest.approx(want, rel=1e-15)
+        assert norm_const(FracParams(s=0.5), 2) == pytest.approx(want, rel=1e-15)
 
     def test_vanishes_at_local_limit(self):
         for d in (1, 2, 3):
             bound = 1e-2 * d / sphere_measure(d)
-            assert norm_const(FracParams(s=0.999, d=d)) < bound
+            assert norm_const(FracParams(s=0.999), d) < bound
 
 
 class TestClassicalConst:
@@ -90,7 +107,7 @@ class TestClassicalConst:
                     * (1.0 - s)
                     / (math.pi ** (d / 2.0) * math.gamma(2.0 - s))
                 )
-                got = classical_const(FracParams(s=s, d=d))
+                got = classical_const(FracParams(s=s), d)
                 assert got == pytest.approx(want, rel=1e-13)
 
     def test_vanishes_at_endpoints(self):
@@ -102,45 +119,45 @@ class TestConstRatio:
     def test_agreement_of_independent_routes(self):
         for d in (1, 2, 3):
             for s in S_GRID + (0.99, 0.999):
-                p = FracParams(s=s, d=d)
-                via_parts = norm_const(p) / classical_const(p)
-                assert const_ratio(p) == pytest.approx(via_parts, rel=1e-10)
+                p = FracParams(s=s)
+                via_parts = norm_const(p, d) / classical_const(p, d)
+                assert const_ratio(p, d) == pytest.approx(via_parts, rel=1e-10)
 
     def test_local_limit_is_one(self):
         for d in (1, 2, 3):
-            assert const_ratio(FracParams(s=0.999, d=d)) == pytest.approx(1.0, abs=0.02)
+            assert const_ratio(FracParams(s=0.999), d) == pytest.approx(1.0, abs=0.02)
 
     def test_defect_monotone_and_linearly_bounded(self):
         for d in (1, 2, 3):
             defects = [
-                abs(1.0 - 1.0 / const_ratio(FracParams(s=s, d=d)))
+                abs(1.0 - 1.0 / const_ratio(FracParams(s=s), d))
                 for s in (0.9, 0.99, 0.999)
             ]
             assert defects[0] > defects[1] > defects[2] > 0.0
         # d=1 defect stays below twice the distance to the local limit
         for s in (0.9, 0.99, 0.999):
-            defect = abs(1.0 - 1.0 / const_ratio(FracParams(s=s, d=1)))
+            defect = abs(1.0 - 1.0 / const_ratio(FracParams(s=s)))
             assert defect <= 2.0 * (1.0 - s)
 
     def test_reciprocal_defect_superlinear(self):
         ladder = (0.9, 0.99, 0.999)
         xs = [math.log(1.0 - s) for s in ladder]
-        ys = [math.log(abs(1.0 - const_ratio(FracParams(s=s, d=1)))) for s in ladder]
+        ys = [math.log(abs(1.0 - const_ratio(FracParams(s=s)))) for s in ladder]
         slope = np.polyfit(xs, ys, 1)[0]
         assert slope >= 1.0
 
 
 class TestEta:
     def test_unit_distance(self):
-        p = FracParams(s=0.7, d=2)
-        assert eta(p, 1.0) == pytest.approx(norm_const(p), rel=1e-15)
+        p = FracParams(s=0.7)
+        assert eta(p, 1.0, 2) == pytest.approx(norm_const(p, 2), rel=1e-15)
 
     def test_singularity_rejected(self):
         with pytest.raises(ValueError):
             eta(FracParams(s=0.5), 0.0)
 
     def test_power_law(self):
-        assert eta(FracParams(s=0.5, d=1), 2.0) == pytest.approx(0.0625, rel=1e-14)
+        assert eta(FracParams(s=0.5), 2.0) == pytest.approx(0.0625, rel=1e-14)
 
 
 class TestPsi:
@@ -156,7 +173,7 @@ class TestPsi:
             assert psi(p, t) == level
 
     def test_midpoint_vs_quadrature(self):
-        p = FracParams(s=0.5, eps=0.0, d=1)
+        p = FracParams(s=0.5, eps=0.0)
         want, _ = quad(lambda u: eta(p, u) * u, 0.5, 1.0, epsabs=1e-14, epsrel=1e-13)
         assert psi(p, 0.5) == pytest.approx(2.0 * want, rel=1e-8)
 
@@ -183,24 +200,24 @@ class TestPsiArrays:
     def test_array_gives_elementwise_bits_in_its_shape(self, d):
         for s in S_GRID:
             for eps in (0.0, 0.3):
-                p = FracParams(s=s, eps=eps, d=d)
-                out = psi(p, self.T)
+                p = FracParams(s=s, eps=eps)
+                out = psi(p, self.T, d)
                 assert out.shape == self.T.shape
-                each = np.array([psi(p, float(t)) for t in self.T.flat]).reshape(self.T.shape)
+                each = np.array([psi(p, float(t), d) for t in self.T.flat]).reshape(self.T.shape)
                 assert out.tobytes() == each.tobytes()
 
     def test_value_at_zero(self):
         # d + 2s > 2: the integrable blowup; d + 2s < 2: the finite limit
-        # plateau_scale C / (2 - d - 2s) of the tail integral
-        for p in (FracParams(s=0.9), FracParams(s=0.3, d=2), FracParams(s=0.1, d=3)):
-            assert psi(p, 0.0) == math.inf
+        # plateau_scale C / (2 - d - 2s) of the tail integral, here at d = 1
+        for p, d in ((FracParams(s=0.9), 1), (FracParams(s=0.3), 2), (FracParams(s=0.1), 3)):
+            assert psi(p, 0.0, d) == math.inf
         for s in (0.1, 0.3, 0.45):
             p = FracParams(s=s)
-            want = p.plateau_scale * norm_const(p) / (2.0 - p.d - 2.0 * p.s)
+            want = p.plateau_scale * norm_const(p) / (1.0 - 2.0 * p.s)
             assert psi(p, np.zeros(3)) == pytest.approx(np.full(3, want), rel=1e-15)
 
     def test_log_branch_at_s_half(self):
-        p = FracParams(s=0.5, d=1)
+        p = FracParams(s=0.5)
         t = np.array([0.0, 0.1, 0.5, 0.9, 1.0])
         want = [math.inf] + [2.0 * norm_const(p) * math.log(1.0 / v) for v in t[1:-1]] + [0.0]
         assert psi(p, t) == pytest.approx(want, rel=1e-15)
@@ -230,11 +247,11 @@ class TestPsiArrays:
         mp.mp.dps = 40
         t = 1.0 - np.array([1e-4, 1e-8, 1e-12, 1e-15])
         for s in (0.3, 0.6, 0.9, 0.99):
-            p = FracParams(s=s, d=d)
+            p = FracParams(s=s)
             q = d + 2 * mp.mpf(s) - 2
             c = 2 * d * (1 - mp.mpf(s)) * mp.gamma(mp.mpf(d) / 2) / (2 * mp.pi ** (mp.mpf(d) / 2))
             want = np.array([float(c * (mp.mpf(v) ** -q - 1) / q) for v in t])
-            assert np.max(np.abs(psi(p, t) / want - 1.0)) <= 1e-14, s
+            assert np.max(np.abs(psi(p, t, d) / want - 1.0)) <= 1e-14, s
 
     def test_no_runtime_warning(self):
         # 0 and tiny radii divide by zero or overflow inside the power; the
@@ -245,8 +262,8 @@ class TestPsiArrays:
             for d in (1, 2, 3):
                 for s in S_GRID + (0.99,):
                     for eps in (0.0, 0.3):
-                        psi(FracParams(s=s, eps=eps, d=d), t)
-                        psi(FracParams(s=s, eps=eps, d=d), 0.0)
+                        psi(FracParams(s=s, eps=eps), t, d)
+                        psi(FracParams(s=s, eps=eps), 0.0, d)
 
 
 class TestPsiMoment:
@@ -254,20 +271,20 @@ class TestPsiMoment:
         for d in (1, 2, 3):
             for s in S_GRID:
                 for eps in (0.0, 0.3, 0.9):
-                    assert psi_moment(FracParams(s=s, eps=eps, d=d), 0.0) == 1.0
+                    assert psi_moment(FracParams(s=s, eps=eps), 0.0, d) == 1.0
 
     def test_closed_form_value(self):
-        got = psi_moment(FracParams(s=0.5, eps=0.0, d=1), 2.0)
+        got = psi_moment(FracParams(s=0.5, eps=0.0), 2.0)
         assert got == pytest.approx(1.0 / 9.0, rel=1e-14)
 
     def test_moment_grid_vs_quadrature(self):
         for d in (1, 2, 3):
             for s in S_GRID:
                 for eps in (0.0, 0.3):
-                    p = FracParams(s=s, eps=eps, d=d)
+                    p = FracParams(s=s, eps=eps)
                     for alpha in (0.0, 1.0, 2.0, s):
-                        want = radial_moment_quad(p, alpha)
-                        assert psi_moment(p, alpha) == pytest.approx(want, rel=1e-8)
+                        want = radial_moment_quad(p, alpha, d)
+                        assert psi_moment(p, alpha, d) == pytest.approx(want, rel=1e-8)
 
     def test_continuity_in_eps_near_one(self):
         p1 = FracParams(s=0.4, eps=0.99)
@@ -287,11 +304,11 @@ class TestSecondMomentConstant:
         # reduces to (omega_d/d) C int_0^1 r^(1-2s) dr
         for d in (1, 2, 3):
             for s in S_GRID:
-                p = FracParams(s=s, d=d)
+                p = FracParams(s=s)
                 radial, _ = quad(
                     lambda r: r ** (1.0 - 2.0 * s), 0.0, 1.0, epsabs=1e-14, epsrel=1e-13
                 )
-                got = sphere_measure(d) / d * norm_const(p) * radial
+                got = sphere_measure(d) / d * norm_const(p, d) * radial
                 assert got == pytest.approx(0.5, abs=1e-8)
 
 
@@ -355,5 +372,9 @@ class TestCellIntegrals:
             psi_integrals(p, [0.2], [0.1])
         with pytest.raises(ValueError):
             eta_t_integrals(p, [0.0], [0.5])
-        with pytest.raises(ConfigError):
-            psi_integrals(FracParams(s=0.5, d=2), [0.0], [0.5])
+
+    def test_mismatched_bound_shapes_rejected(self):
+        p = FracParams(s=0.5)
+        for integrals in (psi_integrals, eta_t_integrals):
+            with pytest.raises(ValueError, match="matching shapes"):
+                integrals(p, [0.1, 0.2], [0.5])

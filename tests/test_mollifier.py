@@ -4,10 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from fraclap.errors import ConfigError
 from fraclap.grid import Domain, l2_norm, make_grid, sample
 from fraclap.kernels import FracParams, psi_moment
 from fraclap.mollifier import (
+    _MOLL_EPS,
+    _TAIL_RHO,
     _apply,
     _bump_suite_rows,
     _chunk_rows,
@@ -17,6 +18,7 @@ from fraclap.mollifier import (
     _stencil,
     _strip,
     _strip_rows,
+    _tail_rows,
     full_coverage_mask,
     mollify,
 )
@@ -79,13 +81,6 @@ class TestMollifyExactness:
         for s, eps in ((0.4, 0.0), (0.8, 0.25)):
             out = mollify(G[65], g, FracParams(s=s, eps=eps))
             assert np.allclose(out[mask], g[mask], atol=1e-10)
-
-    def test_dimension_guard(self):
-        g = sample(G[17], lambda x: 0.0)
-        with pytest.raises(ConfigError):
-            mollify(G[17], g, FracParams(s=0.5, d=2))
-        with pytest.raises(ConfigError):
-            mollify_gradient(G[17], g, FracParams(s=0.5, d=3))
 
     def test_stack_rows_match_one_by_one(self):
         stack = np.stack(bumps(seed=100, n=65, count=3))
@@ -205,6 +200,14 @@ class TestTailBound:
             check_tail_bound(G[65], phi, FracParams(s=0.5), rho=0.0, alpha=0.5)
         with pytest.raises(ValueError):
             check_tail_bound(G[65], phi, FracParams(s=0.5), rho=0.5, alpha=1.5)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, math.nan])
+    def test_holder_exponent_outside_unit_interval_rejected(self, alpha):
+        # check_tail_bound's Hoelder estimate rejects such an alpha before
+        # _tail_rows sees it, so the rows are called with a given seminorm
+        tail = np.zeros((2, 65))
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            _tail_rows(tail, full_coverage_mask(G[65]), FracParams(s=0.5), 0.6, alpha, np.ones(2))
 
 
 class TestSmoothingInvariants:
@@ -451,13 +454,13 @@ class TestBumpSuite:
         # suite; d1 and the Hoelder seminorm are recomputed per bump here
         phis = bumps(seed=n, n=n, count=10)
         stack = np.stack(phis)
-        eps_list, rho, r = (0.0, 0.1, 0.5), 0.6, (1.0 - s) ** (1.0 / s)
+        r = (1.0 - s) ** (1.0 / s)
         grid, zero = make_grid(DOM, n), np.zeros(n)
-        rows = list(_bump_suite_rows(grid, [stack], ((s, r),), eps_list, rho))
+        rows = list(_bump_suite_rows(grid, [stack], ((s, r),)))
         per_eps = ["closeness_l2", "energy_consistency", "lipschitz_gradient", "tail_bound"]
         per_eps += ["strip_closeness", "strip_l2"]
         assert [row[0] for row in rows] == per_eps[:2] + ["energy_consistency_eps0"] + per_eps[2:] + per_eps * 2
-        eps_of = iter(eps_list)
+        eps_of = iter(_MOLL_EPS)
         for name, lhs, rhs in rows:
             if name == "closeness_l2":
                 p = FracParams(s=s, eps=next(eps_of))
@@ -470,7 +473,7 @@ class TestBumpSuite:
                 elif name == "lipschitz_gradient":
                     one = check_lipschitz(grid, phi, p, s)
                 elif name == "tail_bound":
-                    one = check_tail_bound(grid, phi, p, rho, s)
+                    one = check_tail_bound(grid, phi, p, _TAIL_RHO, s)
                 else:
                     check = check_strip_closeness if name == "strip_closeness" else check_strip_l2
                     one = check(grid, phi, zero, p, r, holder_seminorm_grid(grid, phi, s), 0.0)
@@ -486,11 +489,11 @@ class TestBumpSuite:
         grid = make_grid(DOM, n)
         sizes = _chunk_rows(grid, 100)
         assert len(sizes) > 1 and sum(sizes) == 100
-        strips, eps_list = ((0.5, 0.25), (0.9, 0.1 ** (1.0 / 0.9))), (0.0, 0.1, 0.5)
+        strips = ((0.5, 0.25), (0.9, 0.1 ** (1.0 / 0.9)))
         rng = random.Random(1)
         chunks = (_random_bump_rows(rng, grid, rows) for rows in sizes)
-        chunked = list(_bump_suite_rows(grid, chunks, strips, eps_list, 0.6))
-        one = list(_bump_suite_rows(grid, [_random_bump_rows(random.Random(1), grid, 100)], strips, eps_list, 0.6))
+        chunked = list(_bump_suite_rows(grid, chunks, strips))
+        one = list(_bump_suite_rows(grid, [_random_bump_rows(random.Random(1), grid, 100)], strips))
         assert len(chunked) == len(one) * len(sizes)
         for i, (name, lhs, rhs) in enumerate(one):
             parts = chunked[i :: len(one)]

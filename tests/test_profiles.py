@@ -148,6 +148,11 @@ class TestParsing:
         with pytest.raises(ConfigError):
             make_profile("constant:1,2")
 
+    @pytest.mark.parametrize("text", ["bump:amplitude=1,,width=0.5", "gaussian:1, ,0.5", "constant:2,"])
+    def test_empty_parameter(self, text):
+        with pytest.raises(ConfigError, match="empty parameter"):
+            make_profile(text)
+
     def test_bad_number(self):
         with pytest.raises(ConfigError):
             make_profile("gaussian:abc")

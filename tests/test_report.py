@@ -10,7 +10,9 @@ from fraclap.report import (
     ConsistencyRow,
     RateRow,
     SolveReport,
+    SweepReport,
     _CSV_ROWS,
+    _log_range,
     build_sweep_report,
     emit_csv,
     emit_svg,
@@ -275,6 +277,38 @@ class TestEmitSvg:
         assert len(labels) == 1
         assert labels[0].startswith('<text x="16" ')
         assert labels[0].endswith(f">{ylabel}</text>")
+
+    def test_zero_width_range_is_one_decade_wide(self):
+        # equal values get a decade centred on them, padded by 5% a side
+        assert _log_range([10.0, 10.0]) == (0.45, 1.55)
+        assert _log_range([0.01]) == (-2.55, -1.45)
+
+    def test_report_with_no_plottable_point_draws_the_empty_frame(self, tmp_path):
+        # no row with s < 1 and a positive value: the axes span the decades
+        # 10**-1 .. 1, with ticks at 10**-0.75, 10**-0.5 and 10**-0.25, and
+        # neither markers nor a fitted line are drawn
+        rep = SweepReport(rows=(consistency_row(0.5, 0.0),), slope=1.0, r2=1.0, c_emp=1.0)
+        out = tmp_path / "r.svg"
+        emit_svg(rep, out)
+        ticks = [(212.5, "0.18"), (345.0, "0.32"), (477.5, "0.56")]
+        x_axis = " ".join(["M 80.00 420.00 L 610.00 420.00"] + [f"M {x:.2f} 420.00 L {x:.2f} 426.00" for x, _ in ticks])
+        heights = [(322.5, "0.18"), (225.0, "0.32"), (127.5, "0.56")]
+        y_axis = " ".join(["M 80.00 420.00 L 80.00 30.00"] + [f"M 80.00 {y:.2f} L 74.00 {y:.2f}" for y, _ in heights])
+        want = [
+            '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="480" viewBox="0 0 640 480">',
+            '<rect x="0" y="0" width="640" height="480" fill="white"/>',
+            f'<path d="{x_axis}" stroke="black" fill="none"/>',
+            f'<path d="{y_axis}" stroke="black" fill="none"/>',
+        ]
+        want += [f'<text x="{x:.2f}" y="442.00" font-size="12" text-anchor="middle">{t}</text>' for x, t in ticks]
+        want += [f'<text x="70.00" y="{y + 4:.2f}" font-size="12" text-anchor="end">{t}</text>' for y, t in heights]
+        want += [
+            '<text x="345.00" y="468.00" font-size="14" text-anchor="middle">1-s</text>',
+            '<text x="16" y="225.00" font-size="14" text-anchor="middle" transform="rotate(-90 16 225.00)">'
+            "max pointwise error</text>",
+            "</svg>",
+        ]
+        assert out.read_bytes() == ("\n".join(want) + "\n").encode()
 
     def test_pointless_report_rejected(self, tmp_path):
         rep = CheckReport(rows=())

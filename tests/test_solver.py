@@ -44,10 +44,6 @@ class TestAssembly:
         assert a.shape == (31, 31)
         assert np.linalg.eigvalsh(a).min() > 0.0
 
-    def test_dimension_guard(self):
-        with pytest.raises(ConfigError):
-            assemble_frac(DOM, 33, FracParams(s=0.5, d=2))
-
     def test_no_interior_nodes(self):
         dom = Domain(0.3, 0.4, -0.7, 1.4)
         with pytest.raises(ConfigError):
@@ -187,46 +183,53 @@ class TestFirstEigenvalue:
         assert 0.5 <= ratio <= 1.0
 
 
-class TestJacobiEnergyOracle:
-    @pytest.mark.parametrize("s", [0.3, 0.6, 0.9])
-    def test_energy_error_is_nonnegative_and_falls_like_h(self, s):
-        # for f = cos 2x + x, Galerkin orthogonality gives
-        # E - b^T u_h = ||u - u_h||_s^2 >= 0, which falls like h
-        # (Acosta & Borthagaray, SINUM 55 (2017)): a factor 4 per 4x n, up
-        # to a next-order share of at most 3% at these n.  The load is f's
-        # own, by Gauss on each cell: load_vector integrates f's P1
-        # interpolant, whose O(h^2) data error is not part of this identity
-        def f(x):
-            return np.cos(2.0 * x) + x
+# asymmetric, non-polynomial sources on Omega = (-1, 1), smooth on [-1, 1]
+JACOBI_SOURCES = (
+    ("cos 2x + x", lambda x: np.cos(2.0 * x) + x),
+    ("exp x", np.exp),
+)
 
-        energy = jacobi_energy(s, f)
-        gaps = []
-        for n in (1025, 4097):
-            grid, idx, A = interior_operator(s, n)
-            b = exact_hat_load(grid, f)[idx]
-            gaps.append(energy - float(b @ A.solve(b)))
-        assert min(gaps) >= 0.0
-        assert 3.5 <= gaps[0] / gaps[1] <= 4.5
+
+class TestJacobiEnergyOracle:
+    @pytest.mark.parametrize("s", [0.1, 0.3, 0.6, 0.9, 0.99])
+    def test_energy_error_is_nonnegative_and_falls_like_h(self, s):
+        # Galerkin orthogonality gives E - b^T u_h = ||u - u_h||_s^2 >= 0,
+        # which falls like h (Acosta & Borthagaray, SINUM 55 (2017)): a
+        # factor 4 per 4x n for s <= 0.9, up to a next-order share of at
+        # most 4% at these n (4.00-4.15 for both sources).  At s = 0.99 the
+        # fall (11.6 and 9.8) is pre-asymptotic, so only its size is bounded
+        # below.  The load is f's own, by Gauss on each cell: load_vector
+        # integrates f's P1 interpolant, whose O(h^2) data error is not part
+        # of this identity
+        for name, f in JACOBI_SOURCES:
+            energy = jacobi_energy(s, f)
+            gaps = []
+            for n in (1025, 4097):
+                grid, idx, A = interior_operator(s, n)
+                b = exact_hat_load(grid, f)[idx]
+                gaps.append(energy - float(b @ A.solve(b)))
+            assert min(gaps) >= 0.0, name
+            if s <= 0.9:
+                assert 3.5 <= gaps[0] / gaps[1] <= 4.5, name
+            else:
+                assert gaps[0] / gaps[1] >= 3.5, name
 
     @pytest.mark.parametrize("s", [0.1, 0.3, 0.6, 0.9, 0.99])
     def test_point_values_converge_like_h_to_the_s(self, s):
-        # the sup of u - u_h over the nodes, for the asymmetric
-        # f = cos 2x + x, is at most 0.013 h^s at n = 1025 and 4097, the
+        # the sup of u - u_h over the nodes is at most 0.013 h^s for
+        # f = cos 2x + x and 0.036 h^s for f = e^x at n = 1025 and 4097, the
         # rate the (1 - x^2)^s behaviour at the boundary allows; it falls by
-        # 4^s per 4x n to within 2% for s <= 0.9, while at s = 0.99 the
-        # ratio (12.3) is still pre-asymptotic, so only the h^s bound
-        # applies there
-        def f(x):
-            return np.cos(2.0 * x) + x
-
-        errs = []
-        for n in (1025, 4097):
-            grid = make_grid(DOM, n)
-            u = solve_frac_system(grid, sample(grid, f), FracParams(s=s))[0]
-            errs.append(float(np.max(np.abs(u - jacobi_solution(s, f, grid.nodes)))))
-            assert errs[-1] <= 0.05 * grid.h**s
-        if s <= 0.9:
-            assert errs[0] / errs[1] == pytest.approx(4.0**s, rel=0.1)
+        # 4^s per 4x n to within 3% for s <= 0.9, while at s = 0.99 the
+        # ratio is still pre-asymptotic, so only the h^s bound applies there
+        for name, f in JACOBI_SOURCES:
+            errs = []
+            for n in (1025, 4097):
+                grid = make_grid(DOM, n)
+                u = solve_frac_system(grid, sample(grid, f), FracParams(s=s))[0]
+                errs.append(float(np.max(np.abs(u - jacobi_solution(s, f, grid.nodes)))))
+                assert errs[-1] <= 0.05 * grid.h**s, name
+            if s <= 0.9:
+                assert errs[0] / errs[1] == pytest.approx(4.0**s, rel=0.1), name
 
 
 class TestLocalSolve:
@@ -407,7 +410,3 @@ class TestPointwiseOperator:
         g = lambda t: np.where((2.9 < t) & (t < 3.1), np.inf, np.exp(-t * t))
         with pytest.raises(DataError, match="x=0.0"):
             frac_laplacian_pointwise(g, FracParams(s=0.5), np.array([0.0]))
-
-    def test_dimension_guard(self):
-        with pytest.raises(ConfigError):
-            frac_laplacian_pointwise(lambda t: 0.0, FracParams(s=0.5, d=2), np.array([0.0]))
