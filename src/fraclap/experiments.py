@@ -18,8 +18,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError, NumericalError
 from .grid import Grid, l2_norm, make_grid, sample
 from .kernels import FracParams, classical_const, const_ratio, norm_const, psi, psi_moment, sphere_measure
-# the bump suite's constants _MOLL_EPS and _TAIL_RHO stay importable from here
-from .mollifier import _MOLL_EPS, _TAIL_RHO, _bump_suite_rows, _chunk_rows, energy_gap  # noqa: F401
+from .mollifier import _bump_suite_rows, _chunk_rows, energy_gap
 from .profiles import _random_bump_rows
 from .report import (
     CheckReport,

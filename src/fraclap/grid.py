@@ -15,9 +15,8 @@ functions are integrated exactly.
 
 from __future__ import annotations
 
-import functools
 import math
-from typing import Callable, NamedTuple, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -53,28 +52,21 @@ class Domain:
         return self.box_hi - self.box_lo
 
 
-@functools.lru_cache(maxsize=8)  # one read-only node array per grid
-def _nodes(lo: float, hi: float, n: int) -> np.ndarray:
-    x = np.linspace(lo, hi, n)
-    x.flags.writeable = False
-    return x
-
-
-class Grid(NamedTuple):
-    """n uniform nodes spanning the domain's box.  A P1 function on it is a
+class Grid:
+    """n uniform nodes spanning the domain's box: nodes, the read-only
+    np.linspace over the box, and the spacing h.  A P1 function on it is a
     float array whose last axis holds its n nodal values; a stack (..., n)
     holds one function per row."""
 
-    domain: Domain
-    n: int
+    __slots__ = ("domain", "n", "nodes", "h")
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return _nodes(self.domain.box_lo, self.domain.box_hi, self.n)
-
-    @property
-    def h(self) -> float:
-        return (self.domain.box_hi - self.domain.box_lo) / (self.n - 1)
+    def __init__(self, domain: Domain, n: int) -> None:
+        if n < 3:
+            raise ConfigError(f"need at least 3 nodes, got n={n}")
+        self.domain, self.n = domain, n
+        self.nodes = np.linspace(domain.box_lo, domain.box_hi, n)
+        self.nodes.flags.writeable = False
+        self.h = (domain.box_hi - domain.box_lo) / (n - 1)
 
     def check(self, v, stacked: bool = True) -> np.ndarray:
         """v as a float array of P1 functions on this grid: ShapeError unless
@@ -90,8 +82,6 @@ class Grid(NamedTuple):
 
 def make_grid(domain: Domain, n: int) -> Grid:
     """n uniform nodes over the domain's box; ConfigError when n < 3."""
-    if n < 3:
-        raise ConfigError(f"need at least 3 nodes, got n={n}")
     return Grid(domain, n)
 
 

@@ -36,7 +36,6 @@ smoothed function.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -307,23 +306,25 @@ _LAG_STEP = 16
 _ROUND = 1.0 + 4.0 * np.finfo(float).eps
 
 
-@functools.lru_cache(maxsize=1)
 def _lag_scale(n: int, h: float, betas: Tuple[float, ...]) -> Tuple[np.ndarray, np.ndarray]:
     """(k h)**beta per beta for lags k = 0..n-1, as (len(betas), n), and its
-    suffix minima over the lags >= k.  The powers are scalar, as the
-    quotient has always been formed; the minima keep pow's rounding from
-    stopping a scan early.  Lag 0 reads inf.  The chunks of one bump suite
-    share the table."""
+    suffix minima over the lags >= k: the table that _holder_quotients
+    takes.  The powers are scalar, as the quotient has always been formed;
+    the minima keep pow's rounding from stopping a scan early.  Lag 0 reads
+    inf.  ValueError unless every beta lies in (0, 1]."""
+    if not all(0.0 < beta <= 1.0 for beta in betas):
+        raise ValueError(f"beta must lie in (0, 1], got {betas}")
     scale = np.array([[math.inf] + [(k * h) ** beta for k in range(1, n)] for beta in betas])
     floor = np.minimum.accumulate(scale[:, ::-1], axis=-1)[:, ::-1]
     scale.flags.writeable = floor.flags.writeable = False
     return scale, floor
 
 
-def _holder_quotients(values: np.ndarray, h: float, betas) -> np.ndarray:
+def _holder_quotients(values: np.ndarray, table: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Max over lags k of D(k) / (k h)**beta per beta and row of values
-    (..., n), as (len(betas), ...), where D(k) = max_i |v[i+k] - v[i]|: the
-    full scan's bits, from a fraction of its lags.
+    (..., n), as (len(betas), ...), where D(k) = max_i |v[i+k] - v[i]| and
+    table = _lag_scale(n, h, betas): the full scan's bits, from a fraction
+    of its lags.
 
     D is subadditive, D(a + b) <= D(a) + D(b), and D(a) <= D(a + b) + D(b)
     when a + 2b <= n (a pair near the end then extends backwards instead).
@@ -336,14 +337,12 @@ def _holder_quotients(values: np.ndarray, h: float, betas) -> np.ndarray:
     the row's best, with a and b its nearest scanned lags below and above.
     A lag pruned once stays pruned: its bound only tightens and the best
     only grows."""
-    if not all(0.0 < beta <= 1.0 for beta in betas):
-        raise ValueError(f"beta must lie in (0, 1], got {betas}")
+    scale, floor = table
     n = values.shape[-1]
     v = values.reshape(-1, n)
-    best = np.zeros((len(betas), v.shape[0]))
+    best = np.zeros((len(scale), v.shape[0]))
     if n < 2 or not v.shape[0]:
-        return best.reshape((len(betas),) + values.shape[:-1])
-    scale, floor = _lag_scale(n, h, tuple(betas))
+        return best.reshape((len(scale),) + values.shape[:-1])
     osc = np.ptp(v, axis=-1)
     d = np.zeros(v.shape)  # D per row and lag, where seen
     seen = np.zeros(n, dtype=bool)
@@ -380,7 +379,7 @@ def _holder_quotients(values: np.ndarray, h: float, betas) -> np.ndarray:
         hit = np.any(bound / scale[:, None, lags] > best[:, :, None], axis=(0, 1))
         scan(lags[hit])
         stride //= 2
-    return best.reshape((len(betas),) + values.shape[:-1])
+    return best.reshape((len(scale),) + values.shape[:-1])
 
 
 def _chunk_rows(grid: Grid, count: int) -> List[int]:
@@ -409,19 +408,20 @@ def _bump_suite_rows(
     same inequalities in the same order, so a max over the rows of every
     chunk is the max over all bumps.
 
-    The coverage mask and, per s, the work of _rows_at_s are built once per
-    run.  Each chunk is drawn only when the previous one is done; it gets
-    one lag scan for its Hoelder quotients at every s and one transform per
-    parity for every stencil, and each s runs in its own generator, so its
-    arrays go before the next s."""
+    The coverage mask, the Hoelder lag table of _lag_scale and, per s, the
+    work of _rows_at_s are built once per run.  Each chunk is drawn only
+    when the previous one is done; it gets one lag scan for its Hoelder
+    quotients at every s and one transform per parity for every stencil,
+    and each s runs in its own generator, so its arrays go before the next
+    s."""
     mask = full_coverage_mask(grid)
     at_s = [_rows_at_s(grid, mask, s, r) for s, r in strips]
-    betas = tuple(s for s, _ in strips)
+    lag_table = _lag_scale(grid.n, grid.h, tuple(s for s, _ in strips))
     for bumps in chunks:
         spectra: dict = {}  # the chunk's _apply transforms, shared by every s
         # every near energy before the chunk's transforms: no matvec buffer meets them
         d1s = [0.5 * np.sum(bumps[:, 1:-1] * near.matvec(bumps[:, 1:-1]), axis=-1) for near, _ in at_s]
-        holders = _holder_quotients(bumps, grid.h, betas)
+        holders = _holder_quotients(bumps, lag_table)
         for (_, rows), holder, d1 in zip(at_s, holders, d1s):
             yield from rows(bumps, spectra, holder, d1)
 

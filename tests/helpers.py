@@ -32,6 +32,7 @@ from fraclap.mollifier import (
     _apply,
     _holder_quotients,
     _kernel,
+    _lag_scale,
     _lipschitz_rows,
     _partition,
     _stencil,
@@ -560,7 +561,7 @@ def holder_seminorm_grid(grid: Grid, v: np.ndarray, beta: float) -> float:
     A lower bound for the seminorm of the interpolant; exact at beta = 1
     where the max is attained by adjacent nodes.
     """
-    return float(_holder_quotients(v, grid.h, (beta,))[0])
+    return float(_holder_quotients(v, _lag_scale(grid.n, grid.h, (beta,)))[0])
 
 
 def holder_loop(grid: Grid, v: np.ndarray, beta: float) -> float:

@@ -100,7 +100,8 @@ class TestAcceptance:
             experiment="mollifier_check", s_list=(0.3, 0.5, 0.7, 0.9), n=129
         )
         report, seconds = timed(run_mollifier_check, cfg)
-        from fraclap.experiments import _MOLL_BUMPS, _MOLL_EPS
+        from fraclap.experiments import _MOLL_BUMPS
+        from fraclap.mollifier import _MOLL_EPS
 
         assert _MOLL_BUMPS >= 100
         assert report.passed, csv_text(report)

@@ -6,7 +6,7 @@ import pytest
 from fraclap import assembly, mollifier
 from fraclap.grid import Domain, dirichlet_local, make_grid, objective_local, sample
 from fraclap.kernels import FracParams, norm_const
-from fraclap.mollifier import _holder_quotients
+from fraclap.mollifier import _holder_quotients, _lag_scale
 from fraclap.profiles import _random_bump_rows, make_profile
 from helpers import (
     SupportError,
@@ -225,7 +225,7 @@ class TestHolderSeminorm:
         rng = np.random.default_rng(shape[-1] + 7)
         grid = make_grid(DOM, shape[-1])
         stack = rng.standard_normal(shape)
-        got = _holder_quotients(stack, grid.h, (0.5, 1.0))
+        got = _holder_quotients(stack, _lag_scale(grid.n, grid.h, (0.5, 1.0)))
         assert got.shape == (2,) + shape[:-1]
         for j, beta in enumerate((0.5, 1.0)):
             for idx in np.ndindex(shape[:-1]):
@@ -289,11 +289,11 @@ class TestHolderQuotients:
         for name, stack in holder_stacks(n).items():
             lags = lag_maxima(stack)
             for betas in (_BETAS, _BETAS[::-1]):
-                got = _holder_quotients(stack, grid.h, betas)
+                got = _holder_quotients(stack, _lag_scale(n, grid.h, betas))
                 want = np.array([holder_quotient(lags, grid.h, beta) for beta in betas])
                 assert np.array_equal(got, want), name
             for row in stack[:2]:
-                got = _holder_quotients(row, grid.h, _BETAS)
+                got = _holder_quotients(row, _lag_scale(n, grid.h, _BETAS))
                 assert got.shape == (len(_BETAS),)
                 for beta, quotient in zip(_BETAS, got):
                     assert quotient == holder_loop(grid, row, beta), name
@@ -309,20 +309,20 @@ class TestHolderQuotients:
         assert lags[20] > lags[19] + lags[0] and lags[20] > lags[15] + lags[4]
         want = holder_quotient(lags, 1.0, beta)
         assert want == lags[20] / 21.0**beta
-        assert _holder_quotients(row, 1.0, (beta,))[0] == want
+        table = _lag_scale(row.size, 1.0, (beta,))
+        assert _holder_quotients(row, table)[0] == want
         monkeypatch.setattr(mollifier, "_ROUND", 1.0)
-        assert _holder_quotients(row, 1.0, (beta,))[0] < want
+        assert _holder_quotients(row, table)[0] < want
 
     def test_exponent_validation(self):
-        stack = np.zeros((2, 9))
         for betas in ((0.5, 0.0), (1.5,), (0.5, -0.2)):
             with pytest.raises(ValueError):
-                _holder_quotients(stack, 0.5, betas)
+                _lag_scale(9, 0.5, betas)
 
     @pytest.mark.parametrize("shape", [(0, 9), (3, 1), (2, 0, 5)])
     def test_no_lag_gives_zeros(self, shape):
         # a stack with no rows, or rows of one node, has no lag to scan:
         # every quotient is 0, in the shape of a stack with rows
-        got = _holder_quotients(np.ones(shape), 0.5, (0.5, 1.0))
+        got = _holder_quotients(np.ones(shape), _lag_scale(shape[-1], 0.5, (0.5, 1.0)))
         assert got.shape == (2,) + shape[:-1]
         assert not np.any(got)

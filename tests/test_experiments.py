@@ -166,14 +166,14 @@ class TestMollifierCheck:
         calls = []
         scan = mollifier._holder_quotients
 
-        def counted(values, h, betas):
-            calls.append((values.shape, tuple(betas)))
-            return scan(values, h, betas)
+        def counted(values, table):
+            calls.append((values.shape, table[0].shape))
+            return scan(values, table)
 
         monkeypatch.setattr(mollifier, "_holder_quotients", counted)
         cfg = cfg_from(tmp_path, "experiment = mollifier_check\ns_list = 0.5, 0.9\nn = 65\n")
         assert run_mollifier_check(cfg).passed
-        assert calls == [((_MOLL_BUMPS, 65), (0.5, 0.9))]
+        assert calls == [((_MOLL_BUMPS, 65), (2, 65))]
 
     @pytest.mark.parametrize("n,rows", [(129, [50, 50]), (513, [15] * 6 + [10])])
     def test_one_lag_scan_and_transform_per_parity_per_chunk(self, tmp_path, monkeypatch, n, rows):
@@ -182,25 +182,32 @@ class TestMollifierCheck:
         # p = 256 at n = 129 and 1,024 at n = 513.  A chunk keeps rows * p
         # within 2**14, so 100 bumps make ceil(100 p / 2**14) chunks of
         # ceil(100 / chunks) rows.  Each chunk is scanned once for both s
-        # and transformed once per parity; each of the 18 stencil kernels
-        # is transformed once per run
-        scans, transforms = [], []
-        scan, rfft = mollifier._holder_quotients, np.fft.rfft
+        # and transformed once per parity; the lag table of the scans is
+        # built once per run, as is the transform of each of the 18 stencil
+        # kernels
+        tables, scans, transforms = [], [], []
+        lag_scale, scan, rfft = mollifier._lag_scale, mollifier._holder_quotients, np.fft.rfft
 
-        def counted_scan(values, h, betas):
-            scans.append((values.shape, tuple(betas)))
-            return scan(values, h, betas)
+        def counted_lag_scale(n, h, betas):
+            tables.append((n, betas))
+            return lag_scale(n, h, betas)
+
+        def counted_scan(values, table):
+            scans.append((values.shape, table[0].shape))
+            return scan(values, table)
 
         def counted_rfft(a, *args, **kwargs):
             transforms.append(np.shape(a))
             return rfft(a, *args, **kwargs)
 
+        monkeypatch.setattr(mollifier, "_lag_scale", counted_lag_scale)
         monkeypatch.setattr(mollifier, "_holder_quotients", counted_scan)
         monkeypatch.setattr(np.fft, "rfft", counted_rfft)
         cfg = cfg_from(tmp_path, f"experiment = mollifier_check\ns_list = 0.5, 0.9\nn = {n}\n")
         assert mollifier._chunk_rows(make_grid(cfg.domain, n), _MOLL_BUMPS) == rows
         assert run_mollifier_check(cfg).passed
-        assert scans == [((r, n), (0.5, 0.9)) for r in rows]
+        assert tables == [(n, (0.5, 0.9))]
+        assert scans == [((r, n), (2, n)) for r in rows]
         L = (n - 1) // 4
         stacks = [shape for shape in transforms if len(shape) == 2 and shape[-1] > n]
         assert stacks == [shape for r in rows for shape in ((r, n + 2 * L), (r, n + 2 * L - 1))]
@@ -312,10 +319,13 @@ class TestRates:
         # f = 1 with zero exterior data; the relative gap to the continuum
         # err_ws2_sq is O(h): measured 1.0 h, 2.49 h, 2.55 h, 2.53-2.54 h and
         # 2.45-2.54 h at s = 0.6, 0.9, 0.99, 0.999 and 0.9999 (h = 4 / (n - 1)),
-        # falling 3.98-4.14 fold per quadrupling of n.  The last two lie
-        # past the config band, which ends at 0.995, so the config is built
-        # directly
-        s_list = (0.6, 0.9, 0.99, 0.999, 0.9999)
+        # falling 3.98-4.14 fold per quadrupling of n.  At small s, at
+        # n = 1025, 4097 and 16385, it reads 0.002-0.003 h at s = 0.05,
+        # 0.007-0.008 h at 0.1 and 0.063-0.065 h at 0.25 (the continuum value
+        # is larger each time), falling 6.6 and 4.8, 4.7 and 4.2, 4.1 and
+        # 4.0 fold.  The config band spans 0.25-0.995, so the first two and
+        # the last two lie outside it, and the config is built directly
+        s_list = (0.05, 0.1, 0.25, 0.6, 0.9, 0.99, 0.999, 0.9999)
         want = np.array([zero_data_err_ws2_sq(s) for s in s_list])
         gaps = []
         for n in (1025, 4097, 16385):

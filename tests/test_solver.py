@@ -182,6 +182,18 @@ class TestFirstEigenvalue:
         ratio = fine / (const_ratio(FracParams(s=s)) * (math.pi**2 / 4.0) ** s)
         assert 0.5 <= ratio <= 1.0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="lambda_1 at s = 0.995 rises from 2.4663984834 (n = 65537) to "
+        "2.4663986484 (n = 262145), by 1.651e-7, which min-max forbids: the "
+        "kernel's cancelling row sum leaves a kappa(T) eps ~ n^(2s) eps "
+        "floor; the factored operator of ROADMAP item 1 is to remove it, "
+        "and this mark with it",
+    )
+    def test_nested_large_meshes_near_one(self):
+        # the same nesting at the two largest meshes; about 1.6 s
+        assert first_eigenvalue(0.995, 262145) <= first_eigenvalue(0.995, 65537)
+
 
 # asymmetric, non-polynomial sources on Omega = (-1, 1), smooth on [-1, 1]
 JACOBI_SOURCES = (
