@@ -1,60 +1,51 @@
 """Shared P1 assembly primitives on uniform grids (internal module).
 
-Everything here exploits translation invariance: on a uniform grid the
-bilinear forms of this package have Toeplitz matrices, so a single kernel
-vector c[k] = form(hat_i, hat_{i+k}) describes the whole matrix.
+Since (-Delta)**s = -d I_(2-2s) d, with I the Riesz potential (Stein,
+Singular Integrals, 1970, ch. V), the interaction form of a zero-extended
+P1 function v is (Dv)^T W (Dv): D takes the first differences of its
+nodal values, and the symmetric Toeplitz matrix W averages the potential
+over pairs of cells,
 
-ToeplitzOperator holds such a kernel vector and is the only representation
-of these matrices: products go through first differences and numpy's FFT on
-a circulant embedding, and solves through conjugate gradients preconditioned
-by the DST-diagonalised tau matrix of the kernel, so no dense matrix is ever
-formed.
+    W_k = -((1-s)/s) h**a Q_k,  Q_k = int M2(t) phi(k + t) dt,
 
-The full interaction form has an exact closed-form kernel.  The
-autocorrelation of a P1 hat is h times the centred cubic B-spline M4, so
-for hats that do not overlap (k >= 2)
+with a = 1 - 2s, phi(x) = (|x|**a - 1) / a (log|x| at s = 1/2) and M2 the
+hat B-spline on [-1, 1].  The slopes of v sum to 0, so W matters only up
+to a constant, and the -1/a keeps s = 1/2 finite.  As s -> 1, W tends to
+I/h, the standard Dirichlet energy.  Every exterior tail is included;
+nothing is truncated at the box.  Q_0 is closed, Q_1 closed on the piece
+of M2 that reaches the origin, the rest summed by Gauss-Legendre on each
+piece of M2 up to k = 32 and as the operator series (sinh(D/2) / (D/2))**2
+applied to phi beyond: nothing cancels.  The near form (distances < 1
+only) is a slope form too, of the Taylor remainder of the potential at
+distance 1 (near_kernel).
 
-    c[k] = -2 (1-s) h**(1-2s) J(k),  J(k) = int_{-2}^{2} M4(t) (k+t)**(-1-2s) dt,
-
-the Peano form of the fourth difference of |m|**(3-2s) (de Boor, A
-Practical Guide to Splines).  J is an average of a positive function, so
-nothing cancels: it is summed by Gauss-Legendre on each unit piece of M4
-up to k = 32 and as the operator series (sinh(D/2) / (D/2))**4 applied to
-k**(-1-2s) beyond, in float64 and with no branch at s = 1/2.  c[0] and c[1]
-are the fourth differences of V(m) = m**2 (m**(1-2s) - 1) / (1-2s) at 0
-and 1, which do not cancel either.  The formula includes every exterior
-tail exactly; nothing is truncated at the box.
-
-The far-field form (interactions at distance > 1 only) is also Toeplitz:
-the P1 mass overlap minus the same average restricted to pairs at distance
-h (k + t) > 1.  That restriction is void before 1/h - 2, cuts J on the at
-most four offsets whose support straddles 1/h, and is the whole of J from
-1/h + 2 on, where the far kernel copies the full one: the near kernel
-full - far is banded, exactly 0 past 1/h + 2.
+ToeplitzOperator holds W and is the only representation of the stiffness
+matrix T = D^T W D, so the low modes of T come from exact differences, not
+from a first column whose row sum cancels.  No dense matrix is formed.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 import numpy.fft  # noqa: F401  numpy imports it lazily; load it with the package
 
 from .errors import ConfigError, NumericalError, ShapeError
 from .grid import Grid, _mass_rows
-from .kernels import FracParams, norm_const
+from .kernels import FracParams
 
 # CG steps allowed per solve; the tau-preconditioned stiffness systems take
-# 4 to 11 for n from 33 to 65537 and s from 0.05 to 0.999
+# 4 to 13 for n from 33 to 262145, s from 0.05 to 0.999 and f = 1 or cos 2x + x
 _CG_MAXITER = 100
 
-# offsets past which the B-spline average J(k) is summed as the operator
-# series (sinh(D/2) / (D/2))**4 = 1 + D**2/6 + D**4/80 + ... applied to
-# k**(-1-2s); its first omitted term is at most 1.7e-16 relative from k = 33 on
+# offsets past which Q_k is summed as the series (sinh(D/2) / (D/2))**2 =
+# 1 + D**2/12 + D**4/360 + ... applied to phi, up to D**8; the first
+# omitted term is below 1e-18 relative from k = 33 on
 _SERIES_FROM = 32
-_SERIES = (1.0, 1.0 / 6.0, 1.0 / 80.0, 17.0 / 30240.0, 31.0 / 1814400.0, 1.0 / 2661120.0)
+_SERIES_TERMS = 4
 
 
 def _dst1(x: np.ndarray) -> np.ndarray:
@@ -68,104 +59,113 @@ def _dst1(x: np.ndarray) -> np.ndarray:
 
 
 class ToeplitzOperator:
-    """Symmetric Toeplitz matrix given by its first column c.
+    """The stiffness matrix T = D^T W D of order m, from the first column w
+    (m + 1 entries) of the slope kernel W.
 
-    Symmetry holds by construction.  matvec costs O(m log m): c splits into
-    a local part alpha (2, -1, 0, ...) with alpha = -c[1], applied through
-    first differences, and the rest, applied through numpy's real FFT on a
-    circulant embedding of power-of-two size whose transform is kept on the
-    operator.  solve runs conjugate gradients preconditioned by tau(T), the
-    Toeplitz-plus-Hankel matrix diagonalised by the DST-I (Chan & Ng, SIAM
-    Review 38, 1996), which holds the local part exactly: O(m log m) time
-    per step and O(m) memory.  matvec takes a stack (..., len(c)) row by row;
-    solve and quad_form take one vector (len(c),).  Other shapes raise ValueError.
-    Operators compare and hash by identity.
+    It keeps w - w[-1]: a constant matrix acts as zero on slopes, which sum
+    to 0, and W's constant tail would otherwise dominate ||W||_1 and every
+    roundoff bound built on it.  Products take exact first differences and
+    one real FFT pair on a power-of-two circulant embedding of W, whose
+    transform is kept.  solve runs conjugate gradients preconditioned by
+    tau(T), the Toeplitz-plus-Hankel matrix diagonalised by the DST-I (Chan
+    & Ng, SIAM Review 38, 1996), from T's first column c = -Delta**2 w:
+    O(m log m) time per step, O(m) memory.  matvec takes a stack (..., m)
+    row by row; solve and quad_form take one vector (m,); other shapes raise
+    ValueError.  Operators compare and hash by identity.
     """
 
-    def __init__(self, c: np.ndarray) -> None:
-        self.c = c
+    def __init__(self, w: np.ndarray) -> None:
+        self.w = w - w[-1]
 
     @cached_property
     def norm1(self) -> float:
-        """||T||_1 = |c[0]| + 2 sum_(k >= 1) |c[k]|."""
-        return abs(self.c[0]) + 2.0 * float(np.sum(np.abs(self.c[1:])))
+        """||W||_1 = |w[0]| + 2 sum_(k >= 1) |w[k]|."""
+        return abs(self.w[0]) + 2.0 * float(np.sum(np.abs(self.w[1:])))
+
+    def roundoff(self, x: np.ndarray, y: np.ndarray) -> float:
+        """8 log2(2m) eps ||W||_1 ||Dx||_2 ||Dy||_2: the FFT roundoff model of
+        a form (Dx)^T W (Dy)."""
+        dx, dy = (np.diff(v, prepend=0.0, append=0.0) for v in (x, y))
+        scale = 8.0 * math.log2(2 * (self.w.size - 1)) * np.finfo(float).eps * self.norm1
+        return scale * math.sqrt(dx @ dx) * math.sqrt(dy @ dy)
 
     @cached_property
-    def _split(self) -> Tuple[float, int, np.ndarray]:
-        """alpha = -c[1], and the size p and rfft of the circulant embedding
-        of the rest c - alpha (2, -1, 0, ...)."""
-        rest = np.array(self.c, dtype=float)
-        alpha = -rest[1] if rest.size > 1 else 0.0
-        rest[0] -= 2.0 * alpha
-        rest[1:2] = 0.0
-        m = rest.size
-        p = 1 << (2 * m - 2).bit_length()  # power of two >= 2m - 1
+    def _transform(self) -> Tuple[int, np.ndarray]:
+        """The size p, a power of two >= 2m, and the rfft of a circulant
+        embedding of -W: room for the m + 1 slopes and W's m - 1 offsets
+        that are not 0 (its last entry is)."""
+        m = self.w.size - 1
+        p = 1 << (2 * m - 1).bit_length()
         col = np.zeros(p)
-        col[:m] = rest
-        col[p - m + 1 :] = rest[:0:-1]
-        return alpha, p, np.fft.rfft(col)
-
-    @cached_property
-    def _tau_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of tau(T), whose first column is c - (c[2], ..., c[m-1], 0, 0)."""
-        col = np.array(self.c, dtype=float)
-        m = col.size
-        col[: m - 2] -= self.c[2:]
-        return _dst1(col) / np.sin(np.pi * np.arange(1, m + 1) / (m + 1))
+        col[:m] = -self.w[:m]
+        col[p - m + 1 :] = -self.w[m - 1 : 0 : -1]
+        return p, np.fft.rfft(col)
 
     def _check(self, v: np.ndarray, stacked: bool = False) -> np.ndarray:
         v = np.asarray(v)
-        if (v.shape[-1:] if stacked else v.shape) != self.c.shape:
-            raise ShapeError(f"vector of shape {v.shape} does not match a Toeplitz matrix of order {len(self.c)}")
+        m = self.w.size - 1
+        if (v.shape[-1:] if stacked else v.shape) != (m,):
+            raise ShapeError(f"vector of shape {v.shape} does not match a stiffness matrix of order {m}")
         return v
 
+    def _slopes(self, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(Dv, -W Dv) along the last axis."""
+        p, symbol = self._transform
+        x = np.zeros(v.shape[:-1] + (v.shape[-1] + 2,))  # v zero-extended: a third of np.diff's prepend time
+        x[..., 1:-1] = v
+        d = x[..., 1:] - x[..., :-1]
+        return d, np.fft.irfft(symbol * np.fft.rfft(d, n=p), n=p)[..., : d.shape[-1]]
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """T @ v along the last axis: the local part as the difference of
-        zero-extended first differences, the rest through the kept transform."""
-        v = self._check(v, stacked=True)
-        alpha, p, symbol = self._split
-        d = np.diff(v, prepend=0.0, append=0.0)
-        out = np.fft.irfft(symbol * np.fft.rfft(v, n=p), n=p)[..., : v.shape[-1]]
-        return out + alpha * (d[..., :-1] - d[..., 1:])
+        """T @ v = D^T (W (Dv)) along the last axis."""
+        return np.diff(self._slopes(self._check(v, stacked=True))[1])
 
     def quad_form(self, v: np.ndarray) -> float:
-        """v^T T v."""
-        return float(self._check(v) @ self.matvec(v))
+        """v^T T v = (Dv)^T W (Dv)."""
+        d, y = self._slopes(self._check(v))
+        return -float(d @ y)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """The solution u of T u = b, by tau-preconditioned CG from u = 0.
 
-        Stops once ||r||_2 <= eps ||T||_1 ||u||_2, the roundoff model of the
-        rates self-check.  Raises NumericalError when tau(T) has an eigenvalue
-        <= 0, when a search direction has curvature p^T T p <= 0, or when CG
-        has not converged within _CG_MAXITER steps."""
+        Stops once ||r||_2 <= eps min(||W||_1 ||Du||_2, ||T||_1 ||u||_2), the
+        roundoff of a product on the slopes or on the values: the first is
+        the sharper as s -> 1, where W nears I/h, the second for s < 1/2,
+        where the smooth growth of W dominates ||W||_1.  Without the
+        8 log2(2m) factor of roundoff(), the rates self-check reads at most
+        2e-2 of its bound.  Raises NumericalError when tau(T) has an
+        eigenvalue <= 0, when a search direction has curvature p^T T p <= 0,
+        or when CG has not converged within _CG_MAXITER steps."""
         r = np.array(self._check(b), dtype=float)
-        lam = self._tau_eigenvalues
+        m, w = r.size, self.w
+        # T's first column c = -Delta**2 w, and tau(T)'s c - (c[2], ..., c[m-1], 0, 0)
+        c = 2.0 * w[:-1] - w[1:] - np.concatenate((w[1:2], w[:-2]))
+        lam = _dst1(c - np.concatenate((c[2:], [0.0, 0.0]))[:m]) / np.sin(np.pi * np.arange(1, m + 1) / (m + 1))
         if not np.all(lam > 0.0):
             raise NumericalError(f"Toeplitz solve failed: tau(T) has eigenvalue {float(lam.min())!r}")
-        m = r.size
         # DST-I is its own inverse up to the factor (m + 1) / 2
         inv = 2.0 / ((m + 1) * lam)
-        tol = np.finfo(float).eps * self.norm1
-        x = np.zeros(m)
-        p = np.zeros(m)
+        eps = np.finfo(float).eps
+        on_slopes, on_values = eps * self.norm1, eps * (abs(c[0]) + 2.0 * float(np.sum(np.abs(c[1:]))))
+        x, dx, p = np.zeros(m), np.zeros(m + 1), np.zeros(m)
         rz_old = math.inf  # makes the first direction z itself
         steps = 0
         # written as "not <=" so that a NaN residual keeps iterating and fails
-        while not math.sqrt(r @ r) <= tol * math.sqrt(x @ x):
+        while not math.sqrt(r @ r) <= min(on_slopes * math.sqrt(dx @ dx), on_values * math.sqrt(x @ x)):
             if steps == _CG_MAXITER:
                 raise NumericalError(f"Toeplitz solve failed: CG did not converge in {_CG_MAXITER} steps")
             steps += 1
             z = _dst1(inv * _dst1(r))
             rz = float(r @ z)
             p = z + (rz / rz_old) * p
-            tp = self.matvec(p)
-            curvature = float(p @ tp)
+            dp, y = self._slopes(p)
+            curvature = -float(dp @ y)
             if not curvature > 0.0:
                 raise NumericalError(f"Toeplitz solve failed: curvature p^T T p = {curvature!r}")
             step = rz / curvature
             x += step * p
-            r -= step * tp
+            dx += step * dp
+            r -= step * np.diff(y)
             rz_old = rz
         return x
 
@@ -200,72 +200,74 @@ def _log_panels(a: float, edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return (a + e).ravel(), (half[:, None] * _GL_W * e).ravel()
 
 
-def _spline_average(s: float, k: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """J(k) restricted to t > lo: the integral of M4(t) (k + t)**(-1-2s)
-    over (lo, 2) for each offset k, with k + lo > 0, by Gauss-Legendre on
-    each unit piece of the centred cubic B-spline M4 clipped to [lo, 2]."""
-    j = np.arange(-2.0, 2.0)
-    a = np.maximum(j, lo[:, None])
-    half = 0.5 * np.maximum(j + 1.0 - a, 0.0)
-    t = a[..., None] + half[..., None] * (1.0 + _GL_X)
-    r = np.abs(t)
-    m4 = (np.maximum(2.0 - r, 0.0) ** 3 - 4.0 * np.maximum(1.0 - r, 0.0) ** 3) / 6.0
-    return np.sum(half[..., None] * _GL_W * m4 * (k[:, None, None] + t) ** (-1.0 - 2.0 * s), axis=(1, 2))
+def _phi(a: float, x: np.ndarray) -> np.ndarray:
+    """phi(x) = (x**a - 1) / a for x > 0, log x at a = 0."""
+    log_x = np.log(x)
+    return np.expm1(a * log_x) / a if a else log_x
 
 
-def stiffness_kernel(p: FracParams, h: float, kmax: int) -> np.ndarray:
-    """Toeplitz kernel of the full interaction form for hats with spacing h,
-    offsets 0..kmax.  Exact closed form."""
+def _hat_average(f: Callable[[np.ndarray], np.ndarray], k: np.ndarray, lo, hi) -> np.ndarray:
+    """The integral of M2(t) f(k + t) over lo < t < hi for each offset k,
+    bounds broadcast with k, by Gauss-Legendre on each piece [-1, 0],
+    [0, 1] of the hat M2 clipped to (lo, hi)."""
+    j = np.array([-1.0, 0.0])
+    start = np.maximum(j, np.asarray(lo, dtype=float)[..., None])
+    half = 0.5 * np.maximum(np.minimum(j + 1.0, np.asarray(hi, dtype=float)[..., None]) - start, 0.0)
+    t = start[..., None] + half[..., None] * (1.0 + _GL_X)
+    return np.sum(half[..., None] * _GL_W * (1.0 - np.abs(t)) * f(k[:, None, None] + t), axis=(1, 2))
+
+
+def slope_kernel(p: FracParams, h: float, kmax: int) -> np.ndarray:
+    """First column w[0..kmax] of the slope kernel W of the interaction
+    form for cells of width h: W_k = -((1-s)/s) h**a Q_k."""
     if h <= 0.0:
         raise ConfigError(f"spacing must be positive, got h={h}")
     if kmax < 0:
         raise ValueError(f"largest offset must be >= 0, got kmax={kmax}")
     s = p.s
-    scale = h ** (1.0 - 2.0 * s)
-
-    def V(m: int) -> float:
-        # m**2 (m**(1-2s) - 1) / (1-2s), finite through s = 1/2
-        u = (1.0 - 2.0 * s) * math.log(m)
-        return m * m * math.log(m) * (math.expm1(u) / u if u else 1.0)
-
-    c = np.empty(kmax + 1)
-    c[:2] = (scale / (2.0 * s * (3.0 - 2.0 * s)) * np.array([2.0 * V(2), V(3) - 4.0 * V(2)]))[: kmax + 1]
-    k = np.arange(2.0, kmax + 1)
-    J = np.empty(k.size)
-    quad = k <= _SERIES_FROM
-    # at k = 2 the piece (-2, -1) of M4, (2 + t)**3 / 6, reaches the origin;
-    # its integral is 1 / (6 (3 - 2s)) exactly
-    J[quad] = _spline_average(s, k[quad], np.where(k[quad] == 2.0, -1.0, -2.0))
-    J[:1] += 1.0 / (6.0 * (3.0 - 2.0 * s))
-    # the 2j-th derivative of k**(-1-2s) is (1+2s)(2+2s)...(2j+2s) k**(-1-2s-2j)
+    a = 1.0 - 2.0 * s
+    k = np.arange(float(kmax + 1))
+    q = np.empty(k.size)
+    q[0] = -(a + 3.0) / ((a + 1.0) * (a + 2.0))
+    # k = 1: the piece (-1, 0) of M2, (1 + t) phi(1 + t), reaches the
+    # origin; its integral is -1 / (2 (a + 2)) exactly
+    mid = k[1 : _SERIES_FROM + 1]
+    q[1 : _SERIES_FROM + 1] = _hat_average(lambda x: _phi(a, x), mid, np.where(mid == 1.0, 0.0, -1.0), 1.0)
+    q[1:2] -= 0.5 / (a + 2.0)
+    # the 2j-th derivative of phi is (a-1)(a-2)...(a-2j+1) x**(a-2j), and
+    # (sinh(D/2) / (D/2))**2 = sum_j 2 D**(2j) / (2j+2)!
     coef = []
-    rise = 1.0
-    for j, a in enumerate(_SERIES):
-        coef.append(a * rise)
-        rise *= (2 * j + 1 + 2.0 * s) * (2 * j + 2 + 2.0 * s)
-    big = k[~quad]
-    J[~quad] = big ** (-1.0 - 2.0 * s) * np.polyval(coef[::-1], big**-2.0)
-    c[2:] = -2.0 * (1.0 - s) * scale * J
-    return c
+    fall = a - 1.0
+    for j in range(1, _SERIES_TERMS + 1):
+        coef.append(2.0 / math.factorial(2 * j + 2) * fall)
+        fall *= (a - 2 * j) * (a - 2 * j - 1)
+    big = k[_SERIES_FROM + 1 :]
+    phi = _phi(a, big)
+    inv2 = big**-2.0
+    q[_SERIES_FROM + 1 :] = phi + (1.0 + a * phi) * inv2 * np.polyval(coef[::-1], inv2)
+    return -(1.0 - s) / s * h**a * q
 
 
-def far_kernel(p: FracParams, h: float, full: np.ndarray) -> np.ndarray:
-    """Toeplitz kernel of the distance > 1 part of the interaction form, from
-    the full kernel `full` = stiffness_kernel(p, h, kmax) of the same (p, h):
-    c2[k] = 4 ((C/s) mass[k] - far_pair[k]) with the P1 mass overlaps
-    (2h/3, h/6, 0, ...) and far_pair[k] = C h**(1-2s) J(k) restricted to
-    t > 1/h - k.  Where k - 2 >= 1/h this is the full kernel entry itself,
-    so the near kernel full - far is exactly 0 there."""
+def near_kernel(p: FracParams, h: float, w: np.ndarray) -> np.ndarray:
+    """Slope kernel of the distance < 1 part of the interaction form, from
+    the full kernel w = slope_kernel(p, h, kmax) of the same (p, h).
+
+    Its potential is the Taylor remainder at distance 1 of the full one,
+    ((1-s)/s) (z - 1 - phi(z)) for z < 1 and 0 beyond.  Where the support
+    h (k + t), |t| < 1, lies inside (0, 1] that is
+    w + ((1-s)/s) (h m_k - 1 - phi(h)) with m_k = int M2(t) |k + t| dt
+    (1/3 at k = 0, k beyond); a clipped M2 average on the at most two
+    offsets that straddle 1/h; and 0 from 1/h + 1 on."""
     s = p.s
+    a = 1.0 - 2.0 * s
+    scale = (1.0 - s) / s
     reach = 1.0 / h
-    k = np.arange(float(full.size))
-    beyond = k - 2.0 >= reach
-    cut = ~beyond & (k + 2.0 > reach)
-    c2 = np.where(beyond, full, 0.0)
-    c2[cut] = -2.0 * (1.0 - s) * h ** (1.0 - 2.0 * s) * _spline_average(s, k[cut], reach - k[cut])
-    mass = 4.0 * (norm_const(p) / s) * np.array([2.0 * h / 3.0, h / 6.0])
-    c2[:2] += mass[: full.size]
-    return c2
+    k = np.arange(float(w.size))
+    m = np.where(k == 0.0, 1.0 / 3.0, k)
+    near = np.where(k + 1.0 <= reach, w + scale * (h * m - 1.0 - _phi(a, np.array(h))), 0.0)
+    cut = (k + 1.0 > reach) & (k - 1.0 < reach)
+    near[cut] = scale * _hat_average(lambda x: h * x - 1.0 - _phi(a, h * x), k[cut], -1.0, reach - k[cut])
+    return near
 
 
 def interior_indices(grid: Grid) -> np.ndarray:

@@ -43,12 +43,6 @@ def _sources(cfg: ExperimentConfig, grid: Grid, f: np.ndarray) -> Iterator[Tuple
     return ((s, f + cfg.pert_coeff(s) * pert) for s in cfg.s_list)
 
 
-def _roundoff(A: ToeplitzOperator) -> float:
-    """8 log2(2m) eps ||A||_1: the FFT matvec roundoff model, per unit 2-norm
-    of each of the two vectors in a product x^T A y."""
-    return 8.0 * math.log2(2 * A.c.size) * np.finfo(float).eps * A.norm1
-
-
 def _check_optimality_identity(
     A: ToeplitzOperator, b: np.ndarray, v: np.ndarray, u: np.ndarray, s: float
 ) -> None:
@@ -59,12 +53,12 @@ def _check_optimality_identity(
     With e = v - u the identity reads gap - e^T A e / 2 = e^T (A u - b), and
     the right side is checked directly: differencing the two objectives
     instead cancels them down to roundoff as s -> 1.  The bound is the FFT
-    matvec roundoff model _roundoff(A) ||u||_2 ||e||_2: accurate solves read
-    below 1e-2 of it, and a solve with one kernel entry off by 1e-8
-    relative exceeds it 1e5-fold."""
+    roundoff model of the form on slopes, A.roundoff(u, e): accurate solves
+    read below 2e-2 of it, and a solve with one slope kernel entry off by
+    1e-8 relative exceeds it."""
     e = v - u
     defect = float(e @ (A.matvec(u) - b))
-    bound = _roundoff(A) * math.sqrt(u @ u) * math.sqrt(e @ e)
+    bound = A.roundoff(u, e)
     if not abs(defect) <= bound:
         raise NumericalError(
             f"optimality identity violated at s={s}: e^T(Au - b)={defect!r} exceeds {bound!r}"
@@ -93,7 +87,7 @@ def run_rates(cfg: ExperimentConfig) -> SweepReport:
 
         e = v_loc - u_int
         semi2 = A.quad_form(e)
-        floor = _roundoff(A) * float(e @ e)
+        floor = A.roundoff(e, e)
         if semi2 < -floor:  # below roundoff: the operator is not positive definite here
             raise NumericalError(f"negative seminorm at s={s}: e^T A e={semi2!r} is below -{floor!r}")
         err_l2 = l2_norm(grid, u_loc - u_s, region="box")

@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Seq
 import numpy as np
 import numpy.fft  # noqa: F401  numpy imports it lazily; load it with the package
 
-from .assembly import ToeplitzOperator, far_kernel, stiffness_kernel
+from .assembly import ToeplitzOperator, near_kernel, slope_kernel
 from .errors import ConfigError
 from .grid import Domain, Grid, objective_local, product_integral
 from .kernels import FracParams, eta_t_integrals, norm_const, psi_integrals
@@ -440,7 +440,6 @@ def _rows_at_s(
     one smoothed or gradient stack of an eps is alive at a time."""
     h, n = grid.h, grid.n
     p_near = FracParams(s=s, eps=0.0)
-    full = stiffness_kernel(p_near, h, n - 3)  # offsets of the n - 2 nodes inside the box
     strip = _strip(grid, r)
     stencils = []
     for eps in _MOLL_EPS:
@@ -463,4 +462,5 @@ def _rows_at_s(
             yield ("strip_closeness", *closeness)
             yield ("strip_l2", *l2)
 
-    return ToeplitzOperator(full - far_kernel(p_near, h, full)), rows
+    # the n - 1 slopes of a bump's n - 2 values inside the box
+    return ToeplitzOperator(near_kernel(p_near, h, slope_kernel(p_near, h, n - 2))), rows

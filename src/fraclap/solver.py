@@ -2,11 +2,11 @@
 interval, a pointwise evaluator of the nonlocal operator for smooth
 functions, and the closed-form benchmark profile on the unit interval.
 
-The nonlocal bilinear form of zero-extended hat functions on a uniform grid
-is symmetric Toeplitz; entries come from the closed-form kernel in the
-assembly module and include the interaction with the zero extension over the
-whole line, so the assembled operator has no truncation or quadrature error.
-It is held as its kernel vector (assembly.ToeplitzOperator) and solved by
+The nonlocal form of zero-extended P1 functions on a uniform grid is the
+slope form (Dv)^T W (Dv) with a symmetric Toeplitz W, whose closed-form
+kernel in the assembly module includes the interaction with the zero
+extension over the whole line, so the operator has no truncation error.
+It is held as its slope kernel (assembly.ToeplitzOperator) and solved by
 tau-preconditioned conjugate gradients; no dense matrix is formed.  The local
 problem is solved through the closed-form discrete Green's function.
 """
@@ -18,7 +18,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .assembly import ToeplitzOperator, _log_panels, interior_indices, load_vector, stiffness_kernel
+from .assembly import ToeplitzOperator, _log_panels, interior_indices, load_vector, slope_kernel
 from .errors import DataError
 from .grid import Grid, _call_on
 from .kernels import FracParams, norm_const
@@ -47,7 +47,7 @@ def solve_frac_system(grid: Grid, f: np.ndarray, p: FracParams) -> Tuple[np.ndar
     solution on the full grid, and the interior operator and load it
     solves, so callers can measure errors in the same energy."""
     idx = interior_indices(grid)
-    op = ToeplitzOperator(stiffness_kernel(p, grid.h, idx.size - 1))
+    op = ToeplitzOperator(slope_kernel(p, grid.h, idx.size))
     b = load_vector(grid, f)[idx]
     u = np.zeros(grid.n)
     u[idx] = op.solve(b)

@@ -22,7 +22,7 @@ from scipy.linalg import cho_factor, cho_solve, toeplitz
 from scipy.special import eval_jacobi, gammaln, roots_jacobi, roots_legendre
 
 from fraclap import assembly
-from fraclap.assembly import _gauss_legendre, far_kernel, stiffness_kernel
+from fraclap.assembly import _gauss_legendre, near_kernel, slope_kernel
 from fraclap.grid import Domain, Grid, _clip_bounds, make_grid, product_integral, sample
 from fraclap.kernels import FracParams, const_ratio, eta_t_integrals, norm_const, psi_integrals
 from fraclap.mollifier import (
@@ -307,55 +307,80 @@ def dirichlet_frac_oracle(grid: Grid, phi: np.ndarray, p: FracParams) -> float:
     return 2.0 * (body + tail)
 
 
-def stiffness_kernel_oracle(s: float, h: float, k: int, dps: int = 80) -> float:
-    """Full kernel entry c[k] = (1-s) h**(1-2s) / (s (2-2s)(3-2s)) * D4[V](k),
-    the centred fourth difference of V(m) = (|m|**(3-2s) - m**2) / (1-2s)
-    (m**2 log|m| at s = 1/2), evaluated in mpmath at dps digits."""
+def _q_closed(a, k: int):
+    """Q_k = int M2(t) phi(k + t) dt, phi(x) = (|x|**a - 1) / a (log|x| at
+    a = 0), as the second difference at k of phi's second antiderivative
+    G(x) = (|x|**(a+2) / ((a+1)(a+2)) - x**2 / 2) / a (x**2 log|x| / 2 -
+    3 x**2 / 4 at a = 0), whose second derivative is phi on both sides of
+    0: M2 is the second difference of the unit step's second antiderivative."""
+
+    def g(x):
+        x = abs(mp.mpf(x))
+        if x == 0:
+            return mp.mpf(0)
+        if a == 0:
+            return x * x * mp.log(x) / 2 - 3 * x * x / 4
+        return (x ** (a + 2) / ((a + 1) * (a + 2)) - x * x / 2) / a
+
+    return g(k + 1) - 2 * g(k) + g(k - 1)
+
+
+def slope_kernel_oracle(s: float, h: float, k: int, dps: int = 80) -> float:
+    """Slope kernel entry W_k = -((1-s)/s) h**(1-2s) Q_k with Q_k in closed
+    form (_q_closed), the singular piece included, evaluated in mpmath at
+    dps digits."""
     with mp.workdps(dps):
         s_ = mp.mpf(s)
-        g = 1 - 2 * s_
-
-        def v(m: int):
-            m = abs(m)
-            if m < 2:
-                return mp.mpf(0)
-            mm = mp.mpf(m)
-            return mm**2 * mp.log(mm) if g == 0 else (mm ** (3 - 2 * s_) - mm**2) / g
-
-        d4 = v(k + 2) - 4 * v(k + 1) + 6 * v(k) - 4 * v(k - 1) + v(k - 2)
-        return float((1 - s_) * mp.mpf(h) ** g / (s_ * (2 - 2 * s_) * (3 - 2 * s_)) * d4)
+        a = 1 - 2 * s_
+        return float(-(1 - s_) / s_ * mp.mpf(h) ** a * _q_closed(a, k))
 
 
-def far_pair_oracle(s: float, h: float, k: int, dps: int = 30) -> float:
-    """Integral of eta(z) h M4((z - k h) / h) over z > 1, the far pair
-    integral of hat_0 and hat_k (their autocorrelation is h times the
-    centred cubic B-spline M4), by mpmath quadrature split at the knots."""
+def near_kernel_oracle(s: float, h: float, k: int, dps: int = 40) -> float:
+    """Near slope kernel entry ((1-s)/s) int M2(t) r(h (k + t)) dt with the
+    Taylor remainder r(z) = z - 1 - phi(z) of the potential at distance 1
+    for z < 1, and r = 0 beyond, in mpmath at dps digits: from _q_closed at
+    k = 0 and 1, whose support reaches the singularity at z = 0, and by
+    mpmath quadrature split at t = 0 and at the cut z = 1 beyond."""
     with mp.workdps(dps):
         s_, hh = mp.mpf(s), mp.mpf(h)
+        a = 1 - 2 * s_
 
-        def m4(t):
-            r = abs(t)
-            return (max(2 - r, 0) ** 3 - 4 * max(1 - r, 0) ** 3) / 6
+        def phi(z):
+            return mp.log(z) if a == 0 else (z**a - 1) / a
 
-        knots = [(k + j) * hh for j in range(-2, 3)]
-        pts = sorted({max(z, mp.mpf(1)) for z in knots})
-        if pts[-1] <= 1:
+        scale = (1 - s_) / s_
+        if k < 2:
+            m = mp.mpf(1) / 3 if k == 0 else mp.mpf(1)
+            return float(scale * (hh * m - 1 - phi(hh) - hh**a * _q_closed(a, k)))
+        hi = min(mp.mpf(1), 1 / hh - k)
+        if hi <= -1:
             return 0.0
-        integrand = lambda z: (1 - s_) / 2 * z ** (-1 - 2 * s_) * hh * m4((z - k * hh) / hh)
-        return float(mp.quad(integrand, pts))
+        pts = [-1, 0, hi] if hi > 0 else [-1, hi]
+        return float(scale * mp.quad(lambda t: (1 - abs(t)) * (hh * (k + t) - 1 - phi(hh * (k + t))), pts))
 
 
-def far_kernel_oracle(s: float, h: float, k: int) -> float:
-    """far_kernel entry 4 ((C/s) mass[k] - far_pair[k]) from far_pair_oracle."""
-    mass = (2.0 * h / 3.0, h / 6.0)[k] if k < 2 else 0.0
-    return 4.0 * ((1.0 - s) / 2.0 / s * mass - far_pair_oracle(s, h, k))
+def stiffness_column(w: np.ndarray) -> np.ndarray:
+    """First column -Delta**2 w of D^T toeplitz(w) D, w even: c[k] =
+    2 w[k] - w[k-1] - w[k+1], in w's dtype."""
+    return 2 * w[:-1] - w[1:] - np.concatenate((w[1:2], w[:-2]))
+
+
+def dense_stiffness(w: np.ndarray) -> np.ndarray:
+    """D^T toeplitz(w) D, with D (m + 1 by m, m = w.size - 1) the first
+    differences of the zero-extended values: the dense matrix of
+    ToeplitzOperator(w)."""
+    m = w.size - 1
+    d = np.eye(m + 1, m) - np.eye(m + 1, m, k=-1)
+    return d.T @ toeplitz(w) @ d
 
 
 def far_pair_from_kernel(p: FracParams, h: float, k: int) -> float:
-    """The far pair integral of hat_0 and hat_k read back from far_kernel
-    as (C/s) mass[k] - c2[k] / 4."""
+    """The far pair integral of hat_0 and hat_k read back from the slope
+    kernels: the far form's first column -Delta**2 (w - near) is
+    4 ((C/s) mass[k] - far_pair[k]) with the P1 mass overlaps mass."""
+    w = slope_kernel(p, h, k + 1)
     mass = (2.0 * h / 3.0, h / 6.0)[k] if k < 2 else 0.0
-    return norm_const(p) / p.s * mass - far_kernel(p, h, stiffness_kernel(p, h, k))[k] / 4.0
+    return norm_const(p) / p.s * mass - stiffness_column(w - near_kernel(p, h, w))[k] / 4.0
 
 
 def toeplitz_quadratic_form(kernel: np.ndarray, v: np.ndarray) -> float:
@@ -373,19 +398,42 @@ def toeplitz_quadratic_form(kernel: np.ndarray, v: np.ndarray) -> float:
     return float(total)
 
 
-def refined_dense_solve(kernel: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solution of toeplitz(kernel) u = b by dense Cholesky plus one step of
-    iterative refinement whose residual is a dense np.longdouble product
-    (reference for ToeplitzOperator.solve)."""
-    a = toeplitz(kernel)
-    factor = cho_factor(a)
+def refined_dense_solve(w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solution of D^T toeplitz(w) D u = b by dense Cholesky of its first
+    column -Delta**2 w formed in np.longdouble, plus one step of iterative
+    refinement whose residual is a dense np.longdouble product (reference
+    for ToeplitzOperator.solve)."""
+    c = stiffness_column(w.astype(np.longdouble))
+    factor = cho_factor(toeplitz(c.astype(float)))
     u = cho_solve(factor, b)
     u_ld = u.astype(np.longdouble)
-    residual = np.empty(b.size)
-    for i in range(0, b.size, 256):  # row blocks keep the longdouble copy small
-        rows = a[i : i + 256].astype(np.longdouble)
+    m = b.size
+    residual = np.empty(m)
+    for i in range(0, m, 256):  # row blocks keep the longdouble rows small
+        rows = c[np.abs(np.arange(i, min(i + 256, m))[:, None] - np.arange(m))]
         residual[i : i + 256] = (rows @ u_ld - b[i : i + 256]).astype(float)
     return u - cho_solve(factor, residual)
+
+
+def slope_cholesky_solve(p: FracParams, h: float, b: np.ndarray) -> np.ndarray:
+    """Solution of D^T toeplitz(w) D u = b, w = slope_kernel(p, h, b.size),
+    by dense Cholesky on the m + 1 slopes z = Du (reference for
+    ToeplitzOperator.solve).  With g the tail sums of b, D^T g = b, so
+    toeplitz(w) z = g + lam 1 with lam such that sum(z) = 0.  Adding
+    ((1-s)/s) h**a phi(L), L = m + 2, to every entry of w changes neither z
+    nor u, and gives the M2 averages of ((1-s)/s) h**a (phi(L) - phi(r)),
+    convex and decreasing in r on [0, L]: a positive definite kernel
+    (Polya's criterion), so the shifted matrix is positive definite.  Its
+    condition grows like m**(2-2s), not like T's m**(2s)."""
+    s, m = p.s, b.size
+    a = 1.0 - 2.0 * s
+    L = m + 2.0
+    phi_L = math.expm1(a * math.log(L)) / a if a else math.log(L)
+    factor = cho_factor(toeplitz(slope_kernel(p, h, m) + (1.0 - s) / s * h**a * phi_L))
+    g = np.append(np.cumsum(b[::-1])[::-1], 0.0)
+    z, ones = cho_solve(factor, g), cho_solve(factor, np.ones(m + 1))
+    z -= z.sum() / ones.sum() * ones
+    return np.cumsum(z)[:m]
 
 
 def gradient_values(values: np.ndarray, h: float, p: FracParams, t_lo: float, t_hi: float) -> np.ndarray:
@@ -661,7 +709,7 @@ def assemble_frac(dom: Domain, n: int, p: FracParams) -> assembly.ToeplitzOperat
     over dom's box: op.quad_form(v) is twice the energy of the zero-extended
     P1 function with interior coefficients v."""
     grid = make_grid(dom, n)
-    return assembly.ToeplitzOperator(stiffness_kernel(p, grid.h, assembly.interior_indices(grid).size - 1))
+    return assembly.ToeplitzOperator(slope_kernel(p, grid.h, assembly.interior_indices(grid).size))
 
 
 class SupportError(ValueError):
@@ -683,10 +731,11 @@ class EnergyBreakdown:
 
 def dirichlet_frac(grid: Grid, phi: np.ndarray, p: FracParams) -> EnergyBreakdown:
     """Nonlocal interaction energy of the zero-extended interpolant, split
-    into near (distance < 1) and far (distance > 1) parts, both exact
-    Toeplitz forms: the far part from the closed-form far kernel.  The full
-    kernel comes from assembly.stiffness_kernel looked up on the module, so
-    a test can count its calls."""
+    into near (distance < 1) and far (distance > 1) parts, both exact slope
+    forms: the near part from near_kernel, the far part from the rest of
+    the full slope kernel.  The full kernel comes from
+    assembly.slope_kernel looked up on the module, so a test can count its
+    calls."""
     if phi[0] != 0.0 or phi[-1] != 0.0:
         raise SupportError(
             "nonzero box boundary samples: the whole-line energy of the "
@@ -694,10 +743,10 @@ def dirichlet_frac(grid: Grid, phi: np.ndarray, p: FracParams) -> EnergyBreakdow
         )
     v = phi[1:-1]
     h = grid.h
-    c_full = assembly.stiffness_kernel(p, h, len(v) - 1)
-    c_far = far_kernel(p, h, c_full)
-    d1 = 0.5 * assembly.ToeplitzOperator(c_full - c_far).quad_form(v)
-    d2 = 0.5 * assembly.ToeplitzOperator(c_far).quad_form(v)
+    w = assembly.slope_kernel(p, h, len(v))
+    near = near_kernel(p, h, w)
+    d1 = 0.5 * assembly.ToeplitzOperator(near).quad_form(v)
+    d2 = 0.5 * assembly.ToeplitzOperator(w - near).quad_form(v)
     return EnergyBreakdown(d1=d1, d2=d2)
 
 

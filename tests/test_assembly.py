@@ -3,15 +3,15 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
-from scipy.linalg import cho_factor, cho_solve, toeplitz
+from scipy.linalg import toeplitz
 
 from fraclap import assembly
 from fraclap.assembly import (
     ToeplitzOperator,
-    far_kernel,
     interior_indices,
     load_vector,
-    stiffness_kernel,
+    near_kernel,
+    slope_kernel,
 )
 from fraclap.errors import ConfigError, NumericalError, ShapeError
 from fraclap.grid import Domain, dirichlet_local, l2_norm, make_grid, sample
@@ -21,18 +21,21 @@ from helpers import (
     assemble_frac,
     autocorrelation,
     correlation_exact,
+    dense_stiffness,
     dirichlet_frac_oracle,
     eta,
     far_cross_quadrature,
-    far_kernel_oracle,
     far_pair_from_kernel,
     grid_eval,
     load_vector_all_cells,
     mass_quadratic_form,
+    near_kernel_oracle,
     random_bump,
     refined_dense_solve,
     simpson_cells,
-    stiffness_kernel_oracle,
+    slope_cholesky_solve,
+    slope_kernel_oracle,
+    stiffness_column,
     toeplitz_quadratic_form,
     trapezoid,
 )
@@ -49,8 +52,7 @@ class TestStiffnessKernel:
         phi = random_bump(rng, grid)
         p = FracParams(s=s, eps=eps)
         v = phi[1:-1]
-        c = stiffness_kernel(p, grid.h, len(v) - 1)
-        got = ToeplitzOperator(c).quad_form(v)
+        got = ToeplitzOperator(slope_kernel(p, grid.h, len(v))).quad_form(v)
         assert got == pytest.approx(2.0 * dirichlet_frac_oracle(grid, phi, p), rel=1e-4)
 
     def test_local_limit_recovers_gradient_energy(self):
@@ -58,27 +60,28 @@ class TestStiffnessKernel:
         grid = make_grid(DOM, 257)
         phi = random_bump(rng, grid)
         v = phi[1:-1]
-        c = stiffness_kernel(FracParams(s=0.99), grid.h, len(v) - 1)
-        got = ToeplitzOperator(c).quad_form(v)
+        got = ToeplitzOperator(slope_kernel(FracParams(s=0.99), grid.h, len(v))).quad_form(v)
         assert got == pytest.approx(2.0 * dirichlet_local(grid, phi), rel=0.05)
 
     @pytest.mark.parametrize("h", [0.0, -0.1])
     def test_nonpositive_spacing_rejected(self, h):
         with pytest.raises(ConfigError, match="spacing must be positive"):
-            stiffness_kernel(FracParams(s=0.5), h, 5)
+            slope_kernel(FracParams(s=0.5), h, 5)
 
     @pytest.mark.parametrize("s", [0.05, 0.3, 0.5, 0.5 - 1e-9, 0.5 + 1e-9, 0.9, 0.99, 0.999])
     def test_matches_mpmath_closed_form(self, s):
-        # offsets on both sides of the switch from quadrature to series, up
-        # to the largest offset of n = 2**16 + 1.  Roundoff model: the
-        # rounded exponents -1-2s and 1-2s cost up to eps (ln k + |ln h|),
-        # about 4e-15 relative here
+        # slope kernel entries, whose Q_k the library sums from closed forms
+        # (k = 0, 1), Gauss-Legendre (up to 32) and the series (beyond), on
+        # both sides of each switch, up to the largest offset of
+        # n = 2**16 + 1, against the mpmath closed form.  Roundoff model: the
+        # rounded exponent 1-2s costs up to eps (ln k + |ln h|), about 4e-15
+        # relative here
         h = 1.0 / 256.0
         ks = (0, 1, 2, 3, 4, 31, 32, 33, 64, 1024, 4096, 16384, 65535)
-        c = stiffness_kernel(FracParams(s=s), h, ks[-1])
+        w = slope_kernel(FracParams(s=s), h, ks[-1])
         for k in ks:
-            want = stiffness_kernel_oracle(s, h, k)
-            assert abs(c[k] - want) <= 1e-14 * abs(want), k
+            want = slope_kernel_oracle(s, h, k)
+            assert abs(w[k] - want) <= 1e-14 * abs(want), k
 
 
 class TestLocalStiffness:
@@ -117,10 +120,13 @@ class TestGaussLegendre:
 
 class TestFarPairs:
     def test_zero_before_reach(self):
+        # read back through a second difference of slope entries of size
+        # about 1, so zero up to their roundoff; the far pairs from k + 2 on
+        # are 3e-5 and more
         h = 0.05
         p = FracParams(s=0.4)
         k = int((1.0 - 2.0 * h) / h) - 1
-        assert far_pair_from_kernel(p, h, k) == 0.0
+        assert abs(far_pair_from_kernel(p, h, k)) <= 1e-15
 
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
     def test_matches_direct_quadrature(self, s):
@@ -152,9 +158,9 @@ class TestFarPairs:
             assert got == pytest.approx(want, rel=1e-5, abs=1e-14)
 
     def test_negative_offset_rejected(self):
-        # far_kernel takes its offsets from a full kernel, which guards them
+        # near_kernel takes its offsets from a full kernel, which guards them
         with pytest.raises(ValueError):
-            stiffness_kernel(FracParams(s=0.5), 0.1, -1)
+            slope_kernel(FracParams(s=0.5), 0.1, -1)
 
 
 class TestFarKernel:
@@ -163,11 +169,11 @@ class TestFarKernel:
         grid = make_grid(DOM, 65)
         v = random_bump(rng, grid)[1:-1]
         p = FracParams(s=0.55, eps=0.1)
-        c_full = stiffness_kernel(p, grid.h, len(v) - 1)
-        c_far = far_kernel(p, grid.h, c_full)
-        near = ToeplitzOperator(c_full - c_far).quad_form(v)
-        far = ToeplitzOperator(c_far).quad_form(v)
-        assert near + far == pytest.approx(ToeplitzOperator(c_full).quad_form(v), rel=1e-12)
+        w = slope_kernel(p, grid.h, len(v))
+        w_near = near_kernel(p, grid.h, w)
+        near = ToeplitzOperator(w_near).quad_form(v)
+        far = ToeplitzOperator(w - w_near).quad_form(v)
+        assert near + far == pytest.approx(ToeplitzOperator(w).quad_form(v), rel=1e-12)
         assert near >= 0.0 and far >= 0.0
 
     def test_matches_independent_cross_quadrature(self):
@@ -177,8 +183,8 @@ class TestFarKernel:
         v = phi[1:-1]
         for s in (0.35, 0.75):
             p = FracParams(s=s)
-            c_far = far_kernel(p, grid.h, stiffness_kernel(p, grid.h, len(v) - 1))
-            got = 0.5 * ToeplitzOperator(c_far).quad_form(v)
+            w = slope_kernel(p, grid.h, len(v))
+            got = 0.5 * ToeplitzOperator(w - near_kernel(p, grid.h, w)).quad_form(v)
             from fraclap.kernels import norm_const
 
             mass = mass_quadratic_form(v, grid.h)
@@ -187,28 +193,36 @@ class TestFarKernel:
 
     @pytest.mark.parametrize("n", [65, 257, 4097])
     def test_matches_mpmath_pair_quadrature(self, n):
-        # the mass-only head, the offsets around the cut at 1/h and the tail
+        # near kernel entries at the head, the offsets around the cut at 1/h
+        # and the tail, against mpmath.  Roundoff model: an entry is a sum
+        # of terms no larger than |w_k| and (1-s)/s (1 + h m_k + |phi(h)|),
+        # each good to a few eps; near the cut the entry itself is O(h**2)
+        # of them
         h = 4.0 / (n - 1)
-        kmax = n - 3
+        kmax = n - 2
         reach = int(1.0 / h)
         ks = [0, 1, *range(reach - 3, reach + 4), kmax - 1, kmax]
         for s in (0.3, 0.5, 0.9, 0.99):
             p = FracParams(s=s)
-            c2 = far_kernel(p, h, stiffness_kernel(p, h, kmax))
+            w = slope_kernel(p, h, kmax)
+            near = near_kernel(p, h, w)
+            a = 1.0 - 2.0 * s
+            phi_h = np.expm1(a * np.log(h)) / a if a else np.log(h)
             for k in ks:
-                want = far_kernel_oracle(s, h, k)
-                assert abs(c2[k] - want) <= 1e-13 * abs(want), (s, k)
+                want = near_kernel_oracle(s, h, k)
+                size = abs(w[k]) + (1.0 - s) / s * (1.0 + h * max(k, 1.0 / 3.0) + abs(phi_h))
+                assert abs(near[k] - want) <= 1e-14 * size, (s, k)
+                assert (near[k] == 0.0) == (want == 0.0), (s, k)
 
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.99])
     def test_near_kernel_vanishes_past_reach(self, s):
-        # hats more than 1/h + 2 offsets apart have no pair closer than 1
+        # cells 1/h + 1 or more offsets apart have no pair closer than 1
         h = 4.0 / 4096.0
         p = FracParams(s=s)
-        full = stiffness_kernel(p, h, 4094)
-        near = full - far_kernel(p, h, full)
+        near = near_kernel(p, h, slope_kernel(p, h, 4095))
         k = np.arange(near.size)
-        assert np.all(near[k > 1.0 / h + 2.0] == 0.0)
-        assert np.all(near[k < 1.0 / h - 2.0] != 0.0)
+        assert np.all(near[k >= 1.0 / h + 1.0] == 0.0)
+        assert np.all(near[k < 1.0 / h + 1.0] != 0.0)
 
 
 def frac_operator(n: int, s: float) -> ToeplitzOperator:
@@ -219,12 +233,13 @@ class TestToeplitz:
     def test_matrix_matches_quadratic_form(self):
         rng = np.random.default_rng(23)
         v = rng.standard_normal(12)
-        kernel = rng.standard_normal(12)
+        kernel = rng.standard_normal(13)
         op = ToeplitzOperator(kernel)
-        m = toeplitz(kernel)
+        m = dense_stiffness(kernel)
+        slopes = np.diff(v, prepend=0.0, append=0.0)
         assert np.allclose(op.matvec(v), m @ v, rtol=1e-12, atol=0.0)
         assert op.quad_form(v) == pytest.approx(float(v @ m @ v), rel=1e-12)
-        assert op.quad_form(v) == pytest.approx(toeplitz_quadratic_form(kernel, v), rel=1e-12)
+        assert op.quad_form(v) == pytest.approx(toeplitz_quadratic_form(kernel, slopes), rel=1e-12)
 
     @pytest.mark.parametrize("s", [0.3, 0.99])
     def test_stiffness_products_match_dense_reference(self, s):
@@ -232,11 +247,11 @@ class TestToeplitz:
         grid = make_grid(DOM, 513)
         v = random_bump(rng, grid)[interior_indices(grid)]
         op = frac_operator(513, s)
-        m = toeplitz(op.c)
-        want = m @ v
+        want = dense_stiffness(op.w) @ v
+        slopes = np.diff(v, prepend=0.0, append=0.0)
         assert np.max(np.abs(op.matvec(v) - want)) <= 1e-12 * np.max(np.abs(want))
         assert op.quad_form(v) == pytest.approx(float(v @ want), rel=1e-12)
-        assert op.quad_form(v) == pytest.approx(toeplitz_quadratic_form(op.c, v), rel=1e-12)
+        assert op.quad_form(v) == pytest.approx(toeplitz_quadratic_form(op.w, slopes), rel=1e-12)
 
     @pytest.mark.parametrize("n", [65, 513, 2049])
     @pytest.mark.parametrize("s", [0.3, 0.6, 0.9, 0.99])
@@ -244,7 +259,7 @@ class TestToeplitz:
         op = frac_operator(n, s)
         grid = make_grid(DOM, n)
         b = load_vector(grid, sample(grid, lambda x: 1.0 + 0.5 * np.sin(3.0 * x)))[interior_indices(grid)]
-        want = cho_solve(cho_factor(toeplitz(op.c)), b)
+        want = slope_cholesky_solve(FracParams(s=s), grid.h, b)
         got = op.solve(b)
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
@@ -254,19 +269,20 @@ class TestToeplitz:
         op = frac_operator(n, s)
         grid = make_grid(DOM, n)
         b = load_vector(grid, sample(grid, lambda x: 1.0 + 0.5 * np.sin(3.0 * x)))[interior_indices(grid)]
-        want = refined_dense_solve(op.c, b)
+        want = refined_dense_solve(op.w, b)
         got = op.solve(b)
         assert np.max(np.abs(got - want)) <= 5e-12 * np.max(np.abs(want))
 
     def test_cg_steps_stay_few(self, monkeypatch):
+        # one product with W per CG step
         steps = []
-        matvec = ToeplitzOperator.matvec
+        slopes = ToeplitzOperator._slopes
 
         def counted(self, v):
             steps[-1] += 1
-            return matvec(self, v)
+            return slopes(self, v)
 
-        monkeypatch.setattr(ToeplitzOperator, "matvec", counted)
+        monkeypatch.setattr(ToeplitzOperator, "_slopes", counted)
         for n in (33, 65, 513, 4097, 8193):
             b = np.ones(interior_indices(make_grid(DOM, n)).size)
             for s in (0.05, 0.3, 0.6, 0.9, 0.99, 0.999):
@@ -276,21 +292,27 @@ class TestToeplitz:
         assert 0 < min(steps) and max(steps) <= 15
 
     def test_singular_kernel_raises_numerical_error(self):
-        # a zero diagonal makes T and its tau preconditioner indefinite
+        # a slope kernel peaked off the diagonal gives T the diagonal
+        # 2 (w[0] - w[1]) = -2, so T and its tau preconditioner are indefinite
         with pytest.raises(NumericalError):
-            ToeplitzOperator(np.array([0.0, 1.0, 0.2])).solve(np.ones(3))
+            ToeplitzOperator(np.array([0.0, 1.0, 0.2])).solve(np.ones(2))
 
     def test_indefinite_tridiagonal_kernel_raises_numerical_error(self):
-        # (1, -0.6, 0, ...) has eigenvalues 1 - 1.2 cos(pi j / 32) < 0 at j = 1
-        kernel = np.zeros(31)
-        kernel[:2] = (1.0, -0.6)
+        # w = (0.6, 0.1, 0.2, 0.3, ...) is affine from k = 1 on, so T's first
+        # column -Delta**2 w is (1, -0.6, 0, ...), with eigenvalues
+        # 1 - 1.2 cos(pi j / 32) < 0 at j = 1
+        kernel = 0.1 * np.arange(32.0)
+        kernel[0] = 0.6
+        assert np.allclose(stiffness_column(kernel), np.r_[1.0, -0.6, np.zeros(29)], rtol=0.0, atol=1e-15)
         with pytest.raises(NumericalError, match="tau"):
             ToeplitzOperator(kernel).solve(np.ones(31))
 
     def test_indefinite_kernel_with_definite_preconditioner_raises(self):
-        # tau(T) is positive definite here, so CG itself meets p^T T p < 0
-        kernel = np.array([0.8, -0.1, -1.2])
-        assert np.linalg.eigvalsh(toeplitz(kernel)).min() < 0.0
+        # T's first column -Delta**2 w is (0.8, -0.1, -1.2): tau(T) is
+        # positive definite here, so CG itself meets p^T T p < 0
+        kernel = np.array([-0.2, -0.6, -0.9, 0.0])
+        assert np.allclose(stiffness_column(kernel), (0.8, -0.1, -1.2), rtol=0.0, atol=1e-15)
+        assert np.linalg.eigvalsh(dense_stiffness(kernel)).min() < 0.0
         with pytest.raises(NumericalError, match="curvature"):
             ToeplitzOperator(kernel).solve(np.ones(3))
 
@@ -301,7 +323,7 @@ class TestToeplitz:
 
     def test_matvec_on_stack_matches_rows(self):
         op = frac_operator(129, 0.7)
-        stack = np.random.default_rng(43).standard_normal((2, 3, op.c.size))
+        stack = np.random.default_rng(43).standard_normal((2, 3, op.w.size - 1))
         got = op.matvec(stack)
         assert got.shape == stack.shape
         for idx in np.ndindex(2, 3):
@@ -313,7 +335,7 @@ class TestToeplitz:
 
     def test_compares_and_hashes_by_identity(self):
         op = frac_operator(33, 0.7)
-        twin = ToeplitzOperator(op.c)
+        twin = ToeplitzOperator(op.w)
         assert op == op and op != twin
         assert hash(op) != hash(twin) and len({op, twin, op}) == 2
 
@@ -346,17 +368,17 @@ class TestToeplitz:
 
     def test_wrong_length_is_a_shape_error(self):
         # the CLI maps the package's own error types to exit codes
-        op = ToeplitzOperator(np.ones(5))
+        op = ToeplitzOperator(np.ones(6))
         for call in (op.matvec, op.quad_form, op.solve):
-            with pytest.raises(ShapeError, match=r"vector of shape \(4,\) does not match a Toeplitz matrix of order 5"):
+            with pytest.raises(ShapeError, match=r"vector of shape \(4,\) does not match a stiffness matrix of order 5"):
                 call(np.ones(4))
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_smallest_orders_match_dense(self, m):
         rng = np.random.default_rng(31 + m)
-        kernel = rng.standard_normal(m)
+        kernel = rng.standard_normal(m + 1)
         v = rng.standard_normal(m)
-        want = toeplitz(kernel) @ v
+        want = dense_stiffness(kernel) @ v
         got = ToeplitzOperator(kernel).matvec(v)
         assert got.shape == (m,)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

@@ -297,13 +297,14 @@ class TestRunnerOutcomes:
 
     @pytest.mark.parametrize("command", ["solve", "rates"])
     def test_singular_stiffness_returns_one(self, tmp_path, monkeypatch, capsys, command):
-        # a kernel with a vanishing diagonal is indefinite, and so is its tau preconditioner
+        # a slope kernel peaked off the diagonal gives T the diagonal
+        # 2 (w[0] - w[1]) = -2: T is indefinite, and so is its tau preconditioner
         def singular(p, h, kmax):
-            c = np.zeros(kmax + 1)
-            c[:3] = (0.0, 1.0, 0.2)
-            return c
+            w = np.zeros(kmax + 1)
+            w[:3] = (0.0, 1.0, 0.2)
+            return w
 
-        monkeypatch.setattr(solver, "stiffness_kernel", singular)
+        monkeypatch.setattr(solver, "slope_kernel", singular)
         cfg = write_cfg(
             tmp_path,
             f"experiment = {command}\ns_list = 0.6, 0.7\nn = 65\noutput_dir = {tmp_path / 'out'}\n",

@@ -11,6 +11,7 @@ from fraclap.profiles import _random_bump_rows, make_profile
 from helpers import (
     SupportError,
     assemble_frac,
+    dense_stiffness,
     dirichlet_frac,
     dirichlet_frac_oracle,
     far_cross_quadrature,
@@ -87,12 +88,10 @@ class TestDirichletFrac:
             assert dirichlet_frac(G65, phi, p).d2 == pytest.approx(qua_d2, rel=1e-6)
 
     def test_matches_assembled_quadratic_form(self):
-        from scipy.linalg import toeplitz
-
         rng = np.random.default_rng(8)
         phi = random_bump(rng, G65)
         p = FracParams(s=0.45, eps=0.15)
-        a = toeplitz(assemble_frac(DOM, 65, p).c)
+        a = dense_stiffness(assemble_frac(DOM, 65, p).w)
         v = phi[assembly.interior_indices(G65)]
         quad_form = float(v @ (a @ v))
         assert 2.0 * dirichlet_frac(G65, phi, p).total == pytest.approx(quad_form, rel=1e-10)
@@ -100,22 +99,23 @@ class TestDirichletFrac:
 
     def test_one_full_kernel_per_split(self, monkeypatch):
         calls = []
-        full_kernel = assembly.stiffness_kernel
+        full_kernel = assembly.slope_kernel
 
         def counted(p, h, kmax):
             calls.append(kmax)
             return full_kernel(p, h, kmax)
 
-        monkeypatch.setattr(assembly, "stiffness_kernel", counted)
+        monkeypatch.setattr(assembly, "slope_kernel", counted)
         grid = make_grid(DOM, 129)
         phi = random_bump(np.random.default_rng(61), grid)
         for s in (0.3, 0.9):
             p = FracParams(s=s)
             split = dirichlet_frac(grid, phi, p)
-            c_far = assembly.far_kernel(p, grid.h, full_kernel(p, grid.h, 126))
-            assert split.d2 == 0.5 * assembly.ToeplitzOperator(c_far).quad_form(phi[1:-1])
+            w = full_kernel(p, grid.h, 127)
+            w_far = w - assembly.near_kernel(p, grid.h, w)
+            assert split.d2 == 0.5 * assembly.ToeplitzOperator(w_far).quad_form(phi[1:-1])
         # one per dirichlet_frac call; the oracle's own is not counted
-        assert calls == [126] * 2
+        assert calls == [127] * 2
 
 
 class TestEnergySplitBounds:

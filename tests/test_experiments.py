@@ -3,9 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from fraclap import cli, config, experiments, mollifier
-from fraclap.assembly import ToeplitzOperator
+from fraclap.assembly import ToeplitzOperator, interior_indices
 from fraclap.config import EXPERIMENTS, ExperimentConfig, parse_config
 from fraclap.errors import ConfigError, NumericalError
 from fraclap.experiments import (
@@ -16,7 +17,7 @@ from fraclap.experiments import (
     run_rates,
     run_solve,
 )
-from fraclap.grid import make_grid
+from fraclap.grid import _mass_rows, make_grid
 from fraclap.kernels import FracParams
 from fraclap.mollifier import mollify
 from helpers import csv_text, mollify_gradient, solve_csv_rows, zero_data_err_ws2_sq
@@ -87,6 +88,44 @@ class TestMollifierCheck:
         assert rep.passed
         assert csv_text(rep) != csv_text(run_mollifier_check(cfg))
 
+
+    @pytest.mark.parametrize("n", [65, 129])
+    def test_sampled_worst_is_below_dense_pencil_maxima(self, tmp_path, n):
+        # closeness_l2 and energy_consistency each compare two quadratic
+        # forms of the data, so their worst ratio over every P1 function
+        # supported in Omega is the top eigenvalue of the pencil
+        # (lhs matrix, rhs matrix) over the hats of Omega's nodes, built
+        # here densely from the suite's own smoothing stencils and near
+        # operator.  Both inequalities must hold with room for every
+        # function (0.032 and 0.878 at n = 1025), and the 100 sampled bumps
+        # can only reach below the maxima: a sample above one means a defect
+        # in one of the two routes
+        cfg = cfg_from(tmp_path, f"experiment = mollifier_check\ns_list = 0.5, 0.9\nn = {n}\n")
+        grid = make_grid(cfg.domain, n)
+        idx = interior_indices(grid)
+        hats = np.eye(n)[idx]
+        top = {}
+        for s in cfg.s_list:
+            near, _ = mollifier._rows_at_s(grid, mollifier.full_coverage_mask(grid), s, cfg.r_value(s))
+            d1 = 0.5 * near.matvec(np.eye(n - 2))[np.ix_(idx - 1, idx - 1)]
+            for eps in mollifier._MOLL_EPS:
+                p = FracParams(s=s, eps=eps)
+                smoothed = mollify(grid, hats, p)
+                moved = smoothed - hats
+                slopes = np.diff(smoothed)
+                pencils = {
+                    "closeness_l2": (moved @ _mass_rows(grid, moved, "box").T, p.plateau_scale**2 * (1.0 - s) * d1),
+                    "energy_consistency": (0.5 * slopes @ slopes.T / grid.h, (p.plateau_scale / 2.0) ** 2 * d1),
+                }
+                if eps == 0.0:
+                    pencils["energy_consistency_eps0"] = pencils["energy_consistency"]
+                for name, (lhs, rhs) in pencils.items():
+                    value = eigh(lhs, rhs, eigvals_only=True)[-1]
+                    top[name] = max(top.get(name, 0.0), value)
+        sampled = {r.name: r.value for r in run_mollifier_check(cfg).rows}
+        assert set(top) == {"closeness_l2", "energy_consistency", "energy_consistency_eps0"}
+        for name, value in top.items():
+            assert sampled[name] <= value < 1.0, (name, sampled[name], value)
 
     def test_report_values_pinned(self, tmp_path, monkeypatch):
         # the worst ratios recomputed bump by bump on random.Random(11)'s
@@ -271,14 +310,14 @@ class TestRates:
 
     @pytest.mark.parametrize("s", [0.6, 0.99])
     def test_optimality_check_catches_perturbed_solve(self, monkeypatch, s):
-        # solve with one kernel entry off by 1e-8 relative; the seminorm and
-        # the self-check still use the true operator
+        # solve with one slope kernel entry off by 1e-8 relative; the
+        # seminorm and the self-check still use the true operator
         solve = ToeplitzOperator.solve
 
         def perturbed(self, b):
-            c = self.c.copy()
-            c[1] *= 1.0 + 1e-8
-            return solve(ToeplitzOperator(c), b)
+            w = self.w.copy()
+            w[1] *= 1.0 + 1e-8
+            return solve(ToeplitzOperator(w), b)
 
         monkeypatch.setattr(ToeplitzOperator, "solve", perturbed)
         # one s cannot be fitted, so config validation would refuse the file
@@ -290,7 +329,7 @@ class TestRates:
     def test_negative_seminorm_within_roundoff_reads_zero(self, monkeypatch, tmp_path, factor):
         # e^T A e at -factor times the FFT roundoff model is clamped to 0
         def quad_form(self, v):
-            return -factor * experiments._roundoff(self) * float(v @ v)
+            return -factor * self.roundoff(v, v)
 
         monkeypatch.setattr(ToeplitzOperator, "quad_form", quad_form)
         rows = run_rates(cfg_from(tmp_path, "experiment = rates\ns_list = 0.6, 0.8\nn = 129\n")).rows
@@ -299,7 +338,7 @@ class TestRates:
     def test_negative_seminorm_below_roundoff_exits_one(self, monkeypatch, tmp_path, capsys):
         # just past the model it is a lost definiteness, not roundoff
         def quad_form(self, v):
-            return -1.01 * experiments._roundoff(self) * float(v @ v)
+            return -1.01 * self.roundoff(v, v)
 
         monkeypatch.setattr(ToeplitzOperator, "quad_form", quad_form)
         cfg = tmp_path / "exp.cfg"

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import toeplitz
 
 from fraclap import solver
-from fraclap.assembly import ToeplitzOperator, interior_indices, stiffness_kernel
+from fraclap.assembly import ToeplitzOperator, interior_indices, slope_kernel
 from fraclap.errors import ConfigError, DataError
 from fraclap.grid import Domain, _mass_rows, dirichlet_local, make_grid, objective_local, sample
 from fraclap.kernels import FracParams, const_ratio, norm_const
@@ -19,6 +18,7 @@ from fraclap.solver import (
 )
 from helpers import (
     assemble_frac,
+    dense_stiffness,
     dirichlet_frac,
     exact_hat_load,
     gaussian_truncated_oracle,
@@ -27,6 +27,7 @@ from helpers import (
     linf_distance,
     objective_frac,
     random_bump,
+    stiffness_column,
 )
 
 DOM = Domain(-1.0, 1.0, -2.0, 2.0)
@@ -40,7 +41,7 @@ def const_f(grid, value: float = 1.0):
 class TestAssembly:
     def test_symmetric_positive_definite(self):
         op = assemble_frac(DOM, 65, FracParams(s=0.4, eps=0.2))
-        a = toeplitz(op.c)
+        a = dense_stiffness(op.w)
         assert a.shape == (31, 31)
         assert np.linalg.eigvalsh(a).min() > 0.0
 
@@ -76,7 +77,7 @@ class TestAssembly:
 
     def test_frac_approaches_local_tridiagonal(self):
         # kernel of the gradient-energy matrix: (2/h, -1/h, 0, ...)
-        frac = assemble_frac(DOM, 33, FracParams(s=0.999)).c
+        frac = stiffness_column(assemble_frac(DOM, 33, FracParams(s=0.999)).w)
         h = 0.125
         loc = np.zeros_like(frac)
         loc[0], loc[1] = 2.0 / h, -1.0 / h
@@ -148,7 +149,7 @@ class TestFracSolve:
 def interior_operator(s: float, n: int):
     grid = make_grid(DOM, n)
     idx = interior_indices(grid)
-    return grid, idx, ToeplitzOperator(stiffness_kernel(FracParams(s=s), grid.h, idx.size - 1))
+    return grid, idx, ToeplitzOperator(slope_kernel(FracParams(s=s), grid.h, idx.size))
 
 
 def first_eigenvalue(s: float, n: int) -> float:
@@ -182,16 +183,10 @@ class TestFirstEigenvalue:
         ratio = fine / (const_ratio(FracParams(s=s)) * (math.pi**2 / 4.0) ** s)
         assert 0.5 <= ratio <= 1.0
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="lambda_1 at s = 0.995 rises from 2.4663984834 (n = 65537) to "
-        "2.4663986484 (n = 262145), by 1.651e-7, which min-max forbids: the "
-        "kernel's cancelling row sum leaves a kappa(T) eps ~ n^(2s) eps "
-        "floor; the factored operator of ROADMAP item 1 is to remove it, "
-        "and this mark with it",
-    )
     def test_nested_large_meshes_near_one(self):
-        # the same nesting at the two largest meshes; about 1.6 s
+        # the same nesting at the two largest meshes, where the first column's
+        # cancelling row sum made lambda_1 rise from 2.4663984834 to
+        # 2.4663986484; about 1.6 s
         assert first_eigenvalue(0.995, 262145) <= first_eigenvalue(0.995, 65537)
 
 
@@ -225,6 +220,24 @@ class TestJacobiEnergyOracle:
                 assert 3.5 <= gaps[0] / gaps[1] <= 4.5, name
             else:
                 assert gaps[0] / gaps[1] >= 3.5, name
+
+    @pytest.mark.parametrize("s", [0.6, 0.9, 0.99, 0.995])
+    def test_energy_error_falls_on_large_meshes(self, s):
+        # the same identity from n = 65537 to 262145, for f = 1 and
+        # f = cos 2x + x: the energy error must stay >= 0 and fall.  A first
+        # column with a cancelling row sum bounds a solve's forward error
+        # only by kappa(T) eps ~ n**(2s) eps, which turned the error at
+        # s = 0.99 and n = 262145 negative (-1.7514e-7 and -8.1702e-8);
+        # through exact slope differences it reads 3.2391e-9 and 1.0364e-9.
+        # About 3 s
+        for name, f in (("1", np.ones_like), JACOBI_SOURCES[0]):
+            energy = jacobi_energy(s, f)
+            gaps = []
+            for n in (65537, 262145):
+                grid, idx, A = interior_operator(s, n)
+                b = exact_hat_load(grid, f)[idx]
+                gaps.append(energy - float(b @ A.solve(b)))
+            assert 0.0 <= gaps[1] < gaps[0], name
 
     @pytest.mark.parametrize("s", [0.1, 0.3, 0.6, 0.9, 0.99])
     def test_point_values_converge_like_h_to_the_s(self, s):
